@@ -64,7 +64,7 @@ def bench_end_to_end():
             m = build_from_curve(inst)
             verify_relations(m)
             hodge_newton(m)
-            check_curve_jacobian_agreement(inst)
+            check_curve_jacobian_agreement(inst, m)
 
     return timeit(run, repeat=1)
 

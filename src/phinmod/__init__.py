@@ -4,7 +4,8 @@ Builds, in exact rational arithmetic, the graded Frobenius-monodromy module
 on the first de Rham cohomology of a semistable curve (from its dual graph
 and component Frobenius data) or of an abelian variety (from its rigid
 uniformization data), and verifies the structural identities the two
-constructions satisfy, including their agreement on Jacobians.
+constructions satisfy, including the agreement of a curve's module with the
+component group of its Jacobian.
 """
 
 from ._backend import BACKEND
@@ -28,7 +29,15 @@ from .exact_linalg import (
     padic_valuation,
     rank,
 )
-from .graph_core import CycleBasis, DualGraph, betti_one, cycle_basis, edge_pairing, monodromy_gram
+from .graph_core import (
+    CycleBasis,
+    DualGraph,
+    betti_one,
+    cycle_basis,
+    edge_pairing,
+    monodromy_gram,
+    spanning_tree_count,
+)
 from .laurent_calc import (
     LaurentForm,
     LaurentPolynomial,
@@ -103,6 +112,7 @@ __all__ = [
     "padic_valuation",
     "rank",
     "residue",
+    "spanning_tree_count",
     "splitting_correction",
     "validate_weil",
     "verify_monodromy_duality",

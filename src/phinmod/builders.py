@@ -1,14 +1,18 @@
-"""The two construction pipelines and their agreement check.
+"""The two construction pipelines and the curve/Jacobian agreement check.
 
-Curve side: a dual graph with per-component Frobenius sources yields a
-module whose toric data is the cycle-space Gram matrix and whose weight-1
-block is the direct sum of the component matrices.  Abelian-variety side:
-torus rank, lattice Gram matrix and good-reduction Frobenius are taken as
-given (the uniformization data).  For a Jacobian the two routes must agree
-on the nose, because both deterministically fix the same basis: component
-blocks in ascending vertex-id order, cycles in ascending non-tree-edge
-order.  ``check_curve_jacobian_agreement`` turns that statement into a
-regression test of all the bookkeeping in between.
+Abelian-variety side: torus rank, lattice Gram matrix and good-reduction
+Frobenius are taken as given (the uniformization data).  Curve side: a dual
+graph with per-component Frobenius sources is turned into the uniformization
+data of its Jacobian (torus rank b1, the monodromy Gram matrix of the cycle
+space, the direct sum of the component blocks in ascending vertex-id order)
+and built through the same path, so each component is resolved once and the
+Gram matrix comes only from :func:`monodromy_gram`.
+
+``check_curve_jacobian_agreement`` tests the built module against facts of
+the curve that do not go through that path: the weight ranks (b1, 2 * total
+genus, b1) and the discriminant of the monodromy pairing, which must equal
+the number of spanning trees of the dual graph (the order of the component
+group of the Jacobian), counted by the matrix-tree theorem.
 """
 
 from dataclasses import dataclass
@@ -16,9 +20,9 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ValidationError
-from .exact_linalg import QMatrix, is_prime
-from .graph_core import DualGraph, betti_one, cycle_basis, edge_pairing, monodromy_gram
-from .phin_module import PhiNModule, assemble, modules_equal
+from .exact_linalg import QMatrix, det, is_prime
+from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
+from .phin_module import PhiNModule, assemble
 from .weil_data import (
     DEFAULT_POINT_BOUND,
     EllipticCurveSpec,
@@ -91,15 +95,6 @@ def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> 
     return validate_weil(src, p, f)
 
 
-def component_sum(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
-    """Direct sum of the component Frobenius blocks, vertex ids ascending."""
-    blocks = [
-        resolve_component(c.components[v.id], c.p, c.f, bound)
-        for v in sorted(c.graph.vertices, key=lambda v: v.id)
-    ]
-    return direct_sum(blocks, c.p, c.f)
-
-
 @dataclass(frozen=True)
 class UniformizationData:
     """Abelian-variety datum: torus rank, lattice Gram matrix, and the
@@ -125,28 +120,6 @@ class UniformizationData:
             raise ValidationError("good-reduction Frobenius q mismatch")
 
 
-def build_from_curve(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> PhiNModule:
-    """Module of a semistable curve: cycle-space Gram matrix for the toric
-    part, component direct sum for the abelian part.
-
-    Total dimension is 2 * (sum of component genera + b1 of the graph), the
-    genus of the generic fiber counted twice.
-    """
-    basis = cycle_basis(c.graph).cycles
-    gram = (
-        QMatrix.from_rows([[edge_pairing(a, b) for b in basis] for a in basis])
-        if basis
-        else QMatrix(0, 0, ())
-    )
-    module = assemble(c.p, c.f, gram, component_sum(c, bound))
-    expected = 2 * (c.graph.total_genus() + betti_one(c.graph))
-    if module.dimension != expected:
-        raise ValidationError(
-            f"module dimension {module.dimension} != 2*(genus + b1) = {expected}"
-        )
-    return module
-
-
 def build_from_av(u: UniformizationData) -> PhiNModule:
     """Module of an abelian variety from its uniformization data."""
     return assemble(u.p, u.f, u.gram, u.b_frobenius)
@@ -155,19 +128,33 @@ def build_from_av(u: UniformizationData) -> PhiNModule:
 def jacobian_data(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> UniformizationData:
     """Uniformization data of the Jacobian: torus rank = b1, lattice pairing
     = monodromy Gram matrix, good-reduction part = product of the component
-    Jacobians."""
+    Jacobians (blocks in ascending vertex-id order)."""
+    blocks = [
+        resolve_component(c.components[v.id], c.p, c.f, bound)
+        for v in sorted(c.graph.vertices, key=lambda v: v.id)
+    ]
     return UniformizationData(
         torus_rank=betti_one(c.graph),
         gram=monodromy_gram(c.graph),
-        b_frobenius=component_sum(c, bound),
+        b_frobenius=direct_sum(blocks, c.p, c.f),
         p=c.p,
         f=c.f,
     )
 
 
-def check_curve_jacobian_agreement(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> bool:
-    """Exact equality of the curve-side module and the module of its
-    Jacobian's uniformization data.  False signals an implementation bug."""
-    return modules_equal(
-        build_from_curve(c, bound), build_from_av(jacobian_data(c, bound))
+def build_from_curve(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> PhiNModule:
+    """Module of a semistable curve: the module of its Jacobian's
+    uniformization data."""
+    return build_from_av(jacobian_data(c, bound))
+
+
+def check_curve_jacobian_agreement(c: CurveInstance, module: PhiNModule) -> bool:
+    """Does ``module`` (built from ``c``) have the curve's weight ranks
+    (b1, 2 * total genus, b1), and does its Gram determinant equal the
+    spanning-tree count of the dual graph?  False signals an implementation
+    bug."""
+    b1 = betti_one(c.graph)
+    return (
+        module.dims == (b1, 2 * c.graph.total_genus(), b1)
+        and det(module.gram) == spanning_tree_count(c.graph)
     )

@@ -31,6 +31,7 @@ from .fuzz import FuzzBounds, instance_stream
 from .io_formats import (
     build_report,
     dump_json,
+    failed_checks,
     instance_to_json,
     load_instance,
     report_all_pass,
@@ -59,7 +60,7 @@ def run_checks(inst, bound: int) -> dict:
     """Build the module and assemble its full report."""
     if isinstance(inst, CurveInstance):
         module = build_from_curve(inst, bound)
-        agreement = check_curve_jacobian_agreement(inst, bound)
+        agreement = check_curve_jacobian_agreement(inst, module)
     else:
         module = build_from_av(inst)
         agreement = None
@@ -124,15 +125,19 @@ def cmd_fuzz(args) -> int:
     passed = 0
     failed = 0
     for idx, inst in enumerate(instance_stream(args.seed, args.count, bounds)):
-        report = run_checks(inst, bound)
-        if report_all_pass(report):
+        failures = failed_checks(run_checks(inst, bound))
+        if not failures:
             passed += 1
         else:
             failed += 1
             dump_path = os.path.join(args.out_dir, f"fuzz_failure_{idx:04d}.json")
             with open(dump_path, "w", encoding="utf-8") as fh:
                 fh.write(dump_json(instance_to_json(inst)))
-            print(f"instance {idx} failed; dumped to {dump_path}", file=sys.stderr)
+            print(
+                f"seed {args.seed} instance {idx} failed {', '.join(failures)}; "
+                f"dumped to {dump_path}",
+                file=sys.stderr,
+            )
     print(f"fuzz: {passed}/{args.count} instances passed (seed={args.seed})")
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 

@@ -259,6 +259,11 @@ def padic_valuation(x, p: int):
     """v_p(x) for exact x; +infinity at 0; normalized so v_p(p) = 1."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
+    return _valuation(x, p)
+
+
+def _valuation(x, p: int):
+    """:func:`padic_valuation` for a p already known to be prime."""
     x = as_rational(x)
     if x == 0:
         return INFINITY
@@ -363,7 +368,7 @@ def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
         return NewtonPolygon(())
     if coeffs[0] == 0:
         raise ValueError("zero constant term: 0 is an eigenvalue")
-    points = [(i, padic_valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
+    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
     # Lower convex hull by monotone chain over the finite points.
     hull = []
     for pt in points:

@@ -4,14 +4,16 @@ Vertices carry component genera; oriented edges stand for the double points,
 one stored representative per {edge, reversed edge} pair.  Loops and parallel
 edges are allowed.  The first homology of the graph carries an integral
 positive definite pairing (the monodromy pairing): the restriction of the
-coordinatewise edge inner product to the cycle space.
+coordinatewise edge inner product to the cycle space.  Its discriminant is
+the number of spanning trees (Bacher, de la Harpe and Nagnibeda 1997), which
+the matrix-tree theorem computes from the Laplacian alone.
 """
 
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GraphError
-from .exact_linalg import QMatrix, as_rational
+from .exact_linalg import QMatrix, as_rational, det
 
 
 @dataclass(frozen=True)
@@ -189,3 +191,22 @@ def monodromy_gram(g: DualGraph) -> QMatrix:
     return QMatrix.from_rows(
         [[edge_pairing(a, b) for b in basis] for a in basis]
     ) if basis else QMatrix(0, 0, ())
+
+
+def spanning_tree_count(g: DualGraph) -> int:
+    """Number of spanning trees, by Kirchhoff's matrix-tree theorem: any
+    cofactor of the Laplacian.  Loops are dropped; parallel edges count
+    separately."""
+    index = {v.id: k for k, v in enumerate(g.vertices)}
+    n = len(index)
+    if n == 1:
+        return 1
+    lap = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        a, b = index[e.tail], index[e.head]
+        if a != b:
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    return det(QMatrix.from_rows([row[1:] for row in lap[1:]]))

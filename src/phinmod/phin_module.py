@@ -38,10 +38,10 @@ from .weil_data import WeilMatrix
 class PhiNModule:
     """Graded exact-rational (phi, N)-module with filtration and Gram data.
 
-    Only dimensional consistency is enforced at construction; the
-    mathematical relations are checked by :func:`assemble` (which builds
-    conforming instances) and re-checked by :func:`verify_relations`, so
+    Only dimensional consistency is enforced at construction, so
     deliberately corrupted instances can be constructed for testing.
+    :func:`assemble` builds modules that satisfy the relations by
+    construction; :func:`verify_relations` checks them.
     """
 
     p: int
@@ -95,6 +95,11 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     pairing on the torus character lattice); w must be validated Weil data
     at the same q.  The grading gives the splittings directly: no extension
     data survives at desk scale.
+
+    The result satisfies the relations of :func:`verify_relations` by
+    construction: N maps weight 2 to weight 0 and kills both, phi is q on
+    weight 2 and 1 on weight 0, det(phi) = q^(w2 + g), and the Gram block
+    is positive definite, so rank N = w2.
     """
     if (w.p, w.f) != (p, f):
         raise ValidationError(
@@ -110,7 +115,7 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         raise ValidationError("gram not positive definite")
     w0 = w2 = gram.rows
     w1 = w.size
-    module = PhiNModule(
+    return PhiNModule(
         p=p,
         f=f,
         dims=(w0, w1, w2),
@@ -119,10 +124,6 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         fil1_dim=w2 + w.fil_dim,
         gram=gram,
     )
-    report = verify_relations(module)
-    if not report.all_pass:
-        raise ValidationError(f"assembled module fails structural checks: {report}")
-    return module
 
 
 @dataclass(frozen=True)

@@ -166,7 +166,10 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     """Block-diagonal sum; genus and filtration dimensions add.
 
     (p, f) must be passed explicitly so the empty sum is well-typed; every
-    summand must match.  The result is re-validated.
+    summand must match.  The summands are already validated and every Weil-q
+    condition passes to a block sum (det and the characteristic polynomial
+    multiply, the eigenvalues are the union), so the sum is not validated
+    again; it is archimedean-verified when every summand is.
     """
     ws = list(ws)
     for w in ws:
@@ -174,5 +177,10 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
             raise WeilValidationError(
                 f"direct_sum: block has q = {w.p}^{w.f}, expected {p}^{f}"
             )
-    block = QMatrix.block_diag([w.matrix for w in ws])
-    return validate_weil(block, p, f)
+    return WeilMatrix(
+        p,
+        f,
+        QMatrix.block_diag([w.matrix for w in ws]),
+        sum(w.fil_dim for w in ws),
+        all(w.archimedean_verified for w in ws),
+    )

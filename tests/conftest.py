@@ -84,7 +84,7 @@ def fuzz_batch() -> FuzzBatch:
                 relations=verify_relations(module),
                 polygons=hodge_newton(module),
                 duality=verify_monodromy_duality(module),
-                agreement=check_curve_jacobian_agreement(inst),
+                agreement=check_curve_jacobian_agreement(inst, module),
             )
         )
     return FuzzBatch(results=results, elapsed=time.perf_counter() - t0)

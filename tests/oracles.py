@@ -3,11 +3,13 @@
 Deliberately different algorithms from the package: cofactor expansion over
 a polynomial ring instead of Berkowitz, dividing Gaussian elimination over
 Fraction instead of fraction-free, an O(p^2) double loop instead of the
-square-table point counter, and a minimal-slope sweep instead of a monotone
-chain.  Slow and only used at tiny sizes.
+square-table point counter, a minimal-slope sweep instead of a monotone
+chain, and spanning trees enumerated one by one instead of a Laplacian
+cofactor.  Slow and only used at tiny sizes.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def poly_add(a, b):
@@ -144,3 +146,27 @@ def newton_slopes_sweep(coeffs, p):
         slopes.extend([-s] * (nxt[0] - cur[0]))
         cur = nxt
     return sorted(slopes)
+
+
+def spanning_trees_brute(vertex_ids, edges):
+    """Number of spanning trees of a connected multigraph: every (V-1)-subset
+    of the non-loop (tail, head) edges that union-find shows to be acyclic."""
+    links = [(t, h) for t, h in edges if t != h]
+    count = 0
+    for subset in combinations(links, len(vertex_ids) - 1):
+        parent = {v: v for v in vertex_ids}
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        acyclic = True
+        for t, h in subset:
+            a, b = find(t), find(h)
+            if a == b:
+                acyclic = False
+                break
+            parent[a] = b
+        count += acyclic
+    return count

@@ -77,7 +77,7 @@ def test_criterion_3_monodromy_duality(fuzz_batch, golden_instances):
 def test_criterion_4_curve_jacobian_agreement(fuzz_batch, golden_instances):
     ok = all(r.agreement for r in fuzz_batch.results)
     for inst in golden_instances.values():
-        ok = ok and check_curve_jacobian_agreement(inst)
+        ok = ok and check_curve_jacobian_agreement(inst, build_from_curve(inst))
     criterion(4, "curve/Jacobian pipeline agreement", ok)
 
 

@@ -14,8 +14,13 @@ from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, det
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph, betti_one
-from phinmod.phin_module import modules_equal, verify_relations
-from phinmod.weil_data import EllipticCurveSpec, frobenius_of_elliptic, validate_weil
+from phinmod.phin_module import assemble, modules_equal, verify_relations
+from phinmod.weil_data import (
+    EllipticCurveSpec,
+    direct_sum,
+    frobenius_of_elliptic,
+    validate_weil,
+)
 
 from conftest import banana_instance, tate_instance, theta_instance
 
@@ -149,11 +154,30 @@ class TestJacobianData:
 class TestAgreement:
     def test_goldens(self):
         for inst in (tate_instance(), banana_instance(), theta_instance()):
-            assert check_curve_jacobian_agreement(inst)
+            assert check_curve_jacobian_agreement(inst, build_from_curve(inst))
 
     def test_fuzzed(self):
         for inst in instance_stream(seed=99, count=30):
-            assert check_curve_jacobian_agreement(inst)
+            assert check_curve_jacobian_agreement(inst, build_from_curve(inst))
+
+    def test_wrong_gram_determinant_rejected(self):
+        # det [[2, 1], [1, 3]] = 5, but the theta graph has 3 spanning trees
+        inst = theta_instance()
+        m = build_from_curve(inst)
+        bad = assemble(m.p, m.f, QMatrix.from_rows([[2, 1], [1, 3]]), direct_sum([], 5, 1))
+        assert bad.dims == m.dims
+        assert not check_curve_jacobian_agreement(inst, bad)
+
+    def test_wrong_dims_rejected(self):
+        # the theta Gram matrix (det 3) with an elliptic block the genus-0
+        # theta curve does not have
+        u = UniformizationData(
+            torus_rank=2,
+            gram=QMatrix.from_rows([[2, 1], [1, 2]]),
+            b_frobenius=frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)),
+            p=5,
+        )
+        assert not check_curve_jacobian_agreement(theta_instance(), build_from_av(u))
 
 
 class TestRelabeling:

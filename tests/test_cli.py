@@ -1,15 +1,21 @@
 import json
+import sys
 from pathlib import Path
 
-from phinmod.cli import main
+import phinmod._backend
+import phinmod.phin_module
+import phinmod.weil_data
+from phinmod.builders import CurveInstance, build_from_curve
+from phinmod.cli import main, run_checks
+from phinmod.graph_core import DualGraph
 from phinmod.io_formats import (
     dump_json,
     instance_from_json,
     instance_to_json,
     module_from_report,
 )
-from phinmod.builders import build_from_curve
-from phinmod.phin_module import modules_equal
+from phinmod.phin_module import RelationReport, modules_equal
+from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
 
@@ -135,6 +141,26 @@ class TestFuzzCommand:
         assert main(["fuzz", "--seed", "1", "--count", "0"]) == 0
         assert "0/0" in capsys.readouterr().out
 
+    def test_failure_names_seed_instance_and_checks(self, tmp_path, capsys, monkeypatch):
+        def broken_relations(m):
+            return RelationReport(True, False, True, True)
+
+        monkeypatch.setattr("phinmod.cli.verify_relations", broken_relations)
+        code = main(["fuzz", "--seed", "4", "--count", "2", "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        from phinmod.fuzz import instance_stream
+
+        for idx, inst in enumerate(instance_stream(4, 2)):
+            assert err[idx].startswith(
+                f"seed 4 instance {idx} failed relations.n_phi_commutation;"
+            )
+            dump = tmp_path / f"fuzz_failure_{idx:04d}.json"
+            assert str(dump) in err[idx]
+            parsed = instance_from_json(json.loads(dump.read_text(encoding="utf-8")))
+            assert instance_to_json(parsed) == instance_to_json(inst)
+
     def test_seed_reproducibility(self):
         from phinmod.fuzz import instance_stream
 
@@ -145,16 +171,76 @@ class TestFuzzCommand:
 
 class TestReportPassLogic:
     def test_failed_check_detected(self, capsys):
-        from phinmod.io_formats import report_all_pass
+        from phinmod.io_formats import failed_checks, report_all_pass
 
         assert main(["build", str(INSTANCE_DIR / "banana.json")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report_all_pass(report)
         report["checks"]["relations"]["n_phi_commutation"] = "fail"
         assert not report_all_pass(report)
+        assert failed_checks(report) == ["relations.n_phi_commutation"]
         report["checks"]["relations"]["n_phi_commutation"] = "pass"
         report["checks"]["curve_jacobian_agreement"] = "fail"
         assert not report_all_pass(report)
+        assert failed_checks(report) == ["curve_jacobian_agreement"]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap ``fn`` in every phinmod module that holds a reference to it and
+    return the list its calls are appended to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "phinmod" or name.startswith("phinmod."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestOncePerRequest:
+    def test_curve_counts_each_component_once(self, monkeypatch):
+        g = DualGraph.build(
+            [("v0", 1), ("v1", 0), ("v2", 1)],
+            [("e0", "v0", "v1"), ("e1", "v1", "v2"), ("e2", "v2", "v0"), ("e3", "v1", "v1")],
+        )
+        inst = CurveInstance(
+            graph=g,
+            components={
+                "v0": EllipticCurveSpec(7, 1, 3),
+                "v1": None,
+                "v2": EllipticCurveSpec(7, 3, 1),
+            },
+            p=7,
+        )
+        counts = count_calls(monkeypatch, phinmod._backend.count_points)
+        relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
+        report = run_checks(inst, DEFAULT_POINT_BOUND)
+        assert report["checks"]["curve_jacobian_agreement"] == "pass"
+        assert len(counts) == 2
+        assert len(relations) == 1
+
+    def test_av_validates_each_block_once(self, monkeypatch):
+        obj = {
+            "kind": "av",
+            "p": "5",
+            "f": "1",
+            "torus_rank": "1",
+            "gram": [["2"]],
+            "b_frobenius": [
+                {"type": "matrix", "entries": [["0", "-5"], ["1", "2"]]},
+                {"type": "matrix", "entries": [["0", "-5"], ["1", "0"]]},
+            ],
+        }
+        validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
+        relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
+        run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+        assert len(validations) == 2
+        assert len(relations) == 1
 
 
 class TestInstanceSerialization:

@@ -10,7 +10,11 @@ from phinmod.graph_core import (
     cycle_basis,
     edge_pairing,
     monodromy_gram,
+    spanning_tree_count,
 )
+from phinmod.fuzz import instance_stream
+
+from oracles import spanning_trees_brute
 
 
 def graph(vertices, edges):
@@ -146,3 +150,35 @@ class TestMonodromyGram:
             flipped = list(edges)
             flipped[k] = (eid, head, tail)
             assert det(monodromy_gram(graph(vertices, flipped))) == d
+
+
+def brute(g):
+    return spanning_trees_brute(
+        [v.id for v in g.vertices], [(e.tail, e.head) for e in g.edges]
+    )
+
+
+class TestSpanningTreeCount:
+    def test_small_graphs(self):
+        k4 = graph(
+            [(f"v{i}", 0) for i in range(4)],
+            [(f"e{i}{j}", f"v{i}", f"v{j}") for i in range(4) for j in range(i + 1, 4)],
+        )
+        cases = {SINGLE: 1, LOOP: 1, SEGMENT: 1, BANANA: 2, THETA: 3, k4: 16}
+        for g, expected in cases.items():
+            assert spanning_tree_count(g) == brute(g) == expected
+
+    def test_matrix_tree_identity_on_fuzz_graphs(self):
+        # det of the monodromy pairing = number of spanning trees, checked
+        # against trees enumerated one by one; the sample must contain loops
+        # and parallel edges
+        loops = parallels = 0
+        for inst in instance_stream(seed=11, count=60):
+            g = inst.graph
+            pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+            loops += any(len(pair) == 1 for pair in pairs)
+            parallels += len(set(pairs)) < len(pairs)
+            expected = brute(g)
+            assert spanning_tree_count(g) == expected
+            assert det(monodromy_gram(g)) == expected
+        assert loops and parallels
