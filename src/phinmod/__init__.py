@@ -48,12 +48,10 @@ from .laurent_calc import (
     splitting_correction,
 )
 from .phin_module import (
-    DualityPairing,
     PhiNModule,
     assemble,
     hodge_newton,
     modules_equal,
-    monodromy_pairing_matrix,
     verify_monodromy_duality,
     verify_relations,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "CurveInstance",
     "CycleBasis",
     "DualGraph",
-    "DualityPairing",
     "EllipticCurveSpec",
     "GraphError",
     "INFINITY",
@@ -107,7 +104,6 @@ __all__ = [
     "jacobian_data",
     "modules_equal",
     "monodromy_gram",
-    "monodromy_pairing_matrix",
     "newton_polygon",
     "padic_valuation",
     "rank",

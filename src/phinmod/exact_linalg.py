@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from ._backend import charpoly_int, det_int, rank_int
+from .errors import ValidationError
 
 Rational = Union[int, Fraction]
 
@@ -43,18 +44,60 @@ def parse_rational(s: str) -> Rational:
     return as_rational(Fraction(s))
 
 
+# (base, bound): Miller-Rabin to every prime base up to and including
+# ``base`` is exact for all n below ``bound``, the least strong pseudoprime
+# to those bases (OEIS A014233; Jaeschke 1993, Sorenson and Webster 2015).
+_MILLER_RABIN = (
+    (2, 2047),
+    (3, 1373653),
+    (5, 25326001),
+    (7, 3215031751),
+    (11, 2152302898747),
+    (13, 3474749660383),
+    (17, 341550071728321),
+    (19, 341550071728321),
+    (23, 3825123056546413051),
+    (29, 3825123056546413051),
+    (31, 3825123056546413051),
+    (37, 318665857834031151167461),
+    (41, 3317044064679887385961981),
+)
+PRIME_BOUND = _MILLER_RABIN[-1][1]
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, to as many prime bases as
+    n needs.
+
+    Every prime this package tests is an input p, and the thirteen bases
+    decide primality only below PRIME_BOUND (about 3.3e24), so n at or above
+    it is refused with a ValidationError naming the field ``p``.
+    """
+    if n >= PRIME_BOUND:
+        raise ValidationError(
+            f"field 'p' = {n} is not below {PRIME_BOUND}, the bound of the "
+            f"exact primality test"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
+    for b, _ in _MILLER_RABIN:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b, bound in _MILLER_RABIN:
+        x = pow(b, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:
+            return True
     return True
 
 
@@ -243,15 +286,29 @@ def rank(m: QMatrix) -> int:
 
 
 def is_positive_definite(m: QMatrix) -> bool:
-    """Exact Sylvester criterion: all leading principal minors positive."""
+    """Exact Sylvester criterion: all leading principal minors positive.
+
+    One Bareiss elimination without row exchanges yields every minor: the
+    k-th pivot is the leading principal minor of order k.  Scaling by the
+    common denominator multiplies the order-k minor by d^k > 0, so signs are
+    kept.  The pass stops at the first minor that is not positive.
+    """
     if not m.is_square or not m.is_symmetric():
         return False
-    rows = m.to_rows()
-    for k in range(1, m.rows + 1):
-        sub = [r[:k] for r in rows[:k]]
-        minor = det(QMatrix.from_rows(sub))
-        if minor <= 0:
+    a, _ = _clear_denominators(m)
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
             return False
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            aik = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
+        prev = pivot
     return True
 
 

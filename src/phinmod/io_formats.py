@@ -7,11 +7,12 @@ indentation, making equal runs byte-identical.
 """
 
 import json
+from dataclasses import replace
 from typing import Any, Mapping
 
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError
-from .exact_linalg import QMatrix, parse_rational, rational_str
+from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
 from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, direct_sum
@@ -199,7 +200,38 @@ def polygon_to_strings(slopes) -> list:
     return [[rational_str(s), str(m)] for s, m in slopes]
 
 
+def _phi_strings(m: PhiNModule) -> list:
+    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), written from the
+    blocks."""
+    w0, w1, w2 = m.dims
+    d = m.dimension
+
+    def scalar_row(k: int, c) -> list:
+        row = ["0"] * d
+        row[k] = rational_str(c)
+        return row
+
+    left, right = ["0"] * w0, ["0"] * w2
+    return (
+        [scalar_row(k, m.phi0) for k in range(w0)]
+        + [left + row + right for row in matrix_to_strings(m.phi1)]
+        + [scalar_row(w0 + w1 + k, m.phi2) for k in range(w2)]
+    )
+
+
+def _n_strings(m: PhiNModule) -> list:
+    """Dense N: n02 in the weight-0 rows and weight-2 columns, zero
+    elsewhere."""
+    w0, w1, w2 = m.dims
+    pad = ["0"] * (w0 + w1)
+    return [pad + row for row in matrix_to_strings(m.n02)] + [
+        ["0"] * m.dimension for _ in range(w1 + w2)
+    ]
+
+
 def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
+    if m.off_block:
+        raise ValueError(f"module has {sorted(m.off_block)} entries outside its blocks")
     w0, w1, w2 = m.dims
     return {
         "p": str(m.p),
@@ -210,29 +242,61 @@ def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
         "t_hodge": str(polygons.t_hodge),
         "newton_slopes": polygon_to_strings(polygons.newton.slopes),
         "hodge_slopes": polygon_to_strings(polygons.hodge.slopes),
-        "phi": matrix_to_strings(m.phi),
-        "n": matrix_to_strings(m.n),
+        "phi": _phi_strings(m),
+        "n": _n_strings(m),
         "gram": matrix_to_strings(m.gram),
     }
 
 
+def _square_block(m: QMatrix, row: int, col: int, size: int) -> QMatrix:
+    if size == 0:
+        return QMatrix(0, 0, ())
+    return QMatrix.from_rows([m.row(i)[col:col + size] for i in range(row, row + size)])
+
+
 def module_from_report(report: Mapping) -> PhiNModule:
-    """Rebuild the exact module from a report's matrices (bit-exact)."""
+    """Rebuild the exact module from a report's matrices (bit-exact).
+
+    The dense phi and n are split into the blocks of :class:`PhiNModule`.
+    Where the blocks do not reproduce a matrix exactly, its name goes into
+    the module's ``off_block`` set, so that :func:`verify_relations` fails.
+    """
     mod = _get(report, "module", "")
     dims = _get(mod, "dims", "module.")
-    return PhiNModule(
-        p=_as_int(_get(mod, "p", "module."), "module.p"),
-        f=_as_int(_get(mod, "f", "module."), "module.f"),
-        dims=(
-            _as_int(_get(dims, "w0", "module.dims."), "module.dims.w0"),
-            _as_int(_get(dims, "w1", "module.dims."), "module.dims.w1"),
-            _as_int(_get(dims, "w2", "module.dims."), "module.dims.w2"),
-        ),
-        phi=matrix_from_strings(_get(mod, "phi", "module."), "module.phi"),
-        n=matrix_from_strings(_get(mod, "n", "module."), "module.n"),
+    p = _as_int(_get(mod, "p", "module."), "module.p")
+    f = _as_int(_get(mod, "f", "module."), "module.f")
+    w0, w1, w2 = (
+        _as_int(_get(dims, w, "module.dims."), f"module.dims.{w}")
+        for w in ("w0", "w1", "w2")
+    )
+    if min(w0, w1, w2) < 0 or w0 != w2:
+        raise SchemaError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
+    d = w0 + w1 + w2
+    dense = {}
+    for name in ("phi", "n"):
+        dense[name] = matrix_from_strings(_get(mod, name, "module."), f"module.{name}")
+        if (dense[name].rows, dense[name].cols) != (d, d):
+            raise SchemaError(f"field 'module.{name}' is not {d}x{d}")
+    phi, n = dense["phi"], dense["n"]
+    phi1 = _square_block(phi, w0, w0, w1)
+    module = PhiNModule(
+        p=p,
+        f=f,
+        dims=(w0, w1, w2),
+        phi0=phi[0, 0] if w0 else 1,
+        phi1=phi1,
+        phi1_charpoly=tuple(char_poly(phi1)),
+        phi2=phi[d - 1, d - 1] if w2 else p ** f,
+        n02=_square_block(n, 0, w0 + w1, w0),
         fil1_dim=_as_int(_get(mod, "fil1_dim", "module."), "module.fil1_dim"),
         gram=matrix_from_strings(_get(mod, "gram", "module."), "module.gram"),
     )
+    off_block = frozenset(
+        name
+        for name, written in (("phi", _phi_strings(module)), ("n", _n_strings(module)))
+        if written != matrix_to_strings(dense[name])
+    )
+    return replace(module, off_block=off_block) if off_block else module
 
 
 def relations_to_json(r: RelationReport) -> dict:

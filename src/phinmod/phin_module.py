@@ -1,15 +1,33 @@
-"""The filtered (phi, N)-module and its structural checks.
+"""The filtered (phi, N)-module, stored as its blocks, and its checks.
 
 The module is graded in three weights: weight 0 models Hom(Gamma, K) (rank =
 first Betti number of the dual graph), weight 1 the good-reduction abelian
-part, weight 2 the toric part.  Frobenius acts blockwise as 1, a Weil-q
-matrix, and q; the monodromy operator maps the weight-2 block to the
-weight-0 block through the monodromy Gram matrix and kills everything else.
-The commutation N phi = q phi N is then forced, and for q = p it is the
-classical relation between the Hyodo-Kato operators.
+part, weight 2 the toric part.  In the graded basis (weights in the order
+0, 1, 2) Frobenius is block-diagonal, 1 on weight 0, a Weil-q matrix on
+weight 1 and q on weight 2, and the monodromy operator has a single nonzero
+block, the monodromy Gram matrix, from weight 2 to weight 0:
 
-Duality pairs the module with its dual-side counterpart block-anti-diagonally
-(identity on each of the three pairings); for the principally-polarizable
+    phi = diag(1 * I_w0, W, q * I_w2)        N = [[0, 0, G],
+                                                  [0, 0, 0],
+                                                  [0, 0, 0]]
+
+:class:`PhiNModule` stores only these blocks, and every identity is checked
+on them, at the cost of the blocks rather than of the dimension d:
+
+* N^2 = 0 holds for any N of this shape: N maps weight 2 into weight 0,
+  which it kills.  N phi and q phi N vanish outside block (0, 2), where
+  they are G * q and q * 1 * G; rank N = rank G.
+* det phi is the product of the block determinants, det W being read off
+  the characteristic polynomial of W that Weil validation computed.
+* The characteristic polynomial of phi is (T - 1)^w0 * chi_W(T) * (T - q)^w2,
+  so its Newton polygon is the union of the slopes of the factors.
+* The duality pairing is the identity on the anti-diagonal blocks, so it
+  carries N's block (0, 2) to block (2, 2), where the monodromy pairing is
+  the Gram matrix.
+
+The commutation N phi = q phi N is then forced, and for q = p it is the
+classical relation between the Hyodo-Kato operators.  Duality pairs the
+module with its dual-side counterpart; for the principally-polarizable
 inputs in scope the dual side carries the same Gram matrix, which turns the
 "cup product of alpha with N beta equals the monodromy pairing" statement
 into an exact matrix identity.
@@ -24,8 +42,6 @@ from .exact_linalg import (
     QMatrix,
     Rational,
     as_rational,
-    char_poly,
-    det,
     is_positive_definite,
     newton_polygon,
     padic_valuation,
@@ -36,7 +52,19 @@ from .weil_data import WeilMatrix
 
 @dataclass(frozen=True)
 class PhiNModule:
-    """Graded exact-rational (phi, N)-module with filtration and Gram data.
+    """Graded exact-rational (phi, N)-module, stored as its blocks.
+
+    phi = diag(phi0 * I_w0, phi1, phi2 * I_w2) and N is ``n02`` in block
+    (weight 0, weight 2) and zero elsewhere.  ``phi1_charpoly`` is the
+    characteristic polynomial of phi1 (ascending coefficients, leading 1).
+    ``gram`` is the monodromy pairing on the weight-2 block.
+
+    ``off_block`` names the operators, "phi" and/or "n", whose dense matrix
+    (as read back from a report) had an entry that this form cannot hold: a
+    nonzero entry outside the blocks, or a weight-0 or weight-2 block of phi
+    that is not scalar.  Those entries are not kept, and
+    :func:`verify_relations` fails every identity that involves such an
+    operator.
 
     Only dimensional consistency is enforced at construction, so
     deliberately corrupted instances can be constructed for testing.
@@ -47,20 +75,25 @@ class PhiNModule:
     p: int
     f: int
     dims: tuple  # (w0, w1, w2)
-    phi: QMatrix
-    n: QMatrix
+    phi0: Rational
+    phi1: QMatrix
+    phi1_charpoly: tuple
+    phi2: Rational
+    n02: QMatrix
     fil1_dim: int
     gram: QMatrix
+    off_block: frozenset = frozenset()
 
     def __post_init__(self):
         w0, w1, w2 = self.dims
         if w0 != w2:
             raise ValidationError(f"weight-0 rank {w0} != weight-2 rank {w2}")
-        d = w0 + w1 + w2
-        if (self.phi.rows, self.phi.cols) != (d, d):
-            raise ValidationError("phi has wrong shape")
-        if (self.n.rows, self.n.cols) != (d, d):
-            raise ValidationError("n has wrong shape")
+        if (self.phi1.rows, self.phi1.cols) != (w1, w1):
+            raise ValidationError("phi1 has wrong shape")
+        if len(self.phi1_charpoly) != w1 + 1:
+            raise ValidationError("phi1_charpoly has wrong degree")
+        if (self.n02.rows, self.n02.cols) != (w0, w2):
+            raise ValidationError("n02 has wrong shape")
         if (self.gram.rows, self.gram.cols) != (w2, w2):
             raise ValidationError("gram has wrong shape")
 
@@ -73,28 +106,15 @@ class PhiNModule:
         return sum(self.dims)
 
 
-def _build_phi(w0: int, weil: QMatrix, w2: int, q: int) -> QMatrix:
-    return QMatrix.block_diag(
-        [QMatrix.identity(w0), weil, QMatrix.scalar(w2, q)]
-    )
-
-
-def _build_n(w0: int, w1: int, w2: int, gram: QMatrix) -> QMatrix:
-    d = w0 + w1 + w2
-    rows = [[0] * d for _ in range(d)]
-    for i in range(w0):
-        for j in range(w2):
-            rows[i][w0 + w1 + j] = gram[i, j]
-    return QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
-
-
 def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     """Assemble the graded module from a Gram matrix and a Weil block.
 
     gram must be integral, symmetric and positive definite (the monodromy
     pairing on the torus character lattice); w must be validated Weil data
     at the same q.  The grading gives the splittings directly: no extension
-    data survives at desk scale.
+    data survives at desk scale.  The blocks are stored as given: phi is
+    1, w.matrix (with its characteristic polynomial w.charpoly) and q on
+    the three weights, and N is gram from weight 2 to weight 0.
 
     The result satisfies the relations of :func:`verify_relations` by
     construction: N maps weight 2 to weight 0 and kills both, phi is q on
@@ -113,17 +133,26 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         raise ValidationError("gram not symmetric")
     if gram.rows > 0 and not is_positive_definite(gram):
         raise ValidationError("gram not positive definite")
-    w0 = w2 = gram.rows
-    w1 = w.size
     return PhiNModule(
         p=p,
         f=f,
-        dims=(w0, w1, w2),
-        phi=_build_phi(w0, w.matrix, w2, p ** f),
-        n=_build_n(w0, w1, w2, gram),
-        fil1_dim=w2 + w.fil_dim,
+        dims=(gram.rows, w.size, gram.rows),
+        phi0=1,
+        phi1=w.matrix,
+        phi1_charpoly=w.charpoly,
+        phi2=p ** f,
+        n02=gram,
+        fil1_dim=gram.rows + w.fil_dim,
         gram=gram,
     )
+
+
+def _det_phi(m: PhiNModule) -> Rational:
+    """det(phi) as the product of the block determinants; det(phi1) is
+    (-1)^w1 times the constant term of its characteristic polynomial."""
+    w0, w1, w2 = m.dims
+    det_phi1 = (-1) ** w1 * m.phi1_charpoly[0]
+    return as_rational(m.phi0 ** w0 * det_phi1 * m.phi2 ** w2)
 
 
 @dataclass(frozen=True)
@@ -146,15 +175,23 @@ class RelationReport:
 
 
 def verify_relations(m: PhiNModule) -> RelationReport:
-    """Exact checks: N^2 = 0, N phi = q phi N, phi invertible, rank N = w2."""
-    n_sq = (m.n @ m.n).is_zero()
-    left = m.n @ m.phi
-    right = (m.phi @ m.n).scale(m.q)
+    """Exact checks on the blocks: N^2 = 0, N phi = q phi N, phi
+    invertible, rank N = w2.
+
+    N^2 = 0 holds for every N of block form; N phi and q phi N agree outside
+    block (0, 2) and are n02 * phi2 and q * phi0 * n02 there; det(phi) is the
+    product of the block determinants; rank N = rank n02.  An identity that
+    involves an operator named in ``m.off_block`` fails.
+    """
+    phi_ok = "phi" not in m.off_block
+    n_ok = "n" not in m.off_block
     return RelationReport(
-        n_squared_zero=n_sq,
-        n_phi_commutation=(left == right),
-        phi_invertible=(det(m.phi) != 0),
-        n_rank_is_torus_rank=(rank(m.n) == m.dims[2]),
+        n_squared_zero=n_ok,
+        n_phi_commutation=(
+            phi_ok and n_ok and m.n02.scale(m.phi2) == m.n02.scale(m.q * m.phi0)
+        ),
+        phi_invertible=phi_ok and _det_phi(m) != 0,
+        n_rank_is_torus_rank=n_ok and rank(m.n02) == m.dims[2],
     )
 
 
@@ -172,12 +209,23 @@ class PolygonReport:
 
 def hodge_newton(m: PhiNModule) -> PolygonReport:
     """Newton polygon of phi (valuations normalized by 1/f) against the
-    two-step Hodge polygon determined by fil1_dim."""
+    two-step Hodge polygon determined by fil1_dim.
+
+    The characteristic polynomial of phi is the product of those of its
+    diagonal blocks, so its slopes are the union of the blocks' slopes: the
+    Newton polygon of phi1_charpoly, and v_p(c) with multiplicity w for a
+    scalar block c * I_w.  Only the diagonal blocks are read.
+    """
+    w0, _, w2 = m.dims
     d = m.dimension
-    # newton_polygon rejects a singular phi (zero constant term) before any
+    # newton_polygon rejects a singular block (zero constant term) before any
     # valuation of det(phi) is attempted.
-    newton = newton_polygon(char_poly(m.phi), m.p).scaled(Fraction(1, m.f))
-    t_newton = as_rational(Fraction(padic_valuation(det(m.phi), m.p), m.f)) if d else 0
+    slopes = newton_polygon(m.phi1_charpoly, m.p).slope_multiset()
+    for c, w in ((m.phi0, w0), (m.phi2, w2)):
+        if w:
+            slopes += newton_polygon([-c, 1], m.p).slope_multiset() * w
+    newton = NewtonPolygon.from_slope_list(slopes).scaled(Fraction(1, m.f))
+    t_newton = as_rational(Fraction(padic_valuation(_det_phi(m), m.p), m.f)) if d else 0
     t_hodge = m.fil1_dim
     hodge_slopes = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
     hodge = NewtonPolygon.from_slope_list(hodge_slopes)
@@ -191,63 +239,21 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     )
 
 
-@dataclass(frozen=True)
-class DualityPairing:
-    """Block-anti-diagonal pairing with the dual-side module.
-
-    <w0, w2'> = <w1, w1'> = <w2, w0'> = identity, all other blocks zero;
-    always nondegenerate.
-    """
-
-    matrix: QMatrix
-
-    @staticmethod
-    def for_module(m: PhiNModule) -> "DualityPairing":
-        w0, w1, w2 = m.dims
-        d = m.dimension
-        rows = [[0] * d for _ in range(d)]
-        for i in range(w0):
-            rows[i][w0 + w1 + i] = 1
-        for i in range(w1):
-            rows[w0 + i][w0 + i] = 1
-        for i in range(w2):
-            rows[w0 + w1 + i][i] = 1
-        return DualityPairing(QMatrix.from_rows(rows) if d else QMatrix(0, 0, ()))
-
-
-def monodromy_pairing_matrix(m: PhiNModule) -> QMatrix:
-    """Full-size matrix of the monodromy pairing: the pullback through the
-    toric projections, so the only nonzero block is (w2, w2') = gram."""
-    w0, w1, w2 = m.dims
-    d = m.dimension
-    rows = [[0] * d for _ in range(d)]
-    for i in range(w2):
-        for j in range(w2):
-            rows[w0 + w1 + i][w0 + w1 + j] = m.gram[i, j]
-    return QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
-
-
 def verify_monodromy_duality(m: PhiNModule) -> bool:
     """Exact identity: pairing alpha with N' beta through the duality matrix
     recovers the monodromy pairing.
 
-    The dual-side monodromy N' uses the same Gram matrix (self-dual inputs),
-    so the check is P @ N' == monodromy_pairing_matrix(m).
+    The duality pairing is the identity on the blocks (w0, w2'), (w1, w1')
+    and (w2, w0'), and the dual-side monodromy N' uses the same Gram matrix
+    (self-dual inputs).  So pairing with N' moves N's block (0, 2) to block
+    (2, 2) and leaves every other block zero, and the monodromy pairing is
+    the Gram matrix on block (2, 2): the identity holds exactly when N has
+    block form and n02 == gram.
     """
-    pairing = DualityPairing.for_module(m).matrix
-    n_dual = m.n
-    return (pairing @ n_dual) == monodromy_pairing_matrix(m)
+    return "n" not in m.off_block and m.n02 == m.gram
 
 
 def modules_equal(a: PhiNModule, b: PhiNModule) -> bool:
     """Exact equality of every defining field (shared basis conventions make
     the deep comparisons literal matrix equality)."""
-    return (
-        a.p == b.p
-        and a.f == b.f
-        and a.dims == b.dims
-        and a.phi == b.phi
-        and a.n == b.n
-        and a.fil1_dim == b.fil1_dim
-        and a.gram == b.gram
-    )
+    return a == b

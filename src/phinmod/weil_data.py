@@ -30,14 +30,18 @@ class WeilMatrix:
     """Validated Frobenius matrix of a weight-1 crystalline block.
 
     q = p^f; size = 2g; fil_dim = g is the Hodge filtration dimension of the
-    block.  ``archimedean_verified`` records the advisory eigenvalue-modulus
-    check: exact for 2x2 blocks, double precision above that.
+    block.  ``charpoly`` is the characteristic polynomial of ``matrix``
+    (ascending coefficients, leading 1), kept from validation so that no
+    later step recomputes it.  ``archimedean_verified`` records the advisory
+    eigenvalue-modulus check: exact for 2x2 blocks, double precision above
+    that.
     """
 
     p: int
     f: int
     matrix: QMatrix
     fil_dim: int
+    charpoly: tuple
     archimedean_verified: bool = True
 
     @property
@@ -159,7 +163,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
         raise WeilValidationError("Weil validation failed: q is an eigenvalue")
     if det(m - QMatrix.identity(m.rows)) == 0:
         raise WeilValidationError("Weil validation failed: 1 is an eigenvalue")
-    return WeilMatrix(p, f, m, g, archimedean)
+    return WeilMatrix(p, f, m, g, tuple(coeffs), archimedean)
 
 
 def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
@@ -169,7 +173,8 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     summand must match.  The summands are already validated and every Weil-q
     condition passes to a block sum (det and the characteristic polynomial
     multiply, the eigenvalues are the union), so the sum is not validated
-    again; it is archimedean-verified when every summand is.
+    again: its characteristic polynomial is the product of the summands'.
+    It is archimedean-verified when every summand is.
     """
     ws = list(ws)
     for w in ws:
@@ -177,10 +182,22 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
             raise WeilValidationError(
                 f"direct_sum: block has q = {w.p}^{w.f}, expected {p}^{f}"
             )
+    charpoly = (1,)
+    for w in ws:
+        charpoly = _poly_mul(charpoly, w.charpoly)
     return WeilMatrix(
         p,
         f,
         QMatrix.block_diag([w.matrix for w in ws]),
         sum(w.fil_dim for w in ws),
+        charpoly,
         all(w.archimedean_verified for w in ws),
     )
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)

@@ -4,12 +4,32 @@ Deliberately different algorithms from the package: cofactor expansion over
 a polynomial ring instead of Berkowitz, dividing Gaussian elimination over
 Fraction instead of fraction-free, an O(p^2) double loop instead of the
 square-table point counter, a minimal-slope sweep instead of a monotone
-chain, and spanning trees enumerated one by one instead of a Laplacian
-cofactor.  Slow and only used at tiny sizes.
+chain, spanning trees enumerated one by one instead of a Laplacian
+cofactor, one determinant per leading minor instead of a single Bareiss
+pass, and trial division instead of Miller-Rabin.  Slow and only used at
+tiny sizes.
+
+The dense (phi, N)-module below is the construction the package replaced by
+block storage: full d x d matrices for phi, N and the duality pairing, and
+the identities checked by full-size products, a Berkowitz characteristic
+polynomial of phi, and det and rank of the full matrices.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+
+from phinmod.exact_linalg import (
+    NewtonPolygon,
+    QMatrix,
+    as_rational,
+    char_poly,
+    det,
+    newton_polygon,
+    padic_valuation,
+    rank,
+)
+from phinmod.phin_module import PolygonReport, RelationReport
 
 
 def poly_add(a, b):
@@ -170,3 +190,152 @@ def spanning_trees_brute(vertex_ids, edges):
             parent[a] = b
         count += acyclic
     return count
+
+
+def det_gauss(rows):
+    """Determinant by dividing Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    n = len(a)
+    result = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            result = -result
+        result *= a[col][col]
+        for i in range(col + 1, n):
+            factor = a[i][col] / a[col][col]
+            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+    return result
+
+
+def positive_definite_sylvester(rows):
+    """Symmetric and every leading principal minor, each computed by its own
+    determinant, positive."""
+    n = len(rows)
+    symmetric = all(rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+    return symmetric and all(
+        det_gauss([r[:k] for r in rows[:k]]) > 0 for k in range(1, n + 1)
+    )
+
+
+def is_prime_trial(n):
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+# -- the dense (phi, N)-module ------------------------------------------------
+
+@dataclass(frozen=True)
+class DenseModule:
+    p: int
+    f: int
+    dims: tuple  # (w0, w1, w2)
+    phi: QMatrix
+    n: QMatrix
+    fil1_dim: int
+    gram: QMatrix
+
+    @property
+    def q(self):
+        return self.p ** self.f
+
+    @property
+    def dimension(self):
+        return sum(self.dims)
+
+
+def dense_from_blocks(p, f, phi0, phi1, phi2, n02, fil1_dim, gram):
+    """Full matrices phi = diag(phi0 * I, phi1, phi2 * I) and N with n02 in
+    the weight-0 rows and weight-2 columns."""
+    w0 = w2 = n02.rows
+    w1 = phi1.rows
+    d = w0 + w1 + w2
+    phi = QMatrix.block_diag([QMatrix.scalar(w0, phi0), phi1, QMatrix.scalar(w2, phi2)])
+    rows = [[0] * d for _ in range(d)]
+    for i in range(w0):
+        for j in range(w2):
+            rows[i][w0 + w1 + j] = n02[i, j]
+    n = QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
+    return DenseModule(p, f, (w0, w1, w2), phi, n, fil1_dim, gram)
+
+
+def dense_assemble(p, f, gram, weil):
+    """The dense module of a Gram matrix and validated Weil data."""
+    return dense_from_blocks(
+        p, f, 1, weil.matrix, p ** f, gram, gram.rows + weil.fil_dim, gram
+    )
+
+
+def dense_module(m):
+    """The full matrices of a block-stored PhiNModule."""
+    return dense_from_blocks(m.p, m.f, m.phi0, m.phi1, m.phi2, m.n02, m.fil1_dim, m.gram)
+
+
+def dense_relations(m):
+    """N^2 = 0, N phi = q phi N, phi invertible, rank N = w2 on the full
+    matrices."""
+    return RelationReport(
+        n_squared_zero=(m.n @ m.n).is_zero(),
+        n_phi_commutation=(m.n @ m.phi) == (m.phi @ m.n).scale(m.q),
+        phi_invertible=det(m.phi) != 0,
+        n_rank_is_torus_rank=rank(m.n) == m.dims[2],
+    )
+
+
+def dense_hodge_newton(m):
+    """Newton polygon of the characteristic polynomial of the full phi
+    against the Hodge polygon."""
+    d = m.dimension
+    newton = newton_polygon(char_poly(m.phi), m.p).scaled(Fraction(1, m.f))
+    t_newton = as_rational(Fraction(padic_valuation(det(m.phi), m.p), m.f)) if d else 0
+    hodge = NewtonPolygon.from_slope_list([0] * (d - m.fil1_dim) + [1] * m.fil1_dim)
+    return PolygonReport(
+        t_newton=t_newton,
+        t_hodge=m.fil1_dim,
+        newton=newton,
+        hodge=hodge,
+        endpoints_equal=(t_newton == m.fil1_dim),
+        newton_on_or_above_hodge=newton.lies_on_or_above(hodge),
+    )
+
+
+def duality_pairing(m):
+    """Block-anti-diagonal pairing with the dual-side module:
+    <w0, w2'> = <w1, w1'> = <w2, w0'> = identity, all other blocks zero."""
+    w0, w1, w2 = m.dims
+    d = m.dimension
+    rows = [[0] * d for _ in range(d)]
+    for i in range(w0):
+        rows[i][w0 + w1 + i] = 1
+    for i in range(w1):
+        rows[w0 + i][w0 + i] = 1
+    for i in range(w2):
+        rows[w0 + w1 + i][i] = 1
+    return QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
+
+
+def monodromy_pairing_matrix(m):
+    """Full-size matrix of the monodromy pairing: the pullback through the
+    toric projections, so the only nonzero block is (w2, w2') = gram."""
+    w0, w1, w2 = m.dims
+    d = m.dimension
+    rows = [[0] * d for _ in range(d)]
+    for i in range(w2):
+        for j in range(w2):
+            rows[w0 + w1 + i][w0 + w1 + j] = m.gram[i, j]
+    return QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
+
+
+def dense_duality(m):
+    """P @ N' == monodromy pairing, with N' = N (self-dual inputs)."""
+    return (duality_pairing(m) @ m.n) == monodromy_pairing_matrix(m)

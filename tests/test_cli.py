@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from pathlib import Path
 
 import phinmod._backend
@@ -118,6 +119,29 @@ class TestBuildCommand:
         assert main(["build", write_instance(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert "Weil validation failed" in err and "det" in err
+
+
+class TestLargePrime:
+    def _av(self, p: str) -> dict:
+        return {"kind": "av", "p": p, "f": "1", "torus_rank": "1",
+                "gram": [["1"]], "b_frobenius": []}
+
+    def test_nineteen_digit_p_builds_in_budget(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        code = main(["build", write_instance(tmp_path, self._av("1000000000000000003"))])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["module"]["phi"] == [["1", "0"], ["0", "1000000000000000003"]]
+
+    def test_p_above_primality_bound_exit_2(self, tmp_path, capsys):
+        from phinmod.exact_linalg import PRIME_BOUND
+
+        code = main(["build", write_instance(tmp_path, self._av(str(PRIME_BOUND + 2)))])
+        assert code == 2
+        assert "field 'p'" in capsys.readouterr().err
+        assert main(["count", str(PRIME_BOUND + 2), "1", "1"]) == 2
+        assert "field 'p'" in capsys.readouterr().err
 
 
 class TestCountCommand:

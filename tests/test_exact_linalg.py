@@ -1,17 +1,21 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phinmod.errors import ValidationError
 from phinmod.exact_linalg import (
     INFINITY,
+    PRIME_BOUND,
     NewtonPolygon,
     QMatrix,
     char_poly,
     det,
     is_positive_definite,
+    is_prime,
     newton_polygon,
     padic_valuation,
     rank,
@@ -19,7 +23,13 @@ from phinmod.exact_linalg import (
     parse_rational,
 )
 
-from oracles import charpoly_cofactor, newton_slopes_sweep, rank_gauss
+from oracles import (
+    charpoly_cofactor,
+    is_prime_trial,
+    newton_slopes_sweep,
+    positive_definite_sylvester,
+    rank_gauss,
+)
 
 int_entries = st.integers(min_value=-9, max_value=9)
 
@@ -203,3 +213,76 @@ class TestQMatrix:
     def test_entry_normalization(self):
         m = QMatrix.from_rows([[Fraction(4, 2)]])
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=5):
+    """Symmetric integer matrices of size 0..max_n: arbitrary, Gram matrices
+    B B^T (positive semidefinite, singular when B has fewer columns than
+    rows) and B B^T + I (positive definite)."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["arbitrary", "gram", "gram+I"]))
+    if kind == "arbitrary":
+        upper = draw(st.lists(int_entries, min_size=n * n, max_size=n * n))
+        return [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    k = draw(st.integers(0, max_n))
+    b = draw(st.lists(st.lists(int_entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    shift = 1 if kind == "gram+I" else 0
+    return [
+        [sum(x * y for x, y in zip(b[i], b[j])) + (shift if i == j else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+class TestPositiveDefinite:
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_matrices())
+    def test_matches_per_minor_sylvester(self, rows):
+        assert is_positive_definite(QMatrix.from_rows(rows) if rows else QMatrix(0, 0, ())) == (
+            positive_definite_sylvester(rows)
+        )
+
+    def test_edge_cases(self):
+        assert is_positive_definite(QMatrix(0, 0, ()))
+        # semidefinite: minors 1, 0
+        assert not is_positive_definite(QMatrix.from_rows([[1, 1], [1, 1]]))
+        # indefinite with a positive leading minor
+        assert not is_positive_definite(QMatrix.from_rows([[1, 2], [2, 1]]))
+        # the third leading minor is negative, the first two positive
+        assert not is_positive_definite(
+            QMatrix.from_rows([[2, 1, 1], [1, 2, 1], [1, 1, Fraction(1, 2)]])
+        )
+        assert is_positive_definite(QMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == [
+            n for n in range(-3, 10 ** 5) if is_prime_trial(n)
+        ]
+
+    def test_strong_pseudoprimes_rejected(self):
+        # the least strong pseudoprime to the first k prime bases, k = 1..12
+        # (OEIS A014233): each needs one base more than the smaller n do
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  318665857834031151167461):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (1000000007, 1000000000000000003, 2 ** 61 - 1, 2 ** 31 - 1):
+            assert is_prime(n)
+        assert not is_prime((2 ** 31 - 1) * 1000000007)
+
+    def test_bound_refused_naming_p(self):
+        # just below the bound n is decided, not refused
+        assert is_prime(PRIME_BOUND - 1) is False
+        for n in (PRIME_BOUND, PRIME_BOUND + 1, 10 ** 30):
+            with pytest.raises(ValidationError, match="field 'p'"):
+                is_prime(n)
+
+    def test_large_p_time_budget(self):
+        t0 = time.perf_counter()
+        for _ in range(100):
+            assert is_prime(1000000000000000003)
+        assert time.perf_counter() - t0 < 1.0
