@@ -11,7 +11,7 @@ from dataclasses import replace
 from typing import Any, Mapping
 
 from .builders import CurveInstance, UniformizationData, resolve_component
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
@@ -19,6 +19,10 @@ from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, direct_sum
 
 FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
+
+# q = p^f is written into every report; its decimal digits are capped well
+# below Python's 4300-digit int/str conversion limit.
+MAX_Q_DIGITS = 1000
 
 
 def _get(obj: Mapping, field: str, context: str):
@@ -38,6 +42,21 @@ def _as_int(value, context: str) -> int:
         except ValueError:
             raise SchemaError(f"field '{context}' is not an integer: {value!r}") from None
     raise SchemaError(f"field '{context}' must be an integer string")
+
+
+def _check_q_digits(p: int, f: int) -> None:
+    """Refuse an f for which q = p^f has more than MAX_Q_DIGITS digits.
+
+    p^f >= 2^(f*(bits(p)-1)) and 2^4 > 10, so a large f is refused before
+    p^f is formed.
+    """
+    base = abs(p)
+    if f < 2 or base < 2:
+        return
+    if f * (base.bit_length() - 1) >= 4 * MAX_Q_DIGITS or base ** f >= 10 ** MAX_Q_DIGITS:
+        raise ValidationError(
+            f"field 'f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
+        )
 
 
 def matrix_to_strings(m: QMatrix) -> list:
@@ -132,6 +151,7 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     kind = _get(obj, "kind", "")
     p = _as_int(_get(obj, "p", ""), "p")
     f = _as_int(_get(obj, "f", ""), "f")
+    _check_q_digits(p, f)
     if kind == "curve":
         graph_obj = _get(obj, "graph", "")
         vertices = []

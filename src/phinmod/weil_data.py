@@ -6,23 +6,25 @@ which excludes 1 and q as eigenvalues (so that the weight-0 and weight-2
 splittings meet the component block trivially).  Honest instances are
 manufactured from elliptic curves over F_p by naive point counting.
 
-The archimedean condition (every eigenvalue of absolute value sqrt(q))
-cannot be certified by rational arithmetic in general; for 2x2 blocks it is
-equivalent to trace^2 <= 4q and checked exactly, for larger blocks it is
-tested in double precision (tolerance 1e-9) and recorded as advisory.
+The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
+certified exactly.  For 2x2 blocks it is trace^2 <= 4q.  Above that, the
+functional equation writes the characteristic polynomial as
+chi(T) = T^g h(T + q/T) with h monic of degree g, and the eigenvalues all
+have absolute value sqrt(q) exactly when every root of h is real and lies
+in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for root-unitary
+polynomials", 2008).  A Sturm sequence of the squarefree part of h, built
+from primitive integer pseudo-remainders and evaluated at the endpoints as
+A + B sqrt(q) with A, B integers, counts those roots.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
+from math import gcd
 
 from ._backend import count_points as _count_points_kernel
 from .errors import ValidationError, WeilValidationError
-from .exact_linalg import QMatrix, char_poly, det, is_prime
+from .exact_linalg import QMatrix, char_poly, is_prime
 
 DEFAULT_POINT_BOUND = 10 ** 4
-
-ARCHIMEDEAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,9 +34,8 @@ class WeilMatrix:
     q = p^f; size = 2g; fil_dim = g is the Hodge filtration dimension of the
     block.  ``charpoly`` is the characteristic polynomial of ``matrix``
     (ascending coefficients, leading 1), kept from validation so that no
-    later step recomputes it.  ``archimedean_verified`` records the advisory
-    eigenvalue-modulus check: exact for 2x2 blocks, double precision above
-    that.
+    later step recomputes it.  Every eigenvalue has absolute value sqrt(q),
+    certified exactly by :func:`validate_weil`.
     """
 
     p: int
@@ -42,7 +43,6 @@ class WeilMatrix:
     matrix: QMatrix
     fil_dim: int
     charpoly: tuple
-    archimedean_verified: bool = True
 
     @property
     def q(self) -> int:
@@ -106,13 +106,124 @@ def _functional_equation_holds(coeffs: list, q: int, g: int) -> bool:
     return True
 
 
-def _approx_moduli_ok(m: QMatrix, q: int) -> bool:
-    if m.rows == 0:
+def _real_weil_poly(coeffs: list, q: int, g: int) -> list:
+    """Ascending coefficients of the monic degree-g h with
+    chi(T) = T^g h(T + q/T), for chi satisfying the functional equation.
+
+    With x = T + q/T and P_k = T^k + (q/T)^k, P_1 = x and
+    P_(k+1) = x P_k - q P_(k-1) (P_0 = 2), and
+    chi(T) / T^g = a_g + sum_(k>=1) a_(g+k) P_k.
+    """
+    h = [coeffs[g]] + [0] * g
+    prev, cur = [2], [0, 1]
+    for k in range(1, g + 1):
+        a = coeffs[g + k]
+        for i, c in enumerate(cur):
+            h[i] += a * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= q * c
+        prev, cur = cur, nxt
+    return h
+
+
+def _primitive(a: list) -> list:
+    c = 0
+    for x in a:
+        c = gcd(c, x)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(Q, R) with k*a = Q*b + R for some integer k > 0 and deg R < deg b;
+    integer coefficients throughout, trailing zeros of R stripped (empty
+    for zero)."""
+    a = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    db = len(b) - 1
+    while len(a) > db:
+        c = sign * a[-1]
+        shift = len(a) - 1 - db
+        a = [scale * x for x in a]
+        quo = [scale * x for x in quo]
+        quo[shift] += c
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return quo, a
+
+
+def _sturm_sequence(h: list) -> list:
+    """h, h', then the negated remainders, each a positive multiple of the
+    classical term and primitive; the last term is gcd(h, h') up to a
+    constant."""
+    seq = [h, _primitive([i * c for i, c in enumerate(h)][1:])]
+    while len(seq[-1]) > 1:
+        r = _primitive(_pseudo_divmod(seq[-2], seq[-1])[1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+    return seq
+
+
+def _sign_at_endpoint(poly: list, q: int, s: int) -> int:
+    """Sign of poly at x = 2s sqrt(q), s = +-1, exactly.
+
+    Horner on A + B sqrt(q): multiplying by x sends (A, B) to
+    (2s q B, 2s A).
+    """
+    a = b = 0
+    for c in reversed(poly):
+        a, b = 2 * s * q * b + c, 2 * s * a
+    sa = (a > 0) - (a < 0)
+    sb = (b > 0) - (b < 0)
+    if sa == sb or sb == 0:
+        return sa
+    if sa == 0:
+        return sb
+    d = a * a - b * b * q
+    return sa * ((d > 0) - (d < 0))
+
+
+def _variations(signs) -> int:
+    nonzero = [s for s in signs if s]
+    return sum(1 for x, y in zip(nonzero, nonzero[1:]) if x != y)
+
+
+def _archimedean_holds(coeffs: list, q: int, g: int) -> bool:
+    """Whether every root of chi has absolute value sqrt(q), chi satisfying
+    the functional equation: h has g real roots, counted with multiplicity,
+    all in [-2 sqrt(q), 2 sqrt(q)].
+
+    The Sturm sequence of the squarefree part of h counts its real roots in
+    (-2 sqrt(q), 2 sqrt(q)] as V(-2 sqrt(q)) - V(2 sqrt(q)), sign variations
+    with zeros dropped; one more if -2 sqrt(q) is a root.  The squarefree
+    part has g - deg gcd(h, h') roots, all distinct, so the two counts agree
+    exactly when every root of h is real and inside the interval.
+    """
+    if g == 0:
         return True
-    arr = np.array(m.to_rows(), dtype=float)
-    moduli = np.abs(np.linalg.eigvals(arr))
-    target = float(q) ** 0.5
-    return bool(np.all(np.abs(moduli - target) <= ARCHIMEDEAN_TOL * max(target, 1.0)))
+    h = _real_weil_poly(coeffs, q, g)
+    seq = _sturm_sequence(h)
+    if len(seq[-1]) > 1:
+        # Repeated roots: at a multiple root every term vanishes, so count
+        # on the squarefree part h / gcd(h, h') instead.
+        seq = _sturm_sequence(_primitive(_pseudo_divmod(h, seq[-1])[0]))
+    distinct = len(seq[0]) - 1
+    low = [_sign_at_endpoint(s, q, -1) for s in seq]
+    high = [_sign_at_endpoint(s, q, 1) for s in seq]
+    inside = _variations(low) - _variations(high) + (low[0] == 0)
+    return inside == distinct
+
+
+def _eval(coeffs: list, x: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
@@ -121,8 +232,10 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
 
     ``m`` may be a QMatrix or a row list.  Checks, in order: evenness and
     integrality; det = q^g; the functional equation of the characteristic
-    polynomial; the archimedean bound (exact trace^2 <= 4q for 2x2, double
-    precision advisory above); q and 1 excluded as eigenvalues.
+    polynomial chi; for 2x2 blocks trace^2 <= 4q; q and 1 excluded as
+    eigenvalues; above 2x2 the archimedean condition, certified by a Sturm
+    sequence (see the module docstring).  det, chi(q) and chi(1) are read
+    off chi: for even size, det(m) = chi(0) and det(m - cI) = chi(c).
     """
     if not isinstance(m, QMatrix):
         m = QMatrix.from_rows(m)
@@ -138,18 +251,16 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     if not m.is_integral():
         raise WeilValidationError("Weil matrix entries must be integers")
     g = m.rows // 2
-    d = det(m)
-    if d != q ** g:
-        raise WeilValidationError(
-            f"Weil validation failed: det = {d} != q^g = {q ** g}"
-        )
     coeffs = char_poly(m)
+    if coeffs[0] != q ** g:
+        raise WeilValidationError(
+            f"Weil validation failed: det = {coeffs[0]} != q^g = {q ** g}"
+        )
     if not _functional_equation_holds(coeffs, q, g):
         raise WeilValidationError(
             "Weil validation failed: characteristic polynomial violates the "
             "functional equation"
         )
-    archimedean = True
     if m.rows == 2:
         trace = m[0, 0] + m[1, 1]
         if trace * trace > 4 * q:
@@ -157,13 +268,16 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
                 f"Weil validation failed: archimedean check, trace^2 = "
                 f"{trace * trace} > 4q = {4 * q}"
             )
-    else:
-        archimedean = _approx_moduli_ok(m, q)
-    if det(m - QMatrix.scalar(m.rows, q)) == 0:
+    if _eval(coeffs, q) == 0:
         raise WeilValidationError("Weil validation failed: q is an eigenvalue")
-    if det(m - QMatrix.identity(m.rows)) == 0:
+    if _eval(coeffs, 1) == 0:
         raise WeilValidationError("Weil validation failed: 1 is an eigenvalue")
-    return WeilMatrix(p, f, m, g, tuple(coeffs), archimedean)
+    if m.rows > 2 and not _archimedean_holds(coeffs, q, g):
+        raise WeilValidationError(
+            "Weil validation failed: archimedean check, not every eigenvalue "
+            "has absolute value sqrt(q)"
+        )
+    return WeilMatrix(p, f, m, g, tuple(coeffs))
 
 
 def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
@@ -174,7 +288,6 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     condition passes to a block sum (det and the characteristic polynomial
     multiply, the eigenvalues are the union), so the sum is not validated
     again: its characteristic polynomial is the product of the summands'.
-    It is archimedean-verified when every summand is.
     """
     ws = list(ws)
     for w in ws:
@@ -191,7 +304,6 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
         QMatrix.block_diag([w.matrix for w in ws]),
         sum(w.fil_dim for w in ws),
         charpoly,
-        all(w.archimedean_verified for w in ws),
     )
 
 

@@ -1,7 +1,10 @@
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import phinmod._backend
 import phinmod.phin_module
@@ -142,6 +145,55 @@ class TestLargePrime:
         assert "field 'p'" in capsys.readouterr().err
         assert main(["count", str(PRIME_BOUND + 2), "1", "1"]) == 2
         assert "field 'p'" in capsys.readouterr().err
+
+
+class TestInputCaps:
+    def _av(self, f: str) -> dict:
+        return {"kind": "av", "p": "5", "f": f, "torus_rank": "0",
+                "gram": [], "b_frobenius": []}
+
+    @pytest.mark.parametrize("f", ["7000", "3000000"])
+    def test_large_f_exit_2_naming_f(self, tmp_path, capsys, f):
+        t0 = time.perf_counter()
+        code = main(["build", write_instance(tmp_path, self._av(f))])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "field 'f'" in err and "Traceback" not in err
+
+    def test_cap_is_on_the_digits_of_q(self, tmp_path, capsys):
+        from phinmod.io_formats import MAX_Q_DIGITS
+
+        # 5^1430 has 1000 digits, 5^1431 has 1001
+        assert len(str(5 ** 1430)) == MAX_Q_DIGITS
+        assert main(["build", write_instance(tmp_path, self._av("1430"))]) == 0
+        capsys.readouterr()
+        assert main(["build", write_instance(tmp_path, self._av("1431"))]) == 2
+        assert "field 'f'" in capsys.readouterr().err
+
+
+class TestArchimedeanRejection:
+    def test_repeated_real_block_exit_2(self, tmp_path, capsys):
+        # diag(C, C), C = [[0, -5], [1, 7]]: eigenvalues (7 +/- sqrt(29))/2
+        # are real, multiply to 5, and are not of absolute value sqrt(5)
+        entries = [["0", "-5", "0", "0"], ["1", "7", "0", "0"],
+                   ["0", "0", "0", "-5"], ["0", "0", "1", "7"]]
+        obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "0", "gram": [],
+               "b_frobenius": [{"type": "matrix", "entries": entries}]}
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        assert "archimedean" in capsys.readouterr().err
+
+
+def test_import_pulls_in_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import phinmod; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestCountCommand:

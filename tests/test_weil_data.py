@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from phinmod.errors import ValidationError, WeilValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, newton_polygon
 from phinmod.weil_data import (
     EllipticCurveSpec,
+    _archimedean_holds,
     count_points,
     direct_sum,
     frobenius_of_elliptic,
@@ -104,8 +108,8 @@ class TestValidateWeil:
 
     def test_q_eigenvalue_rejected(self):
         # diag(5, 1) + an honest elliptic block: det and functional equation
-        # pass, the 4x4 modulus check is only advisory, but q is an exact
-        # eigenvalue and must be excluded
+        # pass, and q is an exact eigenvalue, excluded before the 4x4
+        # archimedean certificate runs
         m = QMatrix.block_diag(
             [
                 QMatrix.from_rows([[5, 0], [0, 1]]),
@@ -117,18 +121,168 @@ class TestValidateWeil:
 
     def test_archimedean_advisory_flag(self):
         # (5 +/- sqrt(5))/2 are real of the wrong modulus but multiply to q;
-        # above 2x2 the modulus check records a violation instead of raising
+        # above 2x2 the exact certificate rejects them as the 2x2 path does
         good = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)).matrix
         bad = QMatrix.from_rows([[0, -5], [1, 5]])
-        w = validate_weil(QMatrix.block_diag([bad, good]), 5)
-        assert not w.archimedean_verified
+        with pytest.raises(WeilValidationError, match="archimedean"):
+            validate_weil(QMatrix.block_diag([bad, good]), 5)
         ok = validate_weil(QMatrix.block_diag([good, good]), 5)
-        assert ok.archimedean_verified
+        assert ok.g == 2
 
     def test_f_greater_than_one(self):
         # companion of T^2 - 3T + 9 at q = 3^2
         w = validate_weil([[0, -9], [1, 3]], 3, f=2)
         assert w.q == 9 and w.g == 1
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def weil_from_traces(traces, q):
+    """Ascending coefficients of prod (T^2 - a T + q) over the traces a."""
+    chi = [1]
+    for a in traces:
+        chi = poly_mul(chi, [q, -a, 1])
+    return chi
+
+
+def is_weil_by_construction(traces, q):
+    # T^2 - aT + q has both roots of absolute value sqrt(q) iff a^2 <= 4q
+    return all(a * a <= 4 * q for a in traces)
+
+
+def chi_from_h(h, q):
+    """chi(T) = T^g h(T + q/T), expanded as sum_j h_j T^(g-j) (T^2 + q)^j."""
+    g = len(h) - 1
+    chi = [0] * (2 * g + 1)
+    power = [1]
+    for j, c in enumerate(h):
+        for i, x in enumerate(power):
+            chi[g - j + i] += c * x
+        power = poly_mul(power, [q, 0, 1])
+    return chi
+
+
+def companion(chi):
+    """Companion matrix of the monic polynomial with ascending coefficients
+    chi: ones below the diagonal, -chi[:-1] in the last column."""
+    n = len(chi) - 1
+    return QMatrix.from_rows(
+        [[(1 if j == i - 1 else 0) for j in range(n - 1)] + [-chi[i]] for i in range(n)]
+    )
+
+
+def trace_blocks(traces, q):
+    return QMatrix.block_diag([QMatrix.from_rows([[0, -q], [1, a]]) for a in traces])
+
+
+# (p, f): q = 2, 3, 5, 7 at f = 1 and the squares 9, 25, 49 at f = 2
+FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]
+
+
+def trace_values(q):
+    """Traces inside, on and just outside |a| <= 2 sqrt(q), plus q + 1."""
+    edge = max(a for a in range(4 * q) if a * a <= 4 * q)
+    return sorted({0, 1, -1, edge - 1, edge, edge + 1, -edge, -edge - 1, q + 1})
+
+
+class TestArchimedeanCertificate:
+    """The exact Sturm certificate against Weil polynomials built as products
+    of T^2 - aT + q, whose verdict is known from the chosen traces."""
+
+    def test_products_of_quadratics(self):
+        rng = random.Random(5)
+        for p, f in FIELDS:
+            q = p ** f
+            values = trace_values(q)
+            for g in (1, 2, 3, 4):
+                cases = list(itertools.combinations_with_replacement(values, g))
+                if g == 4:
+                    cases = rng.sample(cases, 60)
+                for traces in cases:
+                    chi = weil_from_traces(traces, q)
+                    assert _archimedean_holds(chi, q, g) == is_weil_by_construction(
+                        traces, q
+                    ), (q, traces)
+
+    def test_repeated_factors(self):
+        for q in (5, 9, 25):
+            for a in range(-2 * q, 2 * q + 1):
+                for g in (2, 3, 4):
+                    traces = (a,) * g
+                    chi = weil_from_traces(traces, q)
+                    assert _archimedean_holds(chi, q, g) == (a * a <= 4 * q), (q, traces)
+
+    def test_square_q_boundary(self):
+        # a = +-2 sqrt(q) gives (T -+ sqrt(q))^2: on the circle
+        for q, root in ((9, 3), (25, 5), (49, 7)):
+            for a in (2 * root, -2 * root):
+                for traces in ((a, 0), (a, a), (a, -a), (a, a, 1), (a, 2 * root + 1)):
+                    chi = weil_from_traces(traces, q)
+                    assert _archimedean_holds(chi, q, len(traces)) == is_weil_by_construction(
+                        traces, q
+                    ), (q, traces)
+
+    def test_nonreal_and_irrational_roots_of_h(self):
+        q = 5
+        # x^2 + 1: roots +-i are not real
+        assert not _archimedean_holds(chi_from_h([1, 0, 1], q), q, 2)
+        # x^2 - 4q: roots +-2 sqrt(q) are the irrational endpoints (T^2 - q)^2
+        assert _archimedean_holds(chi_from_h([-4 * q, 0, 1], q), q, 2)
+        # x^2 - 4q - 1: just outside the interval
+        assert not _archimedean_holds(chi_from_h([-4 * q - 1, 0, 1], q), q, 2)
+        # (x^2 - 4q)^2 times x: repeated irrational endpoints and a root at 0
+        h = poly_mul(poly_mul([-4 * q, 0, 1], [-4 * q, 0, 1]), [0, 1])
+        assert _archimedean_holds(chi_from_h(h, q), q, 5)
+        # x^2 - 4q + 1 times x^2 + 1: real part fine, complex pair not
+        h = poly_mul([-4 * q + 1, 0, 1], [1, 0, 1])
+        assert not _archimedean_holds(chi_from_h(h, q), q, 4)
+
+    def test_factored_h_sweep(self):
+        # h a product of x - r (real root r), x^2 - c (roots +-sqrt(c)) and
+        # x^2 + c, c > 0 (a non-real pair); sparse and repeated factors give
+        # Sturm remainders that drop more than one degree
+        rng = random.Random(1)
+        for q in (5, 7, 9):
+            edge = 2 * int(q ** 0.5) + 2
+            for _ in range(500):
+                h, truth = [1], True
+                for _ in range(rng.randint(1, 3)):
+                    kind = rng.choice(("root", "pair", "nonreal"))
+                    if kind == "root":
+                        r = rng.randint(-edge, edge)
+                        h, truth = poly_mul(h, [-r, 1]), truth and r * r <= 4 * q
+                    elif kind == "pair":
+                        c = rng.randint(0, 6 * q)
+                        h, truth = poly_mul(h, [-c, 0, 1]), truth and c <= 4 * q
+                    else:
+                        h, truth = poly_mul(h, [rng.randint(1, 6 * q), 0, 1]), False
+                chi = chi_from_h(h, q)
+                assert _archimedean_holds(chi, q, len(h) - 1) == truth, (q, h)
+
+    def test_companion_and_block_matrices_through_validate_weil(self):
+        for p, f in FIELDS:
+            q = p ** f
+            values = trace_values(q)
+            for g in (1, 2, 3):
+                for traces in itertools.combinations_with_replacement(values, g):
+                    chi = weil_from_traces(traces, q)
+                    for m in (companion(chi), trace_blocks(traces, q)):
+                        if is_weil_by_construction(traces, q):
+                            w = validate_weil(m, p, f)
+                            assert w.charpoly == tuple(chi)
+                        else:
+                            # above 2x2, a = q + 1 (1 and q among the
+                            # eigenvalues) is refused before the certificate
+                            eigen = g > 1 and q + 1 in traces
+                            reason = "eigenvalue" if eigen else "archimedean"
+                            with pytest.raises(WeilValidationError, match=reason):
+                                validate_weil(m, p, f)
 
 
 class TestDirectSum:
