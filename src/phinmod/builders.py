@@ -27,6 +27,7 @@ from .weil_data import (
     DEFAULT_POINT_BOUND,
     EllipticCurveSpec,
     WeilMatrix,
+    check_q_digits,
     direct_sum,
     frobenius_of_elliptic,
     validate_weil,
@@ -53,6 +54,7 @@ class CurveInstance:
             raise ValidationError(f"p = {self.p} is not prime")
         if self.f < 1:
             raise ValidationError("f must be >= 1")
+        check_q_digits(self.p, self.f)
         vids = {v.id for v in self.graph.vertices}
         missing = vids - set(self.components)
         if missing:
@@ -111,6 +113,7 @@ class UniformizationData:
             raise ValidationError(f"p = {self.p} is not prime")
         if self.f < 1:
             raise ValidationError("f must be >= 1")
+        check_q_digits(self.p, self.f)
         if (self.gram.rows, self.gram.cols) != (self.torus_rank, self.torus_rank):
             raise ValidationError(
                 f"gram is {self.gram.rows}x{self.gram.cols}, torus rank is "

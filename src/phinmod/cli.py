@@ -12,7 +12,7 @@ runs of the same instance (timing is kept out of the report unless --timing
 is given, and always goes to stderr).
 
 The environment variable PHINMOD_POINT_BOUND overrides the prime bound of
-the naive point counter (default 10000).
+the point counter (default 10000).
 """
 
 import argparse

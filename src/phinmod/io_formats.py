@@ -7,28 +7,36 @@ indentation, making equal runs byte-identical.
 """
 
 import json
+from collections.abc import Mapping
 from dataclasses import replace
-from typing import Any, Mapping
+from typing import Any
 
 from .builders import CurveInstance, UniformizationData, resolve_component
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError
 from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
-from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, direct_sum
+from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, check_q_digits, direct_sum
 
 FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
 
-# q = p^f is written into every report; its decimal digits are capped well
-# below Python's 4300-digit int/str conversion limit.
-MAX_Q_DIGITS = 1000
-
 
 def _get(obj: Mapping, field: str, context: str):
+    """obj[field]; ``context`` is the dotted path of obj plus a trailing dot."""
+    # dict first: it is what JSON gives, and the ABC check costs ten times more
+    if not isinstance(obj, dict) and not isinstance(obj, Mapping):
+        raise SchemaError(f"field '{context[:-1]}' must be an object")
     if field not in obj:
         raise SchemaError(f"missing field '{context}{field}'")
     return obj[field]
+
+
+def _get_list(obj: Mapping, field: str, context: str) -> list:
+    value = _get(obj, field, context)
+    if not isinstance(value, list):
+        raise SchemaError(f"field '{context}{field}' must be an array")
+    return value
 
 
 def _as_int(value, context: str) -> int:
@@ -42,21 +50,6 @@ def _as_int(value, context: str) -> int:
         except ValueError:
             raise SchemaError(f"field '{context}' is not an integer: {value!r}") from None
     raise SchemaError(f"field '{context}' must be an integer string")
-
-
-def _check_q_digits(p: int, f: int) -> None:
-    """Refuse an f for which q = p^f has more than MAX_Q_DIGITS digits.
-
-    p^f >= 2^(f*(bits(p)-1)) and 2^4 > 10, so a large f is refused before
-    p^f is formed.
-    """
-    base = abs(p)
-    if f < 2 or base < 2:
-        return
-    if f * (base.bit_length() - 1) >= 4 * MAX_Q_DIGITS or base ** f >= 10 ** MAX_Q_DIGITS:
-        raise ValidationError(
-            f"field 'f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
-        )
 
 
 def matrix_to_strings(m: QMatrix) -> list:
@@ -151,11 +144,11 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     kind = _get(obj, "kind", "")
     p = _as_int(_get(obj, "p", ""), "p")
     f = _as_int(_get(obj, "f", ""), "f")
-    _check_q_digits(p, f)
+    check_q_digits(p, f)
     if kind == "curve":
         graph_obj = _get(obj, "graph", "")
         vertices = []
-        for k, v in enumerate(_get(graph_obj, "vertices", "graph.")):
+        for k, v in enumerate(_get_list(graph_obj, "vertices", "graph.")):
             vertices.append(
                 (
                     str(_get(v, "id", f"graph.vertices[{k}].")),
@@ -163,7 +156,7 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
                 )
             )
         edges = []
-        for k, e in enumerate(_get(graph_obj, "edges", "graph.")):
+        for k, e in enumerate(_get_list(graph_obj, "edges", "graph.")):
             edges.append(
                 (
                     str(_get(e, "id", f"graph.edges[{k}].")),
@@ -183,11 +176,8 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     if kind == "av":
         torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
         gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
-        sources = _get(obj, "b_frobenius", "")
-        if not isinstance(sources, list):
-            raise SchemaError("field 'b_frobenius' must be an array of sources")
         blocks = []
-        for k, src_obj in enumerate(sources):
+        for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
             src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
             if isinstance(src, EllipticCurveSpec) and f != 1:
                 raise SchemaError(

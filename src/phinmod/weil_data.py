@@ -4,7 +4,9 @@ A Weil-q matrix is an integer matrix of even size 2g whose characteristic
 polynomial satisfies the weight-1 functional equation with det = q^g, and
 which excludes 1 and q as eigenvalues (so that the weight-0 and weight-2
 splittings meet the component block trivially).  Honest instances are
-manufactured from elliptic curves over F_p by naive point counting.
+manufactured from elliptic curves over F_p by counting their points
+(Shanks-Mestre baby-step giant-step above p = 229, one pass over x with a
+square table at and below it; see :mod:`phinmod._backend`).
 
 The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
 certified exactly.  For 2x2 blocks it is trace^2 <= 4q.  Above that, the
@@ -25,6 +27,25 @@ from .errors import ValidationError, WeilValidationError
 from .exact_linalg import QMatrix, char_poly, is_prime
 
 DEFAULT_POINT_BOUND = 10 ** 4
+
+# q = p^f is written into every report; its decimal digits are capped well
+# below Python's 4300-digit int/str conversion limit.
+MAX_Q_DIGITS = 1000
+
+
+def check_q_digits(p: int, f: int) -> None:
+    """Refuse an f for which q = p^f has more than MAX_Q_DIGITS digits.
+
+    p^f >= 2^(f*(bits(p)-1)) and 2^4 > 10, so a large f is refused before
+    p^f is formed.
+    """
+    base = abs(p)
+    if f < 2 or base < 2:
+        return
+    if f * (base.bit_length() - 1) >= 4 * MAX_Q_DIGITS or base ** f >= 10 ** MAX_Q_DIGITS:
+        raise ValidationError(
+            f"field 'f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,7 +102,7 @@ class EllipticCurveSpec:
 
 
 def count_points(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND) -> tuple:
-    """(#E(F_p), trace a = p + 1 - #E) by brute-force x enumeration."""
+    """(#E(F_p), trace a = p + 1 - #E); p above ``bound`` is refused."""
     if e.p > bound:
         raise ValidationError(f"p = {e.p} exceeds the point-counting bound {bound}")
     n = _count_points_kernel(e.p, e.a4, e.a6)
@@ -243,6 +264,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
         raise WeilValidationError(f"p = {p} is not prime")
     if f < 1:
         raise WeilValidationError(f"f = {f} must be >= 1")
+    check_q_digits(p, f)
     q = p ** f
     if not m.is_square:
         raise WeilValidationError("Weil matrix must be square")

@@ -2,12 +2,12 @@
 
 Deliberately different algorithms from the package: cofactor expansion over
 a polynomial ring instead of Berkowitz, dividing Gaussian elimination over
-Fraction instead of fraction-free, an O(p^2) double loop instead of the
-square-table point counter, a minimal-slope sweep instead of a monotone
-chain, spanning trees enumerated one by one instead of a Laplacian
-cofactor, one determinant per leading minor instead of a single Bareiss
-pass, and trial division instead of Miller-Rabin.  Slow and only used at
-tiny sizes.
+Fraction instead of fraction-free, an O(p^2) double loop and a character
+sum by Euler's criterion instead of baby-step giant-step point counting, a
+minimal-slope sweep instead of a monotone chain, spanning trees enumerated
+one by one instead of a Laplacian cofactor, one determinant per leading
+minor instead of a single Bareiss pass, and trial division instead of
+Miller-Rabin.  Slow and only used at tiny sizes.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -133,6 +133,47 @@ def count_points_xy(p, a4, a6):
             if (y * y) % p == rhs:
                 n += 1
     return n
+
+
+def count_points_euler(p, a4, a6):
+    """#E(F_p) as p + 1 + sum over x of the quadratic character of
+    x^3 + a4*x + a6, the character by Euler's criterion."""
+    n = p + 1
+    for x in range(p):
+        c = pow(x ** 3 + a4 * x + a6, (p - 1) // 2, p)
+        n += 1 if c == 1 else -1 if c else 0
+    return n
+
+
+def hasse_scan(p):
+    """Scan every nonsingular (a4, a6) over F_p; return (#curves, max a^2 - 4p).
+
+    The trace a = p + 1 - #points of each curve comes from one pass over x
+    with a table of squares; the second component is nonpositive exactly
+    when every curve satisfies the a^2 <= 4p bound.
+    """
+    squares = bytearray(p)
+    for y in range(p):
+        squares[y * y % p] = 1
+    cubes = [x * x % p * x % p for x in range(p)]
+    ncurves = 0
+    worst = -(4 * p)
+    for a4 in range(p):
+        a4cubed = 4 * a4 * a4 % p * a4 % p
+        for a6 in range(p):
+            if (a4cubed + 27 * a6 * a6) % p == 0:
+                continue
+            ncurves += 1
+            n = 1
+            for x in range(p):
+                v = (cubes[x] + a4 * x + a6) % p
+                if v == 0:
+                    n += 1
+                elif squares[v]:
+                    n += 2
+            a = p + 1 - n
+            worst = max(worst, a * a - 4 * p)
+    return ncurves, worst
 
 
 def newton_slopes_sweep(coeffs, p):

@@ -9,7 +9,6 @@ import random
 import time
 from fractions import Fraction
 
-from phinmod._backend import hasse_scan
 from phinmod.builders import build_from_curve, check_curve_jacobian_agreement
 from phinmod.cli import main
 from phinmod.exact_linalg import is_prime
@@ -20,7 +19,7 @@ from phinmod.phin_module import hodge_newton, verify_monodromy_duality
 from phinmod.weil_data import EllipticCurveSpec, count_points
 
 from conftest import INSTANCE_DIR, tate_instance
-from oracles import count_points_xy, dense_module
+from oracles import count_points_xy, dense_module, hasse_scan
 
 
 def criterion(number: int, name: str, ok: bool) -> None:

@@ -162,7 +162,7 @@ class TestInputCaps:
         assert "field 'f'" in err and "Traceback" not in err
 
     def test_cap_is_on_the_digits_of_q(self, tmp_path, capsys):
-        from phinmod.io_formats import MAX_Q_DIGITS
+        from phinmod.weil_data import MAX_Q_DIGITS
 
         # 5^1430 has 1000 digits, 5^1431 has 1001
         assert len(str(5 ** 1430)) == MAX_Q_DIGITS
@@ -170,6 +170,36 @@ class TestInputCaps:
         capsys.readouterr()
         assert main(["build", write_instance(tmp_path, self._av("1431"))]) == 2
         assert "field 'f'" in capsys.readouterr().err
+
+    def test_in_process_instances_are_capped(self):
+        from dataclasses import replace
+
+        from phinmod.errors import ValidationError
+        from phinmod.weil_data import validate_weil
+
+        with pytest.raises(ValidationError, match="'f'"):
+            run_checks(replace(tate_instance(), f=7000), DEFAULT_POINT_BOUND)
+        with pytest.raises(ValidationError, match="'f'"):
+            validate_weil([], 5, 7000)
+
+
+class TestGraphShape:
+    @pytest.mark.parametrize(
+        "graph, field",
+        [
+            ({"vertices": 3, "edges": []}, "'graph.vertices' must be an array"),
+            ({"vertices": [], "edges": 7}, "'graph.edges' must be an array"),
+            ({"vertices": ["v0"], "edges": []}, "'graph.vertices[0]' must be an object"),
+            ({"vertices": [{"id": "v0", "genus": "0"}], "edges": [5]},
+             "'graph.edges[0]' must be an object"),
+            (3, "'graph' must be an object"),
+        ],
+    )
+    def test_bad_shape_exit_2_naming_field(self, tmp_path, capsys, graph, field):
+        obj = {"kind": "curve", "p": "5", "f": "1", "graph": graph, "components": {}}
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
 
 
 class TestArchimedeanRejection:

@@ -1,19 +1,13 @@
-"""Both kernel backends must agree function by function."""
+"""The kernels of ``phinmod._backend`` against independent oracles."""
 
 import random
 
 import pytest
 
-from phinmod import _kernels_py
+from phinmod import _backend
+from phinmod.exact_linalg import is_prime
 
-try:
-    from phinmod import _kernels
-except ImportError:
-    _kernels = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels is None, reason="compiled kernel extension not built"
-)
+from oracles import count_points_euler, count_points_xy
 
 
 def random_matrix(rng, n, m=None, lo=-20, hi=20):
@@ -21,49 +15,65 @@ def random_matrix(rng, n, m=None, lo=-20, hi=20):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
-@needs_compiled
-class TestBackendAgreement:
-    def test_charpoly(self):
-        rng = random.Random(1)
-        for n in range(0, 7):
-            for _ in range(10):
-                rows = random_matrix(rng, n)
-                assert _kernels.charpoly_int(rows) == _kernels_py.charpoly_int(rows)
+def random_curve(rng, p):
+    while True:
+        a4, a6 = rng.randrange(p), rng.randrange(p)
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p:
+            return a4, a6
 
-    def test_det(self):
-        rng = random.Random(2)
-        for n in range(0, 7):
-            for _ in range(10):
-                rows = random_matrix(rng, n)
-                assert _kernels.det_int(rows) == _kernels_py.det_int(rows)
 
-    def test_det_big_entries(self):
-        rng = random.Random(3)
-        rows = random_matrix(rng, 5, lo=-(10 ** 12), hi=10 ** 12)
-        assert _kernels.det_int(rows) == _kernels_py.det_int(rows)
+class TestShanksMestre:
+    """Point counts above the Mestre bound come from baby-step giant-step on
+    E and its twist; the O(p^2) double loop and an Euler-criterion
+    character sum are the oracles."""
 
-    def test_rank(self):
-        rng = random.Random(4)
-        for _ in range(30):
-            n = rng.randint(1, 6)
-            m = rng.randint(1, 6)
-            rows = random_matrix(rng, n, m, lo=-3, hi=3)
-            assert _kernels.rank_int(rows) == _kernels_py.rank_int(rows)
+    def test_every_prime_across_the_bound(self):
+        rng = random.Random(20)
+        primes = [p for p in range(227, 1001) if is_prime(p)]
+        assert primes[:3] == [227, 229, 233] and _backend.MESTRE_BOUND == 229
+        for p in primes:
+            a4, a6 = random_curve(rng, p)
+            n = count_points_xy(p, a4, a6)
+            assert _backend.count_points(p, a4, a6) == n == count_points_euler(p, a4, a6)
 
-    def test_count_points(self):
-        rng = random.Random(5)
-        for p in (3, 5, 7, 11, 13, 101):
-            for _ in range(10):
-                a4, a6 = rng.randrange(p), rng.randrange(p)
-                if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
-                    continue
-                assert _kernels.count_points(p, a4, a6) == _kernels_py.count_points(
-                    p, a4, a6
-                )
+    @pytest.mark.parametrize("p", [233, 241])
+    def test_dense_sweep_above_the_bound(self, p):
+        # Every a4 and a spread of a6: reaches the curves whose walk meets
+        # points of small order, which sparse random draws rarely do.
+        for a4 in range(p):
+            for a6 in range(a4 % 7, p, 7):
+                if (4 * a4 ** 3 + 27 * a6 ** 2) % p:
+                    assert _backend.count_points(p, a4, a6) == count_points_euler(p, a4, a6)
 
-    def test_hasse_scan(self):
-        for p in (3, 5, 7, 11, 13):
-            assert _kernels.hasse_scan(p) == _kernels_py.hasse_scan(p)
+    @pytest.mark.parametrize("p, a4, a6, n", [(9967, 1, 0, 9968), (9941, 0, 1, 9942)])
+    def test_supersingular_near_the_point_bound(self, p, a4, a6, n):
+        # p = 3 mod 4 for y^2 = x^3 + x and p = 2 mod 3 for y^2 = x^3 + 1:
+        # both curves are supersingular, so #E = p + 1
+        assert _backend.count_points(p, a4, a6) == n
+
+    def test_counts_decided_on_the_twist(self, monkeypatch):
+        # The deciding call returns a single order k: #E when the walk
+        # decided on E, #E' = 2p + 2 - #E on the twist.  Where #E != #E'
+        # the two cases are told apart.
+        last = []
+        annihilators = _backend._annihilators
+
+        def recording(*args):
+            ks = annihilators(*args)
+            last[:] = ks
+            return ks
+
+        monkeypatch.setattr(_backend, "_annihilators", recording)
+        rng = random.Random(21)
+        on_twist = 0
+        for p in (233, 239, 241, 251, 257, 307, 401):
+            for _ in range(12):
+                a4, a6 = random_curve(rng, p)
+                n = _backend.count_points(p, a4, a6)
+                if last == [2 * p + 2 - n] != [n]:
+                    on_twist += 1
+                    assert n == count_points_xy(p, a4, a6)
+        assert on_twist >= 20
 
 
 class TestLargerSizes:
@@ -77,7 +87,7 @@ class TestLargerSizes:
         rng = random.Random(10)
         for n in (8, 10, 12):
             rows = random_matrix(rng, n, lo=-15, hi=15)
-            assert _kernels_py.charpoly_int(rows) == charpoly_leverrier(rows)
+            assert _backend.charpoly_int(rows) == charpoly_leverrier(rows)
 
     def test_rank_of_products(self):
         from oracles import rank_gauss
@@ -91,7 +101,7 @@ class TestLargerSizes:
                 [sum(b[i][t] * c[t][j] for t in range(inner)) for j in range(m)]
                 for i in range(n)
             ]
-            r = _kernels_py.rank_int(prod)
+            r = _backend.rank_int(prod)
             assert r <= inner
             assert r == rank_gauss(prod)
 
@@ -105,7 +115,7 @@ class TestLargerSizes:
             for i in range(n):  # kill a couple of columns entirely
                 rows[i][0] = 0
                 rows[i][m // 2] = 0
-            assert _kernels_py.rank_int(rows) == rank_gauss(rows)
+            assert _backend.rank_int(rows) == rank_gauss(rows)
 
     def test_det_alternating_with_leverrier_constant(self):
         from oracles import charpoly_leverrier
@@ -113,26 +123,26 @@ class TestLargerSizes:
         rng = random.Random(13)
         for n in (6, 9):
             rows = random_matrix(rng, n, lo=-20, hi=20)
-            det = _kernels_py.det_int(rows)
+            det = _backend.det_int(rows)
             assert charpoly_leverrier(rows)[0] == (-1) ** n * det
 
 
 class TestPureKernelProperties:
     def test_empty_matrix(self):
-        assert _kernels_py.det_int([]) == 1
-        assert _kernels_py.charpoly_int([]) == [1]
+        assert _backend.det_int([]) == 1
+        assert _backend.charpoly_int([]) == [1]
 
     def test_rank_of_zero_matrix(self):
-        assert _kernels_py.rank_int([[0, 0], [0, 0]]) == 0
+        assert _backend.rank_int([[0, 0], [0, 0]]) == 0
 
     def test_charpoly_monic(self):
         rng = random.Random(6)
         for n in range(1, 6):
             rows = random_matrix(rng, n)
-            coeffs = _kernels_py.charpoly_int(rows)
+            coeffs = _backend.charpoly_int(rows)
             assert len(coeffs) == n + 1
             assert coeffs[-1] == 1
             # trace and determinant read off the ends
             trace = sum(rows[i][i] for i in range(n))
             assert coeffs[-2] == -trace
-            assert coeffs[0] == (-1) ** n * _kernels_py.det_int(rows)
+            assert coeffs[0] == (-1) ** n * _backend.det_int(rows)
