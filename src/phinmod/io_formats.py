@@ -2,13 +2,24 @@
 
 One JSON dialect for both: every number is a decimal string (rationals as
 "a/b" in lowest terms), so consumers never face 64-bit overflow and
-round-trips are bit-exact.  Reports are emitted with sorted keys and fixed
-indentation, making equal runs byte-identical.
+round-trips are bit-exact.  A matrix entry that is not such a string, or
+has more than MAX_ENTRY_DIGITS digits, is refused before it is parsed.
+
+Reports are emitted with sorted keys and fixed indentation, making equal
+runs byte-identical.  :func:`dump_json` writes exactly the bytes of
+``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, for ``str`` keys
+only, without running the pure-Python encoder that ``indent`` selects: a
+small recursive writer quotes each string with the C
+``encode_basestring_ascii`` and writes a list of strings, such as a row of
+the dense ``phi``, with C joins, checking first whether any item needs
+escaping.  ``tests/test_report_writer.py`` guards the equality.
 """
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .builders import CurveInstance, UniformizationData, resolve_component
@@ -16,10 +27,21 @@ from .errors import SchemaError
 from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
-from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, check_q_digits, direct_sum
+from .weil_data import (
+    DEFAULT_POINT_BOUND,
+    MAX_ENTRY_DIGITS,
+    EllipticCurveSpec,
+    check_q_digits,
+    check_weil_size,
+    direct_sum,
+)
 
 FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
+
+# A matrix entry is a decimal integer or "a/b".  Fraction alone would also
+# take exponents and build the value of "1e999999999".
+_ENTRY = re.compile(r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_ENTRY_DIGITS, MAX_ENTRY_DIGITS))
 
 
 def _get(obj: Mapping, field: str, context: str):
@@ -53,14 +75,28 @@ def _as_int(value, context: str) -> int:
 
 
 def matrix_to_strings(m: QMatrix) -> list:
-    return [[rational_str(x) for x in m.row(i)] for i in range(m.rows)]
+    # plain ints, nearly every entry, skip rational_str's two calls
+    s = [str(x) if type(x) is int else rational_str(x) for x in m.entries]
+    c = m.cols
+    return [s[i * c:(i + 1) * c] for i in range(m.rows)]
+
+
+def _parse_entry(x):
+    s = str(x)
+    if not _ENTRY.fullmatch(s):
+        shown = repr(s) if len(s) <= 20 else f"{s[:20]!r}... ({len(s)} characters)"
+        raise ValueError(
+            f"{shown} is not a decimal integer or a/b of at most "
+            f"{MAX_ENTRY_DIGITS} digits"
+        )
+    return parse_rational(s)
 
 
 def matrix_from_strings(rows, context: str) -> QMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
-        parsed = [[parse_rational(str(x)) for x in r] for r in rows]
+        parsed = [[_parse_entry(x) for x in r] for r in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
     if not parsed:
@@ -94,7 +130,12 @@ def source_from_json(obj, p: int, context: str):
             _as_int(_get(obj, "a6", context + "."), context + ".a6"),
         )
     if kind == "matrix":
-        m = matrix_from_strings(_get(obj, "entries", context + "."), context + ".entries")
+        entries = _get(obj, "entries", context + ".")
+        if isinstance(entries, list):
+            # validate_weil checks this too; here the message names the
+            # field, and a large block is refused before it is parsed
+            check_weil_size(len(entries), f"field '{context}.entries'")
+        m = matrix_from_strings(entries, context + ".entries")
         if not m.is_integral():
             raise SchemaError(f"field '{context}.entries' must be integral")
         return m
@@ -192,10 +233,12 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
 
 
 def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):
+    # Besides malformed JSON, bad UTF-8 and integers over Python's digit
+    # limit raise ValueError, and arrays nested too deeply RecursionError.
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
     return instance_from_json(obj, bound)
 
@@ -326,9 +369,48 @@ def polygons_to_json(p: PolygonReport) -> dict:
     }
 
 
+def _write(obj: Any, indent: str) -> str:
+    """JSON text of ``obj`` as ``json.dumps(indent=2, sort_keys=True)``
+    writes it; ``indent`` is the newline and indentation of the line that
+    holds ``obj``."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _write(v, inner) for k, v in sorted(obj.items())]
+        ) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        try:
+            text = "".join(obj)
+        except TypeError:  # not all strings
+            body = ("," + inner).join([_write(x, inner) for x in obj])
+        else:
+            # Every escape is longer than the character it replaces, so the
+            # quoted text is 2 longer exactly when no item needs escaping.
+            if len(_encode_str(text)) == len(text) + 2:
+                body = '"' + ('",' + inner + '"').join(obj) + '"'
+            else:
+                body = ("," + inner).join(map(_encode_str, obj))
+        return "[" + inner + body + indent + "]"
+    return json.dumps(obj)
+
+
 def dump_json(obj: Any) -> str:
-    """Canonical byte-stable serialization."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical byte-stable serialization: exactly the text of
+    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
+
+    Dictionary keys must be ``str``.  With ``indent``, ``json.dumps`` runs
+    its pure-Python encoder over every string of the dense report matrices;
+    this writer quotes a list of strings with a few C joins instead.
+    ``tests/test_report_writer.py`` checks the equality.
+    """
+    return _write(obj, "\n") + "\n"
 
 
 def build_report(inst, module, relations, polygons, duality_ok, agreement_ok=None) -> dict:

@@ -214,6 +214,74 @@ class TestArchimedeanRejection:
         assert "archimedean" in capsys.readouterr().err
 
 
+class TestWeilBlockCaps:
+    def _av(self, entries) -> dict:
+        return {"kind": "av", "p": "5", "f": "1", "torus_rank": "0", "gram": [],
+                "b_frobenius": [{"type": "matrix", "entries": entries}]}
+
+    def _build(self, tmp_path, capsys, obj) -> str:
+        t0 = time.perf_counter()
+        code = main(["build", write_instance(tmp_path, obj)])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_large_zero_block_exit_2(self, tmp_path, capsys):
+        from phinmod.weil_data import MAX_WEIL_SIZE
+
+        err = self._build(tmp_path, capsys, self._av([["0"] * 300 for _ in range(300)]))
+        assert "field 'b_frobenius[0].entries' has 300 rows" in err
+        assert f"at most {MAX_WEIL_SIZE}" in err
+
+    def test_large_curve_component_exit_2(self, tmp_path, capsys):
+        obj = {
+            "kind": "curve", "p": "5", "f": "1",
+            "graph": {"vertices": [{"id": "v0", "genus": "150"}], "edges": []},
+            "components": {"v0": {"type": "matrix", "entries": [["0"] * 300] * 300}},
+        }
+        err = self._build(tmp_path, capsys, obj)
+        assert "field 'components.v0.entries' has 300 rows" in err
+
+    @pytest.mark.parametrize("entry", ["9" * 100_000, "9" * 4001, "1e999999999", "1.5"])
+    def test_oversized_or_non_decimal_entry_exit_2(self, tmp_path, capsys, entry):
+        entries = [["0"] * 4 for _ in range(4)]
+        entries[1][2] = entry
+        err = self._build(tmp_path, capsys, self._av(entries))
+        assert "field 'b_frobenius[0].entries' has a bad entry" in err
+        assert "at most 4000 digits" in err
+
+    def test_exponent_gram_entry_exit_2(self, tmp_path, capsys):
+        # Fraction reads "1e5000" as a 5001-digit integer, which the report
+        # could not write back
+        obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "1",
+               "gram": [["1e5000"]], "b_frobenius": []}
+        assert "field 'gram' has a bad entry" in self._build(tmp_path, capsys, obj)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"kind": "av", "p": ' + b"7" * 5000 + b"}", b'{"kind": "\xff"}',
+         b"[" * 100_000 + b"]" * 100_000],
+        ids=["over-long integer", "bad UTF-8", "deep nesting"],
+    )
+    def test_undecodable_json_exit_2(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["build", str(path)]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_largest_block_and_entry_accepted(self, tmp_path, capsys):
+        from phinmod.weil_data import MAX_ENTRY_DIGITS, MAX_WEIL_SIZE
+
+        # at the caps, a block passes them and is refused later, at det
+        entries = [["0", "-" + "9" * MAX_ENTRY_DIGITS], ["1", "0"]]
+        err = self._build(tmp_path, capsys, self._av(entries))
+        assert "det" in err
+        zeros = [["0"] * MAX_WEIL_SIZE for _ in range(MAX_WEIL_SIZE)]
+        assert "det" in self._build(tmp_path, capsys, self._av(zeros))
+
+
 def test_import_pulls_in_no_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (

@@ -129,6 +129,20 @@ class TestValidateWeil:
         ok = validate_weil(QMatrix.block_diag([good, good]), 5)
         assert ok.g == 2
 
+    def test_size_and_entry_caps_before_char_poly(self, monkeypatch):
+        from phinmod.weil_data import MAX_ENTRY_DIGITS, MAX_WEIL_SIZE
+
+        def no_char_poly(m):
+            raise AssertionError("char_poly reached")
+
+        monkeypatch.setattr("phinmod.weil_data.char_poly", no_char_poly)
+        n = MAX_WEIL_SIZE + 2
+        with pytest.raises(WeilValidationError, match=f"{n} rows; a Weil block has at most"):
+            validate_weil(QMatrix.zeros(n, n), 5)
+        for big in (10 ** MAX_ENTRY_DIGITS, -(10 ** MAX_ENTRY_DIGITS)):
+            with pytest.raises(WeilValidationError, match=f"more than {MAX_ENTRY_DIGITS}"):
+                validate_weil([[0, big], [1, 0]], 5)
+
     def test_f_greater_than_one(self):
         # companion of T^2 - 3T + 9 at q = 3^2
         w = validate_weil([[0, -9], [1, 3]], 3, f=2)
