@@ -1,9 +1,11 @@
 """Kernels: integer matrix elimination and elliptic-curve point counts.
 
 All matrix kernels take row-major ``list[list[int]]`` and use exact integer
-arithmetic throughout (Bareiss fraction-free elimination, Berkowitz
-division-free characteristic polynomial), so intermediate values never leave
-the integers.
+arithmetic throughout, so intermediate values never leave the integers.
+There are two: :func:`bareiss`, the one fraction-free elimination pass whose
+pivots give rank, determinant and the leading principal minors, and
+:func:`charpoly_int`, Berkowitz's division-free characteristic polynomial.
+``det_int`` and ``rank_int`` only read the result of :func:`bareiss`.
 
 Point counts above p = 229 use the baby-step giant-step method of Shanks and
 Mestre on E and its quadratic twist E' (Cohen, "A Course in Computational
@@ -149,44 +151,30 @@ def _mul(k: int, u, a: int, p: int):
     return acc
 
 
-def det_int(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination.
+def bareiss(rows: list[list[int]]) -> tuple:
+    """One fraction-free (Bareiss) elimination pass over an integer matrix.
 
-    Every intermediate entry is a minor of the input, so the interior
-    divisions are exact and entry growth stays polynomial.
+    Returns (pivots, swaps), pivots a tuple.  Columns are taken left to
+    right; a column with no nonzero entry at or below the current row is
+    skipped, otherwise the first such row is exchanged up (one swap) and its
+    entry becomes the next pivot.  Every intermediate entry is a minor of the
+    input, so the interior divisions are exact and entry growth stays
+    polynomial.
+
+    What the pass determines:
+
+    * ``len(pivots)`` is the rank over Q;
+    * for a square n x n matrix of rank n, ``(-1)**swaps * pivots[-1]`` is
+      the determinant;
+    * if ``swaps == 0`` and ``len(pivots) == n``, the k-th pivot is the
+      leading principal minor of order k (a zero leading minor forces an
+      exchange or a skipped column).
     """
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = k
-        while piv < n and a[piv][k] == 0:
-            piv += 1
-        if piv == n:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def rank_int(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix over Q, by fraction-free elimination."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     a = [list(r) for r in rows]
+    pivots = []
+    swaps = 0
     prev = 1
     row = 0
     for col in range(ncols):
@@ -199,6 +187,7 @@ def rank_int(rows: list[list[int]]) -> int:
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
+            swaps += 1
         pivot = a[row][col]
         row_p = a[row]
         for i in range(row + 1, nrows):
@@ -207,9 +196,23 @@ def rank_int(rows: list[list[int]]) -> int:
             for j in range(col + 1, ncols):
                 row_i[j] = (pivot * row_i[j] - aic * row_p[j]) // prev
             row_i[col] = 0
+        pivots.append(pivot)
         prev = pivot
         row += 1
-    return row
+    return tuple(pivots), swaps
+
+
+def det_int(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, read off :func:`bareiss`."""
+    pivots, swaps = bareiss(rows)
+    if len(pivots) < len(rows):
+        return 0
+    return (-1) ** swaps * pivots[-1] if rows else 1
+
+
+def rank_int(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix over Q, read off :func:`bareiss`."""
+    return len(bareiss(rows)[0])
 
 
 def charpoly_int(rows: list[list[int]]) -> list[int]:

@@ -5,17 +5,20 @@ Scalars are arbitrary-precision: plain ``int`` where the denominator is 1,
 positive denominator, and they compare and hash interchangeably).  No
 floating point enters this module.
 
-Matrix kernels (determinant, rank, characteristic polynomial) run on the
-integer level via :mod:`phinmod._backend`; rational input is cleared of
-denominators first and the results are rescaled exactly.
+Matrix kernels run on the integer level via :mod:`phinmod._backend`;
+rational input is cleared of denominators first and the results are
+rescaled exactly.  Determinant, rank and the positive-definiteness test all
+read one Bareiss elimination pass, cached on the (immutable) matrix as
+:attr:`QMatrix.elimination`, so each matrix is eliminated at most once.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from ._backend import charpoly_int, det_int, rank_int
+from ._backend import bareiss, charpoly_int
 from .errors import ValidationError
 
 Rational = Union[int, Fraction]
@@ -178,16 +181,13 @@ class QMatrix:
     def is_integral(self) -> bool:
         return all(isinstance(x, int) for x in self.entries)
 
-    def to_int_rows(self) -> list:
-        if not self.is_integral():
-            raise ValueError("matrix has non-integer entries")
-        return self.to_rows()
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols, self.rows,
-            tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)),
-        )
+    @cached_property
+    def elimination(self) -> tuple:
+        """(pivots, swaps, d): the :func:`~phinmod._backend.bareiss` pass on
+        the integer lift d * self of :func:`_clear_denominators`, run at most
+        once per matrix."""
+        rows, d = _clear_denominators(self)
+        return (*bareiss(rows), d)
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -259,57 +259,34 @@ def char_poly(m: QMatrix) -> list:
 
 
 def det(m: QMatrix) -> Rational:
-    """Exact determinant (fraction-free on the integer lift)."""
+    """Exact determinant: (-1)^swaps times the last pivot of the elimination
+    of d * m, over d^n; 0 when the pass finds fewer than n pivots."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    rows, d = _clear_denominators(m)
-    value = det_int(rows)
-    if d == 1:
-        return value
-    return as_rational(Fraction(value, d ** m.rows))
+    pivots, swaps, d = m.elimination
+    if len(pivots) < m.rows:
+        return 0
+    value = (-1) ** swaps * pivots[-1] if pivots else 1
+    return value if d == 1 else as_rational(Fraction(value, d ** m.rows))
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank over Q via fraction-free elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    # Row-wise denominator clearing preserves rank.
-    rows = []
-    for i in range(m.rows):
-        r = m.row(i)
-        d = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                d = d * x.denominator // math.gcd(d, x.denominator)
-        rows.append([int(x * d) for x in r])
-    return rank_int(rows)
+    """Exact rank over Q: the number of pivots of the elimination."""
+    return len(m.elimination[0])
 
 
 def is_positive_definite(m: QMatrix) -> bool:
     """Exact Sylvester criterion: all leading principal minors positive.
 
-    One Bareiss elimination without row exchanges yields every minor: the
-    k-th pivot is the leading principal minor of order k.  Scaling by the
-    common denominator multiplies the order-k minor by d^k > 0, so signs are
-    kept.  The pass stops at the first minor that is not positive.
+    An elimination that makes no row exchange and finds a pivot in every
+    column has the leading principal minors as its pivots; a zero leading
+    minor forces an exchange or a skipped column.  Scaling by the common
+    denominator multiplies the order-k minor by d^k > 0, so signs are kept.
     """
     if not m.is_square or not m.is_symmetric():
         return False
-    a, _ = _clear_denominators(m)
-    n = len(a)
-    prev = 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return False
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - aik * row_k[j]) // prev
-        prev = pivot
-    return True
+    pivots, swaps, _ = m.elimination
+    return swaps == 0 and len(pivots) == m.rows and all(x > 0 for x in pivots)
 
 
 def padic_valuation(x, p: int):
@@ -391,9 +368,7 @@ class NewtonPolygon:
     def dual(self) -> "NewtonPolygon":
         """Polygon with slopes s -> 1 - s; fixed points of this map are the
         polygons symmetric about slope 1/2."""
-        return NewtonPolygon.from_slope_list(
-            [1 - s for s, m in self.slopes for _ in range(m)]
-        )
+        return NewtonPolygon(tuple((1 - s, m) for s, m in reversed(self.slopes)))
 
     def is_symmetric(self) -> bool:
         return self == self.dual()

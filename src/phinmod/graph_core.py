@@ -77,12 +77,6 @@ class DualGraph:
                     stack.append(w)
         return len(seen) == len(self.vertices)
 
-    def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def total_genus(self) -> int:
         return sum(v.genus for v in self.vertices)
 

@@ -41,10 +41,10 @@ from .exact_linalg import (
     NewtonPolygon,
     QMatrix,
     Rational,
+    _valuation,
     as_rational,
     is_positive_definite,
     newton_polygon,
-    padic_valuation,
     rank,
 )
 from .weil_data import WeilMatrix
@@ -179,8 +179,9 @@ def verify_relations(m: PhiNModule) -> RelationReport:
     invertible, rank N = w2.
 
     N^2 = 0 holds for every N of block form; N phi and q phi N agree outside
-    block (0, 2) and are n02 * phi2 and q * phi0 * n02 there; det(phi) is the
-    product of the block determinants; rank N = rank n02.  An identity that
+    block (0, 2) and are n02 * phi2 and q * phi0 * n02 there, equal entry by
+    entry exactly when phi2 = q * phi0 or n02 = 0; det(phi) is the product of
+    the block determinants; rank N = rank n02.  An identity that
     involves an operator named in ``m.off_block`` fails.
     """
     phi_ok = "phi" not in m.off_block
@@ -188,7 +189,7 @@ def verify_relations(m: PhiNModule) -> RelationReport:
     return RelationReport(
         n_squared_zero=n_ok,
         n_phi_commutation=(
-            phi_ok and n_ok and m.n02.scale(m.phi2) == m.n02.scale(m.q * m.phi0)
+            phi_ok and n_ok and (m.phi2 == m.q * m.phi0 or m.n02.is_zero())
         ),
         phi_invertible=phi_ok and _det_phi(m) != 0,
         n_rank_is_torus_rank=n_ok and rank(m.n02) == m.dims[2],
@@ -218,14 +219,17 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     """
     w0, _, w2 = m.dims
     d = m.dimension
-    # newton_polygon rejects a singular block (zero constant term) before any
-    # valuation of det(phi) is attempted.
+    # newton_polygon checks that p is prime and rejects a singular phi1 (zero
+    # constant term); a zero scalar block is rejected the same way, so det(phi)
+    # is nonzero when its valuation is taken.
     slopes = newton_polygon(m.phi1_charpoly, m.p).slope_multiset()
     for c, w in ((m.phi0, w0), (m.phi2, w2)):
         if w:
-            slopes += newton_polygon([-c, 1], m.p).slope_multiset() * w
+            if c == 0:
+                raise ValueError("zero constant term: 0 is an eigenvalue")
+            slopes += [_valuation(c, m.p)] * w
     newton = NewtonPolygon.from_slope_list(slopes).scaled(Fraction(1, m.f))
-    t_newton = as_rational(Fraction(padic_valuation(_det_phi(m), m.p), m.f)) if d else 0
+    t_newton = as_rational(Fraction(_valuation(_det_phi(m), m.p), m.f)) if d else 0
     t_hodge = m.fil1_dim
     hodge_slopes = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
     hodge = NewtonPolygon.from_slope_list(hodge_slopes)

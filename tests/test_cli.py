@@ -11,7 +11,7 @@ import phinmod.phin_module
 import phinmod.weil_data
 from phinmod.builders import CurveInstance, build_from_curve
 from phinmod.cli import main, run_checks
-from phinmod.graph_core import DualGraph
+from phinmod.graph_core import DualGraph, monodromy_gram
 from phinmod.io_formats import (
     dump_json,
     instance_from_json,
@@ -393,10 +393,16 @@ class TestOncePerRequest:
         )
         counts = count_calls(monkeypatch, phinmod._backend.count_points)
         relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
+        eliminations = count_calls(monkeypatch, phinmod._backend.bareiss)
         report = run_checks(inst, DEFAULT_POINT_BOUND)
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
         assert len(counts) == 2
         assert len(relations) == 1
+        # the Gram matrix once (positive definiteness, rank N and det all
+        # read it) and the Laplacian cofactor of the spanning-tree count
+        gram = monodromy_gram(g).to_rows()
+        laplacian_cofactor = [[2, -1], [-1, 2]]
+        assert sorted(rows for rows, in eliminations) == sorted([gram, laplacian_cofactor])
 
     def test_av_validates_each_block_once(self, monkeypatch):
         obj = {
@@ -412,9 +418,11 @@ class TestOncePerRequest:
         }
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
+        eliminations = count_calls(monkeypatch, phinmod._backend.bareiss)
         run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
         assert len(validations) == 2
         assert len(relations) == 1
+        assert eliminations == [([[2]],)]
 
 
 class TestInstanceSerialization:

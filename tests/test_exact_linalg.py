@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phinmod.exact_linalg
 from phinmod.errors import ValidationError
 from phinmod.exact_linalg import (
     INFINITY,
@@ -25,6 +26,7 @@ from phinmod.exact_linalg import (
 
 from oracles import (
     charpoly_cofactor,
+    det_gauss,
     is_prime_trial,
     newton_slopes_sweep,
     positive_definite_sylvester,
@@ -32,6 +34,7 @@ from oracles import (
 )
 
 int_entries = st.integers(min_value=-9, max_value=9)
+rational_entries = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def square_matrices(max_n=5):
@@ -80,6 +83,60 @@ class TestCharPoly:
             acc = acc + power.scale(c)
             power = power @ m
         assert acc.is_zero()
+
+
+def rational_matrices(max_n=4, square=True):
+    """Rational matrices, square or not, whose rows may repeat (so singular
+    and rank-deficient ones are common)."""
+    return st.integers(1, max_n).flatmap(
+        lambda r: (st.just(r) if square else st.integers(1, max_n)).flatmap(
+            lambda c: st.lists(
+                st.sampled_from([[0] * c, [Fraction(1, 2)] * c])
+                | st.lists(rational_entries, min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+
+
+class TestElimination:
+    """det, rank and is_positive_definite read one cached Bareiss pass on the
+    integer lift of the matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_rational_det_against_gauss(self, rows):
+        assert det(QMatrix.from_rows(rows)) == det_gauss(rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(square=False))
+    def test_rational_rank_against_gauss(self, rows):
+        assert rank(QMatrix.from_rows(rows)) == rank_gauss(rows)
+
+    def test_det_of_exchanged_rational_rows(self):
+        m = QMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(1, 3), 1]])
+        assert m.elimination == ((2, 6), 1, 6)
+        assert det(m) == Fraction(-1, 6)
+        assert rank(m) == 2
+        assert det(QMatrix(0, 0, ())) == 1 and rank(QMatrix.zeros(2, 0)) == 0
+
+    def test_each_matrix_is_eliminated_once(self, monkeypatch):
+        calls = []
+        bareiss = phinmod.exact_linalg.bareiss
+
+        def counted(rows):
+            calls.append(rows)
+            return bareiss(rows)
+
+        monkeypatch.setattr(phinmod.exact_linalg, "bareiss", counted)
+        m = QMatrix.from_rows([[2, 1], [1, 2]])
+        assert (is_positive_definite(m), rank(m), det(m)) == (True, 2, 3)
+        assert det(m) == 3 and rank(m) == 2
+        assert calls == [[[2, 1], [1, 2]]]
+        # equal entries, distinct object: eliminated on its own
+        assert det(QMatrix.from_rows([[2, 1], [1, 2]])) == 3
+        assert len(calls) == 2
 
 
 class TestRank:
@@ -170,6 +227,17 @@ class TestNewtonPolygon:
         np_ = NewtonPolygon.from_slope_list([0, 1])
         assert np_.is_symmetric()
         assert not NewtonPolygon.from_slope_list([0, 0, 1]).is_symmetric()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=4), max_size=8))
+    def test_dual_is_the_reflected_multiset(self, slopes):
+        # the definition: s -> 1 - s on every slope of the multiset
+        np_ = NewtonPolygon.from_slope_list(slopes)
+        dual = np_.dual()
+        expected = NewtonPolygon.from_slope_list([1 - s for s in np_.slope_multiset()])
+        assert dual == expected
+        assert [type(s) for s, _ in dual.slopes] == [type(s) for s, _ in expected.slopes]
+        assert np_.is_symmetric() == (sorted(slopes) == sorted(1 - s for s in slopes))
 
     def test_heights_and_comparison(self):
         newton = NewtonPolygon.from_slope_list([Fraction(1, 2), Fraction(1, 2)])

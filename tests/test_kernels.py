@@ -90,7 +90,7 @@ class TestLargerSizes:
             assert _backend.charpoly_int(rows) == charpoly_leverrier(rows)
 
     def test_rank_of_products(self):
-        from oracles import rank_gauss
+        from oracles import det_gauss, rank_gauss
 
         rng = random.Random(11)
         for _ in range(60):
@@ -104,6 +104,8 @@ class TestLargerSizes:
             r = _backend.rank_int(prod)
             assert r <= inner
             assert r == rank_gauss(prod)
+            if n == m:
+                assert _backend.det_int(prod) == det_gauss(prod)
 
     def test_rank_with_zero_columns(self):
         from oracles import rank_gauss
@@ -125,6 +127,51 @@ class TestLargerSizes:
             rows = random_matrix(rng, n, lo=-20, hi=20)
             det = _backend.det_int(rows)
             assert charpoly_leverrier(rows)[0] == (-1) ** n * det
+
+
+class TestBareiss:
+    """The one elimination pass, whose pivots det_int, rank_int and the
+    positive-definiteness test read: against leading minors computed one by
+    one by dividing Gaussian elimination over Fraction, the determinants
+    the Sylvester oracle of test_exact_linalg takes."""
+
+    def test_pivots_are_the_leading_minors_without_exchange(self):
+        from oracles import det_gauss
+
+        rng = random.Random(30)
+        exchanged = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            rows = random_matrix(rng, n, lo=-3, hi=3)
+            minors = [det_gauss([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+            pivots, swaps = _backend.bareiss(rows)
+            if all(minors):
+                assert (pivots, swaps) == (tuple(minors), 0)
+            else:
+                # a zero leading minor forces an exchange or a skipped column
+                assert swaps > 0 or len(pivots) < n
+                exchanged += 1
+        assert exchanged >= 30
+
+    def test_zero_columns_are_skipped(self):
+        # column 0 is zero: skipped; column 1 exchanges rows 0 and 1 and
+        # pivots on 2; the last pivot is the minor of rows (1, 0) and
+        # columns (1, 2), det [[2, 1], [0, 3]] = 6
+        assert _backend.bareiss([[0, 0, 3], [0, 2, 1]]) == ((2, 6), 1)
+        assert _backend.bareiss([[0, 1], [0, 2]]) == ((1,), 0)
+        assert _backend.bareiss([[0, 0], [0, 0]]) == ((), 0)
+        assert _backend.bareiss([]) == ((), 0)
+
+    def test_determinant_sign_follows_the_exchanges(self):
+        from oracles import det_gauss
+
+        assert _backend.bareiss([[0, 1], [1, 0]]) == ((1, 1), 1)
+        assert _backend.det_int([[0, 1], [1, 0]]) == -1
+        rng = random.Random(33)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            rows = random_matrix(rng, n, lo=-2, hi=2)
+            assert _backend.det_int(rows) == det_gauss(rows)
 
 
 class TestPureKernelProperties:
