@@ -111,13 +111,15 @@ def cmd_count(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    bounds = FuzzBounds(
-        max_vertices=args.max_vertices,
-        max_edges=args.max_edges,
-        max_genus=args.max_genus,
-        max_prime=args.max_prime,
-    )
     try:
+        if args.count < 0:
+            raise ValidationError(f"--count = {args.count}: must be at least 0")
+        bounds = FuzzBounds(
+            max_vertices=args.max_vertices,
+            max_edges=args.max_edges,
+            max_genus=args.max_genus,
+            max_prime=args.max_prime,
+        )
         bound = point_bound()
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

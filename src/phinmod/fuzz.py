@@ -11,19 +11,43 @@ import random
 from dataclasses import dataclass
 
 from .builders import CurveInstance
+from .errors import ValidationError
 from .exact_linalg import QMatrix
 from .graph_core import DualGraph
-from .weil_data import EllipticCurveSpec, frobenius_of_elliptic
+from .weil_data import MAX_WEIL_SIZE, EllipticCurveSpec, frobenius_of_elliptic
 
 FUZZ_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 @dataclass(frozen=True)
 class FuzzBounds:
+    """Bounds of the random instances; a bound that no instance can meet is
+    refused with a ValidationError naming the ``phinmod fuzz`` option."""
+
     max_vertices: int = 8
     max_edges: int = 14
     max_genus: int = 2
     max_prime: int = 50
+
+    def __post_init__(self):
+        if self.max_vertices < 1:
+            raise ValidationError(
+                f"--max-vertices = {self.max_vertices}: must be at least 1"
+            )
+        if self.max_edges < self.max_vertices - 1:
+            raise ValidationError(
+                f"--max-edges = {self.max_edges}: a spanning tree on --max-vertices = "
+                f"{self.max_vertices} vertices needs {self.max_vertices - 1}"
+            )
+        if not 0 <= self.max_genus <= MAX_WEIL_SIZE // 2:
+            raise ValidationError(
+                f"--max-genus = {self.max_genus}: must be in [0, {MAX_WEIL_SIZE // 2}], "
+                f"a component block has at most {MAX_WEIL_SIZE} rows"
+            )
+        if self.max_prime < FUZZ_PRIMES[0]:
+            raise ValidationError(
+                f"--max-prime = {self.max_prime}: the smallest fuzz prime is {FUZZ_PRIMES[0]}"
+            )
 
 
 def _random_elliptic(rng: random.Random, p: int) -> EllipticCurveSpec:

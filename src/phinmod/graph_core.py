@@ -6,7 +6,10 @@ edges are allowed.  The first homology of the graph carries an integral
 positive definite pairing (the monodromy pairing): the restriction of the
 coordinatewise edge inner product to the cycle space.  Its discriminant is
 the number of spanning trees (Bacher, de la Harpe and Nagnibeda 1997), which
-the matrix-tree theorem computes from the Laplacian alone.
+the matrix-tree theorem computes from the Laplacian alone.  One union-find
+spanning tree gives connectivity (|V| - 1 tree edges) and the fundamental
+cycles e + R(tail) - R(head), R(v) the signed tree path from the first
+vertex to v, as sparse supports; the Gram matrix is summed over them.
 """
 
 from dataclasses import dataclass
@@ -52,7 +55,7 @@ class DualGraph:
         for v in self.vertices:
             if v.genus < 0:
                 raise GraphError(f"vertex {v.id} has negative genus")
-        if not self._is_connected():
+        if len(_spanning_tree(self)) < len(self.vertices) - 1:
             raise GraphError("disconnected graph")
 
     @staticmethod
@@ -62,20 +65,6 @@ class DualGraph:
             tuple(Vertex(str(i), int(g)) for i, g in vertices),
             tuple(Edge(str(i), str(t), str(h)) for i, t, h in edges),
         )
-
-    def _is_connected(self) -> bool:
-        adj = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            adj[e.tail].add(e.head)
-            adj[e.head].add(e.tail)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
 
     def total_genus(self) -> int:
         return sum(v.genus for v in self.vertices)
@@ -104,7 +93,8 @@ class CycleBasis:
 
 
 def _spanning_tree(g: DualGraph) -> set:
-    """Edge ids of the spanning tree chosen by ascending edge id."""
+    """Edge ids of the spanning forest grown over edges in ascending id
+    order: |V| - 1 of them exactly when g is connected."""
     parent = {v.id: v.id for v in g.vertices}
 
     def find(x):
@@ -122,50 +112,50 @@ def _spanning_tree(g: DualGraph) -> set:
     return tree
 
 
-def cycle_basis(g: DualGraph) -> CycleBasis:
-    """One fundamental cycle per non-tree edge, deterministic.
-
-    The tree is grown over edges in ascending id order; cycles are listed in
-    ascending order of their defining non-tree edge.
-    """
-    tree_ids = _spanning_tree(g)
-    index = {e.id: k for k, e in enumerate(g.edges)}
+def _fundamental_cycles(g: DualGraph) -> list:
+    """{edge index: coefficient} per non-tree edge e, by ascending id of e:
+    e + R(tail) - R(head), R(v) the chain of parent steps from v up to the
+    first vertex.  Climbing the deeper end until the two meet skips the
+    shared prefix, which cancels, so the cycle does not depend on the root."""
+    tree = _spanning_tree(g)
     adj = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        if e.id in tree_ids:
-            adj[e.tail].append((e.head, e.id, 1))
-            adj[e.head].append((e.tail, e.id, -1))
-
-    def tree_path(src: str, dst: str) -> list:
-        """(edge id, sign) steps from src to dst inside the tree."""
-        prev = {src: None}
-        stack = [src]
-        while stack:
-            u = stack.pop()
-            if u == dst:
-                break
-            for w, eid, sgn in adj[u]:
-                if w not in prev:
-                    prev[w] = (u, eid, sgn)
-                    stack.append(w)
-        steps = []
-        u = dst
-        while prev[u] is not None:
-            u, eid, sgn = prev[u]
-            steps.append((eid, sgn))
-        steps.reverse()
-        return steps
-
+    for k, e in enumerate(g.edges):
+        if e.id in tree:
+            adj[e.tail].append((e.head, k, 1))
+            adj[e.head].append((e.tail, k, -1))
+    root = g.vertices[0].id
+    up, depth = {root: None}, {root: 0}  # up[v]: (parent, edge index, sign)
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        for w, k, sgn in adj[u]:
+            if w not in up:
+                up[w] = (u, k, sgn)
+                depth[w] = depth[u] + 1
+                stack.append(w)
     cycles = []
-    for e in sorted(g.edges, key=lambda e: e.id):
-        if e.id in tree_ids:
+    for k, e in sorted(enumerate(g.edges), key=lambda ke: ke[1].id):
+        if e.id in tree:
             continue
-        vec = [0] * len(g.edges)
-        vec[index[e.id]] = 1
-        for eid, sgn in tree_path(e.head, e.tail):
-            vec[index[eid]] += sgn
-        cycles.append(tuple(vec))
-    return CycleBasis(tuple(e.id for e in g.edges), tuple(cycles))
+        cycle = {k: 1}
+        a, b, side = e.tail, e.head, 1
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b, side = b, a, -side
+            a, j, sgn = up[a]
+            cycle[j] = side * sgn
+        cycles.append(cycle)
+    return cycles
+
+
+def cycle_basis(g: DualGraph) -> CycleBasis:
+    """The fundamental cycles of :func:`monodromy_gram` as dense edge
+    vectors, in ascending order of their defining non-tree edge."""
+    n = len(g.edges)
+    return CycleBasis(
+        tuple(e.id for e in g.edges),
+        tuple(tuple(c.get(k, 0) for k in range(n)) for c in _fundamental_cycles(g)),
+    )
 
 
 def edge_pairing(x: Sequence, y: Sequence):
@@ -180,11 +170,20 @@ def edge_pairing(x: Sequence, y: Sequence):
 
 
 def monodromy_gram(g: DualGraph) -> QMatrix:
-    """Gram matrix of the edge pairing on the fundamental cycle basis."""
-    basis = cycle_basis(g).cycles
-    return QMatrix.from_rows(
-        [[edge_pairing(a, b) for b in basis] for a in basis]
-    ) if basis else QMatrix(0, 0, ())
+    """Gram matrix of the edge pairing on the fundamental cycle basis: each
+    edge e adds c_i(e) c_j(e) to entry (i, j) for every two cycles through
+    it, so the work is the sum over edges of (cycles through e)^2."""
+    cycles = _fundamental_cycles(g)
+    through = {}  # edge index -> [(cycle, coefficient)]
+    for i, cycle in enumerate(cycles):
+        for k, c in cycle.items():
+            through.setdefault(k, []).append((i, c))
+    rows = [[0] * len(cycles) for _ in cycles]
+    for pairs in through.values():
+        for i, a in pairs:
+            for j, b in pairs:
+                rows[i][j] += a * b
+    return QMatrix.from_rows(rows) if cycles else QMatrix(0, 0, ())
 
 
 def spanning_tree_count(g: DualGraph) -> int:

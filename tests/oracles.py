@@ -5,9 +5,10 @@ a polynomial ring instead of Berkowitz, dividing Gaussian elimination over
 Fraction instead of fraction-free, an O(p^2) double loop and a character
 sum by Euler's criterion instead of baby-step giant-step point counting, a
 minimal-slope sweep instead of a monotone chain, spanning trees enumerated
-one by one instead of a Laplacian cofactor, one determinant per leading
-minor instead of a single Bareiss pass, and trial division instead of
-Miller-Rabin.  Slow and only used at tiny sizes.
+one by one instead of a Laplacian cofactor, one tree search per cycle and
+dense edge vectors instead of root paths and sparse supports, one
+determinant per leading minor instead of a single Bareiss pass, and trial
+division instead of Miller-Rabin.  Slow and only used at tiny sizes.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -231,6 +232,64 @@ def spanning_trees_brute(vertex_ids, edges):
             parent[a] = b
         count += acyclic
     return count
+
+
+def monodromy_gram_dense(g):
+    """(cycles, gram) of a DualGraph: the fundamental cycles of the spanning
+    tree grown over edges in ascending id order, as dense edge vectors found
+    by one tree search per non-tree edge, and their Gram matrix of
+    coordinatewise dot products.  The construction the package replaced by
+    root paths and sparse cycle supports."""
+    parent = {v.id: v.id for v in g.vertices}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    tree = set()
+    for e in sorted(g.edges, key=lambda e: e.id):
+        a, b = find(e.tail), find(e.head)
+        if a != b:
+            parent[a] = b
+            tree.add(e.id)
+    index = {e.id: k for k, e in enumerate(g.edges)}
+    adj = {v.id: [] for v in g.vertices}
+    for e in g.edges:
+        if e.id in tree:
+            adj[e.tail].append((e.head, e.id, 1))
+            adj[e.head].append((e.tail, e.id, -1))
+
+    def tree_path(src, dst):
+        """(edge id, sign) steps from src to dst inside the tree."""
+        prev = {src: None}
+        stack = [src]
+        while stack:
+            u = stack.pop()
+            if u == dst:
+                break
+            for w, eid, sgn in adj[u]:
+                if w not in prev:
+                    prev[w] = (u, eid, sgn)
+                    stack.append(w)
+        steps = []
+        u = dst
+        while prev[u] is not None:
+            u, eid, sgn = prev[u]
+            steps.append((eid, sgn))
+        return steps
+
+    cycles = []
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if e.id in tree:
+            continue
+        vec = [0] * len(g.edges)
+        vec[index[e.id]] = 1
+        for eid, sgn in tree_path(e.head, e.tail):
+            vec[index[eid]] += sgn
+        cycles.append(tuple(vec))
+    gram = [[sum(x * y for x, y in zip(a, b)) for b in cycles] for a in cycles]
+    return cycles, gram
 
 
 def det_gauss(rows):

@@ -335,6 +335,27 @@ class TestFuzzCommand:
             parsed = instance_from_json(json.loads(dump.read_text(encoding="utf-8")))
             assert instance_to_json(parsed) == instance_to_json(inst)
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--count", "-1"),
+            ("--max-vertices", "0"),
+            ("--max-prime", "2"),
+            ("--max-edges", "6"),  # below the default --max-vertices 8 minus 1
+            ("--max-genus", "-1"),
+            ("--max-genus", "40"),  # component blocks of up to 80 rows
+        ],
+    )
+    def test_bad_bound_exit_2(self, option, value, capsys):
+        argv = ["fuzz", "--seed", "1", option, value]
+        if option != "--count":
+            argv += ["--count", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option} = {value}:")
+        assert "Traceback" not in captured.err
+
     def test_seed_reproducibility(self):
         from phinmod.fuzz import instance_stream
 

@@ -1,9 +1,11 @@
+import json
 import random
+import time
 
 import pytest
 
 from phinmod.errors import GraphError
-from phinmod.exact_linalg import det, is_positive_definite, rank
+from phinmod.exact_linalg import QMatrix, det, is_positive_definite, rank
 from phinmod.graph_core import (
     DualGraph,
     betti_one,
@@ -13,8 +15,10 @@ from phinmod.graph_core import (
     spanning_tree_count,
 )
 from phinmod.fuzz import instance_stream
+from phinmod.io_formats import instance_from_json
 
-from oracles import spanning_trees_brute
+from conftest import INSTANCE_DIR
+from oracles import monodromy_gram_dense, spanning_trees_brute
 
 
 def graph(vertices, edges):
@@ -47,6 +51,14 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(GraphError):
             graph([], [])
+
+    def test_disconnected_with_enough_edges_rejected(self):
+        # E = 4 >= V - 1 = 3, but two components that each hold a cycle
+        with pytest.raises(GraphError, match="disconnected"):
+            graph(
+                [("v0", 0), ("v1", 0), ("v2", 0), ("v3", 0)],
+                [("e0", "v0", "v1"), ("e1", "v1", "v0"), ("e2", "v2", "v3"), ("e3", "v3", "v3")],
+            )
 
 
 class TestBettiOne:
@@ -182,3 +194,66 @@ class TestSpanningTreeCount:
             assert spanning_tree_count(g) == expected
             assert det(monodromy_gram(g)) == expected
         assert loops and parallels
+
+
+def random_multigraph(rng, nv, extra):
+    """A random spanning tree plus ``extra`` edges, loops and parallels
+    allowed, with unpadded edge ids (``e10`` sorts before ``e2``) stored in
+    shuffled order."""
+    vids = [f"v{i}" for i in range(nv)]
+    links = [(vids[rng.randrange(i)], vids[i]) for i in range(1, nv)]
+    links += [(rng.choice(vids), rng.choice(vids)) for _ in range(extra)]
+    edges = [(f"e{j}", *rng.sample(pair, 2)) for j, pair in enumerate(links)]
+    rng.shuffle(edges)
+    return graph([(v, rng.randint(0, 2)) for v in vids], edges)
+
+
+class TestSparseGramAgainstDense:
+    """Root-path cycles and the support-summed Gram matrix against one tree
+    search per cycle and dense dot products."""
+
+    def assert_matches_dense(self, g):
+        cycles, gram = monodromy_gram_dense(g)
+        assert list(cycle_basis(g).cycles) == cycles
+        assert monodromy_gram(g).to_rows() == gram
+
+    def test_instances(self):
+        graphs = 0
+        for path in sorted(INSTANCE_DIR.glob("*.json")):
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            if obj["kind"] == "curve":
+                self.assert_matches_dense(instance_from_json(obj).graph)
+                graphs += 1
+        assert graphs >= 3
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_fuzz_graphs(self, seed):
+        for inst in instance_stream(seed=seed, count=40):
+            self.assert_matches_dense(inst.graph)
+
+    def test_seeded_multigraphs(self):
+        rng = random.Random(2024)
+        loops = parallels = reordered = lexical = 0
+        for _ in range(200):
+            g = random_multigraph(rng, rng.randint(1, 9), rng.randint(0, 12))
+            pairs = [frozenset((e.tail, e.head)) for e in g.edges]
+            loops += any(len(pair) == 1 for pair in pairs)
+            parallels += len(set(pairs)) < len(pairs)
+            ids = [e.id for e in g.edges]
+            reordered += ids != sorted(ids)
+            lexical += "e10" in ids  # sorts before e2
+            self.assert_matches_dense(g)
+        assert loops and parallels and reordered and lexical
+
+    def test_b1_400_in_budget(self):
+        bouquet = graph([("v0", 0)], [(f"e{j}", "v0", "v0") for j in range(400)])
+        multigraph = random_multigraph(random.Random(5), 40, 400)
+        assert betti_one(bouquet) == betti_one(multigraph) == 400
+        grams = []
+        for g in (bouquet, multigraph):
+            t0 = time.perf_counter()
+            grams.append(monodromy_gram(g))
+            assert time.perf_counter() - t0 < 0.5
+        # each loop is its own cycle; the dense construction costs O(b1^2 E)
+        assert grams[0] == QMatrix.identity(400)
+        assert grams[1].to_rows() == monodromy_gram_dense(multigraph)[1]

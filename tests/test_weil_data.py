@@ -108,8 +108,8 @@ class TestValidateWeil:
 
     def test_q_eigenvalue_rejected(self):
         # diag(5, 1) + an honest elliptic block: det and functional equation
-        # pass, and q is an exact eigenvalue, excluded before the 4x4
-        # archimedean certificate runs
+        # pass, and q is an exact eigenvalue, of absolute value q > sqrt(q),
+        # so the 4x4 archimedean certificate refuses it
         m = QMatrix.block_diag(
             [
                 QMatrix.from_rows([[5, 0], [0, 1]]),
@@ -292,7 +292,8 @@ class TestArchimedeanCertificate:
                             assert w.charpoly == tuple(chi)
                         else:
                             # above 2x2, a = q + 1 (1 and q among the
-                            # eigenvalues) is refused before the certificate
+                            # eigenvalues) is refused by the certificate,
+                            # whose message names "not every eigenvalue"
                             eigen = g > 1 and q + 1 in traces
                             reason = "eigenvalue" if eigen else "archimedean"
                             with pytest.raises(WeilValidationError, match=reason):
