@@ -2,8 +2,12 @@
 
 Scalars are arbitrary-precision: plain ``int`` where the denominator is 1,
 ``fractions.Fraction`` otherwise (both are kept in lowest terms with a
-positive denominator, and they compare and hash interchangeably).  No
-floating point enters this module.
+positive denominator, and they compare and hash interchangeably).  An
+integer is never held or built as a ``Fraction``: :func:`parse_rational`
+reads ``"a"`` straight to ``int``, :func:`as_rational` passes ``int`` through
+untouched and collapses a denominator-1 ``Fraction`` to its numerator, and
+matrix constructors coerce only entries that are not ``int``.  No floating
+point enters this module.
 
 Matrix kernels run on the integer level via :mod:`phinmod._backend`;
 rational input is cleared of denominators first and the results are
@@ -27,11 +31,17 @@ INFINITY = math.inf
 
 
 def as_rational(x) -> Rational:
-    """Coerce to an exact scalar, collapsing denominator-1 fractions to int."""
+    """Coerce to an exact scalar, collapsing denominator-1 fractions to int.
+
+    An ``int`` is returned unchanged and a ``Fraction``, already in lowest
+    terms, as it is or as its numerator; only other types are converted by
+    ``Fraction(x)``.  No ``Fraction`` is built for an integer.
+    """
     if isinstance(x, int):
         return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def rational_str(x: Rational) -> str:
@@ -43,8 +53,17 @@ def rational_str(x: Rational) -> str:
 
 
 def parse_rational(s: str) -> Rational:
-    """Inverse of :func:`rational_str`; exact round-trip."""
-    return as_rational(Fraction(s))
+    """Inverse of :func:`rational_str`: ``"a"`` or ``"a/b"`` in decimal.
+
+    ``"a"`` is read straight to ``int``; ``"a/b"`` becomes a ``Fraction``,
+    or an ``int`` when b divides a, and b = 0 raises ZeroDivisionError.
+    Input from outside the program must be gated first (``io_formats`` does,
+    with a digit cap): ``int`` also takes surrounding whitespace and ``_``.
+    """
+    num, slash, den = s.partition("/")
+    if not slash:
+        return int(num)
+    return as_rational(Fraction(int(num), int(den)))
 
 
 # (base, bound): Miller-Rabin to every prime base up to and including
@@ -124,7 +143,9 @@ class QMatrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return QMatrix(nr, nc, tuple(as_rational(x) for r in rows for x in r))
+        return QMatrix(nr, nc, tuple(
+            x if type(x) is int else as_rational(x) for r in rows for x in r
+        ))
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -141,18 +162,20 @@ class QMatrix:
 
     @staticmethod
     def block_diag(blocks: Iterable["QMatrix"]) -> "QMatrix":
+        """Direct sum: each block's rows, padded with zeros on both sides.
+        The entries of a QMatrix are exact already, so none is coerced."""
         blocks = list(blocks)
         nr = sum(b.rows for b in blocks)
         nc = sum(b.cols for b in blocks)
-        out = [[0] * nc for _ in range(nr)]
-        r0 = c0 = 0
+        entries = []
+        c0 = 0
         for b in blocks:
+            left, right = (0,) * c0, (0,) * (nc - c0 - b.cols)
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b[i, j]
-            r0 += b.rows
+                entries.extend(left + b.row(i) + right)
             c0 += b.cols
-        return QMatrix.from_rows(out) if nr else QMatrix(0, 0, ())
+        # as from_rows, a matrix without rows has no columns either
+        return QMatrix(nr, nc if nr else 0, tuple(entries))
 
     def __getitem__(self, ij) -> Rational:
         i, j = ij
@@ -174,8 +197,9 @@ class QMatrix:
         return all(x == 0 for x in self.entries)
 
     def is_symmetric(self) -> bool:
+        n, e = self.rows, self.entries
         return self.is_square and all(
-            self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
+            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i)
         )
 
     def is_integral(self) -> bool:

@@ -40,8 +40,11 @@ FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
 
 # A matrix entry is a decimal integer or "a/b".  Fraction alone would also
-# take exponents and build the value of "1e999999999".
+# take exponents and build the value of "1e999999999"; int alone would take
+# "1_000", surrounding whitespace and non-ASCII digits.
 _ENTRY = re.compile(r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_ENTRY_DIGITS, MAX_ENTRY_DIGITS))
+# An integer field given as a string, such as p, f or a genus.
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _get(obj: Mapping, field: str, context: str):
@@ -68,9 +71,11 @@ def _as_int(value, context: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
-        except ValueError:
-            raise SchemaError(f"field '{context}' is not an integer: {value!r}") from None
+            if _INT.fullmatch(value):
+                return int(value)
+        except ValueError:  # beyond Python's int/str digit limit
+            pass
+        raise SchemaError(f"field '{context}' is not an integer: {value!r}")
     raise SchemaError(f"field '{context}' must be an integer string")
 
 

@@ -129,10 +129,12 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         raise ValidationError("gram must be square")
     if not gram.is_integral():
         raise ValidationError("gram entries must be integers")
-    if not gram.is_symmetric():
-        raise ValidationError("gram not symmetric")
+    # is_positive_definite tests symmetry first; the message is chosen on
+    # failure, so a valid request makes one symmetry pass
     if gram.rows > 0 and not is_positive_definite(gram):
-        raise ValidationError("gram not positive definite")
+        raise ValidationError(
+            "gram not positive definite" if gram.is_symmetric() else "gram not symmetric"
+        )
     return PhiNModule(
         p=p,
         f=f,

@@ -360,11 +360,20 @@ def dense_from_blocks(p, f, phi0, phi1, phi2, n02, fil1_dim, gram):
     w0 = w2 = n02.rows
     w1 = phi1.rows
     d = w0 + w1 + w2
-    phi = QMatrix.block_diag([QMatrix.scalar(w0, phi0), phi1, QMatrix.scalar(w2, phi2)])
+    # plain nested lists, sharing no code with QMatrix.block_diag
+    phi_rows = [[0] * d for _ in range(d)]
+    for k in range(w0):
+        phi_rows[k][k] = phi0
+    for i in range(w1):
+        for j in range(w1):
+            phi_rows[w0 + i][w0 + j] = phi1[i, j]
+    for k in range(w0 + w1, d):
+        phi_rows[k][k] = phi2
     rows = [[0] * d for _ in range(d)]
     for i in range(w0):
         for j in range(w2):
             rows[i][w0 + w1 + j] = n02[i, j]
+    phi = QMatrix.from_rows(phi_rows) if d else QMatrix(0, 0, ())
     n = QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
     return DenseModule(p, f, (w0, w1, w2), phi, n, fil1_dim, gram)
 

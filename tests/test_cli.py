@@ -183,6 +183,45 @@ class TestInputCaps:
             validate_weil([], 5, 7000)
 
 
+def _elliptic_curve(p="5", f="1", genus="1", a4="1", a6="1") -> dict:
+    return {
+        "kind": "curve", "p": p, "f": f,
+        "graph": {"vertices": [{"id": "v0", "genus": genus}], "edges": []},
+        "components": {"v0": {"type": "elliptic", "a4": a4, "a6": a6}},
+    }
+
+
+class TestIntegerFields:
+    """String integer fields take ASCII decimal digits only; ``int`` alone
+    would also read underscores, surrounding whitespace and other scripts'
+    digits."""
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            (_elliptic_curve(p="1_000_003"), "'p'"),
+            (_elliptic_curve(p=" 1000003 "), "'p'"),
+            (_elliptic_curve(p="\u0661\u0660\u0660\u0660\u0660\u0660\u0663"), "'p'"),
+            (_elliptic_curve(f="1_0"), "'f'"),
+            (_elliptic_curve(genus=" 1"), "'graph.vertices[0].genus'"),
+            (_elliptic_curve(a4="\u0661"), "'components.v0.a4'"),
+            (_elliptic_curve(a6="1\n"), "'components.v0.a6'"),
+            ({"kind": "av", "p": "5", "f": "1", "torus_rank": "1_0",
+              "gram": [["1"]], "b_frobenius": []}, "'torus_rank'"),
+        ],
+    )
+    def test_exit_2_naming_field(self, tmp_path, capsys, obj, field):
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field}" in err and "Traceback" not in err
+
+    def test_json_integers_and_signs_accepted(self, tmp_path, capsys):
+        obj = {"kind": "av", "p": 5, "f": 1, "torus_rank": 1,
+               "gram": [["1"]], "b_frobenius": []}
+        assert main(["build", write_instance(tmp_path, obj)]) == 0
+        assert main(["build", write_instance(tmp_path, _elliptic_curve(p="+7", a4="-3"))]) == 0
+
+
 class TestGraphShape:
     @pytest.mark.parametrize(
         "graph, field",

@@ -3,16 +3,17 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import phinmod.exact_linalg
-from phinmod.errors import ValidationError
+from phinmod.errors import SchemaError, ValidationError
 from phinmod.exact_linalg import (
     INFINITY,
     PRIME_BOUND,
     NewtonPolygon,
     QMatrix,
+    as_rational,
     char_poly,
     det,
     is_positive_definite,
@@ -23,6 +24,8 @@ from phinmod.exact_linalg import (
     rational_str,
     parse_rational,
 )
+from phinmod.io_formats import matrix_from_strings
+from phinmod.weil_data import MAX_ENTRY_DIGITS
 
 from oracles import (
     charpoly_cofactor,
@@ -281,6 +284,86 @@ class TestQMatrix:
     def test_entry_normalization(self):
         m = QMatrix.from_rows([[Fraction(4, 2)]])
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
+
+    def test_fraction_sum_collapses_to_int(self):
+        x = as_rational(Fraction(1, 2) + Fraction(1, 2))
+        assert type(x) is int and x == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.just([]),
+        square_matrices(4),
+        st.integers(1, 3).flatmap(lambda n: st.lists(
+            st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+    ), max_size=4))
+    def test_block_diag_matches_per_entry(self, blocks):
+        mats = [QMatrix.from_rows(b) if b else QMatrix(0, 0, ()) for b in blocks]
+        d = sum(len(b) for b in blocks)
+        rows = [[0] * d for _ in range(d)]
+        r0 = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, x in enumerate(row):
+                    rows[r0 + i][r0 + j] = x
+            r0 += len(b)
+        expected = QMatrix.from_rows(rows) if d else QMatrix(0, 0, ())
+        got = QMatrix.block_diag(mats)
+        assert got == expected
+        assert [type(x) for x in got.entries] == [type(x) for x in expected.entries]
+
+
+def _fraction_parse(s: str):
+    """An entry read by ``Fraction(s)`` and collapsed to ``int`` at
+    denominator 1: the reference for the integer lane."""
+    f = Fraction(s)
+    return f.numerator if f.denominator == 1 else f
+
+
+_digits = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.integers(1, MAX_ENTRY_DIGITS).flatmap(
+        lambda k: st.integers(10 ** (k - 1), 10 ** k - 1).map(str)),
+)
+_numerators = st.builds(lambda sign, a: sign + a, st.sampled_from(["", "+", "-"]), _digits)
+_entries = st.one_of(
+    _numerators,
+    st.builds(lambda a, b: f"{a}/{b}", _numerators, _digits.filter(lambda b: int(b) != 0)),
+    # a common factor that a/b must cancel
+    st.builds(lambda a, b, c: f"{a * c}/{b * c}",
+              st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6), st.integers(1, 10 ** 6)),
+)
+
+
+class TestEntryParsing:
+    """Matrix entries read on the integer lane: a decimal integer becomes an
+    ``int`` without a ``Fraction`` being built, and ``a/b`` a ``Fraction``
+    only when b does not divide a."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_entries, min_size=1, max_size=4))
+    @example(["4/2", "0/7", "-0", "+0", "007", "-0010/0004", "9" * MAX_ENTRY_DIGITS])
+    def test_values_and_types_match_fraction(self, row):
+        got = matrix_from_strings([row], "m").entries
+        expected = [_fraction_parse(s) for s in row]
+        assert list(got) == expected
+        assert [type(x) for x in got] == [type(x) for x in expected]
+
+    @pytest.mark.parametrize("entry", ["1_000", " 7", "7\n", "\u0663", "1/0"])
+    def test_refused_naming_field(self, entry):
+        with pytest.raises(SchemaError, match="field 'gram' has a bad entry"):
+            matrix_from_strings([["1", entry]], "gram")
+
+    def test_integer_matrix_builds_no_fraction(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Fraction built")
+
+        rows = [[str((i * 10 + j) * (-1) ** j * 10 ** 30) for j in range(10)] for i in range(10)]
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        with pytest.raises(AssertionError):
+            Fraction(1, 2)
+        m = matrix_from_strings(rows, "m")
+        monkeypatch.undo()
+        assert m.to_rows() == [[int(x) for x in r] for r in rows]
 
 
 @st.composite

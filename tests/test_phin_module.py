@@ -73,6 +73,17 @@ class TestAssemble:
         with pytest.raises(ValidationError, match="symmetric"):
             assemble(5, 1, QMatrix.from_rows([[1, 1], [0, 1]]), EMPTY_WEIL_5)
 
+    def test_one_symmetry_pass_per_request(self, monkeypatch):
+        passes = []
+        is_symmetric = QMatrix.is_symmetric
+        monkeypatch.setattr(QMatrix, "is_symmetric", lambda m: passes.append(m) or is_symmetric(m))
+        assemble(5, 1, QMatrix.from_rows([[2, 1], [1, 2]]), EMPTY_WEIL_5)
+        assert len(passes) == 1
+        with pytest.raises(ValidationError, match="^gram not symmetric$"):
+            assemble(5, 1, QMatrix.from_rows([[2, 1], [0, 2]]), EMPTY_WEIL_5)
+        with pytest.raises(ValidationError, match="^gram not positive definite$"):
+            assemble(5, 1, QMatrix.from_rows([[1, 2], [2, 1]]), EMPTY_WEIL_5)
+
     def test_gram_not_integral_rejected(self):
         with pytest.raises(ValidationError, match="integer"):
             assemble(5, 1, QMatrix.from_rows([[Fraction(1, 2)]]), EMPTY_WEIL_5)
