@@ -29,6 +29,7 @@ from .builders import (
 from .errors import ValidationError
 from .fuzz import FuzzBounds, instance_stream
 from .io_formats import (
+    INT_TEXT,
     build_report,
     dump_json,
     failed_checks,
@@ -48,12 +49,13 @@ def point_bound() -> int:
     raw = os.environ.get("PHINMOD_POINT_BOUND")
     if raw is None:
         return DEFAULT_POINT_BOUND
+    # ASCII digits only, as for the integer fields of an instance file
     try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"PHINMOD_POINT_BOUND is not an integer: {raw!r}"
-        ) from None
+        if INT_TEXT.fullmatch(raw):
+            return int(raw)
+    except ValueError:  # beyond Python's int/str digit limit
+        pass
+    raise ValidationError(f"PHINMOD_POINT_BOUND is not an integer: {raw!r}")
 
 
 def run_checks(inst, bound: int) -> dict:
@@ -121,6 +123,8 @@ def cmd_fuzz(args) -> int:
             max_prime=args.max_prime,
         )
         bound = point_bound()
+        if not os.path.isdir(args.out_dir):
+            raise ValidationError(f"--out-dir = {args.out_dir}: not a directory")
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -133,8 +137,12 @@ def cmd_fuzz(args) -> int:
         else:
             failed += 1
             dump_path = os.path.join(args.out_dir, f"fuzz_failure_{idx:04d}.json")
-            with open(dump_path, "w", encoding="utf-8") as fh:
-                fh.write(dump_json(instance_to_json(inst)))
+            try:
+                with open(dump_path, "w", encoding="utf-8") as fh:
+                    fh.write(dump_json(instance_to_json(inst)))
+            except OSError as exc:
+                print(f"error: cannot write {dump_path} in --out-dir: {exc}", file=sys.stderr)
+                return EXIT_BAD_INPUT
             print(
                 f"seed {args.seed} instance {idx} failed {', '.join(failures)}; "
                 f"dumped to {dump_path}",

@@ -398,10 +398,30 @@ class NewtonPolygon:
         return self == self.dual()
 
     def lies_on_or_above(self, other: "NewtonPolygon") -> bool:
-        """Pointwise >= comparison of polygon heights (same dimension)."""
+        """Pointwise >= comparison of polygon heights (same dimension).
+
+        Between consecutive breakpoints of either polygon the difference of
+        the two heights is linear, so it is nonnegative everywhere when it
+        is at each breakpoint.  The walk visits only the union of the
+        breakpoints, not the d + 1 integer heights of :meth:`heights`.
+        """
         if self.dimension != other.dimension:
             raise ValueError("polygons have different dimensions")
-        return all(a >= b for a, b in zip(self.heights(), other.heights()))
+        a, b = iter(self.slopes), iter(other.slopes)
+        (sa, ma), (sb, mb) = next(a, (0, 0)), next(b, (0, 0))
+        diff = 0  # height of self minus height of other at the breakpoint
+        while ma:  # equal dimensions: mb runs out together with ma
+            step = min(ma, mb)
+            diff += (sa - sb) * step
+            if diff < 0:
+                return False
+            ma -= step
+            mb -= step
+            if not ma:
+                sa, ma = next(a, (0, 0))
+            if not mb:
+                sb, mb = next(b, (0, 0))
+        return True
 
 
 def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
@@ -436,9 +456,9 @@ def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        seg = as_rational(Fraction(y1 - y2, x2 - x1))  # negated hull slope
-        slopes.extend([seg] * (x2 - x1))
-    slopes.sort()
-    return NewtonPolygon.from_slope_list(slopes)
+    # The negated hull slopes fall from left to right and no two are equal,
+    # so the segments read right to left are the pairs in increasing order.
+    return NewtonPolygon(tuple(
+        (as_rational(Fraction(y1 - y2, x2 - x1)), x2 - x1)
+        for (x1, y1), (x2, y2) in reversed(list(zip(hull, hull[1:])))
+    ))

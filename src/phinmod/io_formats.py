@@ -10,9 +10,13 @@ runs byte-identical.  :func:`dump_json` writes exactly the bytes of
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, for ``str`` keys
 only, without running the pure-Python encoder that ``indent`` selects: a
 small recursive writer quotes each string with the C
-``encode_basestring_ascii`` and writes a list of strings, such as a row of
-the dense ``phi``, with C joins, checking first whether any item needs
-escaping.  ``tests/test_report_writer.py`` guards the equality.
+``encode_basestring_ascii``.  A matrix, a list whose items are all
+non-empty lists or tuples of strings such as the dense ``phi``, is written
+whole: one escape check over all its entries, one join per row and one
+outer join.  A list of strings is written the same way with one join, and
+a string value in a dict is quoted inline.  Any other shape, or a matrix
+with an entry that needs escaping, falls back to one recursive call per
+item.  ``tests/test_report_writer.py`` guards the equality.
 """
 
 import json
@@ -43,8 +47,9 @@ REPORT_NAME = "phinmod-report-v1"
 # take exponents and build the value of "1e999999999"; int alone would take
 # "1_000", surrounding whitespace and non-ASCII digits.
 _ENTRY = re.compile(r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_ENTRY_DIGITS, MAX_ENTRY_DIGITS))
-# An integer field given as a string, such as p, f or a genus.
-_INT = re.compile(r"[+-]?[0-9]+")
+# An integer field given as a string, such as p, f or a genus, and the
+# PHINMOD_POINT_BOUND setting.
+INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
 def _get(obj: Mapping, field: str, context: str):
@@ -71,7 +76,7 @@ def _as_int(value, context: str) -> int:
         return value
     if isinstance(value, str):
         try:
-            if _INT.fullmatch(value):
+            if INT_TEXT.fullmatch(value):
                 return int(value)
         except ValueError:  # beyond Python's int/str digit limit
             pass
@@ -80,8 +85,9 @@ def _as_int(value, context: str) -> int:
 
 
 def matrix_to_strings(m: QMatrix) -> list:
-    # plain ints, nearly every entry, skip rational_str's two calls
-    s = [str(x) if type(x) is int else rational_str(x) for x in m.entries]
+    # str() of an int or of a lowest-terms Fraction is rational_str's text;
+    # zero, most entries of a report matrix, is not sent through str()
+    s = [str(x) if x else "0" for x in m.entries]
     c = m.cols
     return [s[i * c:(i + 1) * c] for i in range(m.rows)]
 
@@ -262,18 +268,22 @@ def _phi_strings(m: PhiNModule) -> list:
     """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), written from the
     blocks."""
     w0, w1, w2 = m.dims
-    d = m.dimension
+    zero = ["0"] * m.dimension
 
-    def scalar_row(k: int, c) -> list:
-        row = ["0"] * d
-        row[k] = rational_str(c)
-        return row
+    def scalar_rows(start: int, count: int, c) -> list:
+        text = rational_str(c)
+        rows = []
+        for k in range(start, start + count):
+            row = zero[:]
+            row[k] = text
+            rows.append(row)
+        return rows
 
-    left, right = ["0"] * w0, ["0"] * w2
+    left, right = zero[:w0], zero[:w2]
     return (
-        [scalar_row(k, m.phi0) for k in range(w0)]
+        scalar_rows(0, w0, m.phi0)
         + [left + row + right for row in matrix_to_strings(m.phi1)]
-        + [scalar_row(w0 + w1 + k, m.phi2) for k in range(w2)]
+        + scalar_rows(w0 + w1, w2, m.phi2)
     )
 
 
@@ -281,9 +291,10 @@ def _n_strings(m: PhiNModule) -> list:
     """Dense N: n02 in the weight-0 rows and weight-2 columns, zero
     elsewhere."""
     w0, w1, w2 = m.dims
-    pad = ["0"] * (w0 + w1)
+    zero = ["0"] * m.dimension
+    pad = zero[:w0 + w1]
     return [pad + row for row in matrix_to_strings(m.n02)] + [
-        ["0"] * m.dimension for _ in range(w1 + w2)
+        zero[:] for _ in range(w1 + w2)
     ]
 
 
@@ -384,13 +395,29 @@ def _write(obj: Any, indent: str) -> str:
         if not obj:
             return "{}"
         inner = indent + "  "
-        return "{" + inner + ("," + inner).join(
-            [_encode_str(k) + ": " + _write(v, inner) for k, v in sorted(obj.items())]
-        ) + indent + "}"
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + (_encode_str(v) if isinstance(v, str) else _write(v, inner))
+            for k, v in sorted(obj.items())
+        ]) + indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = indent + "  "
+        # A matrix: non-empty rows of strings, none of which needs escaping.
+        # "".join would also take a str or a dict as a row, so each row's
+        # type is checked; any other list takes the general path below.
+        if all(isinstance(r, (list, tuple)) and r for r in obj):
+            try:
+                text = "".join(["".join(r) for r in obj])
+            except TypeError:  # an entry is not a string
+                pass
+            else:
+                if len(_encode_str(text)) == len(text) + 2:
+                    row_inner = inner + "  "
+                    head, sep, tail = "[" + row_inner + '"', '",' + row_inner + '"', '"' + inner + "]"
+                    return "[" + inner + ("," + inner).join(
+                        [head + sep.join(r) + tail for r in obj]
+                    ) + indent + "]"
         try:
             text = "".join(obj)
         except TypeError:  # not all strings
@@ -412,7 +439,7 @@ def dump_json(obj: Any) -> str:
 
     Dictionary keys must be ``str``.  With ``indent``, ``json.dumps`` runs
     its pure-Python encoder over every string of the dense report matrices;
-    this writer quotes a list of strings with a few C joins instead.
+    this writer writes a whole matrix of strings with a few C joins instead.
     ``tests/test_report_writer.py`` checks the equality.
     """
     return _write(obj, "\n") + "\n"

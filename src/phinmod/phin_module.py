@@ -216,25 +216,32 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
 
     The characteristic polynomial of phi is the product of those of its
     diagonal blocks, so its slopes are the union of the blocks' slopes: the
-    Newton polygon of phi1_charpoly, and v_p(c) with multiplicity w for a
-    scalar block c * I_w.  Only the diagonal blocks are read.
+    (slope, multiplicity) pairs of phi1_charpoly's Newton polygon, and
+    v_p(c) with multiplicity w for a scalar block c * I_w.  Only the
+    diagonal blocks are read, and no slope list of length d is built: the
+    Hodge polygon is at most the two pairs (0, d - fil1) and (1, fil1), and
+    :meth:`NewtonPolygon.lies_on_or_above` compares heights only at the
+    breakpoints, since the difference of two polygons is linear between
+    them.
     """
     w0, _, w2 = m.dims
     d = m.dimension
     # newton_polygon checks that p is prime and rejects a singular phi1 (zero
     # constant term); a zero scalar block is rejected the same way, so det(phi)
     # is nonzero when its valuation is taken.
-    slopes = newton_polygon(m.phi1_charpoly, m.p).slope_multiset()
+    mult = dict(newton_polygon(m.phi1_charpoly, m.p).slopes)
     for c, w in ((m.phi0, w0), (m.phi2, w2)):
         if w:
             if c == 0:
                 raise ValueError("zero constant term: 0 is an eigenvalue")
-            slopes += [_valuation(c, m.p)] * w
-    newton = NewtonPolygon.from_slope_list(slopes).scaled(Fraction(1, m.f))
+            v = _valuation(c, m.p)
+            mult[v] = mult.get(v, 0) + w
+    newton = NewtonPolygon(tuple(sorted(mult.items()))).scaled(Fraction(1, m.f))
     t_newton = as_rational(Fraction(_valuation(_det_phi(m), m.p), m.f)) if d else 0
     t_hodge = m.fil1_dim
-    hodge_slopes = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
-    hodge = NewtonPolygon.from_slope_list(hodge_slopes)
+    hodge = NewtonPolygon(tuple(
+        (s, k) for s, k in ((0, d - m.fil1_dim), (1, m.fil1_dim)) if k > 0
+    ))
     return PolygonReport(
         t_newton=t_newton,
         t_hodge=t_hodge,

@@ -13,12 +13,15 @@ division instead of Miller-Rabin.  Slow and only used at tiny sizes.
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
 the identities checked by full-size products, a Berkowitz characteristic
-polynomial of phi, and det and rank of the full matrices.
+polynomial of phi, and det and rank of the full matrices.  Its polygons come
+from the minimal-slope sweep of that polynomial, and "Newton on or above
+Hodge" compares the partial sums of the two slope multisets at every
+integer point, not at the breakpoints alone.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from phinmod.exact_linalg import (
     NewtonPolygon,
@@ -26,7 +29,6 @@ from phinmod.exact_linalg import (
     as_rational,
     char_poly,
     det,
-    newton_polygon,
     padic_valuation,
     rank,
 )
@@ -401,20 +403,40 @@ def dense_relations(m):
     )
 
 
+def _partial_sums(slopes):
+    out = [Fraction(0)]
+    for s in slopes:
+        out.append(out[-1] + s)
+    return out
+
+
+def _merged(slopes):
+    """(slope, multiplicity) pairs of an ascending slope list."""
+    return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(slopes)))
+
+
 def dense_hodge_newton(m):
-    """Newton polygon of the characteristic polynomial of the full phi
-    against the Hodge polygon."""
+    """Slopes of the characteristic polynomial of the full phi, by the
+    minimal-slope sweep, against the Hodge slopes; "on or above" compares
+    the partial sums of the two slope multisets at every integer point."""
     d = m.dimension
-    newton = newton_polygon(char_poly(m.phi), m.p).scaled(Fraction(1, m.f))
+    coeffs = char_poly(m.phi)
+    if d and coeffs[0] == 0:
+        raise ValueError("zero constant term: 0 is an eigenvalue")
+    newton = [as_rational(Fraction(s) / m.f) for s in newton_slopes_sweep(coeffs, m.p)]
+    hodge = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
+    if len(hodge) != d:
+        raise ValueError("polygons have different dimensions")
     t_newton = as_rational(Fraction(padic_valuation(det(m.phi), m.p), m.f)) if d else 0
-    hodge = NewtonPolygon.from_slope_list([0] * (d - m.fil1_dim) + [1] * m.fil1_dim)
     return PolygonReport(
         t_newton=t_newton,
         t_hodge=m.fil1_dim,
-        newton=newton,
-        hodge=hodge,
+        newton=_merged(newton),
+        hodge=_merged(hodge),
         endpoints_equal=(t_newton == m.fil1_dim),
-        newton_on_or_above_hodge=newton.lies_on_or_above(hodge),
+        newton_on_or_above_hodge=all(
+            a >= b for a, b in zip(_partial_sums(newton), _partial_sums(hodge))
+        ),
     )
 
 

@@ -215,6 +215,19 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert f"field {field}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw", ["1_0000", " 20000 ", "\u0661\u0660\u0660\u0660\u0660"])
+    def test_point_bound_setting_exit_2(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("PHINMOD_POINT_BOUND", raw)
+        assert main(["build", str(INSTANCE_DIR / "tate.json")]) == 2
+        err = capsys.readouterr().err
+        assert "PHINMOD_POINT_BOUND" in err and "Traceback" not in err
+        assert main(["count", "5", "1", "0"]) == 2
+        assert "PHINMOD_POINT_BOUND" in capsys.readouterr().err
+
+    def test_point_bound_setting_digits_accepted(self, monkeypatch, capsys):
+        monkeypatch.setenv("PHINMOD_POINT_BOUND", "20000")
+        assert main(["count", "5", "1", "0"]) == 0
+
     def test_json_integers_and_signs_accepted(self, tmp_path, capsys):
         obj = {"kind": "av", "p": 5, "f": 1, "torus_rank": 1,
                "gram": [["1"]], "b_frobenius": []}
@@ -373,6 +386,25 @@ class TestFuzzCommand:
             assert str(dump) in err[idx]
             parsed = instance_from_json(json.loads(dump.read_text(encoding="utf-8")))
             assert instance_to_json(parsed) == instance_to_json(inst)
+
+    def _fail_every_instance(self, monkeypatch):
+        monkeypatch.setattr("phinmod.cli.failed_checks", lambda report: ["relations.n_squared_zero"])
+
+    def test_missing_out_dir_exit_2(self, tmp_path, capsys, monkeypatch):
+        self._fail_every_instance(monkeypatch)
+        missing = str(tmp_path / "missing")
+        assert main(["fuzz", "--seed", "4", "--count", "2", "--out-dir", missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out-dir = {missing}:")
+        assert "Traceback" not in captured.err
+
+    def test_unwritable_dump_exit_2(self, tmp_path, capsys, monkeypatch):
+        self._fail_every_instance(monkeypatch)
+        (tmp_path / "fuzz_failure_0000.json").mkdir()  # open() for writing fails
+        assert main(["fuzz", "--seed", "4", "--count", "2", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "option, value",

@@ -196,6 +196,9 @@ class TestPadicValuation:
             padic_valuation(10, 6)
 
 
+SLOPES = st.integers(-3, 6) | st.fractions(min_value=-2, max_value=3, max_denominator=4)
+
+
 class TestNewtonPolygon:
     def test_ordinary_quadratic(self):
         # roots 1 and 5
@@ -248,6 +251,34 @@ class TestNewtonPolygon:
         assert newton.heights() == [0, Fraction(1, 2), 1]
         assert newton.lies_on_or_above(hodge)
         assert not hodge.lies_on_or_above(newton)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda n: st.tuples(*[st.lists(SLOPES, min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_comparison_matches_heights(self, pair):
+        a, b = (NewtonPolygon.from_slope_list(x) for x in pair)
+        for x, y in ((a, b), (b, a), (a, a)):
+            pointwise = all(h >= k for h, k in zip(x.heights(), y.heights()))
+            assert x.lies_on_or_above(y) == pointwise
+
+    def test_comparison_needs_equal_dimensions(self):
+        with pytest.raises(ValueError):
+            NewtonPolygon.from_slope_list([0, 1]).lies_on_or_above(NewtonPolygon.from_slope_list([0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    def test_pairs_strictly_increasing(self, p, data):
+        # coefficients of assorted p-adic valuations, constant term nonzero
+        coeff = st.builds(lambda u, k: u * p ** k, st.integers(-50, 50), st.integers(0, 6))
+        middle = data.draw(st.lists(coeff, max_size=8))
+        np_ = newton_polygon([data.draw(coeff.filter(bool))] + middle + [1], p)
+        slopes = [s for s, _ in np_.slopes]
+        assert all(a < b for a, b in zip(slopes, slopes[1:]))
+        assert all(m > 0 for _, m in np_.slopes)
+        assert np_.dimension == len(middle) + 1
 
     @settings(max_examples=60, deadline=None)
     @given(square_matrices(4), st.sampled_from([2, 3, 5, 7]))

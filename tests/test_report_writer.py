@@ -64,6 +64,16 @@ ADVERSARIAL_STRINGS = (
         ["a", "b", "\x1f"],
         ["0", 1, "2"],  # strings mixed with other scalars
         [["0", "1"], ["2", "3\n"]],
+        # shapes next to the matrix path: a row that is a string, a dict or
+        # empty, tuple rows, an entry that needs escaping, ragged rows, and
+        # a row whose entry is a list
+        [["a"], "bc"],
+        [["a"], {"b": "c"}],
+        [["a"], []],
+        [("a",), ["b"]],
+        [["a"], ["\""]],
+        [["a", "b", "c"], ["d"], ["e", "f"]],
+        [[["a"]]],
         ("t", ("u", "v")),  # tuples are written as lists
         [None, True, False, 0, -12345678901234567890, 1.5, -0.0, 1e300],
         "\x00\"\\\U0010ffff",
@@ -86,12 +96,18 @@ json_text = st.text(
     st.characters(codec=None, exclude_categories=())
     | st.sampled_from("".join(ADVERSARIAL_STRINGS))
 )
+# Lists of lists of strings, the shape of the report matrices; rows may be
+# empty, ragged or tuples.  Entries are often plain decimal text, so that
+# many matrices need no escaping and take the whole-matrix path.
+matrix_entry = st.text("0123456789-/", max_size=4) | json_text
+string_rows = st.lists(matrix_entry, max_size=5) | st.tuples(matrix_entry, matrix_entry)
 json_values = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
-    | json_text,
+    | json_text
+    | st.lists(string_rows, max_size=5),
     lambda children: st.lists(children, max_size=6)
     | st.dictionaries(json_text, children, max_size=6),
     max_leaves=20,
@@ -102,6 +118,13 @@ json_values = st.recursive(
 @given(json_values)
 def test_matches_json_dumps(obj):
     assert_same_text(obj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(string_rows, min_size=1, max_size=6))
+def test_string_matrices_match_json_dumps(rows):
+    assert_same_text(rows)
+    assert_same_text({"m": rows})
 
 
 def test_escaped_vertex_id_builds_end_to_end(tmp_path, capsys):
