@@ -30,28 +30,16 @@ from .exact_linalg import (
     rank,
 )
 from .graph_core import (
-    CycleBasis,
     DualGraph,
     betti_one,
     cycle_basis,
-    edge_pairing,
     monodromy_gram,
     spanning_tree_count,
-)
-from .laurent_calc import (
-    LaurentForm,
-    LaurentPolynomial,
-    LogFunction,
-    check_hypercocycle,
-    integrate,
-    residue,
-    splitting_correction,
 )
 from .phin_module import (
     PhiNModule,
     assemble,
     hodge_newton,
-    modules_equal,
     verify_monodromy_duality,
     verify_relations,
 )
@@ -69,14 +57,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "CurveInstance",
-    "CycleBasis",
     "DualGraph",
     "EllipticCurveSpec",
     "GraphError",
     "INFINITY",
-    "LaurentForm",
-    "LaurentPolynomial",
-    "LogFunction",
     "NewtonPolygon",
     "PhiNModule",
     "QMatrix",
@@ -92,24 +76,18 @@ __all__ = [
     "build_from_curve",
     "char_poly",
     "check_curve_jacobian_agreement",
-    "check_hypercocycle",
     "count_points",
     "cycle_basis",
     "det",
     "direct_sum",
-    "edge_pairing",
     "frobenius_of_elliptic",
     "hodge_newton",
-    "integrate",
     "jacobian_data",
-    "modules_equal",
     "monodromy_gram",
     "newton_polygon",
     "padic_valuation",
     "rank",
-    "residue",
     "spanning_tree_count",
-    "splitting_correction",
     "validate_weil",
     "verify_monodromy_duality",
     "verify_relations",

@@ -5,7 +5,9 @@ arithmetic throughout, so intermediate values never leave the integers.
 There are two: :func:`bareiss`, the one fraction-free elimination pass whose
 pivots give rank, determinant and the leading principal minors, and
 :func:`charpoly_int`, Berkowitz's division-free characteristic polynomial.
-``det_int`` and ``rank_int`` only read the result of :func:`bareiss`.
+``det_int`` and ``rank_int`` only read the result of :func:`bareiss`; no
+package code calls them, and they are kept only as trace targets of the
+benchmark harness until it reads in-package spans (ROADMAP item 1).
 
 Point counts above p = 229 use the baby-step giant-step method of Shanks and
 Mestre on E and its quadratic twist E' (Cohen, "A Course in Computational

@@ -20,14 +20,14 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import ValidationError
-from .exact_linalg import QMatrix, det, is_prime
+from .exact_linalg import QMatrix, det
 from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
 from .phin_module import PhiNModule, assemble
 from .weil_data import (
     DEFAULT_POINT_BOUND,
     EllipticCurveSpec,
     WeilMatrix,
-    check_q_digits,
+    check_q,
     direct_sum,
     frobenius_of_elliptic,
     validate_weil,
@@ -50,11 +50,7 @@ class CurveInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
-        if not is_prime(self.p):
-            raise ValidationError(f"p = {self.p} is not prime")
-        if self.f < 1:
-            raise ValidationError("f must be >= 1")
-        check_q_digits(self.p, self.f)
+        check_q(self.p, self.f)
         vids = {v.id for v in self.graph.vertices}
         missing = vids - set(self.components)
         if missing:
@@ -109,11 +105,7 @@ class UniformizationData:
     f: int = 1
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValidationError(f"p = {self.p} is not prime")
-        if self.f < 1:
-            raise ValidationError("f must be >= 1")
-        check_q_digits(self.p, self.f)
+        check_q(self.p, self.f)
         if (self.gram.rows, self.gram.cols) != (self.torus_rank, self.torus_rank):
             raise ValidationError(
                 f"gram is {self.gram.rows}x{self.gram.cols}, torus rank is "

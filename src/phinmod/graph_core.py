@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GraphError
-from .exact_linalg import QMatrix, as_rational, det
+from .exact_linalg import QMatrix, det
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,6 @@ def betti_one(g: DualGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-@dataclass(frozen=True)
-class CycleBasis:
-    """Fundamental cycles of a spanning tree, as edge-indexed integer vectors.
-
-    ``edge_ids`` fixes the coordinate order (the graph's stored edge order);
-    cycle k has coefficient +1 on its defining non-tree edge.
-    """
-
-    edge_ids: tuple
-    cycles: tuple
-
-    def __post_init__(self):
-        for c in self.cycles:
-            if len(c) != len(self.edge_ids):
-                raise ValueError("cycle vector length mismatch")
-
-
 def _spanning_tree(g: DualGraph) -> set:
     """Edge ids of the spanning forest grown over edges in ascending id
     order: |V| - 1 of them exactly when g is connected."""
@@ -148,25 +131,12 @@ def _fundamental_cycles(g: DualGraph) -> list:
     return cycles
 
 
-def cycle_basis(g: DualGraph) -> CycleBasis:
-    """The fundamental cycles of :func:`monodromy_gram` as dense edge
-    vectors, in ascending order of their defining non-tree edge."""
+def cycle_basis(g: DualGraph) -> tuple:
+    """The fundamental cycles of :func:`monodromy_gram` as dense vectors
+    indexed by the graph's stored edge order, in ascending order of their
+    defining non-tree edge (coefficient +1 there)."""
     n = len(g.edges)
-    return CycleBasis(
-        tuple(e.id for e in g.edges),
-        tuple(tuple(c.get(k, 0) for k in range(n)) for c in _fundamental_cycles(g)),
-    )
-
-
-def edge_pairing(x: Sequence, y: Sequence):
-    """Bilinear pairing on edge vectors: (e, e) = 1, (e, reverse e) = -1.
-
-    With one stored orientation per edge this is the coordinatewise inner
-    product.
-    """
-    if len(x) != len(y):
-        raise ValueError("edge vectors have different lengths")
-    return as_rational(sum(a * b for a, b in zip(x, y)))
+    return tuple(tuple(c.get(k, 0) for k in range(n)) for c in _fundamental_cycles(g))
 
 
 def monodromy_gram(g: DualGraph) -> QMatrix:

@@ -35,7 +35,6 @@ from .weil_data import (
     DEFAULT_POINT_BOUND,
     MAX_ENTRY_DIGITS,
     EllipticCurveSpec,
-    check_q_digits,
     check_weil_size,
     direct_sum,
 )
@@ -66,6 +65,13 @@ def _get_list(obj: Mapping, field: str, context: str) -> list:
     value = _get(obj, field, context)
     if not isinstance(value, list):
         raise SchemaError(f"field '{context}{field}' must be an array")
+    return value
+
+
+def _get_str(obj: Mapping, field: str, context: str) -> str:
+    value = _get(obj, field, context)
+    if not isinstance(value, str):
+        raise SchemaError(f"field '{context}{field}' must be a string")
     return value
 
 
@@ -196,14 +202,13 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     kind = _get(obj, "kind", "")
     p = _as_int(_get(obj, "p", ""), "p")
     f = _as_int(_get(obj, "f", ""), "f")
-    check_q_digits(p, f)
     if kind == "curve":
         graph_obj = _get(obj, "graph", "")
         vertices = []
         for k, v in enumerate(_get_list(graph_obj, "vertices", "graph.")):
             vertices.append(
                 (
-                    str(_get(v, "id", f"graph.vertices[{k}].")),
+                    _get_str(v, "id", f"graph.vertices[{k}]."),
                     _as_int(_get(v, "genus", f"graph.vertices[{k}]."), f"graph.vertices[{k}].genus"),
                 )
             )
@@ -211,9 +216,9 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
         for k, e in enumerate(_get_list(graph_obj, "edges", "graph.")):
             edges.append(
                 (
-                    str(_get(e, "id", f"graph.edges[{k}].")),
-                    str(_get(e, "tail", f"graph.edges[{k}].")),
-                    str(_get(e, "head", f"graph.edges[{k}].")),
+                    _get_str(e, "id", f"graph.edges[{k}]."),
+                    _get_str(e, "tail", f"graph.edges[{k}]."),
+                    _get_str(e, "head", f"graph.edges[{k}]."),
                 )
             )
         graph = DualGraph.build(vertices, edges)

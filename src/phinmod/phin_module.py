@@ -264,9 +264,3 @@ def verify_monodromy_duality(m: PhiNModule) -> bool:
     block form and n02 == gram.
     """
     return "n" not in m.off_block and m.n02 == m.gram
-
-
-def modules_equal(a: PhiNModule, b: PhiNModule) -> bool:
-    """Exact equality of every defining field (shared basis conventions make
-    the deep comparisons literal matrix equality)."""
-    return a == b

@@ -32,18 +32,21 @@ DEFAULT_POINT_BOUND = 10 ** 4
 # q = p^f is written into every report; its decimal digits are capped well
 # below Python's 4300-digit int/str conversion limit.
 MAX_Q_DIGITS = 1000
+_Q_LIMIT = 10 ** MAX_Q_DIGITS
 
 
-def check_q_digits(p: int, f: int) -> None:
-    """Refuse an f for which q = p^f has more than MAX_Q_DIGITS digits.
+def check_q(p: int, f: int) -> None:
+    """Refuse (p, f) unless p is prime, f >= 1 and q = p^f has at most
+    MAX_Q_DIGITS digits; the message names the field 'p' or 'f'.
 
     p^f >= 2^(f*(bits(p)-1)) and 2^4 > 10, so a large f is refused before
     p^f is formed.
     """
-    base = abs(p)
-    if f < 2 or base < 2:
-        return
-    if f * (base.bit_length() - 1) >= 4 * MAX_Q_DIGITS or base ** f >= 10 ** MAX_Q_DIGITS:
+    if not is_prime(p):
+        raise ValidationError(f"field 'p' = {p} is not prime")
+    if f < 1:
+        raise ValidationError(f"field 'f' = {f} must be >= 1")
+    if f * (p.bit_length() - 1) >= 4 * MAX_Q_DIGITS or p ** f >= _Q_LIMIT:
         raise ValidationError(
             f"field 'f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
         )
@@ -274,8 +277,9 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     """Check the Weil-q conditions exactly; raise WeilValidationError naming
     the first failed condition.
 
-    ``m`` may be a QMatrix or a row list.  Checks, in order: at most
-    MAX_WEIL_SIZE rows, evenness, integrality and entries of at most
+    ``m`` may be a QMatrix or a row list.  (p, f) is checked first by
+    :func:`check_q`, which raises a plain ValidationError.  Checks, in
+    order: at most MAX_WEIL_SIZE rows, evenness, integrality and entries of at most
     MAX_ENTRY_DIGITS digits, all before chi is computed; det = q^g; the
     functional equation of the characteristic polynomial chi; the
     archimedean condition, trace^2 <= 4q for 2x2 blocks and certified by a
@@ -285,11 +289,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     """
     if not isinstance(m, QMatrix):
         m = QMatrix.from_rows(m)
-    if not is_prime(p):
-        raise WeilValidationError(f"p = {p} is not prime")
-    if f < 1:
-        raise WeilValidationError(f"f = {f} must be >= 1")
-    check_q_digits(p, f)
+    check_q(p, f)
     q = p ** f
     if not m.is_square:
         raise WeilValidationError("Weil matrix must be square")

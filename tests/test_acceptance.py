@@ -5,16 +5,13 @@ exact (zero tolerance); the only tolerances in the whole package are the
 stated runtime budgets, asserted here with wall clocks.
 """
 
-import random
 import time
-from fractions import Fraction
 
 from phinmod.builders import build_from_curve, check_curve_jacobian_agreement
 from phinmod.cli import main
 from phinmod.exact_linalg import is_prime
 from phinmod.graph_core import betti_one
 from phinmod.io_formats import dump_json
-from phinmod.laurent_calc import LaurentForm, LaurentPolynomial, integrate, residue
 from phinmod.phin_module import hodge_newton, verify_monodromy_duality
 from phinmod.weil_data import EllipticCurveSpec, count_points
 
@@ -109,31 +106,6 @@ def test_criterion_6_point_counting_oracle():
     elapsed = time.perf_counter() - t0
     criterion(6, f"Hasse bound sweep p <= 97 in {elapsed:.1f}s",
               ok and spot and elapsed < 30.0)
-
-
-def test_criterion_7_laurent_calculus():
-    # the two normalizations of the integration functor
-    dz = LaurentForm.make({0: 1})
-    dz_over_z = LaurentForm.make({-1: 1})
-    ok = integrate(dz).poly == ((1, 1),) and integrate(dz).log_coeff == 0
-    ok = ok and integrate(dz_over_z).poly == () and integrate(dz_over_z).log_coeff == 1
-    rng = random.Random(2024)
-    for _ in range(100):
-        w = LaurentForm.make(
-            {
-                rng.randint(-10, 10): Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-                for _ in range(rng.randint(0, 9))
-            }
-        )
-        f = LaurentPolynomial.make(
-            {
-                rng.randint(-10, 10): Fraction(rng.randint(-30, 30), rng.randint(1, 9))
-                for _ in range(rng.randint(0, 9))
-            }
-        )
-        ok = ok and integrate(w).differential() == w
-        ok = ok and residue(f.differential()) == 0
-    criterion(7, "integration normalizations and d-section identities", ok)
 
 
 def test_criterion_8_rejections(tmp_path, capsys):

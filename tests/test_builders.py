@@ -14,7 +14,7 @@ from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, det
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph, betti_one
-from phinmod.phin_module import assemble, modules_equal, verify_relations
+from phinmod.phin_module import assemble, verify_relations
 from phinmod.weil_data import (
     EllipticCurveSpec,
     direct_sum,
@@ -24,6 +24,32 @@ from phinmod.weil_data import (
 
 from conftest import banana_instance, tate_instance, theta_instance
 from oracles import dense_module
+
+EMPTY = QMatrix(0, 0, ())
+ENTRY_POINTS = {
+    "CurveInstance": lambda p, f: CurveInstance(
+        graph=DualGraph.build([("v0", 0)], []), components={"v0": None}, p=p, f=f
+    ),
+    "UniformizationData": lambda p, f: UniformizationData(
+        torus_rank=0, gram=EMPTY, b_frobenius=validate_weil(EMPTY, 5), p=p, f=f
+    ),
+    "validate_weil": lambda p, f: validate_weil(EMPTY, p, f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "p, f, field",
+    [
+        (4, 1, "'p' = 4 is not prime"),
+        (5, 0, "'f' = 0 must be >= 1"),
+        # 5^1431 has 1001 decimal digits
+        (5, 1431, "'f' = 1431: q = p\\^f has more than 1000"),
+    ],
+)
+def test_p_and_f_refused_naming_the_field(entry, p, f, field):
+    with pytest.raises(ValidationError, match=field):
+        ENTRY_POINTS[entry](p, f)
 
 
 class TestCurveInstanceValidation:
@@ -94,7 +120,7 @@ class TestBuildFromAV:
             p=5,
         )
         m = build_from_av(u)
-        assert modules_equal(m, build_from_curve(tate_instance()))
+        assert m == build_from_curve(tate_instance())
 
     def test_good_reduction(self):
         u = UniformizationData(
@@ -113,7 +139,7 @@ class TestBuildFromAV:
             b_frobenius=validate_weil(QMatrix(0, 0, ()), 5),
             p=5,
         )
-        assert modules_equal(build_from_av(u), build_from_curve(theta_instance()))
+        assert build_from_av(u) == build_from_curve(theta_instance())
 
     def test_rank_gram_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="torus rank"):

@@ -18,7 +18,7 @@ from phinmod.io_formats import (
     instance_to_json,
     module_from_report,
 )
-from phinmod.phin_module import RelationReport, modules_equal
+from phinmod.phin_module import RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
@@ -55,7 +55,7 @@ class TestBuildCommand:
         assert main(["build", str(INSTANCE_DIR / "tate.json")]) == 0
         report = json.loads(capsys.readouterr().out)
         rebuilt = module_from_report(report)
-        assert modules_equal(rebuilt, build_from_curve(tate_instance()))
+        assert rebuilt == build_from_curve(tate_instance())
 
     def test_av_instance(self, capsys):
         assert main(["build", str(INSTANCE_DIR / "av_tate.json")]) == 0
@@ -245,6 +245,23 @@ class TestGraphShape:
             ({"vertices": [{"id": "v0", "genus": "0"}], "edges": [5]},
              "'graph.edges[0]' must be an object"),
             (3, "'graph' must be an object"),
+            ({"vertices": [{"id": None, "genus": "0"}], "edges": []},
+             "'graph.vertices[0].id' must be a string"),
+            ({"vertices": [{"id": ["v0"], "genus": "0"}], "edges": []},
+             "'graph.vertices[0].id' must be a string"),
+            ({"vertices": [{"id": 0, "genus": "0"}], "edges": []},
+             "'graph.vertices[0].id' must be a string"),
+            ({"vertices": [{"id": "v0", "genus": "0"}],
+              "edges": [{"id": {"e": 0}, "tail": "v0", "head": "v0"}]},
+             "'graph.edges[0].id' must be a string"),
+            ({"vertices": [{"id": "v0", "genus": "0"}],
+              "edges": [{"id": "e0", "tail": "v0", "head": "v0"},
+                        {"id": "e1", "tail": "v0", "head": "v0"},
+                        {"id": "e2", "tail": True, "head": "v0"}]},
+             "'graph.edges[2].tail' must be a string"),
+            ({"vertices": [{"id": "v0", "genus": "0"}],
+              "edges": [{"id": "e0", "tail": "v0", "head": 1.5}]},
+             "'graph.edges[0].head' must be a string"),
         ],
     )
     def test_bad_shape_exit_2_naming_field(self, tmp_path, capsys, graph, field):
@@ -523,11 +540,11 @@ class TestInstanceSerialization:
             parsed = instance_from_json(instance_to_json(inst))
             assert parsed.graph == inst.graph
             assert parsed.p == inst.p and parsed.f == inst.f
-            assert modules_equal(build_from_curve(parsed), build_from_curve(inst))
+            assert build_from_curve(parsed) == build_from_curve(inst)
 
     def test_fuzz_instances_round_trip(self):
         from phinmod.fuzz import instance_stream
 
         for inst in instance_stream(8, 10):
             parsed = instance_from_json(instance_to_json(inst))
-            assert modules_equal(build_from_curve(parsed), build_from_curve(inst))
+            assert build_from_curve(parsed) == build_from_curve(inst)

@@ -8,7 +8,6 @@ from phinmod.exact_linalg import QMatrix
 from phinmod.phin_module import (
     assemble,
     hodge_newton,
-    modules_equal,
     verify_monodromy_duality,
     verify_relations,
 )
@@ -193,16 +192,15 @@ class TestMonodromyDuality:
 
 class TestModulesEqual:
     def test_reflexive(self):
-        m = tate_module()
-        assert modules_equal(m, m)
+        assert tate_module() == tate_module()
 
     def test_distinguishes_gram(self):
         tate = tate_module()
         banana = assemble(5, 1, QMatrix.from_rows([[2]]), EMPTY_WEIL_5)
-        assert not modules_equal(tate, banana)
+        assert tate != banana
 
     def test_dims_mismatch(self):
-        assert not modules_equal(tate_module(), good_reduction_module())
+        assert tate_module() != good_reduction_module()
 
 
 class TestStructuralInvariants:

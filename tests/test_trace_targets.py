@@ -1,14 +1,17 @@
-"""Every function the benchmark's ``--trace 1`` wraps still exists.
+"""Every name the benchmark harness looks up still exists.
 
 ``perfbench/tracing.py`` names its layers as (module, attribute) pairs in
 ``TARGETS`` and looks each one up when tracing starts, so a renamed or
 deleted function breaks ``--trace 1``.  This reads the table from the file
-and resolves every pair on the installed ``phinmod``.
+and resolves every pair on the installed ``phinmod``.  The harness also
+records ``phinmod.BACKEND`` in every run, outside ``TARGETS``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import phinmod
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,3 +36,13 @@ def test_every_trace_target_resolves():
             if not callable(obj):
                 missing.append((name, module_name, attr))
     assert missing == []
+
+
+def test_backend_name_is_a_string():
+    assert isinstance(phinmod.BACKEND, str)
+
+
+def test_every_exported_name_resolves_once():
+    names = phinmod.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(phinmod, n)] == []
