@@ -13,16 +13,14 @@ small recursive writer quotes each string with the C
 ``encode_basestring_ascii``.  A matrix, a list whose items are all
 non-empty lists or tuples of strings such as the dense ``phi``, is written
 whole: one escape check over all its entries, one join per row and one
-outer join.  A list of strings is written the same way with one join, and
-a string value in a dict is quoted inline.  Any other shape, or a matrix
-with an entry that needs escaping, falls back to one recursive call per
-item.  ``tests/test_report_writer.py`` guards the equality.
+outer join.  A string value in a dict is quoted inline.  Any other list,
+or a matrix with an entry that needs escaping, is written with one
+recursive call per item.  ``tests/test_report_writer.py`` guards the equality.
 """
 
 import json
 import re
 from collections.abc import Mapping
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -35,6 +33,7 @@ from .weil_data import (
     DEFAULT_POINT_BOUND,
     MAX_ENTRY_DIGITS,
     EllipticCurveSpec,
+    check_q,
     check_weil_size,
     direct_sum,
 )
@@ -304,8 +303,6 @@ def _n_strings(m: PhiNModule) -> list:
 
 
 def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
-    if m.off_block:
-        raise ValueError(f"module has {sorted(m.off_block)} entries outside its blocks")
     w0, w1, w2 = m.dims
     return {
         "p": str(m.p),
@@ -331,14 +328,18 @@ def _square_block(m: QMatrix, row: int, col: int, size: int) -> QMatrix:
 def module_from_report(report: Mapping) -> PhiNModule:
     """Rebuild the exact module from a report's matrices (bit-exact).
 
-    The dense phi and n are split into the blocks of :class:`PhiNModule`.
-    Where the blocks do not reproduce a matrix exactly, its name goes into
-    the module's ``off_block`` set, so that :func:`verify_relations` fails.
+    The dense phi and n are split into the blocks of :class:`PhiNModule`
+    and written back; a matrix the blocks do not reproduce exactly (an entry
+    outside them, or a weight-0 or weight-2 block of phi that is not scalar)
+    is not in the documented form and raises SchemaError naming
+    ``module.phi`` or ``module.n``.  So is a bad (p, f), a ``fil1_dim``
+    outside [0, d] or a ``gram`` that is not w2 x w2.
     """
     mod = _get(report, "module", "")
     dims = _get(mod, "dims", "module.")
     p = _as_int(_get(mod, "p", "module."), "module.p")
     f = _as_int(_get(mod, "f", "module."), "module.f")
+    check_q(p, f, "module.")
     w0, w1, w2 = (
         _as_int(_get(dims, w, "module.dims."), f"module.dims.{w}")
         for w in ("w0", "w1", "w2")
@@ -346,31 +347,34 @@ def module_from_report(report: Mapping) -> PhiNModule:
     if min(w0, w1, w2) < 0 or w0 != w2:
         raise SchemaError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
     d = w0 + w1 + w2
+    fil1_dim = _as_int(_get(mod, "fil1_dim", "module."), "module.fil1_dim")
+    if not 0 <= fil1_dim <= d:
+        raise SchemaError(f"field 'module.fil1_dim' = {fil1_dim} is not in [0, {d}]")
     dense = {}
-    for name in ("phi", "n"):
+    for name, size in (("phi", d), ("n", d), ("gram", w2)):
         dense[name] = matrix_from_strings(_get(mod, name, "module."), f"module.{name}")
-        if (dense[name].rows, dense[name].cols) != (d, d):
-            raise SchemaError(f"field 'module.{name}' is not {d}x{d}")
+        if (dense[name].rows, dense[name].cols) != (size, size):
+            raise SchemaError(f"field 'module.{name}' is not {size}x{size}")
     phi, n = dense["phi"], dense["n"]
     phi1 = _square_block(phi, w0, w0, w1)
     module = PhiNModule(
         p=p,
         f=f,
-        dims=(w0, w1, w2),
         phi0=phi[0, 0] if w0 else 1,
         phi1=phi1,
         phi1_charpoly=tuple(char_poly(phi1)),
         phi2=phi[d - 1, d - 1] if w2 else p ** f,
         n02=_square_block(n, 0, w0 + w1, w0),
-        fil1_dim=_as_int(_get(mod, "fil1_dim", "module."), "module.fil1_dim"),
-        gram=matrix_from_strings(_get(mod, "gram", "module."), "module.gram"),
+        fil1_dim=fil1_dim,
+        gram=dense["gram"],
     )
-    off_block = frozenset(
-        name
-        for name, written in (("phi", _phi_strings(module)), ("n", _n_strings(module)))
-        if written != matrix_to_strings(dense[name])
-    )
-    return replace(module, off_block=off_block) if off_block else module
+    for name, written in (("phi", _phi_strings(module)), ("n", _n_strings(module))):
+        if written != matrix_to_strings(dense[name]):
+            raise SchemaError(
+                f"field 'module.{name}' is not in block form: an entry lies outside "
+                "the weight blocks, or a weight-0 or weight-2 block is not scalar"
+            )
+    return module
 
 
 def relations_to_json(r: RelationReport) -> dict:
@@ -417,24 +421,15 @@ def _write(obj: Any, indent: str) -> str:
             except TypeError:  # an entry is not a string
                 pass
             else:
+                # Every escape is longer than the character it replaces, so the
+                # quoted text is 2 longer exactly when no entry needs escaping.
                 if len(_encode_str(text)) == len(text) + 2:
                     row_inner = inner + "  "
                     head, sep, tail = "[" + row_inner + '"', '",' + row_inner + '"', '"' + inner + "]"
                     return "[" + inner + ("," + inner).join(
                         [head + sep.join(r) + tail for r in obj]
                     ) + indent + "]"
-        try:
-            text = "".join(obj)
-        except TypeError:  # not all strings
-            body = ("," + inner).join([_write(x, inner) for x in obj])
-        else:
-            # Every escape is longer than the character it replaces, so the
-            # quoted text is 2 longer exactly when no item needs escaping.
-            if len(_encode_str(text)) == len(text) + 2:
-                body = '"' + ('",' + inner + '"').join(obj) + '"'
-            else:
-                body = ("," + inner).join(map(_encode_str, obj))
-        return "[" + inner + body + indent + "]"
+        return "[" + inner + ("," + inner).join([_write(x, inner) for x in obj]) + indent + "]"
     return json.dumps(obj)
 
 

@@ -57,14 +57,11 @@ class PhiNModule:
     phi = diag(phi0 * I_w0, phi1, phi2 * I_w2) and N is ``n02`` in block
     (weight 0, weight 2) and zero elsewhere.  ``phi1_charpoly`` is the
     characteristic polynomial of phi1 (ascending coefficients, leading 1).
-    ``gram`` is the monodromy pairing on the weight-2 block.
-
-    ``off_block`` names the operators, "phi" and/or "n", whose dense matrix
-    (as read back from a report) had an entry that this form cannot hold: a
-    nonzero entry outside the blocks, or a weight-0 or weight-2 block of phi
-    that is not scalar.  Those entries are not kept, and
-    :func:`verify_relations` fails every identity that involves such an
-    operator.
+    ``gram`` is the monodromy pairing on the weight-2 block.  The ranks
+    ``dims`` = (w0, w1, w2) are read off the blocks: w0 = w2 = gram.rows and
+    w1 = phi1.rows.  A module is exactly its blocks; a dense matrix that
+    they cannot hold is refused where it is read
+    (:func:`phinmod.io_formats.module_from_report`).
 
     Only dimensional consistency is enforced at construction, so
     deliberately corrupted instances can be constructed for testing.
@@ -74,7 +71,6 @@ class PhiNModule:
 
     p: int
     f: int
-    dims: tuple  # (w0, w1, w2)
     phi0: Rational
     phi1: QMatrix
     phi1_charpoly: tuple
@@ -82,20 +78,22 @@ class PhiNModule:
     n02: QMatrix
     fil1_dim: int
     gram: QMatrix
-    off_block: frozenset = frozenset()
 
     def __post_init__(self):
         w0, w1, w2 = self.dims
-        if w0 != w2:
-            raise ValidationError(f"weight-0 rank {w0} != weight-2 rank {w2}")
-        if (self.phi1.rows, self.phi1.cols) != (w1, w1):
+        if self.gram.cols != w2:
+            raise ValidationError("gram has wrong shape")
+        if self.phi1.cols != w1:
             raise ValidationError("phi1 has wrong shape")
         if len(self.phi1_charpoly) != w1 + 1:
             raise ValidationError("phi1_charpoly has wrong degree")
         if (self.n02.rows, self.n02.cols) != (w0, w2):
             raise ValidationError("n02 has wrong shape")
-        if (self.gram.rows, self.gram.cols) != (w2, w2):
-            raise ValidationError("gram has wrong shape")
+
+    @property
+    def dims(self) -> tuple:
+        """(w0, w1, w2), read off the blocks."""
+        return (self.gram.rows, self.phi1.rows, self.gram.rows)
 
     @property
     def q(self) -> int:
@@ -138,7 +136,6 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     return PhiNModule(
         p=p,
         f=f,
-        dims=(gram.rows, w.size, gram.rows),
         phi0=1,
         phi1=w.matrix,
         phi1_charpoly=w.charpoly,
@@ -183,18 +180,14 @@ def verify_relations(m: PhiNModule) -> RelationReport:
     N^2 = 0 holds for every N of block form; N phi and q phi N agree outside
     block (0, 2) and are n02 * phi2 and q * phi0 * n02 there, equal entry by
     entry exactly when phi2 = q * phi0 or n02 = 0; det(phi) is the product of
-    the block determinants; rank N = rank n02.  An identity that
-    involves an operator named in ``m.off_block`` fails.
+    the block determinants; rank N = rank n02.  Each verdict is the one the
+    dense matrices of the module give.
     """
-    phi_ok = "phi" not in m.off_block
-    n_ok = "n" not in m.off_block
     return RelationReport(
-        n_squared_zero=n_ok,
-        n_phi_commutation=(
-            phi_ok and n_ok and (m.phi2 == m.q * m.phi0 or m.n02.is_zero())
-        ),
-        phi_invertible=phi_ok and _det_phi(m) != 0,
-        n_rank_is_torus_rank=n_ok and rank(m.n02) == m.dims[2],
+        n_squared_zero=True,
+        n_phi_commutation=m.phi2 == m.q * m.phi0 or m.n02.is_zero(),
+        phi_invertible=_det_phi(m) != 0,
+        n_rank_is_torus_rank=rank(m.n02) == m.dims[2],
     )
 
 
@@ -260,7 +253,7 @@ def verify_monodromy_duality(m: PhiNModule) -> bool:
     and (w2, w0'), and the dual-side monodromy N' uses the same Gram matrix
     (self-dual inputs).  So pairing with N' moves N's block (0, 2) to block
     (2, 2) and leaves every other block zero, and the monodromy pairing is
-    the Gram matrix on block (2, 2): the identity holds exactly when N has
-    block form and n02 == gram.
+    the Gram matrix on block (2, 2): the identity holds exactly when
+    n02 == gram.
     """
-    return "n" not in m.off_block and m.n02 == m.gram
+    return m.n02 == m.gram

@@ -35,20 +35,21 @@ MAX_Q_DIGITS = 1000
 _Q_LIMIT = 10 ** MAX_Q_DIGITS
 
 
-def check_q(p: int, f: int) -> None:
+def check_q(p: int, f: int, context: str = "") -> None:
     """Refuse (p, f) unless p is prime, f >= 1 and q = p^f has at most
-    MAX_Q_DIGITS digits; the message names the field 'p' or 'f'.
+    MAX_Q_DIGITS digits; the message names the field 'p' or 'f', prefixed
+    with ``context`` (the dotted path of their object plus a trailing dot).
 
     p^f >= 2^(f*(bits(p)-1)) and 2^4 > 10, so a large f is refused before
     p^f is formed.
     """
     if not is_prime(p):
-        raise ValidationError(f"field 'p' = {p} is not prime")
+        raise ValidationError(f"field '{context}p' = {p} is not prime")
     if f < 1:
-        raise ValidationError(f"field 'f' = {f} must be >= 1")
+        raise ValidationError(f"field '{context}f' = {f} must be >= 1")
     if f * (p.bit_length() - 1) >= 4 * MAX_Q_DIGITS or p ** f >= _Q_LIMIT:
         raise ValidationError(
-            f"field 'f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
+            f"field '{context}f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
         )
 
 
@@ -121,7 +122,7 @@ class EllipticCurveSpec:
 
     def __post_init__(self):
         if self.p == 2 or not is_prime(self.p):
-            raise ValidationError(f"p = {self.p} is not an odd prime")
+            raise ValidationError(f"field 'p' = {self.p} is not an odd prime")
         object.__setattr__(self, "a4", self.a4 % self.p)
         object.__setattr__(self, "a6", self.a6 % self.p)
         if self.discriminant_zero():

@@ -374,6 +374,20 @@ class TestCountCommand:
         assert main(["count", "5", "0", "0"]) == 2
         assert "singular" in capsys.readouterr().err
 
+    def test_non_prime_p_exit_2_naming_p(self, capsys):
+        assert main(["count", "4", "1", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "field 'p' = 4 is not an odd prime" in err and "Traceback" not in err
+
+    def test_elliptic_component_at_non_prime_p_names_p(self, tmp_path, capsys):
+        obj = instance_to_json(tate_instance())
+        obj["p"] = "4"
+        obj["graph"]["vertices"][0]["genus"] = "1"
+        obj["components"]["v0"] = {"type": "elliptic", "a4": "1", "a6": "1"}
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'p' = 4 is not an odd prime" in err and "Traceback" not in err
+
 
 class TestFuzzCommand:
     def test_small_run_passes(self, capsys):
