@@ -4,7 +4,8 @@ All matrix kernels take row-major ``list[list[int]]`` and use exact integer
 arithmetic throughout, so intermediate values never leave the integers.
 There are two: :func:`bareiss`, the one fraction-free elimination pass whose
 pivots give rank, determinant and the leading principal minors, and
-:func:`charpoly_int`, Berkowitz's division-free characteristic polynomial.
+:func:`charpoly_int`, Berkowitz's division-free characteristic polynomial
+(written out in closed form up to 2 x 2).
 ``det_int`` and ``rank_int`` only read the result of :func:`bareiss`; no
 package code calls them, and they are kept only as trace targets of the
 benchmark harness until it reads in-package spans (ROADMAP item 1).
@@ -18,6 +19,7 @@ the Hasse interval; at and below that the square-table loop counts.
 """
 
 from math import isqrt
+from operator import mul
 
 BACKEND = "python"
 
@@ -161,7 +163,10 @@ def bareiss(rows: list[list[int]]) -> tuple:
     skipped, otherwise the first such row is exchanged up (one swap) and its
     entry becomes the next pivot.  Every intermediate entry is a minor of the
     input, so the interior divisions are exact and entry growth stays
-    polynomial.
+    polynomial.  A row whose entry in the pivot column is 0 is only scaled
+    by pivot / prev, and left as it is when the pivot equals the previous
+    one: a sparse or identity-like matrix costs little more than its pivot
+    search.
 
     What the pass determines:
 
@@ -195,9 +200,13 @@ def bareiss(rows: list[list[int]]) -> tuple:
         for i in range(row + 1, nrows):
             row_i = a[i]
             aic = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (pivot * row_i[j] - aic * row_p[j]) // prev
-            row_i[col] = 0
+            if aic:
+                for j in range(col + 1, ncols):
+                    row_i[j] = (pivot * row_i[j] - aic * row_p[j]) // prev
+                row_i[col] = 0
+            elif pivot != prev:  # aic = 0 drops the second product
+                for j in range(col + 1, ncols):
+                    row_i[j] = pivot * row_i[j] // prev
         pivots.append(pivot)
         prev = pivot
         row += 1
@@ -220,38 +229,35 @@ def rank_int(rows: list[list[int]]) -> int:
 def charpoly_int(rows: list[list[int]]) -> list[int]:
     """Characteristic polynomial det(T*I - m) of an integer matrix.
 
-    Berkowitz's division-free algorithm, iterating over trailing principal
-    submatrices.  Returns coefficients in ascending degree order with leading
-    coefficient 1 (a list of length n + 1).
+    Returns coefficients in ascending degree order with leading coefficient
+    1 (a list of length n + 1).  Up to 2 x 2 the coefficients are written
+    out: det(T*I - m) = T^2 - tr(m)*T + det(m).  Above, Berkowitz's
+    division-free algorithm, iterating over trailing principal submatrices.
     """
     n = len(rows)
+    if n == 0:
+        return [1]
+    if n == 1:
+        return [-rows[0][0], 1]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return [a * d - b * c, -a - d, 1]
     poly = [1]
     for k in range(1, n + 1):
         i0 = n - k
-        m = k - 1
         corner = rows[i0][i0]
-        # Transfer vector [1, -corner, -R C, -R B C, ..., -R B^(m-1) C]
+        # Transfer vector [1, -corner, -R C, -R B C, ..., -R B^(k-2) C]
         # for the block split (corner, R; C, B) of the trailing k x k part.
         v = [1, -corner]
-        if m:
+        if k > 1:
             r = rows[i0][i0 + 1:]
             w = [rows[i][i0] for i in range(i0 + 1, n)]
-            for step in range(m):
-                s = 0
-                for j in range(m):
-                    s += r[j] * w[j]
-                v.append(-s)
-                if step < m - 1:
-                    w = [
-                        sum(rows[i0 + 1 + i][i0 + 1 + j] * w[j] for j in range(m))
-                        for i in range(m)
-                    ]
-        new = [0] * (k + 1)
-        for i in range(k + 1):
-            s = 0
-            for j in range(max(0, i - k), min(i, k - 1) + 1):
-                s += v[i - j] * poly[j]
-            new[i] = s
-        poly = new
+            b = [row[i0 + 1:] for row in rows[i0 + 1:]]
+            v.append(-sum(map(mul, r, w)))
+            for _ in range(k - 2):
+                w = [sum(map(mul, row, w)) for row in b]
+                v.append(-sum(map(mul, r, w)))
+        # new[i] = sum_j v[i - j] * poly[j], the first k + 1 terms of v * poly
+        poly = [sum(map(mul, v[i::-1], poly)) for i in range(k + 1)]
     poly.reverse()
     return poly

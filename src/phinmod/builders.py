@@ -38,6 +38,8 @@ from .weil_data import (
 #   EllipticCurveSpec    -- genus-1 component, counted over F_p (f = 1 only)
 #   QMatrix / row list   -- explicit integer Weil-q matrix of size 2*genus
 
+_EMPTY = QMatrix(0, 0, ())
+
 
 @dataclass(frozen=True)
 class CurveInstance:
@@ -85,9 +87,16 @@ class CurveInstance:
 
 
 def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
-    """Turn a component source into validated Weil data at q = p^f."""
+    """Turn a component source into validated Weil data at q = p^f.
+
+    A genus-0 component adds the empty block, which meets every Weil
+    condition, so it is returned unvalidated; (p, f) is checked by the
+    instance that holds the component.  An elliptic block is built from its
+    counted trace (:func:`frobenius_of_elliptic`); only an explicit matrix
+    goes through :func:`validate_weil`.
+    """
     if src is None:
-        return validate_weil(QMatrix(0, 0, ()), p, f)
+        return WeilMatrix(p, f, _EMPTY, 0, (1,))
     if isinstance(src, EllipticCurveSpec):
         return frobenius_of_elliptic(src, bound)
     return validate_weil(src, p, f)

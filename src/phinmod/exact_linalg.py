@@ -258,7 +258,7 @@ def _clear_denominators(m: QMatrix) -> tuple:
     """Return (integer rows of d*m, d) for the global denominator lcm d."""
     d = 1
     for x in m.entries:
-        if isinstance(x, Fraction):
+        if type(x) is not int:  # a Fraction; see the module docstring
             d = d * x.denominator // math.gcd(d, x.denominator)
     if d == 1:
         return m.to_rows(), 1

@@ -13,6 +13,7 @@ vertex to v, as sparse supports; the Gram matrix is summed over them.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import GraphError
@@ -55,8 +56,14 @@ class DualGraph:
         for v in self.vertices:
             if v.genus < 0:
                 raise GraphError(f"vertex {v.id} has negative genus")
-        if len(_spanning_tree(self)) < len(self.vertices) - 1:
+        if len(self.tree) < len(self.vertices) - 1:
             raise GraphError("disconnected graph")
+
+    @cached_property
+    def tree(self) -> frozenset:
+        """Edge ids of :func:`_spanning_tree`, grown once: the connectivity
+        check above and the fundamental cycles read the same tree."""
+        return _spanning_tree(self)
 
     @staticmethod
     def build(vertices: Sequence, edges: Sequence) -> "DualGraph":
@@ -75,7 +82,7 @@ def betti_one(g: DualGraph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-def _spanning_tree(g: DualGraph) -> set:
+def _spanning_tree(g: DualGraph) -> frozenset:
     """Edge ids of the spanning forest grown over edges in ascending id
     order: |V| - 1 of them exactly when g is connected."""
     parent = {v.id: v.id for v in g.vertices}
@@ -92,7 +99,7 @@ def _spanning_tree(g: DualGraph) -> set:
         if a != b:
             parent[a] = b
             tree.add(e.id)
-    return tree
+    return frozenset(tree)
 
 
 def _fundamental_cycles(g: DualGraph) -> list:
@@ -100,7 +107,7 @@ def _fundamental_cycles(g: DualGraph) -> list:
     e + R(tail) - R(head), R(v) the chain of parent steps from v up to the
     first vertex.  Climbing the deeper end until the two meet skips the
     shared prefix, which cancels, so the cycle does not depend on the root."""
-    tree = _spanning_tree(g)
+    tree = g.tree
     adj = {v.id: [] for v in g.vertices}
     for k, e in enumerate(g.edges):
         if e.id in tree:

@@ -7,7 +7,10 @@ for q >= 2, that excludes 1 and q as eigenvalues, so the weight-0 and
 weight-2 splittings meet the component block trivially.  Honest instances are
 manufactured from elliptic curves over F_p by counting their points
 (Shanks-Mestre baby-step giant-step above p = 229, one pass over x with a
-square table at and below it; see :mod:`phinmod._backend`).
+square table at and below it; see :mod:`phinmod._backend`).  Such a block
+is built from the counted trace a alone: its characteristic polynomial
+T^2 - a*T + p meets every Weil condition but the Hasse bound a^2 <= 4p,
+which is checked with the same message as in :func:`validate_weil`.
 
 The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
 certified exactly.  For 2x2 blocks it is trace^2 <= 4q.  Above that, the
@@ -144,10 +147,21 @@ def count_points(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND) -> tupl
 
 
 def frobenius_of_elliptic(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
-    """Companion matrix of T^2 - a*T + p for the counted trace a."""
+    """Companion matrix of T^2 - a*T + p for the counted trace a, built
+    without :func:`validate_weil`: the spec has checked p, and of the Weil
+    conditions only the Hasse bound a^2 <= 4p can fail."""
     _, a = count_points(e, bound)
-    m = QMatrix.from_rows([[0, -e.p], [1, a]])
-    return validate_weil(m, e.p, 1)
+    _check_hasse(a, e.p)
+    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), 1, (e.p, -a, 1))
+
+
+def _check_hasse(trace: int, q: int) -> None:
+    """The archimedean condition of a 2 x 2 Weil-q block: trace^2 <= 4q."""
+    if trace * trace > 4 * q:
+        raise WeilValidationError(
+            f"Weil validation failed: archimedean check, trace^2 = "
+            f"{trace * trace} > 4q = {4 * q}"
+        )
 
 
 def _functional_equation_holds(coeffs: list, q: int, g: int) -> bool:
@@ -312,12 +326,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
             "functional equation"
         )
     if m.rows == 2:
-        trace = m[0, 0] + m[1, 1]
-        if trace * trace > 4 * q:
-            raise WeilValidationError(
-                f"Weil validation failed: archimedean check, trace^2 = "
-                f"{trace * trace} > 4q = {4 * q}"
-            )
+        _check_hasse(m[0, 0] + m[1, 1], q)
     if m.rows > 2 and not _archimedean_holds(coeffs, q, g):
         raise WeilValidationError(
             "Weil validation failed: archimedean check, not every eigenvalue "

@@ -9,6 +9,8 @@ one by one instead of a Laplacian cofactor, one tree search per cycle and
 dense edge vectors instead of root paths and sparse supports, one
 determinant per leading minor instead of a single Bareiss pass, and trial
 division instead of Miller-Rabin.  Slow and only used at tiny sizes.
+``bareiss_unskipped`` is the one exception: the package's own Bareiss pass
+with every row updated, the oracle of the zero-multiplier skip.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 
+import phinmod.weil_data as weil_data
 from phinmod.exact_linalg import (
     NewtonPolygon,
     QMatrix,
@@ -33,6 +36,7 @@ from phinmod.exact_linalg import (
     rank,
 )
 from phinmod.phin_module import PolygonReport, RelationReport
+from phinmod.weil_data import EllipticCurveSpec, validate_weil
 
 
 def poly_add(a, b):
@@ -313,6 +317,40 @@ def det_gauss(rows):
     return result
 
 
+def bareiss_unskipped(rows):
+    """The fraction-free elimination pass of ``phinmod._backend.bareiss``
+    without its zero-multiplier skip: every row below the pivot is updated,
+    entry by entry.  (pivots, swaps) must come out the same."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    a = [list(r) for r in rows]
+    pivots = []
+    swaps = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        piv = row
+        while piv < nrows and a[piv][col] == 0:
+            piv += 1
+        if piv == nrows:
+            continue
+        if piv != row:
+            a[row], a[piv] = a[piv], a[row]
+            swaps += 1
+        pivot = a[row][col]
+        for i in range(row + 1, nrows):
+            aic = a[i][col]
+            for j in range(col + 1, ncols):
+                a[i][j] = (pivot * a[i][j] - aic * a[row][j]) // prev
+            a[i][col] = 0
+        pivots.append(pivot)
+        prev = pivot
+        row += 1
+    return tuple(pivots), swaps
+
+
 def positive_definite_sylvester(rows):
     """Symmetric and every leading principal minor, each computed by its own
     determinant, positive."""
@@ -333,6 +371,19 @@ def is_prime_trial(n):
             return False
         d += 1
     return True
+
+
+def resolve_by_validation(src, p, f, bound):
+    """A component block the general way: every source, the genus-0 and the
+    elliptic one too, goes through ``validate_weil``, an elliptic one as
+    the companion matrix of its counted trace.  The counter is looked up
+    on its module, so a patched one serves this path too."""
+    if src is None:
+        return validate_weil(QMatrix(0, 0, ()), p, f)
+    if isinstance(src, EllipticCurveSpec):
+        _, a = weil_data.count_points(src, bound)
+        return validate_weil(QMatrix.from_rows([[0, -src.p], [1, a]]), src.p, 1)
+    return validate_weil(src, p, f)
 
 
 # -- the dense (phi, N)-module ------------------------------------------------

@@ -1,5 +1,6 @@
 """The kernels of ``phinmod._backend`` against independent oracles."""
 
+import itertools
 import random
 
 import pytest
@@ -193,3 +194,91 @@ class TestPureKernelProperties:
             trace = sum(rows[i][i] for i in range(n))
             assert coeffs[-2] == -trace
             assert coeffs[0] == (-1) ** n * _backend.det_int(rows)
+
+
+EXTREMES = [0, 1, -1, 2, -(10 ** 1000), 10 ** 1000 + 7, 2 ** 4000 - 1, -(3 ** 2000)]
+
+
+class TestCharpolyClosedForms:
+    """Up to 2 x 2 charpoly_int writes the coefficients out; the
+    Faddeev-LeVerrier trace recursion over Fraction is the oracle."""
+
+    def test_random_entries(self):
+        from oracles import charpoly_leverrier
+
+        rng = random.Random(40)
+        assert _backend.charpoly_int([]) == charpoly_leverrier([]) == [1]
+        for n in (1, 2):
+            for _ in range(200):
+                rows = random_matrix(rng, n, lo=-50, hi=50)
+                assert _backend.charpoly_int(rows) == charpoly_leverrier(rows)
+
+    def test_extreme_entries(self):
+        from oracles import charpoly_leverrier
+
+        for x in EXTREMES:
+            assert _backend.charpoly_int([[x]]) == charpoly_leverrier([[x]])
+        rng = random.Random(41)
+        cases = [[[a, b], [c, d]] for a, b, c, d in itertools.product(EXTREMES[:4], repeat=4)]
+        cases += [[rng.sample(EXTREMES, 2), rng.sample(EXTREMES, 2)] for _ in range(100)]
+        for rows in cases:
+            assert _backend.charpoly_int(rows) == charpoly_leverrier(rows)
+
+
+def block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    out, k = [], 0
+    for b in blocks:
+        for r in b:
+            out.append([0] * k + list(r) + [0] * (n - k - len(r)))
+        k += len(b)
+    return out
+
+
+def skip_cases():
+    """Matrices where many multipliers are 0: identities, permutations,
+    block-diagonal sums, sparse and rank-deficient ones, with and without
+    row exchanges."""
+    rng = random.Random(42)
+    for n in range(0, 25):
+        yield [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        perm = rng.sample(range(n), n)
+        yield [[int(perm[i] == j) for j in range(n)] for i in range(n)]
+    for _ in range(150):
+        blocks = [
+            random_matrix(rng, k, lo=-2, hi=2) if rng.random() < 0.5
+            else [[int(i == j) for j in range(k)] for i in range(k)]
+            for k in (rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        ]
+        rows = block_diagonal(blocks)
+        rng.shuffle(rows)
+        yield rows
+    for _ in range(300):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])  # a repeated row
+        yield rows
+
+
+class TestBareissZeroSkip:
+    """bareiss leaves a row with a zero multiplier alone when the pivot
+    equals the previous one; the same pass updating every row is the
+    oracle, and pivots and exchanges must agree."""
+
+    def test_against_unskipped_pass(self):
+        from oracles import bareiss_unskipped, rank_gauss
+
+        seen = {"identity": 0, "exchange": 0, "deficient": 0}
+        for rows in skip_cases():
+            copy = [list(r) for r in rows]
+            pivots, swaps = _backend.bareiss(rows)
+            assert (pivots, swaps) == bareiss_unskipped(rows)
+            assert rows == copy  # the input is not modified
+            assert len(pivots) == rank_gauss(rows)
+            seen["identity"] += pivots == (1,) * len(rows) and swaps == 0
+            seen["exchange"] += swaps > 0
+            seen["deficient"] += len(pivots) < min(len(rows), len(rows[0]) if rows else 0)
+        assert min(seen.values()) >= 20

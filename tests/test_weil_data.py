@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+import phinmod.weil_data as weil_data
 from phinmod.errors import ValidationError, WeilValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, newton_polygon
 from phinmod.weil_data import (
@@ -14,7 +16,7 @@ from phinmod.weil_data import (
     validate_weil,
 )
 
-from oracles import count_points_xy
+from oracles import count_points_xy, is_prime_trial, resolve_by_validation
 
 
 class TestEllipticSpec:
@@ -67,6 +69,55 @@ class TestFrobeniusOfElliptic:
             w = frobenius_of_elliptic(EllipticCurveSpec(p, a4, a6))
             _, a = count_points(EllipticCurveSpec(p, a4, a6))
             assert char_poly(w.matrix) == [p, -a, 1]
+
+
+class TestEllipticBlockFromTrace:
+    """frobenius_of_elliptic builds the block from the counted trace; the
+    general validate_weil gate on the companion matrix is its oracle."""
+
+    def test_every_curve_at_small_p(self):
+        for p in (3, 5, 7, 11, 13):
+            for a4 in range(p):
+                for a6 in range(p):
+                    if (4 * a4 ** 3 + 27 * a6 ** 2) % p == 0:
+                        continue
+                    e = EllipticCurveSpec(p, a4, a6)
+                    assert frobenius_of_elliptic(e) == resolve_by_validation(e, e.p, 1, 10 ** 4)
+
+    def test_seeded_curves_at_large_p(self):
+        rng = random.Random(14)
+        primes = [p for p in range(5000, 10 ** 4) if is_prime_trial(p)]
+        for _ in range(200):
+            p = rng.choice(primes)
+            while True:
+                a4, a6 = rng.randrange(p), rng.randrange(p)
+                if (4 * a4 ** 3 + 27 * a6 ** 2) % p:
+                    break
+            e = EllipticCurveSpec(p, a4, a6)
+            assert frobenius_of_elliptic(e) == resolve_by_validation(e, e.p, 1, 10 ** 4)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 9973])
+    def test_trace_past_hasse_refused_alike(self, monkeypatch, p):
+        # a counter that returns a trace just past 2 sqrt(p): both paths
+        # refuse it with the same message; the largest trace within the
+        # bound passes both
+        e = EllipticCurveSpec(p, 1, 1)
+        for a, refused in ((math.isqrt(4 * p), False), (math.isqrt(4 * p) + 1, True)):
+            for sign in (1, -1):
+                monkeypatch.setattr(
+                    weil_data,
+                    "count_points",
+                    lambda e, bound=10 ** 4, t=sign * a: (e.p + 1 - t, t),
+                )
+                if not refused:
+                    assert frobenius_of_elliptic(e) == resolve_by_validation(e, e.p, 1, 10 ** 4)
+                    continue
+                with pytest.raises(WeilValidationError) as short:
+                    frobenius_of_elliptic(e)
+                with pytest.raises(WeilValidationError) as general:
+                    resolve_by_validation(e, e.p, 1, 10 ** 4)
+                assert str(short.value) == str(general.value)
+                assert "archimedean check" in str(short.value)
 
 
 class TestValidateWeil:
