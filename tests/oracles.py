@@ -9,8 +9,10 @@ one by one instead of a Laplacian cofactor, one tree search per cycle and
 dense edge vectors instead of root paths and sparse supports, one
 determinant per leading minor instead of a single Bareiss pass, and trial
 division instead of Miller-Rabin.  Slow and only used at tiny sizes.
-``bareiss_unskipped`` is the one exception: the package's own Bareiss pass
-with every row updated, the oracle of the zero-multiplier skip.
+Two oracles of shortcuts are the package's own code without the shortcut:
+``bareiss_unskipped``, the Bareiss pass with every row updated, and
+``resolve_by_validation``, which sends every component block through the
+general Weil gate.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -36,7 +38,6 @@ from phinmod.exact_linalg import (
     rank,
 )
 from phinmod.phin_module import PolygonReport, RelationReport
-from phinmod.weil_data import EllipticCurveSpec, validate_weil
 
 
 def poly_add(a, b):
@@ -379,11 +380,11 @@ def resolve_by_validation(src, p, f, bound):
     the companion matrix of its counted trace.  The counter is looked up
     on its module, so a patched one serves this path too."""
     if src is None:
-        return validate_weil(QMatrix(0, 0, ()), p, f)
-    if isinstance(src, EllipticCurveSpec):
+        return weil_data.validate_weil(QMatrix(0, 0, ()), p, f)
+    if isinstance(src, weil_data.EllipticCurveSpec):
         _, a = weil_data.count_points(src, bound)
-        return validate_weil(QMatrix.from_rows([[0, -src.p], [1, a]]), src.p, 1)
-    return validate_weil(src, p, f)
+        return weil_data.validate_weil(QMatrix.from_rows([[0, -src.p], [1, a]]), src.p, 1)
+    return weil_data.validate_weil(src, p, f)
 
 
 # -- the dense (phi, N)-module ------------------------------------------------
