@@ -4,8 +4,7 @@ All matrix kernels take row-major ``list[list[int]]`` and use exact integer
 arithmetic throughout, so intermediate values never leave the integers.
 There are two: :func:`bareiss`, the one fraction-free elimination pass whose
 pivots give rank, determinant and the leading principal minors, and
-:func:`charpoly_int`, Berkowitz's division-free characteristic polynomial
-(written out in closed form up to 2 x 2).
+:func:`charpoly_int`, Berkowitz's division-free characteristic polynomial.
 ``det_int`` and ``rank_int`` only read the result of :func:`bareiss`; no
 package code calls them, and they are kept only as trace targets of the
 benchmark harness until it reads in-package spans (ROADMAP item 1).
@@ -163,9 +162,9 @@ def bareiss(rows: list[list[int]]) -> tuple:
     skipped, otherwise the first such row is exchanged up (one swap) and its
     entry becomes the next pivot.  Every intermediate entry is a minor of the
     input, so the interior divisions are exact and entry growth stays
-    polynomial.  A row whose entry in the pivot column is 0 is only scaled
-    by pivot / prev, and left as it is when the pivot equals the previous
-    one: a sparse or identity-like matrix costs little more than its pivot
+    polynomial.  A row whose entry in the pivot column is 0 is left as it
+    is when the pivot equals the previous one, since the update would not
+    change it: an identity-like matrix costs little more than its pivot
     search.
 
     What the pass determines:
@@ -200,13 +199,10 @@ def bareiss(rows: list[list[int]]) -> tuple:
         for i in range(row + 1, nrows):
             row_i = a[i]
             aic = row_i[col]
-            if aic:
+            if aic or pivot != prev:  # else the update leaves the row as it is
                 for j in range(col + 1, ncols):
                     row_i[j] = (pivot * row_i[j] - aic * row_p[j]) // prev
                 row_i[col] = 0
-            elif pivot != prev:  # aic = 0 drops the second product
-                for j in range(col + 1, ncols):
-                    row_i[j] = pivot * row_i[j] // prev
         pivots.append(pivot)
         prev = pivot
         row += 1
@@ -229,19 +225,11 @@ def rank_int(rows: list[list[int]]) -> int:
 def charpoly_int(rows: list[list[int]]) -> list[int]:
     """Characteristic polynomial det(T*I - m) of an integer matrix.
 
-    Returns coefficients in ascending degree order with leading coefficient
-    1 (a list of length n + 1).  Up to 2 x 2 the coefficients are written
-    out: det(T*I - m) = T^2 - tr(m)*T + det(m).  Above, Berkowitz's
-    division-free algorithm, iterating over trailing principal submatrices.
+    Berkowitz's division-free algorithm, iterating over trailing principal
+    submatrices.  Returns coefficients in ascending degree order with leading
+    coefficient 1 (a list of length n + 1).
     """
     n = len(rows)
-    if n == 0:
-        return [1]
-    if n == 1:
-        return [-rows[0][0], 1]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return [a * d - b * c, -a - d, 1]
     poly = [1]
     for k in range(1, n + 1):
         i0 = n - k

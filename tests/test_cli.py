@@ -1,6 +1,5 @@
 import hashlib
 import json
-import re
 import subprocess
 import sys
 import time
@@ -605,11 +604,13 @@ BOUQUET_REPORT_SHA256 = "cfcb8deb935d477813633125ae4fe30f89180a4f564008476d4e438
 
 
 class TestLargeGraphBudget:
-    def test_bouquet_build_in_budget(self, tmp_path, capsys):
+    def test_bouquet_build_in_budget(self, tmp_path):
         # one genus-0 vertex with 400 loops: b1 = 400, the Gram matrix is
         # the 400 x 400 identity and the report holds d = 800 matrices.
-        # The budget is on the build time the command reports (parse,
-        # module and checks); writing the 18.8 MB report is not in it.
+        # The budget is on one in-process parse and build; the 18.8 MB
+        # report is written once, for its digest.  On a shared 2-vCPU host
+        # the build takes 0.1-0.3 s, and 2.4 s when the elimination updates
+        # every row of the identity, which is what the budget catches.
         obj = {
             "format": "phinmod-instance-v1",
             "kind": "curve",
@@ -621,13 +622,11 @@ class TestLargeGraphBudget:
             },
             "components": {"v0": {"type": "genus0"}},
         }
-        path = write_instance(tmp_path, obj)
+        t0 = time.perf_counter()
+        run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+        assert time.perf_counter() - t0 < 0.5
         out = tmp_path / "report.json"
-        times = []
-        for _ in range(3):  # the best of three, against a shared host's noise
-            assert main(["build", path, "--out", str(out)]) == 0
-            times.append(float(re.fullmatch(r"build: (\S+)s\n", capsys.readouterr().err)[1]))
-        assert min(times) < 0.5
+        assert main(["build", write_instance(tmp_path, obj), "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUQUET_REPORT_SHA256
 
 

@@ -200,8 +200,9 @@ EXTREMES = [0, 1, -1, 2, -(10 ** 1000), 10 ** 1000 + 7, 2 ** 4000 - 1, -(3 ** 20
 
 
 class TestCharpolyClosedForms:
-    """Up to 2 x 2 charpoly_int writes the coefficients out; the
-    Faddeev-LeVerrier trace recursion over Fraction is the oracle."""
+    """Berkowitz at n = 0, 1, 2 gives the closed forms 1, T - a and
+    T^2 - tr*T + det; the Faddeev-LeVerrier trace recursion over Fraction
+    is the oracle."""
 
     def test_random_entries(self):
         from oracles import charpoly_leverrier
