@@ -36,7 +36,8 @@ from .weil_data import (
 # A component Frobenius source is one of:
 #   None                 -- genus-0 component (empty block)
 #   EllipticCurveSpec    -- genus-1 component, counted over F_p (f = 1 only)
-#   QMatrix / row list   -- explicit integer Weil-q matrix of size 2*genus
+#   QMatrix / row list   -- explicit integer Weil-q matrix of size 2*genus,
+#                           stored as a QMatrix
 
 _EMPTY = QMatrix(0, 0, ())
 
@@ -51,17 +52,17 @@ class CurveInstance:
     f: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "components", MappingProxyType(dict(self.components)))
+        components = dict(self.components)
         check_q(self.p, self.f)
         vids = {v.id for v in self.graph.vertices}
-        missing = vids - set(self.components)
+        missing = vids - set(components)
         if missing:
             raise ValidationError(f"no component source for vertices {sorted(missing)}")
-        extra = set(self.components) - vids
+        extra = set(components) - vids
         if extra:
             raise ValidationError(f"component sources for unknown vertices {sorted(extra)}")
         for v in self.graph.vertices:
-            src = self.components[v.id]
+            src = components[v.id]
             if src is None:
                 if v.genus != 0:
                     raise ValidationError(
@@ -84,6 +85,8 @@ class CurveInstance:
                         f"vertex {v.id} has genus {v.genus} but a "
                         f"{m.rows}x{m.cols} matrix source"
                     )
+                components[v.id] = m
+        object.__setattr__(self, "components", MappingProxyType(components))
 
 
 def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
@@ -96,7 +99,7 @@ def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> 
     goes through :func:`validate_weil`.
     """
     if src is None:
-        return WeilMatrix(p, f, _EMPTY, 0, (1,))
+        return WeilMatrix(p, f, _EMPTY, (1,))
     if isinstance(src, EllipticCurveSpec):
         return frobenius_of_elliptic(src, bound)
     return validate_weil(src, p, f)

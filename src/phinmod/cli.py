@@ -1,18 +1,16 @@
 """Command-line front end.
 
 Subcommands:
-  build <file> [--out PATH] [--timing]   parse an instance, build the module,
-                                          run every check, emit a JSON report
-  count <p> <a4> <a6>                     point count and trace of one curve
-  fuzz --seed N --count N [...]           seeded random instances, all checks
+  build <file> [--out PATH]              parse an instance, build the module,
+                                         run every check, emit a JSON report
+  count <p> <a4> <a6>                    point count and trace of one curve
+  fuzz --seed N --count N [--out-dir D]  seeded random instances, all checks
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed on well-formed
 input; 2 parse/schema/validation error.  Reports are byte-identical across
-runs of the same instance (timing is kept out of the report unless --timing
-is given, and always goes to stderr).
-
-The environment variable PHINMOD_POINT_BOUND overrides the prime bound of
-the point counter (default 10000).
+runs of the same instance; the build time goes to stderr only.  Points of
+an elliptic component are counted for p up to weil_data.DEFAULT_POINT_BOUND
+(10^4); a larger p exits 2.
 """
 
 import argparse
@@ -27,9 +25,8 @@ from .builders import (
     check_curve_jacobian_agreement,
 )
 from .errors import ValidationError
-from .fuzz import FuzzBounds, instance_stream
+from .fuzz import instance_stream
 from .io_formats import (
-    INT_TEXT,
     build_report,
     dump_json,
     failed_checks,
@@ -43,19 +40,6 @@ from .weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, count_points
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
-
-
-def point_bound() -> int:
-    raw = os.environ.get("PHINMOD_POINT_BOUND")
-    if raw is None:
-        return DEFAULT_POINT_BOUND
-    # ASCII digits only, as for the integer fields of an instance file
-    try:
-        if INT_TEXT.fullmatch(raw):
-            return int(raw)
-    except ValueError:  # beyond Python's int/str digit limit
-        pass
-    raise ValidationError(f"PHINMOD_POINT_BOUND is not an integer: {raw!r}")
 
 
 def run_checks(inst, bound: int) -> dict:
@@ -75,9 +59,8 @@ def run_checks(inst, bound: int) -> dict:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     try:
-        bound = point_bound()
-        inst = load_instance(args.file, bound)
-        report = run_checks(inst, bound)
+        inst = load_instance(args.file, DEFAULT_POINT_BOUND)
+        report = run_checks(inst, DEFAULT_POINT_BOUND)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -85,8 +68,6 @@ def cmd_build(args) -> int:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     elapsed = time.perf_counter() - t0
-    if args.timing:
-        report["timing"] = {"seconds": f"{elapsed:.6f}"}
     text = dump_json(report)
     if args.out:
         try:
@@ -104,7 +85,7 @@ def cmd_build(args) -> int:
 def cmd_count(args) -> int:
     try:
         spec = EllipticCurveSpec(args.p, args.a4, args.a6)
-        n, a = count_points(spec, point_bound())
+        n, a = count_points(spec, DEFAULT_POINT_BOUND)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -116,13 +97,6 @@ def cmd_fuzz(args) -> int:
     try:
         if args.count < 0:
             raise ValidationError(f"--count = {args.count}: must be at least 0")
-        bounds = FuzzBounds(
-            max_vertices=args.max_vertices,
-            max_edges=args.max_edges,
-            max_genus=args.max_genus,
-            max_prime=args.max_prime,
-        )
-        bound = point_bound()
         if not os.path.isdir(args.out_dir):
             raise ValidationError(f"--out-dir = {args.out_dir}: not a directory")
     except ValidationError as exc:
@@ -130,8 +104,8 @@ def cmd_fuzz(args) -> int:
         return EXIT_BAD_INPUT
     passed = 0
     failed = 0
-    for idx, inst in enumerate(instance_stream(args.seed, args.count, bounds)):
-        failures = failed_checks(run_checks(inst, bound))
+    for idx, inst in enumerate(instance_stream(args.seed, args.count)):
+        failures = failed_checks(run_checks(inst, DEFAULT_POINT_BOUND))
         if not failures:
             passed += 1
         else:
@@ -162,11 +136,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build a module from an instance file")
     p_build.add_argument("file", help="instance JSON file")
     p_build.add_argument("--out", help="write the report here instead of stdout")
-    p_build.add_argument(
-        "--timing",
-        action="store_true",
-        help="embed wall-clock timing in the report (breaks byte reproducibility)",
-    )
     p_build.set_defaults(func=cmd_build)
 
     p_count = sub.add_parser("count", help="count points of y^2 = x^3 + a4 x + a6 over F_p")
@@ -178,10 +147,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser("fuzz", help="run all checks on seeded random instances")
     p_fuzz.add_argument("--seed", type=int, required=True)
     p_fuzz.add_argument("--count", type=int, required=True)
-    p_fuzz.add_argument("--max-vertices", type=int, default=8)
-    p_fuzz.add_argument("--max-edges", type=int, default=14)
-    p_fuzz.add_argument("--max-genus", type=int, default=2)
-    p_fuzz.add_argument("--max-prime", type=int, default=50)
     p_fuzz.add_argument("--out-dir", default=".", help="where failing instances are dumped")
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

@@ -219,15 +219,6 @@ class QMatrix:
         return QMatrix(self.rows, self.cols,
                        tuple(as_rational(a + b) for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       tuple(as_rational(a - b) for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
     def scale(self, c) -> "QMatrix":
         c = as_rational(c)
         return QMatrix(self.rows, self.cols, tuple(as_rational(c * a) for a in self.entries))

@@ -45,8 +45,7 @@ REPORT_NAME = "phinmod-report-v1"
 # take exponents and build the value of "1e999999999"; int alone would take
 # "1_000", surrounding whitespace and non-ASCII digits.
 _ENTRY = re.compile(r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_ENTRY_DIGITS, MAX_ENTRY_DIGITS))
-# An integer field given as a string, such as p, f or a genus, and the
-# PHINMOD_POINT_BOUND setting.
+# An integer field given as a string, such as p, f or a genus.
 INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
 
@@ -390,7 +389,7 @@ def polygons_to_json(p: PolygonReport) -> dict:
     return {
         "endpoints_equal": _passfail(p.endpoints_equal),
         "newton_on_or_above_hodge": _passfail(p.newton_on_or_above_hodge),
-        "newton_symmetric": _passfail(p.newton.is_symmetric()),
+        "newton_symmetric": _passfail(p.newton_symmetric),
     }
 
 

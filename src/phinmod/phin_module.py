@@ -141,7 +141,7 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         phi1_charpoly=w.charpoly,
         phi2=p ** f,
         n02=gram,
-        fil1_dim=gram.rows + w.fil_dim,
+        fil1_dim=gram.rows + w.g,
         gram=gram,
     )
 
@@ -201,11 +201,13 @@ class PolygonReport:
     hodge: NewtonPolygon
     endpoints_equal: bool
     newton_on_or_above_hodge: bool
+    newton_symmetric: bool  # slopes invariant under s -> 1 - s
 
 
 def hodge_newton(m: PhiNModule) -> PolygonReport:
     """Newton polygon of phi (valuations normalized by 1/f) against the
-    two-step Hodge polygon determined by fil1_dim.
+    two-step Hodge polygon determined by fil1_dim, and whether the Newton
+    slopes are symmetric about 1/2.
 
     The characteristic polynomial of phi is the product of those of its
     diagonal blocks, so its slopes are the union of the blocks' slopes: the
@@ -242,6 +244,7 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
         hodge=hodge,
         endpoints_equal=(t_newton == t_hodge),
         newton_on_or_above_hodge=newton.lies_on_or_above(hodge),
+        newton_symmetric=newton.is_symmetric(),
     )
 
 

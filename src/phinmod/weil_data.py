@@ -89,17 +89,16 @@ def check_entry_digits(m: QMatrix) -> None:
 class WeilMatrix:
     """Validated Frobenius matrix of a weight-1 crystalline block.
 
-    q = p^f; size = 2g; fil_dim = g is the Hodge filtration dimension of the
-    block.  ``charpoly`` is the characteristic polynomial of ``matrix``
-    (ascending coefficients, leading 1), kept from validation so that no
-    later step recomputes it.  Every eigenvalue has absolute value sqrt(q),
+    q = p^f; size = 2g; g is the Hodge filtration dimension of the block.
+    ``charpoly`` is the characteristic polynomial of ``matrix`` (ascending
+    coefficients, leading 1), kept from validation so that no later step
+    recomputes it.  Every eigenvalue has absolute value sqrt(q),
     certified exactly by :func:`validate_weil`.
     """
 
     p: int
     f: int
     matrix: QMatrix
-    fil_dim: int
     charpoly: tuple
 
     @property
@@ -152,7 +151,7 @@ def frobenius_of_elliptic(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND
     conditions only the Hasse bound a^2 <= 4p can fail."""
     _, a = count_points(e, bound)
     _check_hasse(a, e.p)
-    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), 1, (e.p, -a, 1))
+    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), (e.p, -a, 1))
 
 
 def _check_hasse(trace: int, q: int) -> None:
@@ -332,7 +331,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
             "Weil validation failed: archimedean check, not every eigenvalue "
             "has absolute value sqrt(q)"
         )
-    return WeilMatrix(p, f, m, g, tuple(coeffs))
+    return WeilMatrix(p, f, m, tuple(coeffs))
 
 
 def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
@@ -353,13 +352,7 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     charpoly = (1,)
     for w in ws:
         charpoly = _poly_mul(charpoly, w.charpoly)
-    return WeilMatrix(
-        p,
-        f,
-        QMatrix.block_diag([w.matrix for w in ws]),
-        sum(w.fil_dim for w in ws),
-        charpoly,
-    )
+    return WeilMatrix(p, f, QMatrix.block_diag([w.matrix for w in ws]), charpoly)
 
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:

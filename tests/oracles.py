@@ -435,7 +435,7 @@ def dense_from_blocks(p, f, phi0, phi1, phi2, n02, fil1_dim, gram):
 def dense_assemble(p, f, gram, weil):
     """The dense module of a Gram matrix and validated Weil data."""
     return dense_from_blocks(
-        p, f, 1, weil.matrix, p ** f, gram, gram.rows + weil.fil_dim, gram
+        p, f, 1, weil.matrix, p ** f, gram, gram.rows + weil.g, gram
     )
 
 
@@ -470,7 +470,8 @@ def _merged(slopes):
 def dense_hodge_newton(m):
     """Slopes of the characteristic polynomial of the full phi, by the
     minimal-slope sweep, against the Hodge slopes; "on or above" compares
-    the partial sums of the two slope multisets at every integer point."""
+    the partial sums of the two slope multisets at every integer point, and
+    "symmetric" compares the slope multiset with its image under s -> 1 - s."""
     d = m.dimension
     coeffs = char_poly(m.phi)
     if d and coeffs[0] == 0:
@@ -489,6 +490,7 @@ def dense_hodge_newton(m):
         newton_on_or_above_hodge=all(
             a >= b for a, b in zip(_partial_sums(newton), _partial_sums(hodge))
         ),
+        newton_symmetric=sorted(newton) == sorted(1 - s for s in newton),
     )
 
 

@@ -32,6 +32,7 @@ from phinmod.io_formats import (
     module_to_json,
 )
 from phinmod.phin_module import (
+    PolygonReport,
     assemble,
     hodge_newton,
     verify_monodromy_duality,
@@ -98,6 +99,7 @@ def test_altered_blocks_match_dense_oracle():
     """Block-form modules with altered scalar blocks of phi and an altered
     N block: every verdict, failing ones included, is the oracle's."""
     seen = set()
+    symmetric_seen = set()
     for base in _base_modules():
         g = base.gram
         singular = QMatrix.from_rows([[g[0, 0]] * g.cols] + [[0] * g.cols] * (g.rows - 1))
@@ -109,15 +111,17 @@ def test_altered_blocks_match_dense_oracle():
             relations = verify_relations(m)
             assert relations == dense_relations(dense), (phi0, phi2, n02)
             assert verify_monodromy_duality(m) == dense_duality(dense)
-            assert _hodge_newton_or_error(hodge_newton, m) == _hodge_newton_or_error(
-                dense_hodge_newton, dense
-            )
+            polygons = _hodge_newton_or_error(hodge_newton, m)
+            assert polygons == _hodge_newton_or_error(dense_hodge_newton, dense)
+            if isinstance(polygons, PolygonReport):
+                symmetric_seen.add(polygons.newton_symmetric)
             seen.add(relations)
     # the alterations reach every failing verdict a block-form N allows
     # (N^2 = 0 holds for each of them)
     assert any(r.all_pass for r in seen)
     for field in ("n_phi_commutation", "phi_invertible", "n_rank_is_torus_rank"):
         assert any(not getattr(r, field) for r in seen), field
+    assert symmetric_seen == {True, False}
 
 
 def _report(name: str, capsys) -> dict:

@@ -10,12 +10,14 @@ from phinmod.builders import (
     check_curve_jacobian_agreement,
     jacobian_data,
 )
+from phinmod.cli import run_checks
 from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, det
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph, betti_one
 from phinmod.phin_module import assemble, verify_relations
 from phinmod.weil_data import (
+    DEFAULT_POINT_BOUND,
     EllipticCurveSpec,
     direct_sum,
     frobenius_of_elliptic,
@@ -76,6 +78,18 @@ class TestCurveInstanceValidation:
             CurveInstance(
                 graph=g, components={"v0": [[0, -5], [1, 2]]}, p=5
             )
+
+    def test_row_list_source_reports_as_its_matrix(self):
+        rows = [[0, -5], [1, 2]]
+        g = DualGraph.build([("v0", 1)], [("e0", "v0", "v0")])
+        from_rows = CurveInstance(graph=g, components={"v0": rows}, p=5)
+        from_matrix = CurveInstance(
+            graph=g, components={"v0": QMatrix.from_rows(rows)}, p=5
+        )
+        assert from_rows.components["v0"] == QMatrix.from_rows(rows)
+        assert run_checks(from_rows, DEFAULT_POINT_BOUND) == run_checks(
+            from_matrix, DEFAULT_POINT_BOUND
+        )
 
 
 class TestBuildFromCurve:

@@ -67,11 +67,6 @@ class TestBuildCommand:
         assert "curve_jacobian_agreement" not in report["checks"]
         assert report["module"]["phi"] == [["1", "0"], ["0", "5"]]
 
-    def test_timing_flag_adds_field(self, tmp_path, capsys):
-        assert main(["build", str(INSTANCE_DIR / "tate.json"), "--timing"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert "timing" in report and "seconds" in report["timing"]
-
     def test_missing_file(self, capsys):
         assert main(["build", "/nonexistent/path.json"]) == 2
 
@@ -219,24 +214,55 @@ class TestIntegerFields:
         err = capsys.readouterr().err
         assert f"field {field}" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("raw", ["1_0000", " 20000 ", "\u0661\u0660\u0660\u0660\u0660"])
-    def test_point_bound_setting_exit_2(self, monkeypatch, capsys, raw):
-        monkeypatch.setenv("PHINMOD_POINT_BOUND", raw)
-        assert main(["build", str(INSTANCE_DIR / "tate.json")]) == 2
-        err = capsys.readouterr().err
-        assert "PHINMOD_POINT_BOUND" in err and "Traceback" not in err
-        assert main(["count", "5", "1", "0"]) == 2
-        assert "PHINMOD_POINT_BOUND" in capsys.readouterr().err
-
-    def test_point_bound_setting_digits_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("PHINMOD_POINT_BOUND", "20000")
-        assert main(["count", "5", "1", "0"]) == 0
-
     def test_json_integers_and_signs_accepted(self, tmp_path, capsys):
         obj = {"kind": "av", "p": 5, "f": 1, "torus_rank": 1,
                "gram": [["1"]], "b_frobenius": []}
         assert main(["build", write_instance(tmp_path, obj)]) == 0
         assert main(["build", write_instance(tmp_path, _elliptic_curve(p="+7", a4="-3"))]) == 0
+
+
+class TestNoSettings:
+    """A report depends on its input alone: the commands take no option
+    that changes it and read no environment variable."""
+
+    COMMANDS = {
+        "build": ["build", str(INSTANCE_DIR / "tate.json")],
+        "fuzz": ["fuzz", "--seed", "1", "--count", "2"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("build", "--timing"),
+            ("fuzz", "--max-vertices 3"),
+            ("fuzz", "--max-edges 20"),
+            ("fuzz", "--max-genus 1"),
+            ("fuzz", "--max-prime 7"),
+        ],
+    )
+    def test_removed_option_is_a_usage_error(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.COMMANDS[command] + option.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: phinmod")
+        assert f"unrecognized arguments: {option}" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("raw", ["1", "x"])
+    def test_point_bound_variable_is_ignored(self, tmp_path, monkeypatch, capsys, raw):
+        tate = str(INSTANCE_DIR / "tate.json")
+        plain, with_env = tmp_path / "plain.json", tmp_path / "env.json"
+        assert main(["build", tate, "--out", str(plain)]) == 0
+        assert main(["count", "5", "1", "0"]) == 0
+        counted = capsys.readouterr().out
+        monkeypatch.setenv("PHINMOD_POINT_BOUND", raw)
+        assert main(["build", tate, "--out", str(with_env)]) == 0
+        assert with_env.read_bytes() == plain.read_bytes()
+        # p = 5 lies above a bound of 1, so an honoured variable would exit 2
+        assert main(["count", "5", "1", "0"]) == 0
+        assert capsys.readouterr().out == counted
 
 
 class TestGraphShape:
@@ -445,18 +471,10 @@ class TestFuzzCommand:
         "option, value",
         [
             ("--count", "-1"),
-            ("--max-vertices", "0"),
-            ("--max-prime", "2"),
-            ("--max-edges", "6"),  # below the default --max-vertices 8 minus 1
-            ("--max-genus", "-1"),
-            ("--max-genus", "40"),  # component blocks of up to 80 rows
         ],
     )
     def test_bad_bound_exit_2(self, option, value, capsys):
-        argv = ["fuzz", "--seed", "1", option, value]
-        if option != "--count":
-            argv += ["--count", "2"]
-        assert main(argv) == 2
+        assert main(["fuzz", "--seed", "1", option, value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option} = {value}:")

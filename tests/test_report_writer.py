@@ -33,7 +33,7 @@ def test_instance_file_and_its_report(path):
     assert_same_text(instance_to_json(inst))
     report = run_checks(inst, DEFAULT_POINT_BOUND)
     assert_same_text(report)
-    report["timing"] = {"seconds": "0.012345"}  # the --timing report shape
+    report["timing"] = {"seconds": "0.012345"}  # a nested dict sorted after "module"
     assert_same_text(report)
 
 

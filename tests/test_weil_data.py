@@ -62,7 +62,7 @@ class TestFrobeniusOfElliptic:
     def test_companion_shape(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
         assert w.matrix.to_rows() == [[0, -5], [1, 2]]
-        assert (w.p, w.f, w.fil_dim, w.g) == (5, 1, 1, 1)
+        assert (w.p, w.f, w.g) == (5, 1, 1)
 
     def test_char_poly_is_weil(self):
         for p, a4, a6 in [(5, 1, 0), (7, 6, 0), (3, 1, 0), (11, 1, 3)]:
@@ -354,7 +354,7 @@ class TestArchimedeanCertificate:
 class TestDirectSum:
     def test_empty(self):
         w = direct_sum([], 5, 1)
-        assert w.size == 0 and w.g == 0 and w.fil_dim == 0
+        assert w.size == 0 and w.g == 0
 
     def test_single(self):
         b = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
@@ -364,7 +364,7 @@ class TestDirectSum:
         b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))   # a = 2
         b2 = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1))   # a = 0
         w = direct_sum([b1, b2], 5, 1)
-        assert w.size == 4 and w.fil_dim == 2
+        assert w.size == 4 and w.g == 2
         from phinmod.exact_linalg import det
 
         assert det(w.matrix) == 25
@@ -379,7 +379,7 @@ class TestDirectSum:
             1,
         )
         again = validate_weil(w.matrix, 5, 1)
-        assert again.matrix == w.matrix and again.fil_dim == w.fil_dim
+        assert again == w
 
     def test_mixed_q_rejected(self):
         b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
