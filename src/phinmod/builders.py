@@ -99,7 +99,7 @@ def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> 
     goes through :func:`validate_weil`.
     """
     if src is None:
-        return WeilMatrix(p, f, _EMPTY, (1,))
+        return WeilMatrix(p, f, _EMPTY, ())
     if isinstance(src, EllipticCurveSpec):
         return frobenius_of_elliptic(src, bound)
     return validate_weil(src, p, f)

@@ -19,7 +19,8 @@ read one Bareiss elimination pass, cached on the (immutable) matrix as
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
 from typing import Iterable, Sequence, Union
 
 from ._backend import bareiss, charpoly_int
@@ -87,13 +88,15 @@ _MILLER_RABIN = (
 PRIME_BOUND = _MILLER_RABIN[-1][1]
 
 
+@lru_cache(maxsize=1)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, to as many prime bases as
     n needs.
 
     Every prime this package tests is an input p, and the thirteen bases
     decide primality only below PRIME_BOUND (about 3.3e24), so n at or above
-    it is refused with a ValidationError naming the field ``p``.
+    it is refused with a ValidationError naming the field ``p``.  The last
+    answer is kept, so a request's later tests of its one p are lookups.
     """
     if n >= PRIME_BOUND:
         raise ValidationError(
@@ -213,6 +216,11 @@ class QMatrix:
         rows, d = _clear_denominators(self)
         return (*bareiss(rows), d)
 
+    @cached_property
+    def entry_strings(self) -> tuple:
+        """Row-major :func:`rational_str` text of the entries, made once."""
+        return tuple([str(x) if x else "0" for x in self.entries])
+
     def __add__(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -308,16 +316,14 @@ def padic_valuation(x, p: int):
     """v_p(x) for exact x; +infinity at 0; normalized so v_p(p) = 1."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    return _valuation(x, p)
+    return _valuation(as_rational(x), p)
 
 
 def _valuation(x, p: int):
-    """:func:`padic_valuation` for a p already known to be prime."""
-    x = as_rational(x)
+    """:func:`padic_valuation` of an int or Fraction, p known to be prime."""
     if x == 0:
         return INFINITY
-    num = abs(x.numerator if isinstance(x, Fraction) else x)
-    den = x.denominator if isinstance(x, Fraction) else 1
+    num, den = abs(x.numerator), x.denominator  # an int is n/1
     v = 0
     while num % p == 0:
         num //= p
@@ -350,13 +356,8 @@ class NewtonPolygon:
     @staticmethod
     def from_slope_list(slopes: Sequence) -> "NewtonPolygon":
         """Build from an unsorted multiset of slopes, merging duplicates."""
-        merged = []
-        for s in sorted(as_rational(x) for x in slopes):
-            if merged and merged[-1][0] == s:
-                merged[-1][1] += 1
-            else:
-                merged.append([s, 1])
-        return NewtonPolygon(tuple((s, m) for s, m in merged))
+        ordered = sorted(as_rational(x) for x in slopes)
+        return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(ordered)))
 
     @property
     def dimension(self) -> int:
@@ -430,15 +431,18 @@ def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
         raise ValueError("zero polynomial")
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")
-    n = len(coeffs) - 1
-    if n == 0:
-        return NewtonPolygon(())
+    return NewtonPolygon(tuple(
+        (as_rational(Fraction(dy, dx)), dx) for dy, dx in _hull_segments(coeffs, p)
+    ))
+
+
+def _hull_segments(coeffs: Sequence, p: int) -> list:
+    """(dy, dx) segments of the lower convex hull of (i, v_p(a_i)), p prime,
+    a_0 != 0: dx roots of valuation dy / dx, read right to left, so rising."""
     if coeffs[0] == 0:
         raise ValueError("zero constant term: 0 is an eigenvalue")
-    points = [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
-    # Lower convex hull by monotone chain over the finite points.
-    hull = []
-    for pt in points:
+    hull = []  # lower convex hull by monotone chain over the finite points
+    for pt in [(i, _valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # Drop hull[-1] if it lies on or above the segment hull[-2]..pt.
@@ -447,9 +451,4 @@ def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    # The negated hull slopes fall from left to right and no two are equal,
-    # so the segments read right to left are the pairs in increasing order.
-    return NewtonPolygon(tuple(
-        (as_rational(Fraction(y1 - y2, x2 - x1)), x2 - x1)
-        for (x1, y1), (x2, y2) in reversed(list(zip(hull, hull[1:])))
-    ))
+    return [(y1 - y2, x2 - x1) for (x1, y1), (x2, y2) in reversed(list(zip(hull, hull[1:])))]

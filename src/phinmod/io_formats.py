@@ -3,7 +3,11 @@
 One JSON dialect for both: every number is a decimal string (rationals as
 "a/b" in lowest terms), so consumers never face 64-bit overflow and
 round-trips are bit-exact.  A matrix entry that is not such a string, or
-has more than MAX_ENTRY_DIGITS digits, is refused before it is parsed.
+has more than MAX_ENTRY_DIGITS digits, is refused before it is parsed.  A
+row of integers is read in one pass: one pattern match per entry, then one
+``map(int, row)``; only other rows are read entry by entry.  A matrix
+written into a report is converted to text once
+(:attr:`QMatrix.entry_strings`), however many fields show it.
 
 Reports are emitted with sorted keys and fixed indentation, making equal
 runs byte-identical.  :func:`dump_json` writes exactly the bytes of
@@ -89,11 +93,10 @@ def _as_int(value, context: str) -> int:
 
 
 def matrix_to_strings(m: QMatrix) -> list:
-    # str() of an int or of a lowest-terms Fraction is rational_str's text;
-    # zero, most entries of a report matrix, is not sent through str()
-    s = [str(x) if x else "0" for x in m.entries]
-    c = m.cols
-    return [s[i * c:(i + 1) * c] for i in range(m.rows)]
+    # fresh row lists sliced from the text the matrix keeps, so a matrix
+    # written twice in one report is converted once and no row is shared
+    s, c = m.entry_strings, m.cols
+    return [list(s[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
 def _parse_entry(x):
@@ -107,11 +110,23 @@ def _parse_entry(x):
     return parse_rational(s)
 
 
+def _parse_row(r: list) -> list:
+    """One regex pass over a row of strings; a row of integers, with no
+    "/", is then read by one map.  Any other row is read entry by entry,
+    so its values and its first bad entry's message are the same."""
+    try:
+        if all(map(_ENTRY.fullmatch, r)) and "/" not in "".join(r):
+            return list(map(int, r))
+    except TypeError:  # an entry that is not a string
+        pass
+    return [_parse_entry(x) for x in r]
+
+
 def matrix_from_strings(rows, context: str) -> QMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
-        parsed = [[_parse_entry(x) for x in r] for r in rows]
+        parsed = [_parse_row(r) for r in rows]
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
     if not parsed:
@@ -361,7 +376,7 @@ def module_from_report(report: Mapping) -> PhiNModule:
         f=f,
         phi0=phi[0, 0] if w0 else 1,
         phi1=phi1,
-        phi1_charpoly=tuple(char_poly(phi1)),
+        phi1_factors=(tuple(char_poly(phi1)),),
         phi2=phi[d - 1, d - 1] if w2 else p ** f,
         n02=_square_block(n, 0, w0 + w1, w0),
         fil1_dim=fil1_dim,

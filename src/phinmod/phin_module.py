@@ -17,8 +17,8 @@ on them, at the cost of the blocks rather than of the dimension d:
 * N^2 = 0 holds for any N of this shape: N maps weight 2 into weight 0,
   which it kills.  N phi and q phi N vanish outside block (0, 2), where
   they are G * q and q * 1 * G; rank N = rank G.
-* det phi is the product of the block determinants, det W being read off
-  the characteristic polynomial of W that Weil validation computed.
+* det phi is the product of the block determinants; det W is read off the
+  constant terms of the factors of chi_W, which are never multiplied out.
 * The characteristic polynomial of phi is (T - 1)^w0 * chi_W(T) * (T - q)^w2,
   so its Newton polygon is the union of the slopes of the factors.
 * The duality pairing is the identity on the anti-diagonal blocks, so it
@@ -33,18 +33,20 @@ inputs in scope the dual side carries the same Gram matrix, which turns the
 into an exact matrix identity.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, prod
 
 from .errors import ValidationError
 from .exact_linalg import (
     NewtonPolygon,
     QMatrix,
     Rational,
+    _hull_segments,
     _valuation,
     as_rational,
     is_positive_definite,
-    newton_polygon,
+    is_prime,
     rank,
 )
 from .weil_data import WeilMatrix
@@ -55,8 +57,8 @@ class PhiNModule:
     """Graded exact-rational (phi, N)-module, stored as its blocks.
 
     phi = diag(phi0 * I_w0, phi1, phi2 * I_w2) and N is ``n02`` in block
-    (weight 0, weight 2) and zero elsewhere.  ``phi1_charpoly`` is the
-    characteristic polynomial of phi1 (ascending coefficients, leading 1).
+    (weight 0, weight 2) and zero elsewhere.  ``phi1_factors`` (not compared)
+    multiply to the characteristic polynomial of phi1, ascending and monic.
     ``gram`` is the monodromy pairing on the weight-2 block.  The ranks
     ``dims`` = (w0, w1, w2) are read off the blocks: w0 = w2 = gram.rows and
     w1 = phi1.rows.  A module is exactly its blocks; a dense matrix that
@@ -73,7 +75,7 @@ class PhiNModule:
     f: int
     phi0: Rational
     phi1: QMatrix
-    phi1_charpoly: tuple
+    phi1_factors: tuple = field(compare=False)
     phi2: Rational
     n02: QMatrix
     fil1_dim: int
@@ -85,8 +87,8 @@ class PhiNModule:
             raise ValidationError("gram has wrong shape")
         if self.phi1.cols != w1:
             raise ValidationError("phi1 has wrong shape")
-        if len(self.phi1_charpoly) != w1 + 1:
-            raise ValidationError("phi1_charpoly has wrong degree")
+        if sum(len(chi) - 1 for chi in self.phi1_factors) != w1:
+            raise ValidationError("phi1_factors have wrong degree")
         if (self.n02.rows, self.n02.cols) != (w0, w2):
             raise ValidationError("n02 has wrong shape")
 
@@ -111,7 +113,7 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     pairing on the torus character lattice); w must be validated Weil data
     at the same q.  The grading gives the splittings directly: no extension
     data survives at desk scale.  The blocks are stored as given: phi is
-    1, w.matrix (with its characteristic polynomial w.charpoly) and q on
+    1, w.matrix (and w.factors, its characteristic polynomial) and q on
     the three weights, and N is gram from weight 2 to weight 0.
 
     The result satisfies the relations of :func:`verify_relations` by
@@ -138,7 +140,7 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         f=f,
         phi0=1,
         phi1=w.matrix,
-        phi1_charpoly=w.charpoly,
+        phi1_factors=w.factors,
         phi2=p ** f,
         n02=gram,
         fil1_dim=gram.rows + w.g,
@@ -148,9 +150,9 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
 
 def _det_phi(m: PhiNModule) -> Rational:
     """det(phi) as the product of the block determinants; det(phi1) is
-    (-1)^w1 times the constant term of its characteristic polynomial."""
+    (-1)^w1 times the constant terms of its factors."""
     w0, w1, w2 = m.dims
-    det_phi1 = (-1) ** w1 * m.phi1_charpoly[0]
+    det_phi1 = (-1) ** w1 * prod(chi[0] for chi in m.phi1_factors)
     return as_rational(m.phi0 ** w0 * det_phi1 * m.phi2 ** w2)
 
 
@@ -209,29 +211,30 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     two-step Hodge polygon determined by fil1_dim, and whether the Newton
     slopes are symmetric about 1/2.
 
-    The characteristic polynomial of phi is the product of those of its
-    diagonal blocks, so its slopes are the union of the blocks' slopes: the
-    (slope, multiplicity) pairs of phi1_charpoly's Newton polygon, and
-    v_p(c) with multiplicity w for a scalar block c * I_w.  Only the
-    diagonal blocks are read, and no slope list of length d is built: the
-    Hodge polygon is at most the two pairs (0, d - fil1) and (1, fil1), and
+    The characteristic polynomial of phi is the product of phi1_factors and
+    (T - c)^w for each scalar block c * I_w, so its slopes are the union of
+    theirs: each factor's integer hull segments (dy, dx), dx roots of slope
+    dy / dx.  p is tested once; equal slopes merge on the reduced (dy, dx),
+    and only the merged slopes become Fractions, sorted exactly.  The Hodge
+    polygon is at most the two pairs (0, d - fil1) and (1, fil1), and
     :meth:`NewtonPolygon.lies_on_or_above` compares heights only at the
     breakpoints, since the difference of two polygons is linear between
     them.
     """
     w0, _, w2 = m.dims
     d = m.dimension
-    # newton_polygon checks that p is prime and rejects a singular phi1 (zero
-    # constant term); a zero scalar block is rejected the same way, so det(phi)
-    # is nonzero when its valuation is taken.
-    mult = dict(newton_polygon(m.phi1_charpoly, m.p).slopes)
-    for c, w in ((m.phi0, w0), (m.phi2, w2)):
-        if w:
-            if c == 0:
-                raise ValueError("zero constant term: 0 is an eigenvalue")
-            v = _valuation(c, m.p)
-            mult[v] = mult.get(v, 0) + w
-    newton = NewtonPolygon(tuple(sorted(mult.items()))).scaled(Fraction(1, m.f))
+    if not is_prime(m.p):
+        raise ValueError(f"p = {m.p} is not prime")
+    mult = {}  # reduced (dy, dx) -> number of roots of valuation dy / dx
+    blocks = [(chi, 1) for chi in m.phi1_factors]
+    for chi, w in blocks + [((-c, 1), w) for c, w in ((m.phi0, w0), (m.phi2, w2)) if w]:
+        # a zero constant term is refused, so det(phi) has a valuation
+        for dy, dx in _hull_segments(chi, m.p):
+            g = gcd(dy, dx)
+            key = (dy // g, dx // g)
+            mult[key] = mult.get(key, 0) + dx * w
+    newton = NewtonPolygon(tuple(sorted(
+        (as_rational(Fraction(a, b * m.f)), k) for (a, b), k in mult.items())))
     t_newton = as_rational(Fraction(_valuation(_det_phi(m), m.p), m.f)) if d else 0
     t_hodge = m.fil1_dim
     hodge = NewtonPolygon(tuple(

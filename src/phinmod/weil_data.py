@@ -10,7 +10,9 @@ manufactured from elliptic curves over F_p by counting their points
 square table at and below it; see :mod:`phinmod._backend`).  Such a block
 is built from the counted trace a alone: its characteristic polynomial
 T^2 - a*T + p meets every Weil condition but the Hasse bound a^2 <= 4p,
-which is checked with the same message as in :func:`validate_weil`.
+which is checked with the same message as in :func:`validate_weil`.  A
+direct sum keeps its blocks' characteristic polynomials as factors, never
+multiplied out: the Newton polygon is the union of the factors' slopes.
 
 The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
 certified exactly.  For 2x2 blocks it is trace^2 <= 4q.  Above that, the
@@ -23,7 +25,7 @@ from primitive integer pseudo-remainders and evaluated at the endpoints as
 A + B sqrt(q) with A, B integers, counts those roots.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from ._backend import count_points as _count_points_kernel
@@ -90,16 +92,16 @@ class WeilMatrix:
     """Validated Frobenius matrix of a weight-1 crystalline block.
 
     q = p^f; size = 2g; g is the Hodge filtration dimension of the block.
-    ``charpoly`` is the characteristic polynomial of ``matrix`` (ascending
-    coefficients, leading 1), kept from validation so that no later step
-    recomputes it.  Every eigenvalue has absolute value sqrt(q),
-    certified exactly by :func:`validate_weil`.
+    ``factors`` are the characteristic polynomials (ascending coefficients,
+    leading 1) of the diagonal blocks of ``matrix``, kept from validation;
+    equality ignores them, as ``matrix`` determines them.  Every eigenvalue
+    has absolute value sqrt(q), certified exactly by :func:`validate_weil`.
     """
 
     p: int
     f: int
     matrix: QMatrix
-    charpoly: tuple
+    factors: tuple = field(compare=False)
 
     @property
     def q(self) -> int:
@@ -151,7 +153,7 @@ def frobenius_of_elliptic(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND
     conditions only the Hasse bound a^2 <= 4p can fail."""
     _, a = count_points(e, bound)
     _check_hasse(a, e.p)
-    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), (e.p, -a, 1))
+    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), ((e.p, -a, 1),))
 
 
 def _check_hasse(trace: int, q: int) -> None:
@@ -159,19 +161,23 @@ def _check_hasse(trace: int, q: int) -> None:
     if trace * trace > 4 * q:
         raise WeilValidationError(
             f"Weil validation failed: archimedean check, trace^2 = "
-            f"{trace * trace} > 4q = {4 * q}"
+            f"{_shown(trace * trace)} > 4q = {4 * q}"
         )
+
+
+def _shown(n: int) -> str:
+    """n in decimal up to 60 digits, else its digit count (Python writes no
+    int of over 4300 digits), counted up from a bound: log10(2) > 0.301029."""
+    k = (abs(n).bit_length() - 1) * 301029 // 1000000 + 1
+    while abs(n) >= 10 ** k:
+        k += 1
+    return str(n) if k <= 60 else f"{'-' if n < 0 else ''}<{k}-digit integer>"
 
 
 def _functional_equation_holds(coeffs: list, q: int, g: int) -> bool:
     # Ascending coefficients of a monic degree-2g polynomial; the weight-1
     # functional equation is a_i = q^(g-i) * a_(2g-i) for every i.
-    for i in range(2 * g + 1):
-        lhs = coeffs[i] * q ** i
-        rhs = coeffs[2 * g - i] * q ** g
-        if lhs != rhs:
-            return False
-    return True
+    return all(coeffs[i] * q ** i == coeffs[2 * g - i] * q ** g for i in range(2 * g + 1))
 
 
 def _real_weil_poly(coeffs: list, q: int, g: int) -> list:
@@ -317,7 +323,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     coeffs = char_poly(m)
     if coeffs[0] != q ** g:
         raise WeilValidationError(
-            f"Weil validation failed: det = {coeffs[0]} != q^g = {q ** g}"
+            f"Weil validation failed: det = {_shown(coeffs[0])} != q^g = {_shown(q ** g)}"
         )
     if not _functional_equation_holds(coeffs, q, g):
         raise WeilValidationError(
@@ -331,7 +337,7 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
             "Weil validation failed: archimedean check, not every eigenvalue "
             "has absolute value sqrt(q)"
         )
-    return WeilMatrix(p, f, m, tuple(coeffs))
+    return WeilMatrix(p, f, m, (tuple(coeffs),))
 
 
 def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
@@ -341,7 +347,7 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     summand must match.  The summands are already validated and every Weil-q
     condition passes to a block sum (det and the characteristic polynomial
     multiply, the eigenvalues are the union), so the sum is not validated
-    again: its characteristic polynomial is the product of the summands'.
+    again: its factors are the summands' factors, in order.
     """
     ws = list(ws)
     for w in ws:
@@ -349,15 +355,5 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
             raise WeilValidationError(
                 f"direct_sum: block has q = {w.p}^{w.f}, expected {p}^{f}"
             )
-    charpoly = (1,)
-    for w in ws:
-        charpoly = _poly_mul(charpoly, w.charpoly)
-    return WeilMatrix(p, f, QMatrix.block_diag([w.matrix for w in ws]), charpoly)
-
-
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
+    return WeilMatrix(p, f, QMatrix.block_diag([w.matrix for w in ws]),
+                      tuple(chi for w in ws for chi in w.factors))

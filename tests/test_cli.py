@@ -380,6 +380,32 @@ class TestWeilBlockCaps:
         zeros = [["0"] * MAX_WEIL_SIZE for _ in range(MAX_WEIL_SIZE)]
         assert "det" in self._build(tmp_path, capsys, self._av(zeros))
 
+    def test_det_past_the_int_str_limit_exit_2_naming_det(self, tmp_path, capsys):
+        # det = (10^4000 - 1)^2 has 8000 digits, more than Python writes
+        big = "9" * 4000
+        err = self._build(tmp_path, capsys, self._av([[big, "0"], ["0", big]]))
+        assert "det = <8000-digit integer> != q^g = 5" in err
+
+    def test_trace_square_past_the_int_str_limit_exit_2_naming_archimedean(self, tmp_path, capsys):
+        err = self._build(tmp_path, capsys, self._av([["0", "-5"], ["1", "9" * 4000]]))
+        assert "archimedean check, trace^2 = <8000-digit integer> > 4q = 20" in err
+
+
+@pytest.mark.parametrize("n, text", [
+    (0, "0"),
+    (10 ** 60 - 1, "9" * 60),
+    (-(10 ** 60 - 1), "-" + "9" * 60),
+    (10 ** 60, "<61-digit integer>"),
+    (-(10 ** 60), "-<61-digit integer>"),
+    (2 ** 20000, "<6021-digit integer>"),
+    (10 ** 20000 - 1, "<20000-digit integer>"),
+    (10 ** 20000, "<20001-digit integer>"),
+], ids=lambda v: v if isinstance(v, str) else f"{v.bit_length()} bits")
+def test_weil_messages_show_long_integers_by_digit_count(n, text):
+    from phinmod.weil_data import _shown
+
+    assert _shown(n) == text
+
 
 def test_import_pulls_in_no_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
