@@ -15,10 +15,10 @@ the number of spanning trees of the dual graph (the order of the component
 group of the Jacobian), counted by the matrix-tree theorem.
 """
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
+from ._record import Record
 from .errors import ValidationError
 from .exact_linalg import QMatrix, det
 from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
@@ -42,26 +42,24 @@ from .weil_data import (
 _EMPTY = QMatrix(0, 0, ())
 
 
-@dataclass(frozen=True)
-class CurveInstance:
-    """Semistable curve datum: dual graph plus component Frobenius sources."""
+class CurveInstance(Record):
+    """Semistable curve datum: dual graph plus component Frobenius sources.
+    ``components`` is stored as a read-only mapping, with each row-list
+    source made a QMatrix."""
 
-    graph: DualGraph
-    components: Mapping
-    p: int
-    f: int = 1
+    _fields = ("graph", "components", "p", "f")
 
-    def __post_init__(self):
-        components = dict(self.components)
-        check_q(self.p, self.f)
-        vids = {v.id for v in self.graph.vertices}
+    def __init__(self, graph: DualGraph, components: Mapping, p: int, f: int = 1):
+        components = dict(components)
+        check_q(p, f)
+        vids = {v.id for v in graph.vertices}
         missing = vids - set(components)
         if missing:
             raise ValidationError(f"no component source for vertices {sorted(missing)}")
         extra = set(components) - vids
         if extra:
             raise ValidationError(f"component sources for unknown vertices {sorted(extra)}")
-        for v in self.graph.vertices:
+        for v in graph.vertices:
             src = components[v.id]
             if src is None:
                 if v.genus != 0:
@@ -73,10 +71,10 @@ class CurveInstance:
                     raise ValidationError(
                         f"vertex {v.id} has genus {v.genus} but an elliptic source"
                     )
-                if src.p != self.p or self.f != 1:
+                if src.p != p or f != 1:
                     raise ValidationError(
                         f"elliptic source of vertex {v.id} lives over F_{src.p}, "
-                        f"instance is at q = {self.p}^{self.f}"
+                        f"instance is at q = {p}^{f}"
                     )
             else:
                 m = src if isinstance(src, QMatrix) else QMatrix.from_rows(src)
@@ -86,7 +84,10 @@ class CurveInstance:
                         f"{m.rows}x{m.cols} matrix source"
                     )
                 components[v.id] = m
+        object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "components", MappingProxyType(components))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
 
 
 def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
@@ -105,26 +106,26 @@ def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> 
     return validate_weil(src, p, f)
 
 
-@dataclass(frozen=True)
-class UniformizationData:
+class UniformizationData(Record):
     """Abelian-variety datum: torus rank, lattice Gram matrix, and the
     good-reduction part's Frobenius."""
 
-    torus_rank: int
-    gram: QMatrix
-    b_frobenius: WeilMatrix
-    p: int
-    f: int = 1
+    _fields = ("torus_rank", "gram", "b_frobenius", "p", "f")
 
-    def __post_init__(self):
-        check_q(self.p, self.f)
-        if (self.gram.rows, self.gram.cols) != (self.torus_rank, self.torus_rank):
+    def __init__(self, torus_rank: int, gram: QMatrix, b_frobenius: WeilMatrix, p: int,
+                 f: int = 1):
+        check_q(p, f)
+        if (gram.rows, gram.cols) != (torus_rank, torus_rank):
             raise ValidationError(
-                f"gram is {self.gram.rows}x{self.gram.cols}, torus rank is "
-                f"{self.torus_rank}"
+                f"gram is {gram.rows}x{gram.cols}, torus rank is {torus_rank}"
             )
-        if (self.b_frobenius.p, self.b_frobenius.f) != (self.p, self.f):
+        if (b_frobenius.p, b_frobenius.f) != (p, f):
             raise ValidationError("good-reduction Frobenius q mismatch")
+        object.__setattr__(self, "torus_rank", torus_rank)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "b_frobenius", b_frobenius)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
 
 
 def build_from_av(u: UniformizationData) -> PhiNModule:

@@ -17,13 +17,13 @@ read one Bareiss elimination pass, cached on the (immutable) matrix as
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterable, Sequence, Union
 
 from ._backend import bareiss, charpoly_int
+from ._record import Record
 from .errors import ValidationError
 
 Rational = Union[int, Fraction]
@@ -126,19 +126,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class QMatrix:
+class QMatrix(Record):
     """Immutable matrix of exact rationals, row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows x cols")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "QMatrix":
@@ -146,9 +146,11 @@ class QMatrix:
         nc = len(rows[0]) if nr else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return QMatrix(nr, nc, tuple(
-            x if type(x) is int else as_rational(x) for r in rows for x in r
-        ))
+        entries = tuple(chain.from_iterable(rows))
+        # a parsed row is all int already: one type test per matrix
+        if not set(map(type, entries)) <= {int}:
+            entries = tuple(map(as_rational, entries))
+        return QMatrix(nr, nc, entries)
 
     @staticmethod
     def identity(n: int) -> "QMatrix":
@@ -334,24 +336,24 @@ def _valuation(x, p: int):
     return v
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
+class NewtonPolygon(Record):
     """Slope data: nondecreasing (slope, multiplicity) pairs.
 
     Slopes follow the reciprocal-root convention: an eigenvalue alpha of
     valuation v contributes multiplicity 1 at slope v.
     """
 
-    slopes: tuple
+    _fields = ("slopes",)
 
-    def __post_init__(self):
+    def __init__(self, slopes: tuple):
         prev = None
-        for s, mult in self.slopes:
+        for s, mult in slopes:
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
             if prev is not None and s <= prev:
                 raise ValueError("slopes must be strictly increasing after merging")
             prev = s
+        object.__setattr__(self, "slopes", slopes)
 
     @staticmethod
     def from_slope_list(slopes: Sequence) -> "NewtonPolygon":

@@ -12,51 +12,56 @@ cycles e + R(tail) - R(head), R(v) the signed tree path from the first
 vertex to v, as sparse supports; the Gram matrix is summed over them.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._record import Record
 from .errors import GraphError
 from .exact_linalg import QMatrix, det
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    genus: int
+class Vertex(Record):
+    _fields = ("id", "genus")
+
+    def __init__(self, id: str, genus: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "genus", genus)
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    tail: str
-    head: str
+class Edge(Record):
+    _fields = ("id", "tail", "head")
+
+    def __init__(self, id: str, tail: str, head: str):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "head", head)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(Record):
     """Connected graph with genus-labelled vertices and oriented edges."""
 
-    vertices: tuple
-    edges: tuple
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        if not self.vertices:
+    def __init__(self, vertices: tuple, edges: tuple):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        if not vertices:
             raise GraphError("graph must have at least one vertex")
-        vids = [v.id for v in self.vertices]
+        vids = [v.id for v in vertices]
         if len(set(vids)) != len(vids):
             raise GraphError("duplicate vertex id")
-        eids = [e.id for e in self.edges]
+        eids = [e.id for e in edges]
         if len(set(eids)) != len(eids):
             raise GraphError("duplicate edge id")
         vset = set(vids)
-        for e in self.edges:
+        for e in edges:
             if e.tail not in vset or e.head not in vset:
                 raise GraphError(f"edge {e.id} references a missing vertex")
-        for v in self.vertices:
+        for v in vertices:
             if v.genus < 0:
                 raise GraphError(f"vertex {v.id} has negative genus")
-        if len(self.tree) < len(self.vertices) - 1:
+        # the fields are set first: the spanning tree reads them
+        if len(self.tree) < len(vertices) - 1:
             raise GraphError("disconnected graph")
 
     @cached_property

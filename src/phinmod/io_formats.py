@@ -77,6 +77,12 @@ def _get_str(obj: Mapping, field: str, context: str) -> str:
     return value
 
 
+def _clipped(s: str) -> str:
+    """repr of an input string for a message: the first 20 characters and
+    the length of a longer one, so a message stays short."""
+    return repr(s) if len(s) <= 20 else f"{s[:20]!r}... ({len(s)} characters)"
+
+
 def _as_int(value, context: str) -> int:
     if isinstance(value, bool):
         raise SchemaError(f"field '{context}' must be an integer string")
@@ -88,7 +94,7 @@ def _as_int(value, context: str) -> int:
                 return int(value)
         except ValueError:  # beyond Python's int/str digit limit
             pass
-        raise SchemaError(f"field '{context}' is not an integer: {value!r}")
+        raise SchemaError(f"field '{context}' is not an integer: {_clipped(value)}")
     raise SchemaError(f"field '{context}' must be an integer string")
 
 
@@ -102,9 +108,8 @@ def matrix_to_strings(m: QMatrix) -> list:
 def _parse_entry(x):
     s = str(x)
     if not _ENTRY.fullmatch(s):
-        shown = repr(s) if len(s) <= 20 else f"{s[:20]!r}... ({len(s)} characters)"
         raise ValueError(
-            f"{shown} is not a decimal integer or a/b of at most "
+            f"{_clipped(s)} is not a decimal integer or a/b of at most "
             f"{MAX_ENTRY_DIGITS} digits"
         )
     return parse_rational(s)
@@ -212,6 +217,9 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     """Parse and validate an instance file; SchemaError names the bad field."""
     if not isinstance(obj, Mapping):
         raise SchemaError("instance file must be a JSON object")
+    # an instance may omit its format; one that names it names this one
+    if "format" in obj and obj["format"] != FORMAT_NAME:
+        raise SchemaError(f"field 'format' must be {FORMAT_NAME!r}")
     kind = _get(obj, "kind", "")
     p = _as_int(_get(obj, "p", ""), "p")
     f = _as_int(_get(obj, "f", ""), "f")

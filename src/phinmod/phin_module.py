@@ -33,10 +33,10 @@ inputs in scope the dual side carries the same Gram matrix, which turns the
 into an exact matrix identity.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
+from ._record import Record
 from .errors import ValidationError
 from .exact_linalg import (
     NewtonPolygon,
@@ -52,13 +52,13 @@ from .exact_linalg import (
 from .weil_data import WeilMatrix
 
 
-@dataclass(frozen=True)
-class PhiNModule:
+class PhiNModule(Record):
     """Graded exact-rational (phi, N)-module, stored as its blocks.
 
     phi = diag(phi0 * I_w0, phi1, phi2 * I_w2) and N is ``n02`` in block
-    (weight 0, weight 2) and zero elsewhere.  ``phi1_factors`` (not compared)
-    multiply to the characteristic polynomial of phi1, ascending and monic.
+    (weight 0, weight 2) and zero elsewhere.  ``phi1_factors`` multiply to
+    the characteristic polynomial of phi1, ascending and monic; ``==`` and
+    ``hash`` ignore them, as ``phi1`` determines them.
     ``gram`` is the monodromy pairing on the weight-2 block.  The ranks
     ``dims`` = (w0, w1, w2) are read off the blocks: w0 = w2 = gram.rows and
     w1 = phi1.rows.  A module is exactly its blocks; a dense matrix that
@@ -71,25 +71,28 @@ class PhiNModule:
     construction; :func:`verify_relations` checks them.
     """
 
-    p: int
-    f: int
-    phi0: Rational
-    phi1: QMatrix
-    phi1_factors: tuple = field(compare=False)
-    phi2: Rational
-    n02: QMatrix
-    fil1_dim: int
-    gram: QMatrix
+    _fields = ("p", "f", "phi0", "phi1", "phi1_factors", "phi2", "n02", "fil1_dim", "gram")
+    _compared = ("p", "f", "phi0", "phi1", "phi2", "n02", "fil1_dim", "gram")
 
-    def __post_init__(self):
+    def __init__(self, p: int, f: int, phi0: Rational, phi1: QMatrix, phi1_factors: tuple,
+                 phi2: Rational, n02: QMatrix, fil1_dim: int, gram: QMatrix):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "phi0", phi0)
+        object.__setattr__(self, "phi1", phi1)
+        object.__setattr__(self, "phi1_factors", phi1_factors)
+        object.__setattr__(self, "phi2", phi2)
+        object.__setattr__(self, "n02", n02)
+        object.__setattr__(self, "fil1_dim", fil1_dim)
+        object.__setattr__(self, "gram", gram)
         w0, w1, w2 = self.dims
-        if self.gram.cols != w2:
+        if gram.cols != w2:
             raise ValidationError("gram has wrong shape")
-        if self.phi1.cols != w1:
+        if phi1.cols != w1:
             raise ValidationError("phi1 has wrong shape")
-        if sum(len(chi) - 1 for chi in self.phi1_factors) != w1:
+        if sum(len(chi) - 1 for chi in phi1_factors) != w1:
             raise ValidationError("phi1_factors have wrong degree")
-        if (self.n02.rows, self.n02.cols) != (w0, w2):
+        if (n02.rows, n02.cols) != (w0, w2):
             raise ValidationError("n02 has wrong shape")
 
     @property
@@ -156,14 +159,18 @@ def _det_phi(m: PhiNModule) -> Rational:
     return as_rational(m.phi0 ** w0 * det_phi1 * m.phi2 ** w2)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Pass/fail record of the defining operator identities."""
+class RelationReport(Record):
+    """Pass/fail record of the defining operator identities; the second is
+    N phi == q phi N."""
 
-    n_squared_zero: bool
-    n_phi_commutation: bool  # N phi == q phi N
-    phi_invertible: bool
-    n_rank_is_torus_rank: bool
+    _fields = ("n_squared_zero", "n_phi_commutation", "phi_invertible", "n_rank_is_torus_rank")
+
+    def __init__(self, n_squared_zero: bool, n_phi_commutation: bool, phi_invertible: bool,
+                 n_rank_is_torus_rank: bool):
+        object.__setattr__(self, "n_squared_zero", n_squared_zero)
+        object.__setattr__(self, "n_phi_commutation", n_phi_commutation)
+        object.__setattr__(self, "phi_invertible", phi_invertible)
+        object.__setattr__(self, "n_rank_is_torus_rank", n_rank_is_torus_rank)
 
     @property
     def all_pass(self) -> bool:
@@ -193,17 +200,26 @@ def verify_relations(m: PhiNModule) -> RelationReport:
     )
 
 
-@dataclass(frozen=True)
-class PolygonReport:
-    """Newton and Hodge data of the module's Frobenius and filtration."""
+class PolygonReport(Record):
+    """Newton and Hodge data of the module's Frobenius and filtration.
 
-    t_newton: Rational
-    t_hodge: int
-    newton: NewtonPolygon  # slopes normalized by 1/f
-    hodge: NewtonPolygon
-    endpoints_equal: bool
-    newton_on_or_above_hodge: bool
-    newton_symmetric: bool  # slopes invariant under s -> 1 - s
+    ``newton`` has its slopes normalized by 1/f; ``newton_symmetric`` says
+    whether they are invariant under s -> 1 - s.
+    """
+
+    _fields = ("t_newton", "t_hodge", "newton", "hodge", "endpoints_equal",
+               "newton_on_or_above_hodge", "newton_symmetric")
+
+    def __init__(self, t_newton: Rational, t_hodge: int, newton: NewtonPolygon,
+                 hodge: NewtonPolygon, endpoints_equal: bool, newton_on_or_above_hodge: bool,
+                 newton_symmetric: bool):
+        object.__setattr__(self, "t_newton", t_newton)
+        object.__setattr__(self, "t_hodge", t_hodge)
+        object.__setattr__(self, "newton", newton)
+        object.__setattr__(self, "hodge", hodge)
+        object.__setattr__(self, "endpoints_equal", endpoints_equal)
+        object.__setattr__(self, "newton_on_or_above_hodge", newton_on_or_above_hodge)
+        object.__setattr__(self, "newton_symmetric", newton_symmetric)
 
 
 def hodge_newton(m: PhiNModule) -> PolygonReport:

@@ -25,10 +25,10 @@ from primitive integer pseudo-remainders and evaluated at the endpoints as
 A + B sqrt(q) with A, B integers, counts those roots.
 """
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from ._backend import count_points as _count_points_kernel
+from ._record import Record
 from .errors import ValidationError, WeilValidationError
 from .exact_linalg import QMatrix, char_poly, is_prime
 
@@ -87,21 +87,25 @@ def check_entry_digits(m: QMatrix) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WeilMatrix:
+class WeilMatrix(Record):
     """Validated Frobenius matrix of a weight-1 crystalline block.
 
     q = p^f; size = 2g; g is the Hodge filtration dimension of the block.
     ``factors`` are the characteristic polynomials (ascending coefficients,
     leading 1) of the diagonal blocks of ``matrix``, kept from validation;
-    equality ignores them, as ``matrix`` determines them.  Every eigenvalue
-    has absolute value sqrt(q), certified exactly by :func:`validate_weil`.
+    ``==`` and ``hash`` ignore them, as ``matrix`` determines them.  Every
+    eigenvalue has absolute value sqrt(q), certified exactly by
+    :func:`validate_weil`.
     """
 
-    p: int
-    f: int
-    matrix: QMatrix
-    factors: tuple = field(compare=False)
+    _fields = ("p", "f", "matrix", "factors")
+    _compared = ("p", "f", "matrix")
+
+    def __init__(self, p: int, f: int, matrix: QMatrix, factors: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def q(self) -> int:
@@ -116,19 +120,18 @@ class WeilMatrix:
         return self.size // 2
 
 
-@dataclass(frozen=True)
-class EllipticCurveSpec:
-    """Short Weierstrass curve y^2 = x^3 + a4*x + a6 over F_p, p an odd prime."""
+class EllipticCurveSpec(Record):
+    """Short Weierstrass curve y^2 = x^3 + a4*x + a6 over F_p, p an odd prime;
+    a4 and a6 are stored reduced mod p."""
 
-    p: int
-    a4: int
-    a6: int
+    _fields = ("p", "a4", "a6")
 
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise ValidationError(f"field 'p' = {self.p} is not an odd prime")
-        object.__setattr__(self, "a4", self.a4 % self.p)
-        object.__setattr__(self, "a6", self.a6 % self.p)
+    def __init__(self, p: int, a4: int, a6: int):
+        if p == 2 or not is_prime(p):
+            raise ValidationError(f"field 'p' = {p} is not an odd prime")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "a4", a4 % p)
+        object.__setattr__(self, "a6", a6 % p)
         if self.discriminant_zero():
             raise ValidationError(
                 f"singular curve: discriminant of (a4={self.a4}, a6={self.a6}) "

@@ -10,7 +10,6 @@ with one changed field that ``module_from_report`` reads back.
 """
 
 import copy
-import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -32,6 +31,7 @@ from phinmod.io_formats import (
     module_to_json,
 )
 from phinmod.phin_module import (
+    PhiNModule,
     PolygonReport,
     assemble,
     hodge_newton,
@@ -106,7 +106,8 @@ def test_altered_blocks_match_dense_oracle():
         n_blocks = [g, g.scale(2), QMatrix.zeros(g.rows, g.cols), singular]
         scalars = [1, base.q, base.q ** 2, Fraction(1, base.p), 0]
         for phi0, phi2, n02 in product(scalars, scalars, n_blocks):
-            m = dataclasses.replace(base, phi0=phi0, phi2=phi2, n02=n02)
+            m = PhiNModule(base.p, base.f, phi0, base.phi1, base.phi1_factors, phi2, n02,
+                           base.fil1_dim, base.gram)
             dense = dense_module(m)
             relations = verify_relations(m)
             assert relations == dense_relations(dense), (phi0, phi2, n02)

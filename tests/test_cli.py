@@ -171,13 +171,12 @@ class TestInputCaps:
         assert "field 'f'" in capsys.readouterr().err
 
     def test_in_process_instances_are_capped(self):
-        from dataclasses import replace
-
         from phinmod.errors import ValidationError
         from phinmod.weil_data import validate_weil
 
         with pytest.raises(ValidationError, match="'f'"):
-            run_checks(replace(tate_instance(), f=7000), DEFAULT_POINT_BOUND)
+            t = tate_instance()
+            run_checks(CurveInstance(t.graph, t.components, t.p, f=7000), DEFAULT_POINT_BOUND)
         with pytest.raises(ValidationError, match="'f'"):
             validate_weil([], 5, 7000)
 
@@ -213,6 +212,14 @@ class TestIntegerFields:
         assert main(["build", write_instance(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert f"field {field}" in err and "Traceback" not in err
+
+    def test_long_value_is_clipped_in_the_message(self, tmp_path, capsys):
+        # beyond Python's int/str digit limit, so it is refused
+        obj = _elliptic_curve(a4="7" * 5000)
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert "field 'components.v0.a4'" in err and "(5000 characters)" in err
+        assert len(err) < 200
 
     def test_json_integers_and_signs_accepted(self, tmp_path, capsys):
         obj = {"kind": "av", "p": 5, "f": 1, "torus_rank": 1,
@@ -417,6 +424,20 @@ def test_import_pulls_in_no_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "False"
+
+
+def test_import_pulls_in_no_dataclasses():
+    """The value types are plain classes, so ``import phinmod`` loads neither
+    ``dataclasses`` nor the modules it imports to generate code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import phinmod; "
+        "print(sorted({'dataclasses', 'inspect', 'dis', 'ast', 'tokenize'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestCountCommand:
@@ -688,3 +709,22 @@ class TestInstanceSerialization:
         for inst in instance_stream(8, 10):
             parsed = instance_from_json(instance_to_json(inst))
             assert build_from_curve(parsed) == build_from_curve(inst)
+
+
+class TestFormatField:
+    """An instance may omit ``format``; one that gives it must give
+    ``phinmod-instance-v1``."""
+
+    @pytest.mark.parametrize("value", ["nope", "phinmod-instance-v2", "", 1, None, ["phinmod-instance-v1"]])
+    def test_other_format_exit_2_naming_it(self, tmp_path, capsys, value):
+        obj = json.loads((INSTANCE_DIR / "tate.json").read_text(encoding="utf-8"))
+        obj["format"] = value
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "field 'format'" in err and "Traceback" not in err
+
+    def test_missing_format_accepted(self, tmp_path, capsys):
+        obj = json.loads((INSTANCE_DIR / "tate.json").read_text(encoding="utf-8"))
+        del obj["format"]
+        assert main(["build", write_instance(tmp_path, obj)]) == 0
+        assert json.loads(capsys.readouterr().out)["instance"]["format"] == "phinmod-instance-v1"

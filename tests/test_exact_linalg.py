@@ -316,6 +316,19 @@ class TestQMatrix:
         m = QMatrix.from_rows([[Fraction(4, 2)]])
         assert isinstance(m[0, 0], int) and m[0, 0] == 2
 
+    def test_from_rows_coerces_only_non_int_entries(self):
+        big = 10 ** 40
+        rows = [[1, big], [-3, 0]]
+        m = QMatrix.from_rows(rows)
+        assert m.entries == (1, big, -3, 0) and m.entries[1] is big
+        mixed = [[Fraction(4, 2), 7], [Fraction(1, 2), "3/6"]]
+        m = QMatrix.from_rows(mixed)
+        assert m.entries == tuple(as_rational(x) for r in mixed for x in r)
+        assert [type(x) for x in m.entries] == [int, int, Fraction, Fraction]
+        with pytest.raises(ValueError, match="^ragged rows$"):
+            QMatrix.from_rows([[1, 2], [3]])
+        assert QMatrix.from_rows([]) == QMatrix(0, 0, ())
+
     def test_fraction_sum_collapses_to_int(self):
         x = as_rational(Fraction(1, 2) + Fraction(1, 2))
         assert type(x) is int and x == 1

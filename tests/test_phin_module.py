@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -6,6 +5,7 @@ import pytest
 from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix
 from phinmod.phin_module import (
+    PhiNModule,
     assemble,
     hodge_newton,
     verify_monodromy_duality,
@@ -104,7 +104,8 @@ class TestVerifyRelations:
     def test_corrupted_phi_detected(self):
         m = tate_module()
         # phi = identity(2): the weight-2 scalar block is 1 instead of q = 5
-        corrupted = dataclasses.replace(m, phi2=1)
+        corrupted = PhiNModule(m.p, m.f, m.phi0, m.phi1, m.phi1_factors, 1, m.n02,
+                               m.fil1_dim, m.gram)
         r = verify_relations(corrupted)
         assert not r.n_phi_commutation
         assert not r.all_pass
