@@ -15,10 +15,9 @@ the number of spanning trees of the dual graph (the order of the component
 group of the Jacobian), counted by the matrix-tree theorem.
 """
 
-from types import MappingProxyType
 from typing import Mapping
 
-from ._record import Record
+from ._record import FrozenMap, Record
 from .errors import ValidationError
 from .exact_linalg import QMatrix, det
 from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
@@ -44,8 +43,8 @@ _EMPTY = QMatrix(0, 0, ())
 
 class CurveInstance(Record):
     """Semistable curve datum: dual graph plus component Frobenius sources.
-    ``components`` is stored as a read-only mapping, with each row-list
-    source made a QMatrix."""
+    ``components`` is stored as a read-only :class:`FrozenMap`, with each
+    row-list source made a QMatrix."""
 
     _fields = ("graph", "components", "p", "f")
 
@@ -85,7 +84,7 @@ class CurveInstance(Record):
                     )
                 components[v.id] = m
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "components", MappingProxyType(components))
+        object.__setattr__(self, "components", FrozenMap(components))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
 

@@ -9,22 +9,36 @@ row of integers is read in one pass: one pattern match per entry, then one
 written into a report is converted to text once
 (:attr:`QMatrix.entry_strings`), however many fields show it.
 
+The dense d x d ``phi`` and ``n`` of a report, and the ``b_frobenius``
+entries of an abelian-variety echo, are :class:`BlockRows`: one run of
+cells per row, taken from the blocks (the scalars, the diagonal blocks of
+the Weil matrix, whose sizes are the degrees of its factors, and N's one
+block), "0" elsewhere.  Only the cells of runs are converted to text; a
+Weil-matrix row with a nonzero entry outside its block has its whole row
+as its run, so every matrix is written with exactly its entries.  A
+``BlockRows`` reads as its list of rows, and :func:`matrix_from_strings`
+takes one, so a report can be read back in the process that built it.
+
 Reports are emitted with sorted keys and fixed indentation, making equal
 runs byte-identical.  :func:`dump_json` writes exactly the bytes of
-``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, for ``str`` keys
-only, without running the pure-Python encoder that ``indent`` selects: a
-small recursive writer quotes each string with the C
+``json.dumps(obj, indent=2, sort_keys=True, default=list) + "\\n"``, for
+``str`` keys only, without running the pure-Python encoder that ``indent``
+selects: a small recursive writer quotes each string with the C
 ``encode_basestring_ascii``.  A matrix, a list whose items are all
-non-empty lists or tuples of strings such as the dense ``phi``, is written
+non-empty lists or tuples of strings such as the ``gram``, is written
 whole: one escape check over all its entries, one join per row and one
-outer join.  A string value in a dict is quoted inline.  Any other list,
-or a matrix with an entry that needs escaping, is written with one
-recursive call per item.  ``tests/test_report_writer.py`` guards the equality.
+outer join.  A ``BlockRows`` is written from its runs: one escape check
+over the run cells, the text of a zero row made once, and each other row
+as a slice of one zero-run text, its cells joined once and the matching
+slice.  A string value in a dict is quoted inline.  Any other list, or a
+matrix with an entry that needs escaping, is written with one recursive
+call per item.  ``tests/test_report_writer.py`` guards the equality.
 """
 
 import json
 import re
-from collections.abc import Mapping
+import reprlib
+from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
@@ -77,10 +91,14 @@ def _get_str(obj: Mapping, field: str, context: str) -> str:
     return value
 
 
-def _clipped(s: str) -> str:
-    """repr of an input string for a message: the first 20 characters and
-    the length of a longer one, so a message stays short."""
-    return repr(s) if len(s) <= 20 else f"{s[:20]!r}... ({len(s)} characters)"
+def _clipped(value) -> str:
+    """repr of an input value for a message, kept short: a string's first
+    20 characters and the length of a longer one; the repr of any other
+    value, bounded in size and depth by ``reprlib``, cut at 40 characters."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
+    text = reprlib.repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({type(value).__name__})"
 
 
 def _as_int(value, context: str) -> int:
@@ -103,6 +121,88 @@ def matrix_to_strings(m: QMatrix) -> list:
     # written twice in one report is converted once and no row is shared
     s, c = m.entry_strings, m.cols
     return [list(s[i * c:(i + 1) * c]) for i in range(m.rows)]
+
+
+class BlockRows:
+    """A d x d matrix of entry strings, held as one run of cells per row:
+    row i is "0" except for the cells ``runs[i][1]`` from column
+    ``runs[i][0]`` on, and a row whose cells are empty is all "0".
+
+    It reads as its sequence of rows: ``len``, indexing and iteration give
+    fresh lists, and ``==`` compares it with any sequence of rows.  A deep
+    copy is that list of row lists, so a copied report can be edited.
+    :func:`dump_json` writes it from the runs, without building the rows.
+    """
+
+    def __init__(self, size: int, runs: tuple):
+        if len(runs) != size:
+            raise ValueError("one run per row")
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "runs", runs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _row(self, i: int) -> list:
+        start, cells = self.runs[i]
+        row = ["0"] * self.size
+        row[start:start + len(cells)] = cells
+        return row
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        k = range(self.size)[i]  # an int or a range; IndexError as a list raises it
+        return self._row(k) if isinstance(k, int) else [self._row(j) for j in k]
+
+    def __iter__(self):
+        return map(self._row, range(self.size))
+
+    def __eq__(self, other):
+        if not isinstance(other, (BlockRows, Sequence)) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(other) == self.size and all(
+            isinstance(theirs, Sequence) and not isinstance(theirs, str)
+            and mine == list(theirs)
+            for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None
+
+    def __deepcopy__(self, memo) -> list:
+        return list(self)
+
+    def __repr__(self) -> str:
+        return f"BlockRows(size={self.size}, runs={self.runs!r})"
+
+
+def _runs(m: QMatrix, factors, offset: int = 0) -> list:
+    """(start, cells) of each row of the square ``m``: the row's diagonal
+    block, sized by the degrees of ``factors``, is its run, or the whole
+    row if it has a nonzero entry outside that block.  ``offset`` is added
+    to each start.  Only the cells of runs are converted to text."""
+    n, e = m.cols, m.entries
+    if not n:
+        return []
+    sizes = [len(chi) - 1 for chi in factors]
+    if sum(sizes) != n:
+        sizes = (n,)
+    zero, runs, o = (0,) * n, [], 0
+    for size in sizes:
+        end = o + size
+        left, right = zero[:o], zero[end:]
+        for base in range(o * n, end * n, n):
+            if e[base:base + o] == left and e[base + end:base + n] == right:
+                a, b = o, end
+            else:
+                a, b = 0, n
+            runs.append((offset + a, tuple(map(str, e[base + a:base + b]))))
+        o = end
+    return runs
 
 
 def _parse_entry(x):
@@ -128,6 +228,8 @@ def _parse_row(r: list) -> list:
 
 
 def matrix_from_strings(rows, context: str) -> QMatrix:
+    if isinstance(rows, BlockRows):  # a report read back in the same process
+        rows = list(rows)
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
@@ -166,7 +268,7 @@ def source_from_json(obj, p: int, context: str):
         )
     if kind == "matrix":
         entries = _get(obj, "entries", context + ".")
-        if isinstance(entries, list):
+        if isinstance(entries, (list, BlockRows)):
             # validate_weil checks this too; here the message names the
             # field, and a large block is refused before it is parsed
             check_weil_size(len(entries), f"field '{context}.entries'")
@@ -174,7 +276,7 @@ def source_from_json(obj, p: int, context: str):
         if not m.is_integral():
             raise SchemaError(f"field '{context}.entries' must be integral")
         return m
-    raise SchemaError(f"field '{context}.type' has unknown value {kind!r}")
+    raise SchemaError(f"field '{context}.type' has unknown value {_clipped(kind)}")
 
 
 # -- instances ----------------------------------------------------------------
@@ -208,7 +310,7 @@ def instance_to_json(inst) -> dict:
             "f": str(inst.f),
             "torus_rank": str(inst.torus_rank),
             "gram": matrix_to_strings(inst.gram),
-            "b_frobenius": [{"type": "matrix", "entries": matrix_to_strings(inst.b_frobenius.matrix)}],
+            "b_frobenius": [{"type": "matrix", "entries": _block_rows(inst.b_frobenius)}],
         }
     raise TypeError(f"not an instance: {inst!r}")
 
@@ -266,7 +368,7 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
         return UniformizationData(
             torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
         )
-    raise SchemaError(f"field 'kind' has unknown value {kind!r}")
+    raise SchemaError(f"field 'kind' has unknown value {_clipped(kind)}")
 
 
 def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):
@@ -290,38 +392,31 @@ def polygon_to_strings(slopes) -> list:
     return [[rational_str(s), str(m)] for s, m in slopes]
 
 
-def _phi_strings(m: PhiNModule) -> list:
-    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), written from the
-    blocks."""
+def _block_rows(w) -> BlockRows:
+    """A Weil matrix's entries, its blocks read off the degrees of its
+    factors."""
+    return BlockRows(w.size, tuple(_runs(w.matrix, w.factors)))
+
+
+def _phi_rows(m: PhiNModule) -> BlockRows:
+    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), one run per row:
+    the scalar on the diagonal, or the row's block of phi1."""
+    w0, w1, _ = m.dims
+    phi0, phi2 = (rational_str(m.phi0),), (rational_str(m.phi2),)
+    runs = [(k, phi0) for k in range(w0)]
+    runs += _runs(m.phi1, m.phi1_factors, w0)
+    runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]
+    return BlockRows(m.dimension, tuple(runs))
+
+
+def _n_rows(m: PhiNModule) -> BlockRows:
+    """Dense N: the rows of n02 from column w0 + w1 on in the weight-0
+    rows, and zero rows below."""
     w0, w1, w2 = m.dims
-    zero = ["0"] * m.dimension
-
-    def scalar_rows(start: int, count: int, c) -> list:
-        text = rational_str(c)
-        rows = []
-        for k in range(start, start + count):
-            row = zero[:]
-            row[k] = text
-            rows.append(row)
-        return rows
-
-    left, right = zero[:w0], zero[:w2]
-    return (
-        scalar_rows(0, w0, m.phi0)
-        + [left + row + right for row in matrix_to_strings(m.phi1)]
-        + scalar_rows(w0 + w1, w2, m.phi2)
-    )
-
-
-def _n_strings(m: PhiNModule) -> list:
-    """Dense N: n02 in the weight-0 rows and weight-2 columns, zero
-    elsewhere."""
-    w0, w1, w2 = m.dims
-    zero = ["0"] * m.dimension
-    pad = zero[:w0 + w1]
-    return [pad + row for row in matrix_to_strings(m.n02)] + [
-        zero[:] for _ in range(w1 + w2)
-    ]
+    s = m.n02.entry_strings
+    return BlockRows(m.dimension, tuple(
+        [(w0 + w1, s[i * w2:(i + 1) * w2]) for i in range(w0)] + [(0, ())] * (w1 + w2)
+    ))
 
 
 def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
@@ -335,8 +430,8 @@ def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
         "t_hodge": str(polygons.t_hodge),
         "newton_slopes": polygon_to_strings(polygons.newton.slopes),
         "hodge_slopes": polygon_to_strings(polygons.hodge.slopes),
-        "phi": _phi_strings(m),
-        "n": _n_strings(m),
+        "phi": _phi_rows(m),
+        "n": _n_rows(m),
         "gram": matrix_to_strings(m.gram),
     }
 
@@ -390,7 +485,7 @@ def module_from_report(report: Mapping) -> PhiNModule:
         fil1_dim=fil1_dim,
         gram=dense["gram"],
     )
-    for name, written in (("phi", _phi_strings(module)), ("n", _n_strings(module))):
+    for name, written in (("phi", _phi_rows(module)), ("n", _n_rows(module))):
         if written != matrix_to_strings(dense[name]):
             raise SchemaError(
                 f"field 'module.{name}' is not in block form: an entry lies outside "
@@ -452,12 +547,51 @@ def _write(obj: Any, indent: str) -> str:
                         [head + sep.join(r) + tail for r in obj]
                     ) + indent + "]"
         return "[" + inner + ("," + inner).join([_write(x, inner) for x in obj]) + indent + "]"
+    if isinstance(obj, BlockRows):
+        return _write_block_rows(obj, indent)
     return json.dumps(obj)
+
+
+def _write_block_rows(obj: BlockRows, indent: str) -> str:
+    """The text of a BlockRows in :func:`_write`, written from its runs."""
+    d = obj.size
+    if not d:
+        return "[]"
+    # As for a matrix in _write: a cell that is not a string or needs
+    # escaping sends the rows down the list path.
+    try:
+        text = "".join(["".join(cells) for _, cells in obj.runs])
+        plain = len(_encode_str(text)) == len(text) + 2
+    except TypeError:
+        plain = False
+    if not plain:
+        return _write(list(obj), indent)
+    # A row is the text of its leading zeros, its cells and its trailing
+    # zeros, the two zero texts sliced from ("0" + sep) * d; the pieces
+    # of all rows are joined once.
+    inner = indent + "  "
+    row_inner = inner + "  "
+    sep = '",' + row_inner + '"'
+    head, tail = "[" + row_inner + '"', '"' + inner + "]"
+    between = tail + "," + inner + head
+    step = len(sep) + 1
+    zeros = ("0" + sep) * d
+    zero_row = zeros[:-len(sep)]
+    parts = []
+    for s, cells in obj.runs:
+        if cells:
+            parts += (zeros[:s * step], sep.join(cells),
+                      zeros[1:1 + (d - s - len(cells)) * step], between)
+        else:
+            parts += (zero_row, between)
+    parts[-1] = tail
+    return "[" + inner + head + "".join(parts) + indent + "]"
 
 
 def dump_json(obj: Any) -> str:
     """Canonical byte-stable serialization: exactly the text of
-    ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``.
+    ``json.dumps(obj, indent=2, sort_keys=True, default=list) + "\\n"``,
+    where ``default=list`` writes a :class:`BlockRows` as its rows.
 
     Dictionary keys must be ``str``.  With ``indent``, ``json.dumps`` runs
     its pure-Python encoder over every string of the dense report matrices;

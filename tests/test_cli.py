@@ -221,6 +221,31 @@ class TestIntegerFields:
         assert "field 'components.v0.a4'" in err and "(5000 characters)" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "value",
+        ["k" * 5000, list(range(2000)), {str(k): [k] * 50 for k in range(500)},
+         [[[[[[[[["deep"]]]]]]]]], 10 ** 300],
+        ids=["long-string", "long-list", "large-object", "nested-list", "large-int"],
+    )
+    @pytest.mark.parametrize(
+        "where, field",
+        [("kind", "'kind'"), ("type", "'components.v0.type'"), ("b_type", "'b_frobenius[0].type'")],
+    )
+    def test_unknown_kind_or_type_is_clipped_in_the_message(self, tmp_path, capsys, value,
+                                                            where, field):
+        if where == "kind":
+            obj = {**_elliptic_curve(), "kind": value}
+        elif where == "type":
+            obj = _elliptic_curve()
+            obj["components"]["v0"] = {"type": value}
+        else:
+            obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "1",
+                   "gram": [["1"]], "b_frobenius": [{"type": value}]}
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert f"field {field} has unknown value" in err and "Traceback" not in err
+        assert len(err) < 200
+
     def test_json_integers_and_signs_accepted(self, tmp_path, capsys):
         obj = {"kind": "av", "p": 5, "f": 1, "torus_rank": 1,
                "gram": [["1"]], "b_frobenius": []}

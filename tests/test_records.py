@@ -5,9 +5,8 @@ Every public record type is built from ``instances/good_reduction.json``
 abelian variety with an empty good-reduction part).  Equal records hash
 alike, a record equals its copies, ``copy``, ``deepcopy`` and ``pickle``
 give an equal object, and no field can be assigned or deleted.
-``CurveInstance`` holds its components in a read-only ``mappingproxy``,
-which can be neither hashed nor pickled, so it is covered by ``==`` and
-``copy.copy`` only.
+``CurveInstance`` holds its components in a read-only ``FrozenMap``, which
+hashes and round-trips with the record and stays read-only in every copy.
 """
 
 import copy
@@ -63,8 +62,6 @@ CASES = [
     for type_name, record in records(name).items()
 ]
 IDS = [f"{name}-{type_name}" for name, type_name, _ in CASES]
-HASHABLE = [c for c in CASES if c[1] != "CurveInstance"]
-HASHABLE_IDS = [f"{name}-{type_name}" for name, type_name, _ in HASHABLE]
 
 ALL_TYPES = {
     CurveInstance, DualGraph, Edge, EllipticCurveSpec, NewtonPolygon, PhiNModule,
@@ -85,7 +82,7 @@ def test_equal_to_its_copy(name, type_name, record):
     assert type(twin) is type(record)
 
 
-@pytest.mark.parametrize("name, type_name, record", HASHABLE, ids=HASHABLE_IDS)
+@pytest.mark.parametrize("name, type_name, record", CASES, ids=IDS)
 def test_round_trips_give_equal_hashable_objects(name, type_name, record):
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert twin is not record
@@ -115,8 +112,21 @@ def test_not_equal_to_another_type(name, type_name, record):
 
 def test_curve_instance_components_are_read_only():
     inst = records("good_reduction.json")["CurveInstance"]
-    with pytest.raises(TypeError):
-        inst.components["v0"] = None
+    for twin in (inst, copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+        with pytest.raises(TypeError):
+            twin.components["v0"] = None
+        with pytest.raises(TypeError):
+            del twin.components["v0"]
+        assert twin.components == dict(inst.components)
+        assert "v0" in twin.components and len(twin.components) == 2
+
+
+def test_curve_instances_differ_by_a_component():
+    inst = records("good_reduction.json")["CurveInstance"]
+    other = CurveInstance(graph=inst.graph, p=inst.p, f=inst.f,
+                          components={**inst.components, "v0": EllipticCurveSpec(5, 2, 1)})
+    assert other != inst
+    assert CurveInstance(graph=inst.graph, components=dict(inst.components), p=inst.p) == inst
 
 
 def test_a_different_field_breaks_equality():
