@@ -18,7 +18,7 @@ group of the Jacobian), counted by the matrix-tree theorem.
 from typing import Mapping
 
 from ._record import FrozenMap, Record
-from .errors import ValidationError
+from .errors import ValidationError, clipped, clipped_items
 from .exact_linalg import QMatrix, det
 from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
 from .phin_module import PhiNModule, assemble
@@ -54,32 +54,38 @@ class CurveInstance(Record):
         vids = {v.id for v in graph.vertices}
         missing = vids - set(components)
         if missing:
-            raise ValidationError(f"no component source for vertices {sorted(missing)}")
+            raise ValidationError(
+                f"no component source for vertices ({len(missing)}): "
+                f"{clipped_items(sorted(missing))}"
+            )
         extra = set(components) - vids
         if extra:
-            raise ValidationError(f"component sources for unknown vertices {sorted(extra)}")
+            raise ValidationError(
+                f"component sources for unknown vertices ({len(extra)}): "
+                f"{clipped_items(sorted(extra, key=str))}"
+            )
         for v in graph.vertices:
             src = components[v.id]
             if src is None:
                 if v.genus != 0:
                     raise ValidationError(
-                        f"vertex {v.id} has genus {v.genus} but a genus-0 source"
+                        f"vertex {clipped(v.id)} has genus {clipped(v.genus)} but a genus-0 source"
                     )
             elif isinstance(src, EllipticCurveSpec):
                 if v.genus != 1:
                     raise ValidationError(
-                        f"vertex {v.id} has genus {v.genus} but an elliptic source"
+                        f"vertex {clipped(v.id)} has genus {clipped(v.genus)} but an elliptic source"
                     )
                 if src.p != p or f != 1:
                     raise ValidationError(
-                        f"elliptic source of vertex {v.id} lives over F_{src.p}, "
+                        f"elliptic source of vertex {clipped(v.id)} lives over F_{src.p}, "
                         f"instance is at q = {p}^{f}"
                     )
             else:
                 m = src if isinstance(src, QMatrix) else QMatrix.from_rows(src)
                 if m.rows != 2 * v.genus:
                     raise ValidationError(
-                        f"vertex {v.id} has genus {v.genus} but a "
+                        f"vertex {clipped(v.id)} has genus {clipped(v.genus)} but a "
                         f"{m.rows}x{m.cols} matrix source"
                     )
                 components[v.id] = m

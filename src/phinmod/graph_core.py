@@ -10,14 +10,38 @@ the matrix-tree theorem computes from the Laplacian alone.  One union-find
 spanning tree gives connectivity (|V| - 1 tree edges) and the fundamental
 cycles e + R(tail) - R(head), R(v) the signed tree path from the first
 vertex to v, as sparse supports; the Gram matrix is summed over them.
+
+The spanning trees are counted as the determinant of the Laplacian with the
+row and column of a largest-degree vertex, the root, struck out.  That
+cofactor is eliminated as a sparse matrix, one vertex at a time in
+minimum-degree order (George and Liu, "Computer Solution of Large Sparse
+Positive Definite Systems", 1981), so a leaf costs one update and a tree
+costs O(V) updates, not the O(V^3) of a dense pass.  The arithmetic is
+modulo the least Mersenne prime P = 2^k - 1 above the bound
+B = prod deg(v) over the vertices v other than the root, loops not
+counted.  The cofactor of a connected graph is positive definite, so by
+Hadamard's inequality each of its principal minors is positive and at most
+the product of its diagonal entries, the degrees, hence at most B < P.  Each
+pivot is a ratio of two such minors, so none vanishes mod P, and the count
+itself lies in (0, B], so its residue mod P is the count.  A graph whose
+bound exceeds the largest listed prime is refused when it is built.  The
+count shares no kernel with the determinant of the Gram matrix it is
+compared with.
 """
 
 from functools import cached_property
+from heapq import heapify, heappop, heappush
+from math import prod
 from typing import Sequence
 
 from ._record import Record
-from .errors import GraphError
-from .exact_linalg import QMatrix, det
+from .errors import GraphError, clipped
+from .exact_linalg import QMatrix
+
+# Exponents k of the Mersenne primes 2^k - 1 up to 2^4423 - 1 (OEIS A000043).
+# The largest holds the bound of a random tree on about 5800 vertices.
+MERSENNE_EXPONENTS = (2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279,
+                      2203, 2281, 3217, 4253, 4423)
 
 
 class Vertex(Record):
@@ -56,13 +80,36 @@ class DualGraph(Record):
         vset = set(vids)
         for e in edges:
             if e.tail not in vset or e.head not in vset:
-                raise GraphError(f"edge {e.id} references a missing vertex")
+                raise GraphError(f"edge {clipped(e.id)} references a missing vertex")
         for v in vertices:
             if v.genus < 0:
-                raise GraphError(f"vertex {v.id} has negative genus")
-        # the fields are set first: the spanning tree reads them
+                raise GraphError(f"vertex {clipped(v.id)} has negative genus")
+        # the fields are set first: the spanning tree and the modulus read them
         if len(self.tree) < len(vertices) - 1:
             raise GraphError("disconnected graph")
+        self.kirchhoff_modulus  # found now: refuses a graph no listed prime can count
+
+    @cached_property
+    def kirchhoff_modulus(self) -> tuple:
+        """(root, P) of :func:`spanning_tree_count`: the index of the first
+        vertex of largest degree, and the least Mersenne prime above the
+        product B of the other degrees.  GraphError if B exceeds them all."""
+        index = {v.id: k for k, v in enumerate(self.vertices)}
+        degree = [0] * len(index)
+        for e in self.edges:
+            a, b = index[e.tail], index[e.head]
+            if a != b:
+                degree[a] += 1
+                degree[b] += 1
+        root = degree.index(max(degree))
+        bound = prod(degree[:root]) * prod(degree[root + 1:])
+        for k in MERSENNE_EXPONENTS:
+            if (1 << k) - 1 > bound:
+                return root, (1 << k) - 1
+        raise GraphError(
+            f"graph has a spanning-tree bound prod deg(v) of {bound.bit_length()} bits; "
+            f"the largest modulus is 2^{MERSENNE_EXPONENTS[-1]} - 1"
+        )
 
     @cached_property
     def tree(self) -> frozenset:
@@ -169,19 +216,60 @@ def monodromy_gram(g: DualGraph) -> QMatrix:
 
 
 def spanning_tree_count(g: DualGraph) -> int:
-    """Number of spanning trees, by Kirchhoff's matrix-tree theorem: any
-    cofactor of the Laplacian.  Loops are dropped; parallel edges count
-    separately."""
+    """Number of spanning trees, by Kirchhoff's matrix-tree theorem: the
+    Laplacian cofactor at the root of :attr:`DualGraph.kirchhoff_modulus`,
+    eliminated modulo its prime P in minimum-degree order (module
+    docstring).  Loops are dropped; parallel edges count separately.
+
+    The cofactor is kept as one dict of off-diagonal entries per row, plus
+    the diagonal.  Eliminating vertex k with pivot c subtracts M_ik / c
+    times row k from the row of each neighbour i, and the count is the
+    product of the pivots.  A pivot of 1, as a leaf of a tree has, needs
+    no inversion.  As 2^k = 1 mod P, a product is reduced by adding
+    its bits above k to its low k bits, twice, with no division; entries
+    are then congruent to the true ones, not reduced.
+    """
+    root, prime = g.kirchhoff_modulus
     index = {v.id: k for k, v in enumerate(g.vertices)}
     n = len(index)
     if n == 1:
         return 1
-    lap = [[0] * n for _ in range(n)]
+    bits = prime.bit_length()
+
+    def fold(t):
+        t = (t & prime) + (t >> bits)
+        return (t & prime) + (t >> bits)
+
+    rows = [{} for _ in range(n)]
+    diag = [0] * n
     for e in g.edges:
         a, b = index[e.tail], index[e.head]
         if a != b:
-            lap[a][a] += 1
-            lap[b][b] += 1
-            lap[a][b] -= 1
-            lap[b][a] -= 1
-    return det(QMatrix.from_rows([row[1:] for row in lap[1:]]))
+            diag[a] += 1
+            diag[b] += 1
+            rows[a][b] = rows[a].get(b, 0) - 1
+            rows[b][a] = rows[b].get(a, 0) - 1
+    for j in rows[root]:
+        del rows[j][root]
+    rows[root] = None
+    heap = [(len(row), k) for k, row in enumerate(rows) if row is not None]
+    heapify(heap)
+    count = 1
+    while heap:
+        size, k = heappop(heap)
+        row = rows[k]
+        if row is None or size != len(row):  # eliminated, or a stale degree
+            continue
+        rows[k] = None
+        c = diag[k]
+        count = fold(count * c)
+        inverse = 1 if c == 1 else pow(c, -1, prime)
+        for i in row:
+            ri = rows[i]
+            m = fold(ri.pop(k) * inverse)  # M_ik / c
+            diag[i] = fold(diag[i] - m * row[i])
+            for j, b in row.items():
+                if j != i:
+                    ri[j] = fold(ri.get(j, 0) - m * b)
+            heappush(heap, (len(ri), i))
+    return count % prime

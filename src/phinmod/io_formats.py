@@ -37,13 +37,12 @@ call per item.  ``tests/test_report_writer.py`` guards the equality.
 
 import json
 import re
-import reprlib
 from collections.abc import Mapping, Sequence
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Any
 
 from .builders import CurveInstance, UniformizationData, resolve_component
-from .errors import SchemaError
+from .errors import SchemaError, clipped, clipped_key
 from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
@@ -91,16 +90,6 @@ def _get_str(obj: Mapping, field: str, context: str) -> str:
     return value
 
 
-def _clipped(value) -> str:
-    """repr of an input value for a message, kept short: a string's first
-    20 characters and the length of a longer one; the repr of any other
-    value, bounded in size and depth by ``reprlib``, cut at 40 characters."""
-    if isinstance(value, str):
-        return repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
-    text = reprlib.repr(value)
-    return text if len(text) <= 40 else f"{text[:40]}... ({type(value).__name__})"
-
-
 def _as_int(value, context: str) -> int:
     if isinstance(value, bool):
         raise SchemaError(f"field '{context}' must be an integer string")
@@ -112,7 +101,7 @@ def _as_int(value, context: str) -> int:
                 return int(value)
         except ValueError:  # beyond Python's int/str digit limit
             pass
-        raise SchemaError(f"field '{context}' is not an integer: {_clipped(value)}")
+        raise SchemaError(f"field '{context}' is not an integer: {clipped(value)}")
     raise SchemaError(f"field '{context}' must be an integer string")
 
 
@@ -209,7 +198,7 @@ def _parse_entry(x):
     s = str(x)
     if not _ENTRY.fullmatch(s):
         raise ValueError(
-            f"{_clipped(s)} is not a decimal integer or a/b of at most "
+            f"{clipped(s)} is not a decimal integer or a/b of at most "
             f"{MAX_ENTRY_DIGITS} digits"
         )
     return parse_rational(s)
@@ -276,7 +265,7 @@ def source_from_json(obj, p: int, context: str):
         if not m.is_integral():
             raise SchemaError(f"field '{context}.entries' must be integral")
         return m
-    raise SchemaError(f"field '{context}.type' has unknown value {_clipped(kind)}")
+    raise SchemaError(f"field '{context}.type' has unknown value {clipped(kind)}")
 
 
 # -- instances ----------------------------------------------------------------
@@ -349,7 +338,7 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
         if not isinstance(comp_obj, Mapping):
             raise SchemaError("field 'components' must be an object")
         components = {
-            vid: source_from_json(src, p, f"components.{vid}")
+            vid: source_from_json(src, p, f"components.{clipped_key(vid)}")
             for vid, src in comp_obj.items()
         }
         return CurveInstance(graph=graph, components=components, p=p, f=f)
@@ -368,7 +357,7 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
         return UniformizationData(
             torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
         )
-    raise SchemaError(f"field 'kind' has unknown value {_clipped(kind)}")
+    raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")
 
 
 def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):

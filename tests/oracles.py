@@ -318,6 +318,24 @@ def det_gauss(rows):
     return result
 
 
+def spanning_trees_dense(g):
+    """Number of spanning trees of a connected DualGraph: det_gauss of the
+    Laplacian with the first vertex's row and column struck out, loops
+    dropped and parallel edges counted separately.  The dense count the
+    package replaced by sparse elimination modulo a prime."""
+    index = {v.id: k for k, v in enumerate(g.vertices)}
+    n = len(index)
+    lap = [[0] * n for _ in range(n)]
+    for e in g.edges:
+        a, b = index[e.tail], index[e.head]
+        if a != b:
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    return det_gauss([row[1:] for row in lap[1:]])
+
+
 def bareiss_unskipped(rows):
     """The fraction-free elimination pass of ``phinmod._backend.bareiss``
     without its zero-multiplier skip: every row below the pivot is updated,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -333,6 +334,56 @@ class TestGraphShape:
         assert field in err and "Traceback" not in err
 
 
+LONG_ID = "x" * 5000
+
+
+def _genus0_curve(vids, edges, components=None) -> dict:
+    return {
+        "kind": "curve", "p": "5", "f": "1",
+        "graph": {"vertices": [{"id": v, "genus": "0"} for v in vids],
+                  "edges": [{"id": e, "tail": t, "head": h} for e, t, h in edges]},
+        "components": ({v: {"type": "genus0"} for v in vids} if components is None
+                       else components),
+    }
+
+
+def _path(n) -> tuple:
+    vids = [f"v{i}" for i in range(n)]
+    return vids, [(f"e{i}", vids[i], vids[i + 1]) for i in range(n - 1)]
+
+
+class TestLongIdsClipped:
+    """A message shows an id or key by its first 20 characters and its
+    length, and a list of ids by its length and its first three."""
+
+    @pytest.mark.parametrize(
+        "obj, names",
+        [
+            (_genus0_curve([LONG_ID], [], {LONG_ID: {"type": "nope"}}),
+             ["field 'components.xxxxxxxxxxxxxxxxxxxx... (5000 characters).type'"]),
+            (_genus0_curve(["v0"], [(LONG_ID, "v0", "v9")]),
+             ["edge 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)", "missing vertex"]),
+            (_genus0_curve(*_path(2000), components={}),
+             ["no component source for vertices (2000): 'v0', 'v1', 'v10' and 1997 more"]),
+            (_genus0_curve(["v0"], [], {"v0": {"type": "genus0"},
+                                       **{f"u{i}": {"type": "genus0"} for i in range(2000)}}),
+             ["sources for unknown vertices (2000): 'u0', 'u1', 'u10' and 1997 more"]),
+            (_genus0_curve(["v0", LONG_ID], [("e0", "v0", LONG_ID)], {"v0": {"type": "genus0"}}),
+             ["no component source for vertices (1): 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"]),
+            ({**_genus0_curve([LONG_ID], []),
+              "graph": {"vertices": [{"id": LONG_ID, "genus": "1"}], "edges": []}},
+             ["vertex 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters) has genus 1"]),
+        ],
+        ids=["component-key", "edge-id", "missing-sources", "unknown-vertices",
+             "missing-long-id", "genus-mismatch"],
+    )
+    def test_exit_2_with_a_short_message(self, tmp_path, capsys, obj, names):
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert len(err) < 200 and "Traceback" not in err
+
+
 class TestArchimedeanRejection:
     def test_repeated_real_block_exit_2(self, tmp_path, capsys):
         # diag(C, C), C = [[0, -5], [1, 7]]: eigenvalues (7 +/- sqrt(29))/2
@@ -621,10 +672,9 @@ class TestOncePerRequest:
         # empty: none goes through the general Weil gate
         assert validations == [] and char_polys == []
         # the Gram matrix once (positive definiteness, rank N and det all
-        # read it) and the Laplacian cofactor of the spanning-tree count
-        gram = monodromy_gram(g).to_rows()
-        laplacian_cofactor = [[2, -1], [-1, 2]]
-        assert sorted(rows for rows, in eliminations) == sorted([gram, laplacian_cofactor])
+        # read it); the spanning-tree count eliminates its own sparse
+        # cofactor and shares no kernel with it
+        assert [rows for rows, in eliminations] == [monodromy_gram(g).to_rows()]
 
     def test_matrix_components_validated_once_each(self, monkeypatch):
         g = DualGraph.build(
@@ -645,11 +695,13 @@ class TestOncePerRequest:
             p=5,
         )
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
-        char_polys = count_calls(monkeypatch, phinmod.exact_linalg.char_poly)
+        char_polys = count_calls(monkeypatch, phinmod._backend.charpoly_int)
         report = run_checks(inst, DEFAULT_POINT_BOUND)
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
         assert [args[0] for args in validations] == [block, inst.components["v3"]]
-        assert len(char_polys) == 2
+        # one characteristic polynomial per diagonal block: v3 has two
+        rows = [[list(r) for r in args[0]] for args in char_polys]
+        assert rows == [block.to_rows(), block.to_rows(), [[0, -5], [1, 0]]]
 
     def test_one_spanning_tree_per_curve(self, monkeypatch):
         from phinmod.fuzz import instance_stream
@@ -693,7 +745,41 @@ class TestOncePerRequest:
 BOUQUET_REPORT_SHA256 = "cfcb8deb935d477813633125ae4fe30f89180a4f564008476d4e43800908011d"
 
 
+def _tree_plus_edges(vertices: int, extra: int, seed: int) -> dict:
+    """A random recursive tree on ``vertices`` genus-0 vertices plus
+    ``extra`` random edges, loops and parallels allowed."""
+    rng = random.Random(seed)
+    vids = [f"v{i}" for i in range(vertices)]
+    links = [(vids[rng.randrange(i)], vids[i]) for i in range(1, vertices)]
+    links += [(rng.choice(vids), rng.choice(vids)) for _ in range(extra)]
+    return _genus0_curve(vids, [(f"e{j}", t, h) for j, (t, h) in enumerate(links)])
+
+
 class TestLargeGraphBudget:
+    @pytest.mark.parametrize("vertices, budget", [(500, 0.5), (2000, 1.0)])
+    def test_tree_plus_100_edges_in_budget(self, vertices, budget):
+        # b1 = 100: the Gram matrix is 100 x 100, and the spanning trees are
+        # counted by sparse elimination; the dense count took 9.6 s at
+        # V = 500 and over 300 s at V = 2000
+        obj = _tree_plus_edges(vertices, 100, seed=vertices)
+        t0 = time.perf_counter()
+        report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+        assert time.perf_counter() - t0 < budget
+        assert report["checks"]["curve_jacobian_agreement"] == "pass"
+
+    def test_bound_beyond_the_largest_prime_exit_2(self, tmp_path, capsys):
+        # K_{2,4420}: the product of the degrees off the root hub is
+        # 4420 * 2^4420, above the largest listed prime 2^4423 - 1
+        middles = [f"m{j}" for j in range(4420)]
+        edges = [(f"e{h}_{j}", hub, m) for h, hub in enumerate(("a", "b"))
+                 for j, m in enumerate(middles)]
+        obj = _genus0_curve(["a", "b"] + middles, edges)
+        t0 = time.perf_counter()
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        assert time.perf_counter() - t0 < 2
+        err = capsys.readouterr().err
+        assert "graph has a spanning-tree bound" in err and "Traceback" not in err
+
     def test_bouquet_build_in_budget(self, tmp_path):
         # one genus-0 vertex with 400 loops: b1 = 400, the Gram matrix is
         # the 400 x 400 identity and the report holds d = 800 matrices.

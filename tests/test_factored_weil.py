@@ -19,12 +19,13 @@ from phinmod.phin_module import _det_phi, assemble, hodge_newton, verify_relatio
 from phinmod.weil_data import (
     DEFAULT_POINT_BOUND,
     EllipticCurveSpec,
+    WeilMatrix,
     direct_sum,
     frobenius_of_elliptic,
     validate_weil,
 )
 
-from oracles import dense_assemble, dense_hodge_newton, dense_relations
+from oracles import dense_assemble, dense_hodge_newton, dense_relations, poly_mul
 
 # (p, f): q = 3, 5, 7 at f = 1 and 9, 25 at f = 2
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
@@ -108,7 +109,9 @@ def test_equality_ignores_how_chi_is_factored():
     b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))   # a = 2
     b2 = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1))   # a = 0
     summed = direct_sum([b1, resolve_component(None, 5, 1), b2], 5, 1)
-    whole = validate_weil(summed.matrix, 5, 1)
+    # validation keeps one factor per diagonal block, as the sum does
+    assert validate_weil(summed.matrix, 5, 1).factors == summed.factors
+    whole = WeilMatrix(5, 1, summed.matrix, (tuple(poly_mul(*summed.factors)),))
     assert len(summed.factors) == 2 and len(whole.factors) == 1
     assert summed == whole and hash(summed) == hash(whole)
     gram = QMatrix.from_rows([[2, 1], [1, 2]])

@@ -7,6 +7,7 @@ import pytest
 from phinmod.errors import GraphError
 from phinmod.exact_linalg import QMatrix, det, is_positive_definite, rank
 from phinmod.graph_core import (
+    MERSENNE_EXPONENTS,
     DualGraph,
     betti_one,
     cycle_basis,
@@ -17,7 +18,7 @@ from phinmod.fuzz import instance_stream
 from phinmod.io_formats import instance_from_json
 
 from conftest import INSTANCE_DIR
-from oracles import monodromy_gram_dense, spanning_trees_brute
+from oracles import monodromy_gram_dense, spanning_trees_brute, spanning_trees_dense
 
 
 def graph(vertices, edges):
@@ -178,6 +179,46 @@ class TestSpanningTreeCount:
         assert loops and parallels
 
 
+def complete(n):
+    return graph([(f"v{i}", 0) for i in range(n)],
+                 [(f"e{i}_{j}", f"v{i}", f"v{j}") for i in range(n) for j in range(i + 1, n)])
+
+
+def complete_bipartite(m, n):
+    return graph([(f"a{i}", 0) for i in range(m)] + [(f"b{j}", 0) for j in range(n)],
+                 [(f"e{i}_{j}", f"a{i}", f"b{j}") for i in range(m) for j in range(n)])
+
+
+class TestSparseCount:
+    """The count by sparse elimination modulo a Mersenne prime against
+    closed forms; TestSparseGramAgainstDense checks it against the dense
+    cofactor of ``oracles.py``."""
+
+    def test_cayley(self):
+        primes = set()
+        for n in range(1, 31):
+            g = complete(n)
+            assert spanning_tree_count(g) == (n ** (n - 2) if n > 1 else 1)
+            primes.add(g.kirchhoff_modulus[1])
+        # 30^28 is above 2^137: the count outgrows 2^61 - 1 and 2^127 - 1
+        assert 30 ** 28 > 2 ** 137 and 2 ** 521 - 1 in primes and len(primes) >= 5
+
+    def test_complete_bipartite(self):
+        for m in range(1, 8):
+            for n in range(1, 8):
+                assert spanning_tree_count(complete_bipartite(m, n)) == m ** (n - 1) * n ** (m - 1)
+
+    def test_largest_prime(self):
+        # K_{2,n}: the root is a hub, the bound n 2^n, the count n 2^(n-1)
+        g = complete_bipartite(2, 4410)
+        assert g.kirchhoff_modulus[1] == 2 ** MERSENNE_EXPONENTS[-1] - 1
+        assert spanning_tree_count(g) == 4410 * 2 ** 4409
+
+    def test_bound_beyond_the_largest_prime_refused(self):
+        with pytest.raises(GraphError, match="graph has a spanning-tree bound"):
+            complete_bipartite(2, 4420)
+
+
 def random_multigraph(rng, nv, extra):
     """A random spanning tree plus ``extra`` edges, loops and parallels
     allowed, with unpadded edge ids (``e10`` sorts before ``e2``) stored in
@@ -192,12 +233,15 @@ def random_multigraph(rng, nv, extra):
 
 class TestSparseGramAgainstDense:
     """Root-path cycles and the support-summed Gram matrix against one tree
-    search per cycle and dense dot products."""
+    search per cycle and dense dot products, and the spanning-tree count by
+    sparse elimination modulo a prime against det_gauss of the dense
+    Laplacian cofactor."""
 
     def assert_matches_dense(self, g):
         cycles, gram = monodromy_gram_dense(g)
         assert list(cycle_basis(g)) == cycles
         assert monodromy_gram(g).to_rows() == gram
+        assert spanning_tree_count(g) == spanning_trees_dense(g)
 
     def test_instances(self):
         graphs = 0

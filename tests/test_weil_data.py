@@ -1,15 +1,20 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phinmod.weil_data as weil_data
 from phinmod.errors import ValidationError, WeilValidationError
+from phinmod.fuzz import instance_stream
 from phinmod.exact_linalg import QMatrix, char_poly, newton_polygon
 from phinmod.weil_data import (
     EllipticCurveSpec,
     _archimedean_holds,
+    _certify,
     count_points,
     direct_sum,
     frobenius_of_elliptic,
@@ -186,7 +191,7 @@ class TestValidateWeil:
         def no_char_poly(m):
             raise AssertionError("char_poly reached")
 
-        monkeypatch.setattr("phinmod.weil_data.char_poly", no_char_poly)
+        monkeypatch.setattr("phinmod.weil_data.charpoly_int", no_char_poly)
         n = MAX_WEIL_SIZE + 2
         with pytest.raises(WeilValidationError, match=f"{n} rows; a Weil block has at most"):
             validate_weil(QMatrix.zeros(n, n), 5)
@@ -340,7 +345,10 @@ class TestArchimedeanCertificate:
                     for m in (companion(chi), trace_blocks(traces, q)):
                         if is_weil_by_construction(traces, q):
                             w = validate_weil(m, p, f)
-                            assert w.factors == (tuple(chi),)
+                            # one factor per diagonal block, multiplying to chi
+                            blocks = 1 if m == companion(chi) else g
+                            assert len(w.factors) == blocks
+                            assert functools.reduce(poly_mul, w.factors, [1]) == chi
                         else:
                             # above 2x2, a = q + 1 (1 and q among the
                             # eigenvalues) is refused by the certificate,
@@ -349,6 +357,99 @@ class TestArchimedeanCertificate:
                             reason = "eigenvalue" if eigen else "archimedean"
                             with pytest.raises(WeilValidationError, match=reason):
                                 validate_weil(m, p, f)
+
+
+def whole_verdict(m, p, f):
+    """The certificate run on the whole matrix, as before blocks were
+    split: ("ok", chi) or ("refused", message)."""
+    try:
+        return "ok", list(_certify(m.to_rows(), p ** f))
+    except WeilValidationError as exc:
+        return "refused", str(exc)
+
+
+def blockwise_verdict(m, p, f):
+    """validate_weil's verdict, with the product of its factors for chi."""
+    try:
+        w = validate_weil(m, p, f)
+    except WeilValidationError as exc:
+        return "refused", str(exc)
+    return "ok", functools.reduce(poly_mul, w.factors, [1])
+
+
+@st.composite
+def block_diagonal(draw):
+    """(m, p, f): blocks of sizes 1-4 on the diagonal, mostly near-Weil
+    (companions of T^2 - aT + q with a around the Hasse bound, T^2 - q, the
+    scalar p) with some random small ones; an odd total size gets one more
+    1 x 1 block."""
+    p, f = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (3, 2), (5, 2)]))
+    q = p ** f
+    edge = math.isqrt(4 * q)
+    small = st.integers(-3, 3)
+    kinds = {
+        "companion": st.builds(lambda a: [[0, -q], [1, a]], st.integers(-edge - 1, edge + 1)),
+        "minus_q": st.just([[0, q], [1, 0]]),
+        "scalar": st.just([[p]]),
+        "random": st.integers(1, 4).flatmap(
+            lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)),
+    }
+    weighted = ["companion"] * 4 + ["minus_q", "scalar", "random"]
+    blocks = draw(st.lists(st.sampled_from(weighted).flatmap(kinds.get),
+                           min_size=1, max_size=4))
+    if sum(map(len, blocks)) % 2:
+        blocks.append([[p]])
+    return QMatrix.block_diag([QMatrix.from_rows(b) for b in blocks]), p, f
+
+
+class TestBlockwiseCertificate:
+    """validate_weil certifies each finest diagonal block and falls back to
+    the whole matrix when one fails alone; its verdict and message must be
+    those of the whole-matrix certificate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(block_diagonal())
+    def test_same_verdict_as_the_whole_matrix(self, case):
+        m, p, f = case
+        assert blockwise_verdict(m, p, f) == whole_verdict(m, p, f)
+
+    def test_sum_of_non_weil_blocks_accepted(self):
+        # T^2 - q has det -q alone; twice it is (T^2 - q)^2, Weil
+        m = QMatrix.block_diag([QMatrix.from_rows([[0, 5], [1, 0]])] * 2)
+        with pytest.raises(WeilValidationError, match="det"):
+            validate_weil(QMatrix.from_rows([[0, 5], [1, 0]]), 5)
+        assert validate_weil(m, 5).factors == ((25, 0, -10, 0, 1),)
+
+    def test_scalar_p_at_f_2_accepted(self):
+        # diag(p, p) at q = p^2: 1 x 1 blocks, Weil only together
+        assert validate_weil([[3, 0], [0, 3]], 3, 2).factors == ((9, -6, 1),)
+
+    def test_valid_block_beside_invalid_one(self):
+        # [[0, -5], [1, 2]] is Weil at q = 5; [[0, -5], [1, 7]] breaks Hasse
+        m = QMatrix.from_rows([[0, -5, 0, 0], [1, 2, 0, 0], [0, 0, 0, -5], [0, 0, 1, 7]])
+        verdict = whole_verdict(m, 5, 1)
+        assert verdict[0] == "refused" and "archimedean" in verdict[1]
+        assert blockwise_verdict(m, 5, 1) == verdict
+
+    def test_split_blocks_become_the_factors(self):
+        m = QMatrix.from_rows([[0, -5, 0, 0], [1, 2, 0, 0], [0, 0, 0, -5], [0, 0, 1, 0]])
+        assert validate_weil(m, 5).factors == ((5, -2, 1), (5, 0, 1))
+        # a nonzero entry off the blocks joins them into one
+        joined = QMatrix.from_rows([[0, -5, 0, 0], [1, 2, 0, 0], [0, 0, 0, -5], [0, 1, 1, 0]])
+        assert len(validate_weil(joined, 5).factors) == 1
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_fuzz_genus_2_sources(self, seed):
+        sources = 0
+        for inst in instance_stream(seed, 40):
+            for src in inst.components.values():
+                if isinstance(src, QMatrix) and src.rows == 4:
+                    verdict = blockwise_verdict(src, inst.p, inst.f)
+                    assert verdict == whole_verdict(src, inst.p, inst.f)
+                    assert verdict[0] == "ok"
+                    assert len(validate_weil(src, inst.p, inst.f).factors) == 2
+                    sources += 1
+        assert sources >= 10
 
 
 class TestDirectSum:
