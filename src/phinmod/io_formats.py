@@ -5,42 +5,39 @@ One JSON dialect for both: every number is a decimal string (rationals as
 round-trips are bit-exact.  A matrix entry that is not such a string, or
 has more than MAX_ENTRY_DIGITS digits, is refused before it is parsed.  A
 row of integers is read in one pass: one pattern match per entry, then one
-``map(int, row)``; only other rows are read entry by entry.  A matrix
-written into a report is converted to text once
-(:attr:`QMatrix.entry_strings`), however many fields show it.
+``map(int, row)``; only other rows are read entry by entry.
 
-The dense d x d ``phi`` and ``n`` of a report, and the ``b_frobenius``
-entries of an abelian-variety echo, are :class:`BlockRows`: one run of
-cells per row, taken from the blocks (the scalars, the diagonal blocks of
-the Weil matrix, whose sizes are the degrees of its factors, and N's one
-block), "0" elsewhere.  Only the cells of runs are converted to text; a
-Weil-matrix row with a nonzero entry outside its block has its whole row
-as its run, so every matrix is written with exactly its entries.  A
-``BlockRows`` reads as its list of rows, and :func:`matrix_from_strings`
-takes one, so a report can be read back in the process that built it.
+A request's result is a :class:`Report` record: the instance, its module
+and the verdicts of its checks.  :func:`dump_json` writes it section by
+section with functions that know each section's keys in sorted order: the
+checks from the two check records and the two booleans, the instance echo
+from the :class:`CurveInstance` or :class:`UniformizationData`, and the
+module from its blocks.  Every piece is appended to one list, joined once.
+The text is exactly ``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of
+the report as a dict (``tests/oracles.py`` builds that dict), and of
+:func:`instance_to_json` for an instance written alone.  Input strings (ids
+and component keys) are quoted by the C ``encode_basestring_ascii``;
+number strings never need escaping.
 
-Reports are emitted with sorted keys and fixed indentation, making equal
-runs byte-identical.  :func:`dump_json` writes exactly the bytes of
-``json.dumps(obj, indent=2, sort_keys=True, default=list) + "\\n"``, for
-``str`` keys only, without running the pure-Python encoder that ``indent``
-selects: a small recursive writer quotes each string with the C
-``encode_basestring_ascii``.  A matrix, a list whose items are all
-non-empty lists or tuples of strings such as the ``gram``, is written
-whole: one escape check over all its entries, one join per row and one
-outer join.  A ``BlockRows`` is written from its runs: one escape check
-over the run cells, the text of a zero row made once, and each other row
-as a slice of one zero-run text, its cells joined once and the matching
-slice.  A string value in a dict is quoted inline.  Any other list, or a
-matrix with an entry that needs escaping, is written with one recursive
-call per item.  ``tests/test_report_writer.py`` guards the equality.
+Each square matrix is written from one run of cells per row: row i is "0"
+but for its run.  The dense d x d ``phi`` and ``n``, and the ``b_frobenius``
+entries of an abelian-variety echo, take their runs from the blocks (the
+scalars, the diagonal blocks of the Weil matrix, whose sizes are the
+degrees of its factors, and N's one block), so no d x d row list is built
+and only the cells of runs are converted to text; a Weil-matrix row with a
+nonzero entry outside its block has its whole row as its run; an
+abelian variety's phi1 is its Weil matrix, so its report makes those runs
+once.  Another matrix has its whole rows as runs.  The text of a zero row is made once,
+and each other row is a slice of one zero-run text, its cells joined once,
+and the matching slice.
 """
 
 import json
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Any
 
+from ._record import Record
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError, clipped, clipped_key
 from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
@@ -112,88 +109,6 @@ def matrix_to_strings(m: QMatrix) -> list:
     return [list(s[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
-class BlockRows:
-    """A d x d matrix of entry strings, held as one run of cells per row:
-    row i is "0" except for the cells ``runs[i][1]`` from column
-    ``runs[i][0]`` on, and a row whose cells are empty is all "0".
-
-    It reads as its sequence of rows: ``len``, indexing and iteration give
-    fresh lists, and ``==`` compares it with any sequence of rows.  A deep
-    copy is that list of row lists, so a copied report can be edited.
-    :func:`dump_json` writes it from the runs, without building the rows.
-    """
-
-    def __init__(self, size: int, runs: tuple):
-        if len(runs) != size:
-            raise ValueError("one run per row")
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "runs", runs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _row(self, i: int) -> list:
-        start, cells = self.runs[i]
-        row = ["0"] * self.size
-        row[start:start + len(cells)] = cells
-        return row
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i):
-        k = range(self.size)[i]  # an int or a range; IndexError as a list raises it
-        return self._row(k) if isinstance(k, int) else [self._row(j) for j in k]
-
-    def __iter__(self):
-        return map(self._row, range(self.size))
-
-    def __eq__(self, other):
-        if not isinstance(other, (BlockRows, Sequence)) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(other) == self.size and all(
-            isinstance(theirs, Sequence) and not isinstance(theirs, str)
-            and mine == list(theirs)
-            for mine, theirs in zip(self, other)
-        )
-
-    __hash__ = None
-
-    def __deepcopy__(self, memo) -> list:
-        return list(self)
-
-    def __repr__(self) -> str:
-        return f"BlockRows(size={self.size}, runs={self.runs!r})"
-
-
-def _runs(m: QMatrix, factors, offset: int = 0) -> list:
-    """(start, cells) of each row of the square ``m``: the row's diagonal
-    block, sized by the degrees of ``factors``, is its run, or the whole
-    row if it has a nonzero entry outside that block.  ``offset`` is added
-    to each start.  Only the cells of runs are converted to text."""
-    n, e = m.cols, m.entries
-    if not n:
-        return []
-    sizes = [len(chi) - 1 for chi in factors]
-    if sum(sizes) != n:
-        sizes = (n,)
-    zero, runs, o = (0,) * n, [], 0
-    for size in sizes:
-        end = o + size
-        left, right = zero[:o], zero[end:]
-        for base in range(o * n, end * n, n):
-            if e[base:base + o] == left and e[base + end:base + n] == right:
-                a, b = o, end
-            else:
-                a, b = 0, n
-            runs.append((offset + a, tuple(map(str, e[base + a:base + b]))))
-        o = end
-    return runs
-
-
 def _parse_entry(x):
     s = str(x)
     if not _ENTRY.fullmatch(s):
@@ -217,8 +132,6 @@ def _parse_row(r: list) -> list:
 
 
 def matrix_from_strings(rows, context: str) -> QMatrix:
-    if isinstance(rows, BlockRows):  # a report read back in the same process
-        rows = list(rows)
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
@@ -257,7 +170,7 @@ def source_from_json(obj, p: int, context: str):
         )
     if kind == "matrix":
         entries = _get(obj, "entries", context + ".")
-        if isinstance(entries, (list, BlockRows)):
+        if isinstance(entries, list):
             # validate_weil checks this too; here the message names the
             # field, and a large block is refused before it is parsed
             check_weil_size(len(entries), f"field '{context}.entries'")
@@ -299,7 +212,9 @@ def instance_to_json(inst) -> dict:
             "f": str(inst.f),
             "torus_rank": str(inst.torus_rank),
             "gram": matrix_to_strings(inst.gram),
-            "b_frobenius": [{"type": "matrix", "entries": _block_rows(inst.b_frobenius)}],
+            "b_frobenius": [
+                {"type": "matrix", "entries": matrix_to_strings(inst.b_frobenius.matrix)}
+            ],
         }
     raise TypeError(f"not an instance: {inst!r}")
 
@@ -345,6 +260,8 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     if kind == "av":
         torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
         gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
+        if not gram.is_integral():
+            raise SchemaError("field 'gram' must be integral")
         blocks = []
         for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
             src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
@@ -373,56 +290,25 @@ def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):
 
 # -- reports ------------------------------------------------------------------
 
-def _passfail(ok: bool) -> str:
-    return "pass" if ok else "fail"
+class Report(Record):
+    """One request's result: the instance, its module and the verdicts of
+    its checks.  ``agreement`` is the curve/Jacobian verdict, None for an
+    abelian variety.  :func:`dump_json` writes it."""
+
+    _fields = ("instance", "module", "relations", "polygons", "duality", "agreement")
+
+    def __init__(self, instance, module: PhiNModule, relations: RelationReport,
+                 polygons: PolygonReport, duality: bool, agreement=None):
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "polygons", polygons)
+        object.__setattr__(self, "duality", duality)
+        object.__setattr__(self, "agreement", agreement)
 
 
-def polygon_to_strings(slopes) -> list:
-    return [[rational_str(s), str(m)] for s, m in slopes]
-
-
-def _block_rows(w) -> BlockRows:
-    """A Weil matrix's entries, its blocks read off the degrees of its
-    factors."""
-    return BlockRows(w.size, tuple(_runs(w.matrix, w.factors)))
-
-
-def _phi_rows(m: PhiNModule) -> BlockRows:
-    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), one run per row:
-    the scalar on the diagonal, or the row's block of phi1."""
-    w0, w1, _ = m.dims
-    phi0, phi2 = (rational_str(m.phi0),), (rational_str(m.phi2),)
-    runs = [(k, phi0) for k in range(w0)]
-    runs += _runs(m.phi1, m.phi1_factors, w0)
-    runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]
-    return BlockRows(m.dimension, tuple(runs))
-
-
-def _n_rows(m: PhiNModule) -> BlockRows:
-    """Dense N: the rows of n02 from column w0 + w1 on in the weight-0
-    rows, and zero rows below."""
-    w0, w1, w2 = m.dims
-    s = m.n02.entry_strings
-    return BlockRows(m.dimension, tuple(
-        [(w0 + w1, s[i * w2:(i + 1) * w2]) for i in range(w0)] + [(0, ())] * (w1 + w2)
-    ))
-
-
-def module_to_json(m: PhiNModule, polygons: PolygonReport) -> dict:
-    w0, w1, w2 = m.dims
-    return {
-        "p": str(m.p),
-        "f": str(m.f),
-        "dims": {"w0": str(w0), "w1": str(w1), "w2": str(w2)},
-        "fil1_dim": str(m.fil1_dim),
-        "t_newton": rational_str(polygons.t_newton),
-        "t_hodge": str(polygons.t_hodge),
-        "newton_slopes": polygon_to_strings(polygons.newton.slopes),
-        "hodge_slopes": polygon_to_strings(polygons.hodge.slopes),
-        "phi": _phi_rows(m),
-        "n": _n_rows(m),
-        "gram": matrix_to_strings(m.gram),
-    }
+def build_report(inst, module, relations, polygons, duality_ok, agreement_ok=None) -> Report:
+    return Report(inst, module, relations, polygons, duality_ok, agreement_ok)
 
 
 def _square_block(m: QMatrix, row: int, col: int, size: int) -> QMatrix:
@@ -474,7 +360,11 @@ def module_from_report(report: Mapping) -> PhiNModule:
         fil1_dim=fil1_dim,
         gram=dense["gram"],
     )
-    for name, written in (("phi", _phi_rows(module)), ("n", _n_rows(module))):
+    phi_runs = _phi_runs(module, _runs(phi1, module.phi1_factors))
+    for name, runs in (("phi", phi_runs), ("n", _n_runs(module))):
+        written = [["0"] * d for _ in range(d)]
+        for row, (start, cells) in zip(written, runs):
+            row[start:start + len(cells)] = cells
         if written != matrix_to_strings(dense[name]):
             raise SchemaError(
                 f"field 'module.{name}' is not in block form: an entry lies outside "
@@ -483,140 +373,244 @@ def module_from_report(report: Mapping) -> PhiNModule:
     return module
 
 
-def relations_to_json(r: RelationReport) -> dict:
-    return {
-        "n_squared_zero": _passfail(r.n_squared_zero),
-        "n_phi_commutation": _passfail(r.n_phi_commutation),
-        "phi_invertible": _passfail(r.phi_invertible),
-        "n_rank_is_torus_rank": _passfail(r.n_rank_is_torus_rank),
-    }
+def _verdicts(r: Report) -> list:
+    """(dotted name, passed) of each check of ``r``, sorted by name: the
+    order in which the report writes them."""
+    checks = [] if r.agreement is None else [("curve_jacobian_agreement", r.agreement)]
+    checks.append(("monodromy_duality", r.duality))
+    checks += [(f"polygons.{name}", getattr(r.polygons, name))
+               for name in ("endpoints_equal", "newton_on_or_above_hodge", "newton_symmetric")]
+    checks += [(f"relations.{name}", getattr(r.relations, name))
+               for name in ("n_phi_commutation", "n_rank_is_torus_rank", "n_squared_zero",
+                            "phi_invertible")]
+    return checks
 
 
-def polygons_to_json(p: PolygonReport) -> dict:
-    return {
-        "endpoints_equal": _passfail(p.endpoints_equal),
-        "newton_on_or_above_hodge": _passfail(p.newton_on_or_above_hodge),
-        "newton_symmetric": _passfail(p.newton_symmetric),
-    }
+def failed_checks(report: Report) -> list:
+    """Dotted names of the report's checks that did not pass, such as
+    ``relations.n_phi_commutation``, in sorted order."""
+    return [name for name, ok in _verdicts(report) if not ok]
 
 
-def _write(obj: Any, indent: str) -> str:
-    """JSON text of ``obj`` as ``json.dumps(indent=2, sort_keys=True)``
-    writes it; ``indent`` is the newline and indentation of the line that
-    holds ``obj``."""
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": " + (_encode_str(v) if isinstance(v, str) else _write(v, inner))
-            for k, v in sorted(obj.items())
-        ]) + indent + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        # A matrix: non-empty rows of strings, none of which needs escaping.
-        # "".join would also take a str or a dict as a row, so each row's
-        # type is checked; any other list takes the general path below.
-        if all(isinstance(r, (list, tuple)) and r for r in obj):
-            try:
-                text = "".join(["".join(r) for r in obj])
-            except TypeError:  # an entry is not a string
-                pass
+def report_all_pass(report: Report) -> bool:
+    return not failed_checks(report)
+
+
+def _runs(m: QMatrix, factors) -> list:
+    """(start, cells) of each row of the square ``m``: the row's diagonal
+    block, sized by the degrees of ``factors``, is its run, or the whole
+    row if it has a nonzero entry outside that block.  Only the cells of
+    runs are converted to text."""
+    n, e = m.cols, m.entries
+    if not n:
+        return []
+    sizes = [len(chi) - 1 for chi in factors]
+    if sum(sizes) != n:
+        sizes = (n,)
+    zero, runs, o = (0,) * n, [], 0
+    for size in sizes:
+        end = o + size
+        left, right = zero[:o], zero[end:]
+        for base in range(o * n, end * n, n):
+            if e[base:base + o] == left and e[base + end:base + n] == right:
+                a, b = o, end
             else:
-                # Every escape is longer than the character it replaces, so the
-                # quoted text is 2 longer exactly when no entry needs escaping.
-                if len(_encode_str(text)) == len(text) + 2:
-                    row_inner = inner + "  "
-                    head, sep, tail = "[" + row_inner + '"', '",' + row_inner + '"', '"' + inner + "]"
-                    return "[" + inner + ("," + inner).join(
-                        [head + sep.join(r) + tail for r in obj]
-                    ) + indent + "]"
-        return "[" + inner + ("," + inner).join([_write(x, inner) for x in obj]) + indent + "]"
-    if isinstance(obj, BlockRows):
-        return _write_block_rows(obj, indent)
-    return json.dumps(obj)
+                a, b = 0, n
+            runs.append((a, tuple(map(str, e[base + a:base + b]))))
+        o = end
+    return runs
 
 
-def _write_block_rows(obj: BlockRows, indent: str) -> str:
-    """The text of a BlockRows in :func:`_write`, written from its runs."""
-    d = obj.size
+def _dense_runs(m: QMatrix) -> list:
+    """Whole rows as runs, sliced from the text the matrix keeps."""
+    s, c = m.entry_strings, m.cols
+    return [(0, s[i * c:(i + 1) * c]) for i in range(m.rows)]
+
+
+def _phi_runs(m: PhiNModule, phi1_runs: list) -> list:
+    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), one run per row:
+    the scalar on the diagonal, or the row's run of phi1, ``phi1_runs``,
+    moved right by w0."""
+    w0, w1, _ = m.dims
+    phi0, phi2 = (rational_str(m.phi0),), (rational_str(m.phi2),)
+    runs = [(k, phi0) for k in range(w0)]
+    runs += [(w0 + s, cells) for s, cells in phi1_runs]
+    runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]
+    return runs
+
+
+def _n_runs(m: PhiNModule) -> list:
+    """Dense N: the rows of n02 from column w0 + w1 on in the weight-0
+    rows, and zero rows below."""
+    w0, w1, w2 = m.dims
+    s = m.n02.entry_strings
+    return [(w0 + w1, s[i * w2:(i + 1) * w2]) for i in range(w0)] + [(0, ())] * (w1 + w2)
+
+
+def _write_rows(out: list, d: int, runs, indent: str) -> None:
+    """Append the d x d matrix whose row i is "0" but for the cells of
+    ``runs[i]`` from its start; ``indent`` is the newline and indentation
+    of the line that holds the matrix.  A row is the text of its leading
+    zeros, its cells and its trailing zeros, the two zero texts sliced from
+    ("0" + sep) * d."""
     if not d:
-        return "[]"
-    # As for a matrix in _write: a cell that is not a string or needs
-    # escaping sends the rows down the list path.
-    try:
-        text = "".join(["".join(cells) for _, cells in obj.runs])
-        plain = len(_encode_str(text)) == len(text) + 2
-    except TypeError:
-        plain = False
-    if not plain:
-        return _write(list(obj), indent)
-    # A row is the text of its leading zeros, its cells and its trailing
-    # zeros, the two zero texts sliced from ("0" + sep) * d; the pieces
-    # of all rows are joined once.
+        out.append("[]")
+        return
     inner = indent + "  "
     row_inner = inner + "  "
     sep = '",' + row_inner + '"'
-    head, tail = "[" + row_inner + '"', '"' + inner + "]"
-    between = tail + "," + inner + head
+    between = '"' + inner + "]," + inner + "[" + row_inner + '"'
     step = len(sep) + 1
     zeros = ("0" + sep) * d
     zero_row = zeros[:-len(sep)]
-    parts = []
-    for s, cells in obj.runs:
+    out.append("[" + inner + "[" + row_inner + '"')
+    for s, cells in runs:
         if cells:
-            parts += (zeros[:s * step], sep.join(cells),
-                      zeros[1:1 + (d - s - len(cells)) * step], between)
+            out += (zeros[:s * step], sep.join(cells),
+                    zeros[1:1 + (d - s - len(cells)) * step], between)
         else:
-            parts += (zero_row, between)
-    parts[-1] = tail
-    return "[" + inner + head + "".join(parts) + indent + "]"
+            out += (zero_row, between)
+    out[-1] = '"' + inner + "]" + indent + "]"
 
 
-def dump_json(obj: Any) -> str:
-    """Canonical byte-stable serialization: exactly the text of
-    ``json.dumps(obj, indent=2, sort_keys=True, default=list) + "\\n"``,
-    where ``default=list`` writes a :class:`BlockRows` as its rows.
-
-    Dictionary keys must be ``str``.  With ``indent``, ``json.dumps`` runs
-    its pure-Python encoder over every string of the dense report matrices;
-    this writer writes a whole matrix of strings with a few C joins instead.
-    ``tests/test_report_writer.py`` checks the equality.
-    """
-    return _write(obj, "\n") + "\n"
+def _array(items: list, indent: str) -> str:
+    """The JSON array of the texts ``items`` on a line indented by ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def build_report(inst, module, relations, polygons, duality_ok, agreement_ok=None) -> dict:
-    checks = {
-        "relations": relations_to_json(relations),
-        "monodromy_duality": _passfail(duality_ok),
-        "polygons": polygons_to_json(polygons),
+def _write_source(out: list, src, indent: str) -> None:
+    """Append a component source as :func:`source_to_json` gives it."""
+    i1 = indent + "  "
+    if src is None:
+        out.append("{" + i1 + '"type": "genus0"' + indent + "}")
+    elif isinstance(src, EllipticCurveSpec):
+        out.append("{" + f'{i1}"a4": "{src.a4}",{i1}"a6": "{src.a6}",{i1}"type": "elliptic"'
+                   + indent + "}")
+    else:
+        out.append("{" + i1 + '"entries": ')
+        if src.rows == src.cols:
+            _write_rows(out, src.rows, _dense_runs(src), i1)
+        else:  # no check accepts it, but the echo keeps it as it was read
+            i2 = i1 + "  "
+            out.append(_array([_array([f'"{c}"' for c in row], i2)
+                               for row in matrix_to_strings(src)], i1))
+        out.append("," + i1 + '"type": "matrix"' + indent + "}")
+
+
+def _write_instance(out: list, inst, indent: str, phi1=(None, None, None)) -> None:
+    """Append the echo of a curve or abelian-variety instance, as
+    :func:`instance_to_json` gives it: components in sorted vertex-id
+    order, then the graph's edges and vertices in their order.  ``phi1``
+    is a report's (matrix, factors, runs) of its module's phi1, which the
+    echo of a Weil matrix and factors that are the same reuses."""
+    i1 = indent + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    if isinstance(inst, CurveInstance):
+        # a graph has a vertex, and each vertex a component
+        out.append("{" + i1 + '"components": {')
+        for vid, src in sorted(inst.components.items()):
+            out += (i2, _encode_str(vid), ": ")
+            _write_source(out, src, i2)
+            out.append(",")
+        out[-1] = i1 + "},"
+        i4 = i3 + "  "
+        head, then_id, then_tail = "{" + i4 + '"head": ', "," + i4 + '"id": ', "," + i4 + '"tail": '
+        genus, then_vid, close = "{" + i4 + '"genus": "', '",' + i4 + '"id": ', i3 + "}"
+        edges = [head + _encode_str(e.head) + then_id + _encode_str(e.id) + then_tail
+                 + _encode_str(e.tail) + close for e in inst.graph.edges]
+        vertices = [genus + str(v.genus) + then_vid + _encode_str(v.id) + close
+                    for v in inst.graph.vertices]
+        out += (
+            f'{i1}"f": "{inst.f}",{i1}"format": "{FORMAT_NAME}",{i1}"graph": {{{i2}"edges": ',
+            _array(edges, i2), f',{i2}"vertices": ', _array(vertices, i2),
+            f'{i1}}},{i1}"kind": "curve",{i1}"p": "{inst.p}"{indent}}}',
+        )
+    elif isinstance(inst, UniformizationData):
+        w = inst.b_frobenius
+        m, factors, runs = phi1
+        if m is not w.matrix or factors != w.factors:
+            runs = _runs(w.matrix, w.factors)
+        out.append(f'{{{i1}"b_frobenius": [{i2}{{{i3}"entries": ')
+        _write_rows(out, w.size, runs, i3)
+        out.append(f',{i3}"type": "matrix"{i2}}}{i1}],{i1}"f": "{inst.f}",'
+                   f'{i1}"format": "{FORMAT_NAME}",{i1}"gram": ')
+        _write_rows(out, inst.gram.rows, _dense_runs(inst.gram), i1)
+        out.append(f',{i1}"kind": "av",{i1}"p": "{inst.p}",'
+                   f'{i1}"torus_rank": "{inst.torus_rank}"{indent}}}')
+    else:
+        raise TypeError(f"not a report or an instance: {type(inst).__name__}")
+
+
+_AGREEMENT = '\n    "curve_jacobian_agreement": "%s",'
+_REPORT_HEAD = '''{
+  "checks": {%s
+    "monodromy_duality": "%s",
+    "polygons": {
+      "endpoints_equal": "%s",
+      "newton_on_or_above_hodge": "%s",
+      "newton_symmetric": "%s"
+    },
+    "relations": {
+      "n_phi_commutation": "%s",
+      "n_rank_is_torus_rank": "%s",
+      "n_squared_zero": "%s",
+      "phi_invertible": "%s"
     }
-    if agreement_ok is not None:
-        checks["curve_jacobian_agreement"] = _passfail(agreement_ok)
-    return {
-        "format": REPORT_NAME,
-        "instance": instance_to_json(inst),
-        "module": module_to_json(module, polygons),
-        "checks": checks,
-    }
+  },
+  "format": "''' + REPORT_NAME + '''",
+  "instance": '''
+_MODULE_HEAD = ''',
+  "module": {
+    "dims": {
+      "w0": "%s",
+      "w1": "%s",
+      "w2": "%s"
+    },
+    "f": "%s",
+    "fil1_dim": "%s",
+    "gram": '''
 
 
-def failed_checks(report: Mapping) -> list:
-    """Dotted names of the report's checks that did not pass, such as
-    ``relations.n_phi_commutation``, in sorted order."""
-    failed = []
-    for name, value in sorted(report["checks"].items()):
-        if isinstance(value, Mapping):
-            failed.extend(f"{name}.{k}" for k, v in sorted(value.items()) if v != "pass")
-        elif value != "pass":
-            failed.append(name)
-    return failed
+def _slopes(slopes, indent: str) -> str:
+    """[[slope, multiplicity], ...] of a polygon's pairs."""
+    i1, i2 = indent + "  ", indent + "    "
+    return _array([f'[{i2}"{rational_str(s)}",{i2}"{n}"{i1}]' for s, n in slopes], indent)
 
 
-def report_all_pass(report: Mapping) -> bool:
-    return not failed_checks(report)
+def _write_report(out: list, r: Report) -> None:
+    verdicts = ["pass" if ok else "fail" for _, ok in _verdicts(r)]
+    agreement = "" if r.agreement is None else _AGREEMENT % verdicts.pop(0)
+    out.append(_REPORT_HEAD % (agreement, *verdicts))
+    m, polygons, i = r.module, r.polygons, "\n    "
+    # an abelian variety's phi1 is its Weil matrix: one set of runs
+    # serves the echo and phi
+    phi1_runs = _runs(m.phi1, m.phi1_factors)
+    _write_instance(out, r.instance, "\n  ", (m.phi1, m.phi1_factors, phi1_runs))
+    out.append(_MODULE_HEAD % (*m.dims, m.f, m.fil1_dim))
+    _write_rows(out, m.gram.rows, _dense_runs(m.gram), i)
+    out += (',\n    "hodge_slopes": ', _slopes(polygons.hodge.slopes, i), ',\n    "n": ')
+    _write_rows(out, m.dimension, _n_runs(m), i)
+    out += (',\n    "newton_slopes": ', _slopes(polygons.newton.slopes, i),
+            f',\n    "p": "{m.p}",\n    "phi": ')
+    _write_rows(out, m.dimension, _phi_runs(m, phi1_runs), i)
+    out.append(f',\n    "t_hodge": "{polygons.t_hodge}",\n'
+               f'    "t_newton": "{rational_str(polygons.t_newton)}"\n  }}\n}}')
+
+
+def dump_json(obj) -> str:
+    """Canonical byte-stable text of a :class:`Report`, or of a curve or
+    abelian-variety instance alone (the fuzz failure dump): exactly
+    ``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a
+    dict, or of ``instance_to_json(obj)``.  Any other value raises
+    TypeError."""
+    out = []
+    if isinstance(obj, Report):
+        _write_report(out, obj)
+    else:
+        _write_instance(out, obj, "\n")
+    out.append("\n")
+    return "".join(out)

@@ -21,6 +21,11 @@ polynomial of phi, and det and rank of the full matrices.  Its polygons come
 from the minimal-slope sweep of that polynomial, and "Newton on or above
 Hodge" compares the partial sums of the two slope multisets at every
 integer point, not at the breakpoints alone.
+
+``report_dict`` is the report as the nested dict the package once built
+and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
+dense module.  It defines the report's bytes as
+``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``.
 """
 
 from dataclasses import dataclass
@@ -37,6 +42,7 @@ from phinmod.exact_linalg import (
     padic_valuation,
     rank,
 )
+from phinmod.io_formats import instance_to_json
 from phinmod.phin_module import PolygonReport, RelationReport
 
 
@@ -542,3 +548,54 @@ def monodromy_pairing_matrix(m):
 def dense_duality(m):
     """P @ N' == monodromy pairing, with N' = N (self-dual inputs)."""
     return (duality_pairing(m) @ m.n) == monodromy_pairing_matrix(m)
+
+
+# -- the report as a dict -----------------------------------------------------
+
+def _verdict(ok):
+    return "pass" if ok else "fail"
+
+
+def _text(x):
+    return str(Fraction(x))
+
+
+def _text_rows(m):
+    return [[_text(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def report_dict(report):
+    """The report record ``report`` as a dict of strings and plain lists."""
+    m, polygons = report.module, report.polygons
+    dense = dense_module(m)
+    w0, w1, w2 = m.dims
+    checks = {
+        "relations": {
+            name: _verdict(getattr(report.relations, name)) for name in RelationReport._fields
+        },
+        "monodromy_duality": _verdict(report.duality),
+        "polygons": {
+            name: _verdict(getattr(polygons, name))
+            for name in ("endpoints_equal", "newton_on_or_above_hodge", "newton_symmetric")
+        },
+    }
+    if report.agreement is not None:
+        checks["curve_jacobian_agreement"] = _verdict(report.agreement)
+    return {
+        "format": "phinmod-report-v1",
+        "instance": instance_to_json(report.instance),
+        "module": {
+            "p": str(m.p),
+            "f": str(m.f),
+            "dims": {"w0": str(w0), "w1": str(w1), "w2": str(w2)},
+            "fil1_dim": str(m.fil1_dim),
+            "t_newton": _text(polygons.t_newton),
+            "t_hodge": str(polygons.t_hodge),
+            "newton_slopes": [[_text(s), str(k)] for s, k in polygons.newton.slopes],
+            "hodge_slopes": [[_text(s), str(k)] for s, k in polygons.hodge.slopes],
+            "phi": _text_rows(dense.phi),
+            "n": _text_rows(dense.n),
+            "gram": _text_rows(m.gram),
+        },
+        "checks": checks,
+    }

@@ -5,13 +5,13 @@ exact (zero tolerance); the only tolerances in the whole package are the
 stated runtime budgets, asserted here with wall clocks.
 """
 
+import json
 import time
 
 from phinmod.builders import build_from_curve, check_curve_jacobian_agreement
 from phinmod.cli import main
 from phinmod.exact_linalg import is_prime
 from phinmod.graph_core import betti_one
-from phinmod.io_formats import dump_json
 from phinmod.phin_module import hodge_newton, verify_monodromy_duality
 from phinmod.weil_data import EllipticCurveSpec, count_points
 
@@ -118,7 +118,7 @@ def test_criterion_8_rejections(tmp_path, capsys):
         "components": {"v0": {"type": "matrix", "entries": [["1", "0"], ["0", "1"]]}},
     }
     p1 = tmp_path / "bad_component.json"
-    p1.write_text(dump_json(bad_component), encoding="utf-8")
+    p1.write_text(json.dumps(bad_component), encoding="utf-8")
     code1 = main(["build", str(p1)])
     err1 = capsys.readouterr().err
 
@@ -132,7 +132,7 @@ def test_criterion_8_rejections(tmp_path, capsys):
         "b_frobenius": [],
     }
     p2 = tmp_path / "bad_gram.json"
-    p2.write_text(dump_json(bad_gram), encoding="utf-8")
+    p2.write_text(json.dumps(bad_gram), encoding="utf-8")
     code2 = main(["build", str(p2)])
     err2 = capsys.readouterr().err
 
@@ -146,7 +146,7 @@ def test_criterion_8_rejections(tmp_path, capsys):
         "b_frobenius": [{"type": "matrix", "entries": [["0", "-5"], ["1", "6"]]}],
     }
     p3 = tmp_path / "bad_trace.json"
-    p3.write_text(dump_json(bad_trace), encoding="utf-8")
+    p3.write_text(json.dumps(bad_trace), encoding="utf-8")
     code3 = main(["build", str(p3)])
     err3 = capsys.readouterr().err
 

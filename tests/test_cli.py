@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
 import time
@@ -16,14 +17,18 @@ import phinmod.weil_data
 from phinmod.builders import CurveInstance, build_from_curve
 from phinmod.cli import main, run_checks
 from phinmod.exact_linalg import QMatrix
+from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph, monodromy_gram
 from phinmod.io_formats import (
+    Report,
     dump_json,
+    failed_checks,
     instance_from_json,
     instance_to_json,
     module_from_report,
+    report_all_pass,
 )
-from phinmod.phin_module import RelationReport
+from phinmod.phin_module import PolygonReport, RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
@@ -31,7 +36,7 @@ from conftest import INSTANCE_DIR, tate_instance, theta_instance
 
 def write_instance(tmp_path: Path, obj, name="inst.json") -> str:
     path = tmp_path / name
-    path.write_text(dump_json(obj), encoding="utf-8")
+    path.write_text(json.dumps(obj, sort_keys=True), encoding="utf-8")
     return str(path)
 
 
@@ -105,6 +110,34 @@ class TestBuildCommand:
         }
         assert main(["build", write_instance(tmp_path, obj)]) == 2
         assert "positive definite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, code", [("1/2", 2), ("-3/2", 2), ("2/2", 0)])
+    def test_non_integral_gram_exit_2_naming_it(self, tmp_path, capsys, entry, code):
+        # "2/2" is read as 1, so it passes
+        obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "1",
+               "gram": [[entry]], "b_frobenius": []}
+        assert main(["build", write_instance(tmp_path, obj)]) == code
+        err = capsys.readouterr().err
+        assert ("field 'gram' must be integral" in err) == (code == 2)
+        assert "Traceback" not in err
+
+    def test_build_line_times_the_request_and_its_write(self, tmp_path, capsys, monkeypatch):
+        def slow_dump(report):
+            time.sleep(0.05)
+            return dump_json(report)
+
+        monkeypatch.setattr("phinmod.cli.dump_json", slow_dump)
+        out = tmp_path / "report.json"
+        assert main(["build", str(INSTANCE_DIR / "theta.json"), "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"build: (\d+\.\d{3})s \(write (\d+\.\d{3})s\)\n", err)
+        assert match, err
+        assert 0.05 <= float(match[2]) <= float(match[1])
+        monkeypatch.undo()
+        assert main(["build", str(INSTANCE_DIR / "theta.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text(encoding="utf-8")
+        assert re.fullmatch(r"build: \d+\.\d{3}s \(write \d+\.\d{3}s\)\n", captured.err)
 
     def test_identity_component_exit_2(self, tmp_path, capsys):
         obj = {
@@ -560,8 +593,6 @@ class TestFuzzCommand:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
-        from phinmod.fuzz import instance_stream
-
         for idx, inst in enumerate(instance_stream(4, 2)):
             assert err[idx].startswith(
                 f"seed 4 instance {idx} failed relations.n_phi_commutation;"
@@ -570,6 +601,14 @@ class TestFuzzCommand:
             assert str(dump) in err[idx]
             parsed = instance_from_json(json.loads(dump.read_text(encoding="utf-8")))
             assert instance_to_json(parsed) == instance_to_json(inst)
+
+    def test_failure_dump_is_the_instance_echo(self, tmp_path, capsys, monkeypatch):
+        self._fail_every_instance(monkeypatch)
+        assert main(["fuzz", "--seed", "7", "--count", "6", "--out-dir", str(tmp_path)]) == 1
+        for idx, inst in enumerate(instance_stream(7, 6)):
+            text = (tmp_path / f"fuzz_failure_{idx:04d}.json").read_text(encoding="utf-8")
+            assert text == json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+            assert instance_from_json(json.loads(text)) == inst
 
     def _fail_every_instance(self, monkeypatch):
         monkeypatch.setattr("phinmod.cli.failed_checks", lambda report: ["relations.n_squared_zero"])
@@ -604,27 +643,54 @@ class TestFuzzCommand:
         assert "Traceback" not in captured.err
 
     def test_seed_reproducibility(self):
-        from phinmod.fuzz import instance_stream
-
         first = [instance_to_json(i) for i in instance_stream(3, 12)]
         second = [instance_to_json(i) for i in instance_stream(3, 12)]
         assert first == second
 
 
 class TestReportPassLogic:
-    def test_failed_check_detected(self, capsys):
-        from phinmod.io_formats import failed_checks, report_all_pass
+    """failed_checks and report_all_pass read the report record."""
 
-        assert main(["build", str(INSTANCE_DIR / "banana.json")]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report_all_pass(report)
-        report["checks"]["relations"]["n_phi_commutation"] = "fail"
+    def _report(self, relations=(True,) * 4, polygon_checks=(True,) * 3, duality=True,
+                agreement=True) -> Report:
+        report = run_checks(tate_instance(), DEFAULT_POINT_BOUND)
+        numbers = [getattr(report.polygons, name) for name in PolygonReport._fields[:4]]
+        polygons = PolygonReport(*numbers, *polygon_checks)
+        return Report(report.instance, report.module, RelationReport(*relations), polygons,
+                      duality, agreement)
+
+    def test_all_pass(self):
+        report = self._report()
+        assert report_all_pass(report) and failed_checks(report) == []
+        av = self._report(agreement=None)  # an abelian variety has no agreement check
+        assert report_all_pass(av) and failed_checks(av) == []
+
+    @pytest.mark.parametrize(
+        "verdicts, failed",
+        [
+            ({"relations": (True, False, True, True)}, ["relations.n_phi_commutation"]),
+            ({"agreement": False}, ["curve_jacobian_agreement"]),
+            ({"duality": False}, ["monodromy_duality"]),
+            ({"polygon_checks": (True, False, True)}, ["polygons.newton_on_or_above_hodge"]),
+            (
+                {"relations": (False, True, True, False), "polygon_checks": (False, True, False),
+                 "duality": False, "agreement": False},
+                ["curve_jacobian_agreement", "monodromy_duality", "polygons.endpoints_equal",
+                 "polygons.newton_symmetric", "relations.n_rank_is_torus_rank",
+                 "relations.n_squared_zero"],
+            ),
+        ],
+    )
+    def test_failed_checks_in_sorted_order(self, verdicts, failed):
+        report = self._report(**verdicts)
+        assert failed_checks(report) == failed
         assert not report_all_pass(report)
-        assert failed_checks(report) == ["relations.n_phi_commutation"]
-        report["checks"]["relations"]["n_phi_commutation"] = "pass"
-        report["checks"]["curve_jacobian_agreement"] = "fail"
-        assert not report_all_pass(report)
-        assert failed_checks(report) == ["curve_jacobian_agreement"]
+        # the written verdicts name the same checks
+        checks = json.loads(dump_json(report))["checks"]
+        written = [name for name, v in checks.items() if v == "fail"]
+        written += [f"{name}.{k}" for name in ("polygons", "relations")
+                    for k, v in checks[name].items() if v == "fail"]
+        assert written == failed
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -664,7 +730,7 @@ class TestOncePerRequest:
         eliminations = count_calls(monkeypatch, phinmod._backend.bareiss)
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         char_polys = count_calls(monkeypatch, phinmod.exact_linalg.char_poly)
-        report = run_checks(inst, DEFAULT_POINT_BOUND)
+        report = json.loads(dump_json(run_checks(inst, DEFAULT_POINT_BOUND)))
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
         assert len(counts) == 2
         assert len(relations) == 1
@@ -696,7 +762,7 @@ class TestOncePerRequest:
         )
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         char_polys = count_calls(monkeypatch, phinmod._backend.charpoly_int)
-        report = run_checks(inst, DEFAULT_POINT_BOUND)
+        report = json.loads(dump_json(run_checks(inst, DEFAULT_POINT_BOUND)))
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
         assert [args[0] for args in validations] == [block, inst.components["v3"]]
         # one characteristic polynomial per diagonal block: v3 has two
@@ -704,11 +770,9 @@ class TestOncePerRequest:
         assert rows == [block.to_rows(), block.to_rows(), [[0, -5], [1, 0]]]
 
     def test_one_spanning_tree_per_curve(self, monkeypatch):
-        from phinmod.fuzz import instance_stream
-
         trees = count_calls(monkeypatch, phinmod.graph_core._spanning_tree)
         texts = [path.read_text(encoding="utf-8") for path in sorted(INSTANCE_DIR.glob("*.json"))]
-        texts += [dump_json(instance_to_json(inst)) for inst in instance_stream(7, 20)]
+        texts += [dump_json(inst) for inst in instance_stream(7, 20)]
         curves = 0
         for text in texts:
             obj = json.loads(text)
@@ -765,7 +829,7 @@ class TestLargeGraphBudget:
         t0 = time.perf_counter()
         report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
         assert time.perf_counter() - t0 < budget
-        assert report["checks"]["curve_jacobian_agreement"] == "pass"
+        assert json.loads(dump_json(report))["checks"]["curve_jacobian_agreement"] == "pass"
 
     def test_bound_beyond_the_largest_prime_exit_2(self, tmp_path, capsys):
         # K_{2,4420}: the product of the degrees off the root hub is
@@ -815,8 +879,6 @@ class TestInstanceSerialization:
             assert build_from_curve(parsed) == build_from_curve(inst)
 
     def test_fuzz_instances_round_trip(self):
-        from phinmod.fuzz import instance_stream
-
         for inst in instance_stream(8, 10):
             parsed = instance_from_json(instance_to_json(inst))
             assert build_from_curve(parsed) == build_from_curve(inst)

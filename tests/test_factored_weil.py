@@ -7,6 +7,7 @@ Both must give what the dense module of ``oracles.py`` gives from the
 Berkowitz characteristic polynomial of the full phi.
 """
 
+import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -14,7 +15,7 @@ from math import isqrt
 from phinmod.builders import UniformizationData, resolve_component
 from phinmod.cli import run_checks
 from phinmod.exact_linalg import QMatrix, det
-from phinmod.io_formats import module_from_report
+from phinmod.io_formats import dump_json, module_from_report
 from phinmod.phin_module import _det_phi, assemble, hodge_newton, verify_relations
 from phinmod.weil_data import (
     DEFAULT_POINT_BOUND,
@@ -119,6 +120,6 @@ def test_equality_ignores_how_chi_is_factored():
     assert m == assemble(5, 1, gram, whole)
     # a report read back holds phi1's characteristic polynomial whole
     u = UniformizationData(torus_rank=2, gram=gram, b_frobenius=summed, p=5)
-    read = module_from_report(run_checks(u, DEFAULT_POINT_BOUND))
+    read = module_from_report(json.loads(dump_json(run_checks(u, DEFAULT_POINT_BOUND))))
     assert len(m.phi1_factors) == 2 and len(read.phi1_factors) == 1
     assert read == m and hash(read) == hash(m)

@@ -1,61 +1,93 @@
-"""``io_formats.dump_json`` writes exactly the text of
-``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for every JSON value
-with ``str`` keys: the reports, the instances and adversarial strings."""
+"""``io_formats.dump_json`` writes a report record as exactly
+``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``, with
+``report_dict`` the dict oracle of ``oracles.py``, and an instance alone as
+the same text of ``instance_to_json``: on the reports of ``instances/`` and
+two fuzz streams, on adversarial ids and component keys, on edge shapes
+(d = 0, no Weil block, fractional polygons), on module shapes and random
+block layouts, and at d = 200.  It never calls the standard encoder."""
 
-import copy
 import json
-import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phinmod.builders import UniformizationData, build_from_curve
+from phinmod.builders import CurveInstance, UniformizationData, build_from_curve
 from phinmod.cli import main, run_checks
-from phinmod.exact_linalg import QMatrix
+from phinmod.exact_linalg import NewtonPolygon, QMatrix
 from phinmod.fuzz import instance_stream
+from phinmod.graph_core import DualGraph
+from phinmod import io_formats
 from phinmod.io_formats import (
-    BlockRows,
+    Report,
     dump_json,
+    instance_from_json,
     instance_to_json,
     load_instance,
     module_from_report,
-    module_to_json,
 )
-from phinmod.phin_module import PhiNModule, hodge_newton
-from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec, direct_sum, frobenius_of_elliptic
+from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport, hodge_newton
+from phinmod.weil_data import (
+    DEFAULT_POINT_BOUND,
+    EllipticCurveSpec,
+    direct_sum,
+    frobenius_of_elliptic,
+)
 
 from conftest import INSTANCE_DIR, tate_instance
-from oracles import dense_module
+from oracles import dense_module, report_dict
+from test_golden_reports import fuzz_digests, golden, instance_digests
 
 INSTANCE_FILES = sorted(INSTANCE_DIR.glob("*.json"), key=lambda p: p.name)
 
 
-def reference(obj) -> str:
-    # default=list: the standard library writes a BlockRows as its rows
-    return json.dumps(obj, indent=2, sort_keys=True, default=list) + "\n"
+def canonical(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def assert_same_text(obj):
-    assert dump_json(obj) == reference(obj)
+def assert_written(report: Report):
+    """The report's text is the oracle's, and so is its instance's echo."""
+    assert dump_json(report) == canonical(report_dict(report))
+    assert dump_json(report.instance) == canonical(instance_to_json(report.instance))
 
 
 @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.name)
-def test_instance_file_and_its_report(path):
-    assert_same_text(json.loads(path.read_text(encoding="utf-8")))
-    inst = load_instance(str(path))
-    assert_same_text(instance_to_json(inst))
-    report = run_checks(inst, DEFAULT_POINT_BOUND)
-    assert_same_text(report)
-    report["timing"] = {"seconds": "0.012345"}  # a nested dict sorted after "module"
-    assert_same_text(report)
+def test_instance_file_reports(path):
+    assert_written(run_checks(load_instance(str(path)), DEFAULT_POINT_BOUND))
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_fuzz_reports(seed):
     for inst in instance_stream(seed, 40):
-        assert_same_text(run_checks(inst, DEFAULT_POINT_BOUND))
+        assert_written(run_checks(inst, DEFAULT_POINT_BOUND))
+
+
+@pytest.mark.parametrize(
+    "obj", [{}, [], "report", None, 3, {"format": "phinmod-report-v1"}, QMatrix(0, 0, ())],
+    ids=repr,
+)
+def test_only_reports_and_instances_are_written(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def test_standard_encoder_is_never_called(tmp_path, monkeypatch):
+    # every golden report, and the echo of every fuzz-seed-7 instance
+    instances = list(instance_stream(7, 40))
+    echoes = [canonical(instance_to_json(inst)) for inst in instances]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the report writer called the standard JSON encoder")
+
+    monkeypatch.setattr("phinmod.io_formats.json.dumps", refuse)
+    monkeypatch.setattr("json.encoder.JSONEncoder.encode", refuse)
+    digests = {"instances": instance_digests(tmp_path), "fuzz": {"7": fuzz_digests(7)}}
+    written = [dump_json(inst) for inst in instances]
+    monkeypatch.undo()
+    expected = golden()
+    assert digests == {"instances": expected["instances"], "fuzz": {"7": expected["fuzz"]["7"]}}
+    assert written == echoes
 
 
 ADVERSARIAL_STRINGS = (
@@ -63,83 +95,51 @@ ADVERSARIAL_STRINGS = (
     + [chr(c) for c in range(0x20)]
 )
 
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        ADVERSARIAL_STRINGS,
-        {s: s for s in ADVERSARIAL_STRINGS},
-        {s: [s, [s], {s: s}] for s in ADVERSARIAL_STRINGS},
-        [],
-        {},
-        [[]],
-        [{}],
-        {"a": [], "b": {}, "c": [[], [[]], {"d": {}}]},
-        ["a", "b", "c\"d"],  # only the last item needs escaping
-        ["a", "b", "\x1f"],
-        ["0", 1, "2"],  # strings mixed with other scalars
-        [["0", "1"], ["2", "3\n"]],
-        # shapes next to the matrix path: a row that is a string, a dict or
-        # empty, tuple rows, an entry that needs escaping, ragged rows, and
-        # a row whose entry is a list
-        [["a"], "bc"],
-        [["a"], {"b": "c"}],
-        [["a"], []],
-        [("a",), ["b"]],
-        [["a"], ["\""]],
-        [["a", "b", "c"], ["d"], ["e", "f"]],
-        [[["a"]]],
-        ("t", ("u", "v")),  # tuples are written as lists
-        [None, True, False, 0, -12345678901234567890, 1.5, -0.0, 1e300],
-        "\x00\"\\\U0010ffff",
-        None,
-        3,
-    ],
-)
-def test_adversarial_values(obj):
-    assert_same_text(obj)
-
-
-def test_keys_must_be_strings():
-    with pytest.raises(TypeError):
-        dump_json({1: "a"})
-
-
 # Any code point, with the characters that need escaping drawn often enough
 # to appear in most runs.
 json_text = st.text(
     st.characters(codec=None, exclude_categories=())
     | st.sampled_from("".join(ADVERSARIAL_STRINGS))
-)
-# Lists of lists of strings, the shape of the report matrices; rows may be
-# empty, ragged or tuples.  Entries are often plain decimal text, so that
-# many matrices need no escaping and take the whole-matrix path.
-matrix_entry = st.text("0123456789-/", max_size=4) | json_text
-string_rows = st.lists(matrix_entry, max_size=5) | st.tuples(matrix_entry, matrix_entry)
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | json_text
-    | st.lists(string_rows, max_size=5),
-    lambda children: st.lists(children, max_size=6)
-    | st.dictionaries(json_text, children, max_size=6),
-    max_leaves=20,
-)
+) | st.sampled_from(ADVERSARIAL_STRINGS)
+
+SOURCES = {
+    0: [None],
+    1: [EllipticCurveSpec(5, 1, 1), QMatrix.from_rows([[0, -5], [1, 2]])],
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(json_values)
-def test_matches_json_dumps(obj):
-    assert_same_text(obj)
+@st.composite
+def adversarial_curves(draw) -> CurveInstance:
+    """A connected curve at p = 5 whose vertex ids, and so its component
+    keys, and its edge ids are drawn from adversarial text."""
+    vids = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
+    links = [(vids[k - 1], vids[k]) for k in range(1, len(vids))]
+    links += draw(st.lists(st.tuples(st.sampled_from(vids), st.sampled_from(vids)), max_size=3))
+    eids = draw(st.lists(json_text, min_size=len(links), max_size=len(links), unique=True))
+    genera = [draw(st.sampled_from([0, 1])) for _ in vids]
+    graph = DualGraph.build(list(zip(vids, genera)), [(e, t, h) for e, (t, h) in zip(eids, links)])
+    components = {v: draw(st.sampled_from(SOURCES[g])) for v, g in zip(vids, genera)}
+    return CurveInstance(graph=graph, components=components, p=5)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(string_rows, min_size=1, max_size=6))
-def test_string_matrices_match_json_dumps(rows):
-    assert_same_text(rows)
-    assert_same_text({"m": rows})
+@settings(max_examples=150, deadline=None)
+@given(adversarial_curves())
+def test_adversarial_ids_and_keys(inst):
+    assert_written(run_checks(inst, DEFAULT_POINT_BOUND))
+
+
+@pytest.mark.parametrize("s", ADVERSARIAL_STRINGS, ids=ascii)
+def test_adversarial_string_as_every_id(s):
+    # each string once, whatever Hypothesis draws: as a genus-1 vertex id
+    # and so a component key, and as an edge id
+    graph = DualGraph.build([(s, 1), ("w", 0)], [(s, s, "w"), ("e1", "w", s), ("e2", "w", "w")])
+    inst = CurveInstance(graph, {s: EllipticCurveSpec(5, 1, 1), "w": None}, p=5)
+    report = run_checks(inst, DEFAULT_POINT_BOUND)
+    assert_written(report)
+    echo = json.loads(dump_json(report))["instance"]
+    assert sorted(v["id"] for v in echo["graph"]["vertices"]) == sorted([s, "w"])
+    assert s in [e["id"] for e in echo["graph"]["edges"]]
+    assert sorted(echo["components"]) == sorted([s, "w"])
 
 
 def test_escaped_vertex_id_builds_end_to_end(tmp_path, capsys):
@@ -161,15 +161,74 @@ def test_escaped_vertex_id_builds_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     report = json.loads(out)
     assert report["instance"]["graph"]["vertices"][0]["id"] == vid
-    assert out == reference(report)
+    assert out == canonical(report)
 
 
-# -- BlockRows: phi and n written from their blocks ----------------------------
+def test_dimension_zero_curve():
+    # one genus-0 vertex and no edges: every matrix and slope list is empty
+    inst = CurveInstance(DualGraph.build([("v0", 0)], []), {"v0": None}, p=5)
+    report = run_checks(inst, DEFAULT_POINT_BOUND)
+    assert_written(report)
+    module = json.loads(dump_json(report))["module"]
+    assert module["phi"] == module["n"] == module["gram"] == module["newton_slopes"] == []
+    assert json.loads(dump_json(inst))["graph"]["edges"] == []
 
-# module_to_json reads only the polygons' numbers, so one report's polygons
-# serve every hand-built module below
-POLYGONS = hodge_newton(build_from_curve(tate_instance()))
 
+@pytest.mark.parametrize("rows", [[["0", "-5", "1"], ["1", "2", "3"]], [[], []], [["1"], ["2"]]],
+                         ids=["2x3", "2x0", "2x1"])
+def test_non_square_source_echo(rows):
+    # the reader takes a matrix source with 2 * genus rows of any width;
+    # no check accepts it, but its echo is the entries as read
+    obj = {"kind": "curve", "p": "5", "f": "1",
+           "graph": {"vertices": [{"id": "v", "genus": "1"}], "edges": []},
+           "components": {"v": {"type": "matrix", "entries": rows}}}
+    inst = instance_from_json(obj)
+    assert dump_json(inst) == canonical(instance_to_json(inst))
+    assert json.loads(dump_json(inst))["components"]["v"]["entries"] == rows
+
+
+def test_av_weil_runs_are_made_once(monkeypatch):
+    # an abelian variety's phi1 is its Weil matrix, so the echo of
+    # b_frobenius and phi are written from one set of runs
+    b = direct_sum([frobenius_of_elliptic(EllipticCurveSpec(5, 1, 1))] * 2, 5)
+    inst = UniformizationData(1, QMatrix.from_rows([[2]]), b, 5)
+    report = run_checks(inst, DEFAULT_POINT_BOUND)
+    assert report.module.phi1 is inst.b_frobenius.matrix
+    calls = []
+    runs = io_formats._runs
+    monkeypatch.setattr(io_formats, "_runs", lambda m, f: calls.append(m) or runs(m, f))
+    assert dump_json(report) == canonical(report_dict(report))
+    assert calls == [inst.b_frobenius.matrix]
+
+
+def test_av_without_weil_block():
+    obj = {"kind": "av", "p": "7", "f": "2", "torus_rank": "2",
+           "gram": [["2", "1"], ["1", "2"]], "b_frobenius": []}
+    report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+    assert_written(report)
+    echo = json.loads(dump_json(report))["instance"]
+    assert echo["b_frobenius"] == [{"type": "matrix", "entries": []}]
+
+
+def test_fractional_polygons():
+    # the writer reads only the polygons' numbers and verdicts, so a
+    # hand-made PolygonReport reaches every shape of them
+    polygons = PolygonReport(
+        t_newton=Fraction(-7, 2), t_hodge=3,
+        newton=NewtonPolygon(((Fraction(-1, 3), 3), (0, 1), (Fraction(5, 2), 2))),
+        hodge=NewtonPolygon(((0, 2), (1, 4))),
+        endpoints_equal=False, newton_on_or_above_hodge=True, newton_symmetric=False,
+    )
+    inst = tate_instance()
+    report = Report(inst, build_from_curve(inst), RelationReport(True, True, True, True),
+                    polygons, True, True)
+    assert_written(report)
+    module = json.loads(dump_json(report))["module"]
+    assert module["t_newton"] == "-7/2"
+    assert module["newton_slopes"] == [["-1/3", "3"], ["0", "1"], ["5/2", "2"]]
+
+
+# -- phi and n written from their blocks --------------------------------------
 
 def dense_text(m: QMatrix) -> list:
     return [[str(x) for x in m.row(i)] for i in range(m.rows)]
@@ -189,20 +248,27 @@ def hand_built(phi1_rows, sizes, gram_rows, phi0=1, phi2=5, n02_rows=None) -> Ph
     )
 
 
+# the writer reads only the polygons' numbers, so one report's polygons and
+# one instance serve every hand-built module below
+TATE = tate_instance()
+POLYGONS = hodge_newton(build_from_curve(TATE))
+
+
+def module_report(m: PhiNModule) -> Report:
+    return Report(TATE, m, RelationReport(True, True, True, True), POLYGONS, True, True)
+
+
 def assert_written_from_blocks(m: PhiNModule):
-    written = module_to_json(m, POLYGONS)
+    report = module_report(m)
+    assert_written(report)
+    written = json.loads(dump_json(report))
     dense = dense_module(m)
     for name in ("phi", "n"):
-        rows, expected = written[name], dense_text(getattr(dense, name))
-        assert isinstance(rows, BlockRows)
-        assert rows == expected and expected == rows and not rows != expected
-        assert list(rows) == expected and len(rows) == len(expected)
-        assert rows == [tuple(r) for r in expected]
-        assert_same_text(rows)
-    assert_same_text({"module": written})
-    # read back in this process: the same module, but for the scalars of
-    # empty weight blocks, which it does not show
-    assert module_to_json(module_from_report({"module": written}), POLYGONS) == written
+        assert written["module"][name] == dense_text(getattr(dense, name))
+    # read back: the same module, but for the scalars of empty weight
+    # blocks, which it does not show
+    read = module_from_report(written)
+    assert json.loads(dump_json(module_report(read)))["module"] == written["module"]
 
 
 SHAPES = {
@@ -223,39 +289,20 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("m", SHAPES.values(), ids=SHAPES.keys())
-def test_block_rows_of_a_module(m):
+def test_module_shapes(m):
     assert_written_from_blocks(m)
 
 
-def test_block_rows_text():
-    assert dump_json(BlockRows(0, ())) == "[]\n"
-    phi = module_to_json(SHAPES["fraction"], POLYGONS)["phi"]
-    assert dump_json(phi) == reference([
+def test_fraction_phi_text():
+    phi = json.loads(dump_json(module_report(SHAPES["fraction"])))["module"]["phi"]
+    assert phi == [
         ["1/3", "0", "0", "0", "0", "0"],
         ["0", "1/3", "0", "0", "0", "0"],
         ["0", "0", "1/2", "0", "0", "0"],
         ["0", "0", "0", "3", "0", "0"],
         ["0", "0", "0", "0", "-7/2", "0"],
         ["0", "0", "0", "0", "0", "-7/2"],
-    ])
-
-
-def test_block_rows_read_as_a_sequence():
-    rows = BlockRows(3, ((1, ("a", "b")), (0, ()), (0, ("c",))))
-    assert rows[0] == ["0", "a", "b"] and rows[-1] == ["c", "0", "0"]
-    assert rows[1:] == [["0", "0", "0"], ["c", "0", "0"]]
-    with pytest.raises(IndexError):
-        rows[3]
-    rows[0][0] = "x"  # a fresh list each time
-    assert rows[0] == ["0", "a", "b"]
-    assert rows != [["0", "a", "b"], ["0", "0", "0"]] and rows != "abc" and rows != 3
-    assert rows == BlockRows(3, ((0, ("0", "a", "b")), (1, ("0",)), (0, ("c", "0"))))
-    with pytest.raises(AttributeError):
-        rows.size = 4
-    twin = copy.deepcopy({"phi": rows})["phi"]
-    assert type(twin) is list and twin == rows
-    assert pickle.loads(pickle.dumps(rows)) == rows
-    assert json.loads(dump_json(rows)) == rows
+    ]
 
 
 @st.composite
@@ -281,27 +328,8 @@ def block_layouts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(block_layouts())
-def test_random_block_layouts_match_json_dumps(m):
+def test_random_block_layouts(m):
     assert_written_from_blocks(m)
-
-
-@st.composite
-def raw_block_rows(draw):
-    """BlockRows with arbitrary runs, cells drawn like matrix entries: some
-    need escaping, which takes the writer's general path."""
-    d = draw(st.integers(0, 6))
-    runs = []
-    for _ in range(d):
-        start = draw(st.integers(0, d))
-        runs.append((start, tuple(draw(st.lists(matrix_entry, max_size=d - start)))))
-    return BlockRows(d, tuple(runs))
-
-
-@settings(max_examples=200, deadline=None)
-@given(raw_block_rows())
-def test_raw_block_rows_match_json_dumps(rows):
-    assert_same_text(rows)
-    assert_same_text({"m": rows, "l": [rows]})
 
 
 def reachable(obj):
@@ -331,10 +359,13 @@ def test_large_module_holds_no_dense_rows():
         [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(50)] for i in range(50)]
     )
     report = run_checks(UniformizationData(50, gram, b, 5), DEFAULT_POINT_BOUND)
-    d = len(report["module"]["phi"])
+    d = report.module.dimension
     assert d == 200
-    assert_same_text(report)
-    found = list(reachable(report))
-    assert not [x for x in found if isinstance(x, list) and len(x) == d]
-    cells = sum(len(c) for x in found if isinstance(x, BlockRows) for _, c in x.runs)
-    assert cells < d * d // 10
+    assert not [x for x in reachable(report) if isinstance(x, list) and len(x) == d]
+    # the writer converts only the cells of runs, for phi and for the echo
+    # of the Weil matrix alike
+    m, w = report.module, report.instance.b_frobenius
+    phi_runs = io_formats._phi_runs(m, io_formats._runs(m.phi1, m.phi1_factors))
+    assert sum(len(cells) for _, cells in phi_runs) < d * d // 10
+    assert sum(len(cells) for _, cells in io_formats._runs(w.matrix, w.factors)) < d * d // 10
+    assert_written(report)
