@@ -1,6 +1,6 @@
 """Exact filtered (phi, N)-modules of semistable curves and abelian varieties.
 
-Builds, in exact rational arithmetic, the graded Frobenius-monodromy module
+Builds, in exact integer arithmetic, the graded Frobenius-monodromy module
 on the first de Rham cohomology of a semistable curve (from its dual graph
 and component Frobenius data) or of an abelian variety (from its rigid
 uniformization data), and verifies the structural identities the two

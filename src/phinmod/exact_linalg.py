@@ -1,25 +1,21 @@
-"""Exact rational linear algebra.
+"""Exact linear algebra on integer matrices, and exact slopes.
 
-Scalars are arbitrary-precision: plain ``int`` where the denominator is 1,
-``fractions.Fraction`` otherwise (both are kept in lowest terms with a
-positive denominator, and they compare and hash interchangeably).  An
-integer is never held or built as a ``Fraction``: :func:`parse_rational`
-reads ``"a"`` straight to ``int``, :func:`as_rational` passes ``int`` through
-untouched and collapses a denominator-1 ``Fraction`` to its numerator, and
-matrix constructors coerce only entries that are not ``int``.  No floating
-point enters this module.
+A :class:`QMatrix` holds Python ``int`` entries only: :meth:`QMatrix.from_rows`
+refuses any other type, so every matrix that comes from outside the program
+is tested for integrality there, once.  Its kernels run on the integer rows
+via :mod:`phinmod._backend`.  Determinant, rank and the positive-definiteness
+test all read one Bareiss elimination pass, cached on the (immutable) matrix
+as :attr:`QMatrix.elimination`, so each matrix is eliminated at most once.
 
-Matrix kernels run on the integer level via :mod:`phinmod._backend`;
-rational input is cleared of denominators first and the results are
-rescaled exactly.  Determinant, rank and the positive-definiteness test all
-read one Bareiss elimination pass, cached on the (immutable) matrix as
-:attr:`QMatrix.elimination`, so each matrix is eliminated at most once.
+Slopes of Newton polygons and their totals are the only fractional
+values: plain ``int`` where the denominator is 1, ``fractions.Fraction``
+otherwise (see :func:`as_rational`).  No floating point enters this module.
 """
 
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, groupby
+from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from ._backend import bareiss, charpoly_int
@@ -51,20 +47,6 @@ def rational_str(x: Rational) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s: str) -> Rational:
-    """Inverse of :func:`rational_str`: ``"a"`` or ``"a/b"`` in decimal.
-
-    ``"a"`` is read straight to ``int``; ``"a/b"`` becomes a ``Fraction``,
-    or an ``int`` when b divides a, and b = 0 raises ZeroDivisionError.
-    Input from outside the program must be gated first (``io_formats`` does,
-    with a digit cap): ``int`` also takes surrounding whitespace and ``_``.
-    """
-    num, slash, den = s.partition("/")
-    if not slash:
-        return int(num)
-    return as_rational(Fraction(int(num), int(den)))
 
 
 # (base, bound): Miller-Rabin to every prime base up to and including
@@ -127,7 +109,11 @@ def is_prime(n: int) -> bool:
 
 
 class QMatrix(Record):
-    """Immutable matrix of exact rationals, row-major."""
+    """Immutable integer matrix, row-major.
+
+    The constructor takes a tuple of ``int`` as it is; :meth:`from_rows`
+    tests that every entry is one.
+    """
 
     _fields = ("rows", "cols", "entries")
 
@@ -147,28 +133,14 @@ class QMatrix(Record):
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
         entries = tuple(chain.from_iterable(rows))
-        # a parsed row is all int already: one type test per matrix
+        # one type test per matrix; a bool is not an int here
         if not set(map(type, entries)) <= {int}:
-            entries = tuple(map(as_rational, entries))
+            raise ValidationError("matrix entries must be integers")
         return QMatrix(nr, nc, entries)
 
     @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, (0,) * (rows * cols))
-
-    @staticmethod
-    def scalar(n: int, c) -> "QMatrix":
-        c = as_rational(c)
-        return QMatrix(n, n, tuple(c if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
     def block_diag(blocks: Iterable["QMatrix"]) -> "QMatrix":
-        """Direct sum: each block's rows, padded with zeros on both sides.
-        The entries of a QMatrix are exact already, so none is coerced."""
+        """Direct sum: each block's rows, padded with zeros on both sides."""
         blocks = list(blocks)
         nr = sum(b.rows for b in blocks)
         nc = sum(b.cols for b in blocks)
@@ -182,7 +154,7 @@ class QMatrix(Record):
         # as from_rows, a matrix without rows has no columns either
         return QMatrix(nr, nc if nr else 0, tuple(entries))
 
-    def __getitem__(self, ij) -> Rational:
+    def __getitem__(self, ij) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
@@ -207,31 +179,16 @@ class QMatrix(Record):
             e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i)
         )
 
-    def is_integral(self) -> bool:
-        return all(isinstance(x, int) for x in self.entries)
-
     @cached_property
     def elimination(self) -> tuple:
-        """(pivots, swaps, d): the :func:`~phinmod._backend.bareiss` pass on
-        the integer lift d * self of :func:`_clear_denominators`, run at most
-        once per matrix."""
-        rows, d = _clear_denominators(self)
-        return (*bareiss(rows), d)
+        """(pivots, swaps): the :func:`~phinmod._backend.bareiss` pass on
+        the rows, run at most once per matrix."""
+        return bareiss(self.to_rows())
 
     @cached_property
     def entry_strings(self) -> tuple:
-        """Row-major :func:`rational_str` text of the entries, made once."""
+        """Row-major decimal text of the entries, made once."""
         return tuple([str(x) if x else "0" for x in self.entries])
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       tuple(as_rational(a + b) for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c) -> "QMatrix":
-        c = as_rational(c)
-        return QMatrix(self.rows, self.cols, tuple(as_rational(c * a) for a in self.entries))
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -245,54 +202,31 @@ class QMatrix(Record):
                 s = 0
                 for t in range(k):
                     s += se[base + t] * oe[t * m + j]
-                out.append(as_rational(s))
+                out.append(s)
         return QMatrix(n, m, tuple(out))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(rational_str(x) for x in self.row(i)) for i in range(self.rows)
-        )
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _clear_denominators(m: QMatrix) -> tuple:
-    """Return (integer rows of d*m, d) for the global denominator lcm d."""
-    d = 1
-    for x in m.entries:
-        if type(x) is not int:  # a Fraction; see the module docstring
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    if d == 1:
-        return m.to_rows(), 1
-    rows = [[int(x * d) for x in m.row(i)] for i in range(m.rows)]
-    return rows, d
-
-
 def char_poly(m: QMatrix) -> list:
-    """Coefficients of det(T*I - m) in ascending degree, leading term 1.
-
-    Division-free on the integer lift: for rational input the matrix is
-    scaled to d*m and the coefficients are rescaled by powers of d.
-    """
+    """Coefficients of det(T*I - m) in ascending degree, leading term 1,
+    by the division-free Berkowitz kernel."""
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
-    n = m.rows
-    rows, d = _clear_denominators(m)
-    coeffs = charpoly_int(rows)
-    if d == 1:
-        return coeffs
-    return [as_rational(Fraction(c, d ** (n - i))) for i, c in enumerate(coeffs)]
+    return charpoly_int(m.to_rows())
 
 
-def det(m: QMatrix) -> Rational:
-    """Exact determinant: (-1)^swaps times the last pivot of the elimination
-    of d * m, over d^n; 0 when the pass finds fewer than n pivots."""
+def det(m: QMatrix) -> int:
+    """Exact determinant: (-1)^swaps times the last pivot of the
+    elimination; 0 when the pass finds fewer than n pivots."""
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    pivots, swaps, d = m.elimination
+    pivots, swaps = m.elimination
     if len(pivots) < m.rows:
         return 0
-    value = (-1) ** swaps * pivots[-1] if pivots else 1
-    return value if d == 1 else as_rational(Fraction(value, d ** m.rows))
+    return (-1) ** swaps * pivots[-1] if pivots else 1
 
 
 def rank(m: QMatrix) -> int:
@@ -305,12 +239,11 @@ def is_positive_definite(m: QMatrix) -> bool:
 
     An elimination that makes no row exchange and finds a pivot in every
     column has the leading principal minors as its pivots; a zero leading
-    minor forces an exchange or a skipped column.  Scaling by the common
-    denominator multiplies the order-k minor by d^k > 0, so signs are kept.
+    minor forces an exchange or a skipped column.
     """
     if not m.is_square or not m.is_symmetric():
         return False
-    pivots, swaps, _ = m.elimination
+    pivots, swaps = m.elimination
     return swaps == 0 and len(pivots) == m.rows and all(x > 0 for x in pivots)
 
 
@@ -355,33 +288,9 @@ class NewtonPolygon(Record):
             prev = s
         object.__setattr__(self, "slopes", slopes)
 
-    @staticmethod
-    def from_slope_list(slopes: Sequence) -> "NewtonPolygon":
-        """Build from an unsorted multiset of slopes, merging duplicates."""
-        ordered = sorted(as_rational(x) for x in slopes)
-        return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(ordered)))
-
     @property
     def dimension(self) -> int:
         return sum(m for _, m in self.slopes)
-
-    def slope_multiset(self) -> list:
-        return [s for s, m in self.slopes for _ in range(m)]
-
-    def scaled(self, factor) -> "NewtonPolygon":
-        """Polygon with every slope multiplied by ``factor`` (> 0)."""
-        factor = as_rational(factor)
-        return NewtonPolygon(tuple((as_rational(s * factor), m) for s, m in self.slopes))
-
-    def heights(self) -> list:
-        """Partial sums of the sorted slope multiset (polygon vertices)."""
-        out = [0]
-        for s in self.slope_multiset():
-            out.append(as_rational(out[-1] + s))
-        return out
-
-    def total(self) -> Rational:
-        return as_rational(sum(s * m for s, m in self.slopes))
 
     def dual(self) -> "NewtonPolygon":
         """Polygon with slopes s -> 1 - s; fixed points of this map are the
@@ -397,7 +306,7 @@ class NewtonPolygon(Record):
         Between consecutive breakpoints of either polygon the difference of
         the two heights is linear, so it is nonnegative everywhere when it
         is at each breakpoint.  The walk visits only the union of the
-        breakpoints, not the d + 1 integer heights of :meth:`heights`.
+        breakpoints, not the heights at all d + 1 integer points.
         """
         if self.dimension != other.dimension:
             raise ValueError("polygons have different dimensions")

@@ -1,10 +1,11 @@
 """Instance and report serialization.
 
-One JSON dialect for both: every number is a decimal string (rationals as
-"a/b" in lowest terms), so consumers never face 64-bit overflow and
-round-trips are bit-exact.  A matrix entry that is not such a string, or
-has more than MAX_ENTRY_DIGITS digits, is refused before it is parsed.  A
-row of integers is read in one pass: one pattern match per entry, then one
+One JSON dialect for both: every number is a decimal string, so consumers
+never face 64-bit overflow and round-trips are bit-exact.  Matrix entries
+are integers; only a slope or ``t_newton`` of a report may be fractional,
+written "a/b" in lowest terms.  A matrix entry that is not a decimal
+integer of at most MAX_ENTRY_DIGITS digits is refused before it is parsed.
+A row of strings is read in one pass: one pattern match per entry, then one
 ``map(int, row)``; only other rows are read entry by entry.
 
 A request's result is a :class:`Report` record: the instance, its module
@@ -40,7 +41,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from ._record import Record
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError, clipped, clipped_key
-from .exact_linalg import QMatrix, char_poly, parse_rational, rational_str
+from .exact_linalg import QMatrix, char_poly, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
 from .weil_data import (
@@ -55,10 +56,9 @@ from .weil_data import (
 FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
 
-# A matrix entry is a decimal integer or "a/b".  Fraction alone would also
-# take exponents and build the value of "1e999999999"; int alone would take
-# "1_000", surrounding whitespace and non-ASCII digits.
-_ENTRY = re.compile(r"[+-]?[0-9]{1,%d}(?:/[0-9]{1,%d})?" % (MAX_ENTRY_DIGITS, MAX_ENTRY_DIGITS))
+# A matrix entry is a decimal integer.  int alone would also take "1_000",
+# surrounding whitespace and non-ASCII digits.
+_ENTRY = re.compile(r"[+-]?[0-9]{1,%d}" % MAX_ENTRY_DIGITS)
 # An integer field given as a string, such as p, f or a genus.
 INT_TEXT = re.compile(r"[+-]?[0-9]+")
 
@@ -109,22 +109,21 @@ def matrix_to_strings(m: QMatrix) -> list:
     return [list(s[i * c:(i + 1) * c]) for i in range(m.rows)]
 
 
-def _parse_entry(x):
+def _parse_entry(x) -> int:
     s = str(x)
     if not _ENTRY.fullmatch(s):
         raise ValueError(
-            f"{clipped(s)} is not a decimal integer or a/b of at most "
-            f"{MAX_ENTRY_DIGITS} digits"
+            f"{clipped(s)} is not a decimal integer of at most {MAX_ENTRY_DIGITS} digits"
         )
-    return parse_rational(s)
+    return int(s)
 
 
 def _parse_row(r: list) -> list:
-    """One regex pass over a row of strings; a row of integers, with no
-    "/", is then read by one map.  Any other row is read entry by entry,
-    so its values and its first bad entry's message are the same."""
+    """One regex pass over a row of strings, then one map.  Any other row
+    is read entry by entry, so its values and its first bad entry's
+    message are the same."""
     try:
-        if all(map(_ENTRY.fullmatch, r)) and "/" not in "".join(r):
+        if all(map(_ENTRY.fullmatch, r)):
             return list(map(int, r))
     except TypeError:  # an entry that is not a string
         pass
@@ -136,7 +135,7 @@ def matrix_from_strings(rows, context: str) -> QMatrix:
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
         parsed = [_parse_row(r) for r in rows]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
     if not parsed:
         return QMatrix(0, 0, ())
@@ -174,10 +173,7 @@ def source_from_json(obj, p: int, context: str):
             # validate_weil checks this too; here the message names the
             # field, and a large block is refused before it is parsed
             check_weil_size(len(entries), f"field '{context}.entries'")
-        m = matrix_from_strings(entries, context + ".entries")
-        if not m.is_integral():
-            raise SchemaError(f"field '{context}.entries' must be integral")
-        return m
+        return matrix_from_strings(entries, context + ".entries")
     raise SchemaError(f"field '{context}.type' has unknown value {clipped(kind)}")
 
 
@@ -260,8 +256,6 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
     if kind == "av":
         torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
         gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
-        if not gram.is_integral():
-            raise SchemaError("field 'gram' must be integral")
         blocks = []
         for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
             src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
@@ -432,7 +426,7 @@ def _phi_runs(m: PhiNModule, phi1_runs: list) -> list:
     the scalar on the diagonal, or the row's run of phi1, ``phi1_runs``,
     moved right by w0."""
     w0, w1, _ = m.dims
-    phi0, phi2 = (rational_str(m.phi0),), (rational_str(m.phi2),)
+    phi0, phi2 = (str(m.phi0),), (str(m.phi2),)
     runs = [(k, phi0) for k in range(w0)]
     runs += [(w0 + s, cells) for s, cells in phi1_runs]
     runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]

@@ -53,9 +53,10 @@ from .weil_data import WeilMatrix
 
 
 class PhiNModule(Record):
-    """Graded exact-rational (phi, N)-module, stored as its blocks.
+    """Graded integral (phi, N)-module, stored as its blocks.
 
-    phi = diag(phi0 * I_w0, phi1, phi2 * I_w2) and N is ``n02`` in block
+    phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), with integers phi0 and
+    phi2 and integer matrices phi1 and ``n02``, and N is ``n02`` in block
     (weight 0, weight 2) and zero elsewhere.  ``phi1_factors`` multiply to
     the characteristic polynomial of phi1, ascending and monic; ``==`` and
     ``hash`` ignore them, as ``phi1`` determines them.
@@ -74,8 +75,8 @@ class PhiNModule(Record):
     _fields = ("p", "f", "phi0", "phi1", "phi1_factors", "phi2", "n02", "fil1_dim", "gram")
     _compared = ("p", "f", "phi0", "phi1", "phi2", "n02", "fil1_dim", "gram")
 
-    def __init__(self, p: int, f: int, phi0: Rational, phi1: QMatrix, phi1_factors: tuple,
-                 phi2: Rational, n02: QMatrix, fil1_dim: int, gram: QMatrix):
+    def __init__(self, p: int, f: int, phi0: int, phi1: QMatrix, phi1_factors: tuple,
+                 phi2: int, n02: QMatrix, fil1_dim: int, gram: QMatrix):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi0", phi0)
@@ -112,9 +113,9 @@ class PhiNModule(Record):
 def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     """Assemble the graded module from a Gram matrix and a Weil block.
 
-    gram must be integral, symmetric and positive definite (the monodromy
-    pairing on the torus character lattice); w must be validated Weil data
-    at the same q.  The grading gives the splittings directly: no extension
+    gram must be symmetric and positive definite (the monodromy pairing
+    on the torus character lattice); w must be validated Weil data at the
+    same q.  The grading gives the splittings directly: no extension
     data survives at desk scale.  The blocks are stored as given: phi is
     1, w.matrix (and w.factors, its characteristic polynomial) and q on
     the three weights, and N is gram from weight 2 to weight 0.
@@ -130,8 +131,6 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         )
     if not gram.is_square:
         raise ValidationError("gram must be square")
-    if not gram.is_integral():
-        raise ValidationError("gram entries must be integers")
     # is_positive_definite tests symmetry first; the message is chosen on
     # failure, so a valid request makes one symmetry pass
     if gram.rows > 0 and not is_positive_definite(gram):
@@ -151,12 +150,12 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     )
 
 
-def _det_phi(m: PhiNModule) -> Rational:
+def _det_phi(m: PhiNModule) -> int:
     """det(phi) as the product of the block determinants; det(phi1) is
     (-1)^w1 times the constant terms of its factors."""
     w0, w1, w2 = m.dims
     det_phi1 = (-1) ** w1 * prod(chi[0] for chi in m.phi1_factors)
-    return as_rational(m.phi0 ** w0 * det_phi1 * m.phi2 ** w2)
+    return m.phi0 ** w0 * det_phi1 * m.phi2 ** w2
 
 
 class RelationReport(Record):

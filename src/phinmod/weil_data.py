@@ -395,9 +395,10 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     """Check the Weil-q conditions exactly; raise WeilValidationError naming
     the first failed condition.
 
-    ``m`` may be a QMatrix or a row list.  (p, f) is checked first by
+    ``m`` may be a QMatrix or a row list of ints, which
+    :meth:`QMatrix.from_rows` tests.  (p, f) is checked first by
     :func:`check_q`, which raises a plain ValidationError.  Checks, in
-    order: at most MAX_WEIL_SIZE rows, evenness, integrality and entries of at most
+    order: at most MAX_WEIL_SIZE rows, evenness and entries of at most
     MAX_ENTRY_DIGITS digits, all before chi is computed; det = q^g; the
     functional equation of the characteristic polynomial chi; the
     archimedean condition, trace^2 <= 4q for 2x2 blocks and certified by a
@@ -419,8 +420,6 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     check_weil_size(m.rows)
     if m.rows % 2 != 0:
         raise WeilValidationError(f"Weil matrix has odd size {m.rows}")
-    if not m.is_integral():
-        raise WeilValidationError("Weil matrix entries must be integers")
     check_entry_digits(m)
     factors = _blockwise_factors(m, q) or (tuple(_certify(m.to_rows(), q)),)
     return WeilMatrix(p, f, m, factors)

@@ -16,11 +16,16 @@ general Weil gate.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
-the identities checked by full-size products, a Berkowitz characteristic
-polynomial of phi, and det and rank of the full matrices.  Its polygons come
-from the minimal-slope sweep of that polynomial, and "Newton on or above
-Hodge" compares the partial sums of the two slope multisets at every
-integer point, not at the breakpoints alone.
+the identities checked by full-size products of row lists, a Berkowitz
+characteristic polynomial of phi, and det and rank of the full matrices by
+dividing Gaussian elimination.  Its polygons come from the minimal-slope
+sweep of that polynomial, and "Newton on or above Hodge" compares the
+partial sums of the two slope multisets at every integer point, not at the
+breakpoints alone.
+
+The matrix and polygon helpers that only tests need (identity, zero and
+scalar matrices, sums and multiples, and a polygon's slope multiset,
+heights and total) live here too.
 
 ``report_dict`` is the report as the nested dict the package once built
 and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
@@ -33,15 +38,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 import phinmod.weil_data as weil_data
-from phinmod.exact_linalg import (
-    NewtonPolygon,
-    QMatrix,
-    as_rational,
-    char_poly,
-    det,
-    padic_valuation,
-    rank,
-)
+from phinmod.exact_linalg import NewtonPolygon, QMatrix, as_rational, char_poly
 from phinmod.io_formats import instance_to_json
 from phinmod.phin_module import PolygonReport, RelationReport
 
@@ -190,23 +187,24 @@ def hasse_scan(p):
     return ncurves, worst
 
 
+def valuation(c, p):
+    """v_p of a nonzero rational c by repeated division."""
+    c = Fraction(c)
+    v = 0
+    num, den = abs(c.numerator), c.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
 def newton_slopes_sweep(coeffs, p):
     """Eigenvalue-valuation multiset by a minimal-slope sweep of the
     (index, valuation) cloud; ascending list."""
-
-    def val(c):
-        c = Fraction(c)
-        v = 0
-        num, den = abs(c.numerator), c.denominator
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return v
-
-    points = [(i, val(c)) for i, c in enumerate(coeffs) if c != 0]
+    points = [(i, valuation(c, p)) for i, c in enumerate(coeffs) if c != 0]
     slopes = []
     cur = points[0]
     while cur != points[-1]:
@@ -319,8 +317,9 @@ def det_gauss(rows):
             result = -result
         result *= a[col][col]
         for i in range(col + 1, n):
-            factor = a[i][col] / a[col][col]
-            a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+            if a[i][col] != 0:
+                factor = a[i][col] / a[col][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
     return result
 
 
@@ -411,6 +410,55 @@ def resolve_by_validation(src, p, f, bound):
     return weil_data.validate_weil(src, p, f)
 
 
+# -- matrices and polygons that only tests build ------------------------------
+
+def identity(n):
+    return scalar(n, 1)
+
+
+def zeros(rows, cols):
+    return QMatrix(rows, cols, (0,) * (rows * cols))
+
+
+def scalar(n, c):
+    """c * I_n for an integer c."""
+    return QMatrix(n, n, tuple(c if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def add(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return QMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
+
+
+def scale(m, c):
+    """c * m for an integer c."""
+    return QMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
+
+
+def polygon_of_slopes(slopes):
+    """The NewtonPolygon of an unsorted slope multiset, duplicates merged."""
+    ordered = sorted(as_rational(x) for x in slopes)
+    return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(ordered)))
+
+
+def slope_multiset(polygon):
+    return [s for s, k in polygon.slopes for _ in range(k)]
+
+
+def heights(polygon):
+    """Partial sums of the sorted slope multiset: the polygon's vertices at
+    every integer point."""
+    out = [0]
+    for s in slope_multiset(polygon):
+        out.append(as_rational(out[-1] + s))
+    return out
+
+
+def total(polygon):
+    return as_rational(sum(s * k for s, k in polygon.slopes))
+
+
 # -- the dense (phi, N)-module ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -468,14 +516,21 @@ def dense_module(m):
     return dense_from_blocks(m.p, m.f, m.phi0, m.phi1, m.phi2, m.n02, m.fil1_dim, m.gram)
 
 
+def mat_mul(a, b):
+    """Product of two row lists by the textbook triple sum."""
+    cols = len(b[0]) if b else 0
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)] for row in a]
+
+
 def dense_relations(m):
     """N^2 = 0, N phi = q phi N, phi invertible, rank N = w2 on the full
-    matrices."""
+    matrices, as row lists."""
+    phi, n = m.phi.to_rows(), m.n.to_rows()
     return RelationReport(
-        n_squared_zero=(m.n @ m.n).is_zero(),
-        n_phi_commutation=(m.n @ m.phi) == (m.phi @ m.n).scale(m.q),
-        phi_invertible=det(m.phi) != 0,
-        n_rank_is_torus_rank=rank(m.n) == m.dims[2],
+        n_squared_zero=all(x == 0 for row in mat_mul(n, n) for x in row),
+        n_phi_commutation=mat_mul(n, phi) == [[m.q * x for x in row] for row in mat_mul(phi, n)],
+        phi_invertible=det_gauss(phi) != 0,
+        n_rank_is_torus_rank=rank_gauss(n) == m.dims[2],
     )
 
 
@@ -504,7 +559,7 @@ def dense_hodge_newton(m):
     hodge = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
     if len(hodge) != d:
         raise ValueError("polygons have different dimensions")
-    t_newton = as_rational(Fraction(padic_valuation(det(m.phi), m.p), m.f)) if d else 0
+    t_newton = as_rational(Fraction(valuation(det_gauss(m.phi.to_rows()), m.p), m.f)) if d else 0
     return PolygonReport(
         t_newton=t_newton,
         t_hodge=m.fil1_dim,

@@ -12,7 +12,6 @@ with one changed field that ``module_from_report`` reads back.
 import copy
 import functools
 import json
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -22,7 +21,7 @@ from hypothesis import strategies as st
 from phinmod.builders import CurveInstance, build_from_av, jacobian_data
 from phinmod.cli import main, run_checks
 from phinmod.errors import SchemaError, ValidationError
-from phinmod.exact_linalg import QMatrix, as_rational
+from phinmod.exact_linalg import QMatrix
 from phinmod.fuzz import instance_stream
 from phinmod.io_formats import (
     Report,
@@ -54,6 +53,8 @@ from oracles import (
     dense_hodge_newton,
     dense_module,
     dense_relations,
+    scale,
+    zeros,
 )
 
 
@@ -109,8 +110,8 @@ def test_altered_blocks_match_dense_oracle():
     for base in _base_modules():
         g = base.gram
         singular = QMatrix.from_rows([[g[0, 0]] * g.cols] + [[0] * g.cols] * (g.rows - 1))
-        n_blocks = [g, g.scale(2), QMatrix.zeros(g.rows, g.cols), singular]
-        scalars = [1, base.q, base.q ** 2, Fraction(1, base.p), 0]
+        n_blocks = [g, scale(g, 2), zeros(g.rows, g.cols), singular]
+        scalars = [1, base.q, base.q ** 2, base.p, -base.q, 0]
         for phi0, phi2, n02 in product(scalars, scalars, n_blocks):
             m = PhiNModule(base.p, base.f, phi0, base.phi1, base.phi1_factors, phi2, n02,
                            base.fil1_dim, base.gram)
@@ -243,13 +244,13 @@ def edited_reports(draw):
 
 
 def _dense_of_report(report) -> DenseModule:
-    """The dense module of a report's matrices, parsed here with Fraction."""
+    """The dense module of a report's matrices, parsed here with int."""
     mod = report["module"]
 
     def matrix(rows):
         if not rows:
             return QMatrix(0, 0, ())
-        return QMatrix.from_rows([[as_rational(Fraction(x)) for x in r] for r in rows])
+        return QMatrix.from_rows([[int(x) for x in r] for r in rows])
 
     return DenseModule(
         p=int(mod["p"]),

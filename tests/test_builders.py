@@ -91,6 +91,12 @@ class TestCurveInstanceValidation:
             from_matrix, DEFAULT_POINT_BOUND
         )
 
+    def test_bool_row_list_source_refused(self):
+        # False == 0 and True == 1, but a bool entry would be written "True"
+        g = DualGraph.build([("v0", 1)], [])
+        with pytest.raises(ValidationError, match="^matrix entries must be integers$"):
+            CurveInstance(graph=g, components={"v0": [[False, -5], [True, 2]]}, p=5)
+
 
 class TestBuildFromCurve:
     def test_tate(self):

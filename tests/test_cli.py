@@ -40,6 +40,17 @@ def write_instance(tmp_path: Path, obj, name="inst.json") -> str:
     return str(path)
 
 
+# "a/b" entries, reducing to an integer or not, and with b = 0
+FRACTION_ENTRIES = ["1/2", "-3/2", "2/2", "-10/2", "0/7", "4/0"]
+
+
+def assert_fraction_refused(tmp_path, capsys, obj, field, entry):
+    assert main(["build", write_instance(tmp_path, obj)]) == 2
+    err = capsys.readouterr().err
+    assert f"field '{field}' has a bad entry: '{entry}' is not a decimal integer" in err
+    assert "Traceback" not in err
+
+
 class TestBuildCommand:
     def test_tate_golden_report(self, tmp_path, capsys):
         code = main(["build", str(INSTANCE_DIR / "tate.json")])
@@ -111,15 +122,24 @@ class TestBuildCommand:
         assert main(["build", write_instance(tmp_path, obj)]) == 2
         assert "positive definite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("entry, code", [("1/2", 2), ("-3/2", 2), ("2/2", 0)])
-    def test_non_integral_gram_exit_2_naming_it(self, tmp_path, capsys, entry, code):
-        # "2/2" is read as 1, so it passes
+    @pytest.mark.parametrize("entry", FRACTION_ENTRIES)
+    def test_non_integral_gram_exit_2_naming_it(self, tmp_path, capsys, entry):
         obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "1",
                "gram": [[entry]], "b_frobenius": []}
-        assert main(["build", write_instance(tmp_path, obj)]) == code
-        err = capsys.readouterr().err
-        assert ("field 'gram' must be integral" in err) == (code == 2)
-        assert "Traceback" not in err
+        assert_fraction_refused(tmp_path, capsys, obj, "gram", entry)
+
+    @pytest.mark.parametrize("entry", FRACTION_ENTRIES)
+    def test_fraction_in_an_av_weil_block_exit_2_naming_it(self, tmp_path, capsys, entry):
+        obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "0", "gram": [],
+               "b_frobenius": [{"type": "matrix", "entries": [["0", "-5"], ["1", entry]]}]}
+        assert_fraction_refused(tmp_path, capsys, obj, "b_frobenius[0].entries", entry)
+
+    @pytest.mark.parametrize("entry", FRACTION_ENTRIES)
+    def test_fraction_in_a_curve_component_exit_2_naming_it(self, tmp_path, capsys, entry):
+        obj = {"kind": "curve", "p": "5", "f": "1",
+               "graph": {"vertices": [{"id": "v0", "genus": "1"}], "edges": []},
+               "components": {"v0": {"type": "matrix", "entries": [[entry, "-5"], ["1", "2"]]}}}
+        assert_fraction_refused(tmp_path, capsys, obj, "components.v0.entries", entry)
 
     def test_build_line_times_the_request_and_its_write(self, tmp_path, capsys, monkeypatch):
         def slow_dump(report):
@@ -468,8 +488,7 @@ class TestWeilBlockCaps:
         assert "at most 4000 digits" in err
 
     def test_exponent_gram_entry_exit_2(self, tmp_path, capsys):
-        # Fraction reads "1e5000" as a 5001-digit integer, which the report
-        # could not write back
+        # an exponent is not a decimal integer, however small its value
         obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": "1",
                "gram": [["1e5000"]], "b_frobenius": []}
         assert "field 'gram' has a bad entry" in self._build(tmp_path, capsys, obj)

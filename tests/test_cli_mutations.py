@@ -52,7 +52,7 @@ SOURCES = [
 
 VALUES = [
     "0", "1", "-1", "2", "3", "4", "5", "7", "13", "25", "9973", "10007",
-    "1/2", "", "x", "99999999999999999999999999", 0, 1, -3, None, True,
+    "1/2", "4/2", "0/7", "1/0", "", "x", "99999999999999999999999999", 0, 1, -3, None, True,
     [], {}, [["1"]], [["2", "1"], ["1", "2"]], [["1", "1"], ["1", "1"]],
     {"id": "v9", "genus": "0"}, {"id": "v9", "genus": "1"},
     {"id": "e9", "tail": "v0", "head": "v0"}, {"id": "e9", "tail": "v0", "head": "v1"},

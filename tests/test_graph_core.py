@@ -5,7 +5,7 @@ import time
 import pytest
 
 from phinmod.errors import GraphError
-from phinmod.exact_linalg import QMatrix, det, is_positive_definite, rank
+from phinmod.exact_linalg import det, is_positive_definite, rank
 from phinmod.graph_core import (
     MERSENNE_EXPONENTS,
     DualGraph,
@@ -18,7 +18,7 @@ from phinmod.fuzz import instance_stream
 from phinmod.io_formats import instance_from_json
 
 from conftest import INSTANCE_DIR
-from oracles import monodromy_gram_dense, spanning_trees_brute, spanning_trees_dense
+from oracles import identity, monodromy_gram_dense, spanning_trees_brute, spanning_trees_dense
 
 
 def graph(vertices, edges):
@@ -281,5 +281,5 @@ class TestSparseGramAgainstDense:
             grams.append(monodromy_gram(g))
             assert time.perf_counter() - t0 < 0.5
         # each loop is its own cycle; the dense construction costs O(b1^2 E)
-        assert grams[0] == QMatrix.identity(400)
+        assert grams[0] == identity(400)
         assert grams[1].to_rows() == monodromy_gram_dense(multigraph)[1]

@@ -13,7 +13,7 @@ from phinmod.phin_module import (
 )
 from phinmod.weil_data import EllipticCurveSpec, frobenius_of_elliptic, validate_weil
 
-from oracles import dense_module, duality_pairing, monodromy_pairing_matrix
+from oracles import dense_module, duality_pairing, heights, monodromy_pairing_matrix, scale
 
 EMPTY_WEIL_5 = validate_weil(QMatrix(0, 0, ()), 5)
 
@@ -83,9 +83,11 @@ class TestAssemble:
         with pytest.raises(ValidationError, match="^gram not positive definite$"):
             assemble(5, 1, QMatrix.from_rows([[1, 2], [2, 1]]), EMPTY_WEIL_5)
 
-    def test_gram_not_integral_rejected(self):
-        with pytest.raises(ValidationError, match="integer"):
-            assemble(5, 1, QMatrix.from_rows([[Fraction(1, 2)]]), EMPTY_WEIL_5)
+    def test_non_integral_gram_cannot_be_built(self):
+        # QMatrix.from_rows is the one integrality test, so assemble has none
+        for entry in (Fraction(1, 2), Fraction(2, 1), 1.0, True):
+            with pytest.raises(ValidationError, match="^matrix entries must be integers$"):
+                QMatrix.from_rows([[entry]])
 
     def test_q_mismatch_rejected(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(7, -1, 0))
@@ -134,7 +136,7 @@ class TestHodgeNewton:
         assert r.newton.slopes == ((Fraction(1, 2), 2),)
         assert r.hodge.slopes == ((0, 1), (1, 1))
         assert r.newton_on_or_above_hodge
-        assert r.newton.heights()[1] > r.hodge.heights()[1]
+        assert heights(r.newton)[1] > heights(r.hodge)[1]
 
     def test_empty_module(self):
         m = assemble(5, 1, QMatrix(0, 0, ()), EMPTY_WEIL_5)
@@ -182,12 +184,12 @@ class TestMonodromyDuality:
     def test_gram_scaling_bilinearity(self):
         base = theta_module()
         for c in (2, 3, 7):
-            scaled = assemble(5, 1, base.gram.scale(c), EMPTY_WEIL_5)
-            assert monodromy_pairing_matrix(scaled) == monodromy_pairing_matrix(base).scale(c)
+            scaled = assemble(5, 1, scale(base.gram, c), EMPTY_WEIL_5)
+            assert monodromy_pairing_matrix(scaled) == scale(monodromy_pairing_matrix(base), c)
             pairing = duality_pairing(scaled)
-            assert (pairing @ dense_module(scaled).n) == (
-                duality_pairing(base) @ dense_module(base).n
-            ).scale(c)
+            assert (pairing @ dense_module(scaled).n) == scale(
+                duality_pairing(base) @ dense_module(base).n, c
+            )
             assert verify_monodromy_duality(scaled)
 
 

@@ -63,6 +63,23 @@ def test_fuzz_reports(seed):
         assert_written(run_checks(inst, DEFAULT_POINT_BOUND))
 
 
+def test_every_matrix_holds_ints():
+    """Every matrix of the module and of the instance echo holds entries of
+    type int and nothing else, in the report of each example instance and
+    of each fuzz-seed-7 instance."""
+    insts = [load_instance(str(path)) for path in INSTANCE_FILES] + list(instance_stream(7, 40))
+    for inst in insts:
+        report = run_checks(inst, DEFAULT_POINT_BOUND)
+        m, echo = report.module, report.instance
+        if isinstance(echo, CurveInstance):
+            matrices = [src for src in echo.components.values() if isinstance(src, QMatrix)]
+        else:
+            matrices = [echo.gram, echo.b_frobenius.matrix]
+        for matrix in matrices + [m.phi1, m.n02, m.gram]:
+            assert {type(x) for x in matrix.entries} <= {int}
+        assert type(m.phi0) is type(m.phi2) is int
+
+
 @pytest.mark.parametrize(
     "obj", [{}, [], "report", None, 3, {"format": "phinmod-report-v1"}, QMatrix(0, 0, ())],
     ids=repr,
@@ -281,9 +298,9 @@ SHAPES = {
     ),
     # phi1 with a zero row and a 1x1 block, and blocks of size 0
     "zero-row": hand_built([[0, 0, 0], [0, 1, 2], [0, 3, 4]], [0, 1, 0, 2], [[3]]),
-    "fraction": hand_built(
-        [[Fraction(1, 2), 0], [0, 3]], [1, 1], [[1, 0], [0, 2]],
-        phi0=Fraction(1, 3), phi2=Fraction(-7, 2), n02_rows=[[Fraction(2, 3), 0], [0, 5]],
+    "signs": hand_built(
+        [[-2, 0], [0, 3]], [1, 1], [[1, 0], [0, 2]],
+        phi0=-3, phi2=-7 * 10 ** 30, n02_rows=[[-20, 0], [0, 5]],
     ),
 }
 
@@ -293,24 +310,25 @@ def test_module_shapes(m):
     assert_written_from_blocks(m)
 
 
-def test_fraction_phi_text():
-    phi = json.loads(dump_json(module_report(SHAPES["fraction"])))["module"]["phi"]
+def test_signed_phi_text():
+    phi = json.loads(dump_json(module_report(SHAPES["signs"])))["module"]["phi"]
+    big = "-7" + "0" * 30
     assert phi == [
-        ["1/3", "0", "0", "0", "0", "0"],
-        ["0", "1/3", "0", "0", "0", "0"],
-        ["0", "0", "1/2", "0", "0", "0"],
+        ["-3", "0", "0", "0", "0", "0"],
+        ["0", "-3", "0", "0", "0", "0"],
+        ["0", "0", "-2", "0", "0", "0"],
         ["0", "0", "0", "3", "0", "0"],
-        ["0", "0", "0", "0", "-7/2", "0"],
-        ["0", "0", "0", "0", "0", "-7/2"],
+        ["0", "0", "0", "0", big, "0"],
+        ["0", "0", "0", "0", "0", big],
     ]
 
 
 @st.composite
 def block_layouts(draw):
     """A module whose phi1 is block diagonal in random block sizes, with
-    zero, integer and fraction entries, and sometimes an entry outside the
-    blocks; the torus rank and Gram entries are random too."""
-    entry = st.integers(-12, 12) | st.fractions(-5, 5, max_denominator=6)
+    zero, small and large integer entries, and sometimes an entry outside
+    the blocks; the torus rank and Gram entries are random too."""
+    entry = st.integers(-12, 12) | st.integers(-(10 ** 40), 10 ** 40)
     sizes = draw(st.lists(st.integers(0, 4), max_size=5))
     w1, w2 = sum(sizes), draw(st.integers(0, 3))
     phi1 = [[0] * w1 for _ in range(w1)]

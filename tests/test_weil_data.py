@@ -21,7 +21,7 @@ from phinmod.weil_data import (
     validate_weil,
 )
 
-from oracles import count_points_xy, is_prime_trial, resolve_by_validation
+from oracles import count_points_xy, identity, is_prime_trial, resolve_by_validation, zeros
 
 
 class TestEllipticSpec:
@@ -132,7 +132,7 @@ class TestValidateWeil:
 
     def test_rejects_identity(self):
         with pytest.raises(WeilValidationError, match="det"):
-            validate_weil(QMatrix.identity(2), 5)
+            validate_weil(identity(2), 5)
 
     def test_rejects_archimedean_violation(self):
         # roots 1 and 5 have moduli 1 and 5, not sqrt(5)
@@ -159,8 +159,10 @@ class TestValidateWeil:
     def test_rejects_non_integer(self):
         from fractions import Fraction
 
-        with pytest.raises(WeilValidationError, match="integer"):
-            validate_weil(QMatrix.from_rows([[Fraction(1, 2), 0], [0, 10]]), 5)
+        # a row list is made a QMatrix first, whose from_rows refuses it
+        for entry in (Fraction(1, 2), Fraction(10, 1), True):
+            with pytest.raises(ValidationError, match="^matrix entries must be integers$"):
+                validate_weil([[entry, 0], [0, 10]], 5)
 
     def test_q_eigenvalue_rejected(self):
         # diag(5, 1) + an honest elliptic block: det and functional equation
@@ -194,7 +196,7 @@ class TestValidateWeil:
         monkeypatch.setattr("phinmod.weil_data.charpoly_int", no_char_poly)
         n = MAX_WEIL_SIZE + 2
         with pytest.raises(WeilValidationError, match=f"{n} rows; a Weil block has at most"):
-            validate_weil(QMatrix.zeros(n, n), 5)
+            validate_weil(zeros(n, n), 5)
         for big in (10 ** MAX_ENTRY_DIGITS, -(10 ** MAX_ENTRY_DIGITS)):
             with pytest.raises(WeilValidationError, match=f"more than {MAX_ENTRY_DIGITS}"):
                 validate_weil([[0, big], [1, 0]], 5)
@@ -498,5 +500,5 @@ class TestSlopeSymmetry:
             blocks.setdefault(p, []).append(w)
         for p, ws in blocks.items():
             w = direct_sum(ws, p, 1)
-            np_ = newton_polygon(char_poly(w.matrix), p).scaled(1)
+            np_ = newton_polygon(char_poly(w.matrix), p)
             assert np_.is_symmetric()
