@@ -19,14 +19,11 @@ from .builders import (
 )
 from .errors import GraphError, SchemaError, ValidationError, WeilValidationError
 from .exact_linalg import (
-    INFINITY,
     NewtonPolygon,
     QMatrix,
     Rational,
     char_poly,
     det,
-    newton_polygon,
-    padic_valuation,
     rank,
 )
 from .graph_core import (
@@ -60,7 +57,6 @@ __all__ = [
     "DualGraph",
     "EllipticCurveSpec",
     "GraphError",
-    "INFINITY",
     "NewtonPolygon",
     "PhiNModule",
     "QMatrix",
@@ -84,8 +80,6 @@ __all__ = [
     "hodge_newton",
     "jacobian_data",
     "monodromy_gram",
-    "newton_polygon",
-    "padic_valuation",
     "rank",
     "spanning_tree_count",
     "validate_weil",

@@ -83,7 +83,7 @@ class CurveInstance(Record):
                     )
             else:
                 m = src if isinstance(src, QMatrix) else QMatrix.from_rows(src)
-                if m.rows != 2 * v.genus:
+                if (m.rows, m.cols) != (2 * v.genus, 2 * v.genus):
                     raise ValidationError(
                         f"vertex {clipped(v.id)} has genus {clipped(v.genus)} but a "
                         f"{m.rows}x{m.cols} matrix source"

@@ -12,7 +12,6 @@ values: plain ``int`` where the denominator is 1, ``fractions.Fraction``
 otherwise (see :func:`as_rational`).  No floating point enters this module.
 """
 
-import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -23,8 +22,6 @@ from ._record import Record
 from .errors import ValidationError
 
 Rational = Union[int, Fraction]
-
-INFINITY = math.inf
 
 
 def as_rational(x) -> Rational:
@@ -247,17 +244,9 @@ def is_positive_definite(m: QMatrix) -> bool:
     return swaps == 0 and len(pivots) == m.rows and all(x > 0 for x in pivots)
 
 
-def padic_valuation(x, p: int):
-    """v_p(x) for exact x; +infinity at 0; normalized so v_p(p) = 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return _valuation(as_rational(x), p)
-
-
-def _valuation(x, p: int):
-    """:func:`padic_valuation` of an int or Fraction, p known to be prime."""
-    if x == 0:
-        return INFINITY
+def _valuation(x, p: int) -> int:
+    """v_p(x) of a nonzero int or Fraction, p prime, normalized so that
+    v_p(p) = 1."""
     num, den = abs(x.numerator), x.denominator  # an int is n/1
     v = 0
     while num % p == 0:
@@ -325,26 +314,6 @@ class NewtonPolygon(Record):
             if not mb:
                 sb, mb = next(b, (0, 0))
         return True
-
-
-def newton_polygon(coeffs: Sequence, p: int) -> NewtonPolygon:
-    """Lower convex hull slopes of (i, v_p(a_i)) for a monic polynomial.
-
-    ``coeffs`` is ascending, leading coefficient 1.  The reported slope of a
-    hull segment is its negative, so each eigenvalue alpha shows up at slope
-    v_p(alpha).  Rejects the zero polynomial and a zero constant term (an
-    eigenvalue 0 has no finite slope).
-    """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    coeffs = [as_rational(c) for c in coeffs]
-    if not coeffs or all(c == 0 for c in coeffs):
-        raise ValueError("zero polynomial")
-    if coeffs[-1] != 1:
-        raise ValueError("polynomial must be monic")
-    return NewtonPolygon(tuple(
-        (as_rational(Fraction(dy, dx)), dx) for dy, dx in _hull_segments(coeffs, p)
-    ))
 
 
 def _hull_segments(coeffs: Sequence, p: int) -> list:

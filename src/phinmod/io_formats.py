@@ -41,14 +41,13 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from ._record import Record
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError, clipped, clipped_key
-from .exact_linalg import QMatrix, char_poly, rational_str
+from .exact_linalg import QMatrix, rational_str
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
 from .weil_data import (
     DEFAULT_POINT_BOUND,
     MAX_ENTRY_DIGITS,
     EllipticCurveSpec,
-    check_q,
     check_weil_size,
     direct_sum,
 )
@@ -173,7 +172,10 @@ def source_from_json(obj, p: int, context: str):
             # validate_weil checks this too; here the message names the
             # field, and a large block is refused before it is parsed
             check_weil_size(len(entries), f"field '{context}.entries'")
-        return matrix_from_strings(entries, context + ".entries")
+        m = matrix_from_strings(entries, context + ".entries")
+        if not m.is_square:
+            raise SchemaError(f"field '{context}.entries' is {m.rows}x{m.cols}, not square")
+        return m
     raise SchemaError(f"field '{context}.type' has unknown value {clipped(kind)}")
 
 
@@ -305,68 +307,6 @@ def build_report(inst, module, relations, polygons, duality_ok, agreement_ok=Non
     return Report(inst, module, relations, polygons, duality_ok, agreement_ok)
 
 
-def _square_block(m: QMatrix, row: int, col: int, size: int) -> QMatrix:
-    if size == 0:
-        return QMatrix(0, 0, ())
-    return QMatrix.from_rows([m.row(i)[col:col + size] for i in range(row, row + size)])
-
-
-def module_from_report(report: Mapping) -> PhiNModule:
-    """Rebuild the exact module from a report's matrices (bit-exact).
-
-    The dense phi and n are split into the blocks of :class:`PhiNModule`
-    and written back; a matrix the blocks do not reproduce exactly (an entry
-    outside them, or a weight-0 or weight-2 block of phi that is not scalar)
-    is not in the documented form and raises SchemaError naming
-    ``module.phi`` or ``module.n``.  So is a bad (p, f), a ``fil1_dim``
-    outside [0, d] or a ``gram`` that is not w2 x w2.
-    """
-    mod = _get(report, "module", "")
-    dims = _get(mod, "dims", "module.")
-    p = _as_int(_get(mod, "p", "module."), "module.p")
-    f = _as_int(_get(mod, "f", "module."), "module.f")
-    check_q(p, f, "module.")
-    w0, w1, w2 = (
-        _as_int(_get(dims, w, "module.dims."), f"module.dims.{w}")
-        for w in ("w0", "w1", "w2")
-    )
-    if min(w0, w1, w2) < 0 or w0 != w2:
-        raise SchemaError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
-    d = w0 + w1 + w2
-    fil1_dim = _as_int(_get(mod, "fil1_dim", "module."), "module.fil1_dim")
-    if not 0 <= fil1_dim <= d:
-        raise SchemaError(f"field 'module.fil1_dim' = {fil1_dim} is not in [0, {d}]")
-    dense = {}
-    for name, size in (("phi", d), ("n", d), ("gram", w2)):
-        dense[name] = matrix_from_strings(_get(mod, name, "module."), f"module.{name}")
-        if (dense[name].rows, dense[name].cols) != (size, size):
-            raise SchemaError(f"field 'module.{name}' is not {size}x{size}")
-    phi, n = dense["phi"], dense["n"]
-    phi1 = _square_block(phi, w0, w0, w1)
-    module = PhiNModule(
-        p=p,
-        f=f,
-        phi0=phi[0, 0] if w0 else 1,
-        phi1=phi1,
-        phi1_factors=(tuple(char_poly(phi1)),),
-        phi2=phi[d - 1, d - 1] if w2 else p ** f,
-        n02=_square_block(n, 0, w0 + w1, w0),
-        fil1_dim=fil1_dim,
-        gram=dense["gram"],
-    )
-    phi_runs = _phi_runs(module, _runs(phi1, module.phi1_factors))
-    for name, runs in (("phi", phi_runs), ("n", _n_runs(module))):
-        written = [["0"] * d for _ in range(d)]
-        for row, (start, cells) in zip(written, runs):
-            row[start:start + len(cells)] = cells
-        if written != matrix_to_strings(dense[name]):
-            raise SchemaError(
-                f"field 'module.{name}' is not in block form: an entry lies outside "
-                "the weight blocks, or a weight-0 or weight-2 block is not scalar"
-            )
-    return module
-
-
 def _verdicts(r: Report) -> list:
     """(dotted name, passed) of each check of ``r``, sorted by name: the
     order in which the report writes them."""
@@ -485,12 +425,7 @@ def _write_source(out: list, src, indent: str) -> None:
                    + indent + "}")
     else:
         out.append("{" + i1 + '"entries": ')
-        if src.rows == src.cols:
-            _write_rows(out, src.rows, _dense_runs(src), i1)
-        else:  # no check accepts it, but the echo keeps it as it was read
-            i2 = i1 + "  "
-            out.append(_array([_array([f'"{c}"' for c in row], i2)
-                               for row in matrix_to_strings(src)], i1))
+        _write_rows(out, src.rows, _dense_runs(src), i1)
         out.append("," + i1 + '"type": "matrix"' + indent + "}")
 
 

@@ -62,9 +62,8 @@ class PhiNModule(Record):
     ``hash`` ignore them, as ``phi1`` determines them.
     ``gram`` is the monodromy pairing on the weight-2 block.  The ranks
     ``dims`` = (w0, w1, w2) are read off the blocks: w0 = w2 = gram.rows and
-    w1 = phi1.rows.  A module is exactly its blocks; a dense matrix that
-    they cannot hold is refused where it is read
-    (:func:`phinmod.io_formats.module_from_report`).
+    w1 = phi1.rows.  A module is exactly its blocks: no command reads a
+    dense matrix back into one.
 
     Only dimensional consistency is enforced at construction, so
     deliberately corrupted instances can be constructed for testing.
@@ -170,15 +169,6 @@ class RelationReport(Record):
         object.__setattr__(self, "n_phi_commutation", n_phi_commutation)
         object.__setattr__(self, "phi_invertible", phi_invertible)
         object.__setattr__(self, "n_rank_is_torus_rank", n_rank_is_torus_rank)
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.n_squared_zero
-            and self.n_phi_commutation
-            and self.phi_invertible
-            and self.n_rank_is_torus_rank
-        )
 
 
 def verify_relations(m: PhiNModule) -> RelationReport:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Deliberately different algorithms from the package: cofactor expansion over
-a polynomial ring instead of Berkowitz, dividing Gaussian elimination over
+a polynomial ring, and reduction to Hessenberg form over Fraction, instead
+of Berkowitz, dividing Gaussian elimination over
 Fraction instead of fraction-free, an O(p^2) double loop and a character
 sum by Euler's criterion instead of baby-step giant-step point counting, a
 minimal-slope sweep instead of a monotone chain, spanning trees enumerated
@@ -16,12 +17,16 @@ general Weil gate.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
-the identities checked by full-size products of row lists, a Berkowitz
+the identities checked by full-size products of row lists, the Hessenberg
 characteristic polynomial of phi, and det and rank of the full matrices by
 dividing Gaussian elimination.  Its polygons come from the minimal-slope
 sweep of that polynomial, and "Newton on or above Hodge" compares the
 partial sums of the two slope multisets at every integer point, not at the
-breakpoints alone.
+breakpoints alone.  None of it calls a kernel of the package.
+
+``module_from_report`` reads a parsed report back into its block-stored
+module with ``int`` and the dense construction alone: no command of the
+package reads a report.
 
 The matrix and polygon helpers that only tests need (identity, zero and
 scalar matrices, sums and multiples, and a polygon's slope multiset,
@@ -38,9 +43,9 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 import phinmod.weil_data as weil_data
-from phinmod.exact_linalg import NewtonPolygon, QMatrix, as_rational, char_poly
+from phinmod.exact_linalg import NewtonPolygon, QMatrix, as_rational
 from phinmod.io_formats import instance_to_json
-from phinmod.phin_module import PolygonReport, RelationReport
+from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
 
 
 def poly_add(a, b):
@@ -108,6 +113,40 @@ def charpoly_leverrier(rows):
         coeffs[n - k] = c
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     return coeffs
+
+
+def charpoly_hessenberg(rows):
+    """det(T*I - m) over Fraction, ascending coefficients: reduce m to upper
+    Hessenberg form H by similarity, then run the recurrence on the leading
+    principal submatrices of H (Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.2.9)."""
+    n = len(rows)
+    h = [[Fraction(x) for x in r] for r in rows]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1] != 0), None)
+        if i is None:
+            continue
+        if i != m:  # swap rows i and m, then columns i and m
+            h[i], h[m] = h[m], h[i]
+            for r in h:
+                r[i], r[m] = r[m], r[i]
+        t = h[m][m - 1]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] / t
+            if u:  # row i -= u * row m, then column m += u * column i
+                h[i] = [x - u * y for x, y in zip(h[i], h[m])]
+                for r in h:
+                    r[m] += u * r[i]
+    # chis[k] = det(T*I - H_k), H_k the leading k x k submatrix of H
+    chis = [[Fraction(1)]]
+    for m in range(n):
+        chi = poly_add([0] + chis[m], poly_scale(chis[m], -h[m][m]))
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t *= h[i + 1][i]
+            chi = poly_add(chi, poly_scale(chis[i], -h[i][m] * t))
+        chis.append(chi)
+    return chis[n]
 
 
 def rank_gauss(rows):
@@ -552,7 +591,7 @@ def dense_hodge_newton(m):
     the partial sums of the two slope multisets at every integer point, and
     "symmetric" compares the slope multiset with its image under s -> 1 - s."""
     d = m.dimension
-    coeffs = char_poly(m.phi)
+    coeffs = charpoly_hessenberg(m.phi.to_rows())
     if d and coeffs[0] == 0:
         raise ValueError("zero constant term: 0 is an eigenvalue")
     newton = [as_rational(Fraction(s) / m.f) for s in newton_slopes_sweep(coeffs, m.p)]
@@ -601,8 +640,69 @@ def monodromy_pairing_matrix(m):
 
 
 def dense_duality(m):
-    """P @ N' == monodromy pairing, with N' = N (self-dual inputs)."""
-    return (duality_pairing(m) @ m.n) == monodromy_pairing_matrix(m)
+    """P N' == monodromy pairing, with N' = N (self-dual inputs)."""
+    return mat_mul(duality_pairing(m).to_rows(), m.n.to_rows()) == (
+        monodromy_pairing_matrix(m).to_rows()
+    )
+
+
+def all_pass(relations):
+    """Every verdict of a RelationReport passed."""
+    return all(getattr(relations, name) for name in RelationReport._fields)
+
+
+# -- a report read back -------------------------------------------------------
+
+def _matrix(rows):
+    return QMatrix.from_rows(rows) if rows else QMatrix(0, 0, ())
+
+
+def module_from_report(report):
+    """The PhiNModule of a parsed report's ``module`` block.
+
+    Every number is read with ``int``, and ``phi`` and ``n`` are split into
+    the blocks at the report's ``dims``.  ``phi1_factors`` is the one
+    factor ``charpoly_hessenberg`` of phi1.  When ``dense_from_blocks`` of
+    the blocks does not give back ``phi`` or ``n`` (an entry outside the
+    blocks, or a weight-0 or weight-2 block of phi that is not scalar), the
+    report is not in block form, and ValueError names the matrix; so it
+    does for a matrix of the wrong size, ranks that are not (w, w1, w), or
+    a q that is not a power p^f (f >= 1) of a prime.
+    """
+    mod = report["module"]
+    p, f, fil1_dim = int(mod["p"]), int(mod["f"]), int(mod["fil1_dim"])
+    if f < 1 or not is_prime_trial(p):
+        raise ValueError(f"field 'module.p' or 'module.f': q = {p}^{f} is not a prime power")
+    w0, w1, w2 = (int(mod["dims"][w]) for w in ("w0", "w1", "w2"))
+    if min(w0, w1, w2) < 0 or w0 != w2:
+        raise ValueError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
+    d = w0 + w1 + w2
+    rows = {name: [[int(x) for x in r] for r in mod[name]] for name in ("phi", "n", "gram")}
+    for name, size in (("phi", d), ("n", d), ("gram", w2)):
+        if len(rows[name]) != size or any(len(r) != size for r in rows[name]):
+            raise ValueError(f"field 'module.{name}' is not {size}x{size}")
+    phi, n = rows["phi"], rows["n"]
+    phi1 = _matrix([r[w0:w0 + w1] for r in phi[w0:w0 + w1]])
+    chi = tuple(int(c) for c in charpoly_hessenberg(phi1.to_rows()))
+    m = PhiNModule(
+        p=p,
+        f=f,
+        phi0=phi[0][0] if w0 else 1,
+        phi1=phi1,
+        phi1_factors=(chi,),
+        phi2=phi[-1][-1] if w2 else p ** f,
+        n02=_matrix([r[w0 + w1:] for r in n[:w0]]),
+        fil1_dim=fil1_dim,
+        gram=_matrix(rows["gram"]),
+    )
+    dense = dense_module(m)
+    for name in ("phi", "n"):
+        if getattr(dense, name).to_rows() != rows[name]:
+            raise ValueError(
+                f"field 'module.{name}' is not in block form: an entry lies outside "
+                "the weight blocks, or a weight-0 or weight-2 block is not scalar"
+            )
+    return m
 
 
 # -- the report as a dict -----------------------------------------------------

@@ -25,7 +25,7 @@ from phinmod.weil_data import (
 )
 
 from conftest import banana_instance, tate_instance, theta_instance
-from oracles import dense_module
+from oracles import all_pass, dense_module
 
 EMPTY = QMatrix(0, 0, ())
 ENTRY_POINTS = {
@@ -72,12 +72,18 @@ class TestCurveInstanceValidation:
                 graph=g, components={"v0": EllipticCurveSpec(7, -1, 0)}, p=5
             )
 
-    def test_matrix_size_checked(self):
-        g = DualGraph.build([("v0", 2)], [])
-        with pytest.raises(ValidationError, match="genus"):
-            CurveInstance(
-                graph=g, components={"v0": [[0, -5], [1, 2]]}, p=5
-            )
+    # rows, then columns (2 * genus rows but not 2 * genus columns)
+    @pytest.mark.parametrize("genus, rows", [
+        (2, [[0, -5], [1, 2]]),
+        (1, [[0, -5, 1], [1, 2, 3]]),
+        (1, [[], []]),
+        (1, [[1], [2]]),
+    ])
+    def test_matrix_size_checked(self, genus, rows):
+        g = DualGraph.build([("v0", genus)], [])
+        shape = f"{len(rows)}x{len(rows[0])}"
+        with pytest.raises(ValidationError, match=f"genus {genus} but a {shape} matrix source"):
+            CurveInstance(graph=g, components={"v0": rows}, p=5)
 
     def test_row_list_source_reports_as_its_matrix(self):
         rows = [[0, -5], [1, 2]]
@@ -128,7 +134,7 @@ class TestBuildFromCurve:
             assert m.dimension == 2 * (
                 inst.graph.total_genus() + betti_one(inst.graph)
             )
-            assert verify_relations(m).all_pass
+            assert all_pass(verify_relations(m))
 
 
 class TestBuildFromAV:

@@ -25,13 +25,13 @@ from phinmod.io_formats import (
     failed_checks,
     instance_from_json,
     instance_to_json,
-    module_from_report,
     report_all_pass,
 )
 from phinmod.phin_module import PolygonReport, RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
+from oracles import module_from_report
 
 
 def write_instance(tmp_path: Path, obj, name="inst.json") -> str:

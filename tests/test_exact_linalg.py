@@ -1,4 +1,4 @@
-import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 import phinmod.exact_linalg
 from phinmod.errors import SchemaError, ValidationError
 from phinmod.exact_linalg import (
-    INFINITY,
     PRIME_BOUND,
     QMatrix,
+    _hull_segments,
+    _valuation,
     as_rational,
     char_poly,
     det,
     is_positive_definite,
     is_prime,
-    newton_polygon,
-    padic_valuation,
     rank,
     rational_str,
 )
@@ -28,6 +27,7 @@ from phinmod.weil_data import MAX_ENTRY_DIGITS
 from oracles import (
     add,
     charpoly_cofactor,
+    charpoly_hessenberg,
     det_gauss,
     heights,
     identity,
@@ -39,7 +39,7 @@ from oracles import (
     scalar,
     scale,
     slope_multiset,
-    total,
+    valuation,
     zeros,
 )
 
@@ -88,6 +88,23 @@ class TestCharPoly:
             acc = add(acc, scale(power, c))
             power = power @ m
         assert acc.is_zero()
+
+
+class TestCharpolyHessenberg:
+    """The oracle's Hessenberg characteristic polynomial against its
+    cofactor expansion: zero, singular and random matrices, n <= 5."""
+
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(24)
+        cases = [[[0] * n for _ in range(n)] for n in range(6)]
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:  # a repeated row: singular
+                rows[-1] = list(rows[0])
+            cases.append(rows)
+        for rows in cases:
+            assert charpoly_hessenberg(rows) == charpoly_cofactor(rows), rows
 
 
 def integer_matrices(max_n=4, square=True):
@@ -174,24 +191,27 @@ class TestRank:
         assert r + nullity == m.cols
 
 
-class TestPadicValuation:
+class TestValuation:
     def test_integer(self):
-        assert padic_valuation(50, 5) == 2
+        assert _valuation(50, 5) == 2
 
     def test_fraction(self):
-        assert padic_valuation(Fraction(3, 5), 5) == -1
-
-    def test_zero(self):
-        assert padic_valuation(0, 5) == INFINITY
-        assert padic_valuation(0, 5) == math.inf
+        assert _valuation(Fraction(3, 5), 5) == -1
 
     def test_uniformizer(self):
         for p in (2, 3, 5, 97):
-            assert padic_valuation(p, p) == 1
+            assert _valuation(p, p) == 1
 
-    def test_non_prime_rejected(self):
-        with pytest.raises(ValueError):
-            padic_valuation(10, 6)
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(max_denominator=10 ** 6).filter(bool), st.sampled_from([2, 3, 5, 7]))
+    def test_matches_division_oracle(self, x, p):
+        assert _valuation(as_rational(x), p) == valuation(x, p)
+
+
+def hull_slopes(coeffs, p):
+    """The slope multiset of the hull segments (dy, dx): dx roots of
+    valuation dy / dx each, ascending."""
+    return sorted(Fraction(dy, dx) for dy, dx in _hull_segments(coeffs, p) for _ in range(dx))
 
 
 SLOPES = st.integers(-3, 6) | st.fractions(min_value=-2, max_value=3, max_denominator=4)
@@ -200,32 +220,21 @@ SLOPES = st.integers(-3, 6) | st.fractions(min_value=-2, max_value=3, max_denomi
 class TestNewtonPolygon:
     def test_ordinary_quadratic(self):
         # roots 1 and 5
-        np_ = newton_polygon([5, -6, 1], 5)
-        assert np_.slopes == ((0, 1), (1, 1))
+        assert _hull_segments([5, -6, 1], 5) == [(0, 1), (1, 1)]
 
     def test_supersingular_quadratic(self):
-        np_ = newton_polygon([5, 0, 1], 5)
-        assert np_.slopes == ((Fraction(1, 2), 2),)
+        assert _hull_segments([5, 0, 1], 5) == [(1, 2)]
 
     def test_unit_roots(self):
         # (T-1)^3
-        np_ = newton_polygon([-1, 3, -3, 1], 7)
-        assert np_.slopes == ((0, 3),)
+        assert _hull_segments([-1, 3, -3, 1], 7) == [(0, 3)]
 
     def test_degree_zero(self):
-        assert newton_polygon([1], 5).slopes == ()
-
-    def test_zero_polynomial_rejected(self):
-        with pytest.raises(ValueError):
-            newton_polygon([0, 0], 5)
+        assert _hull_segments([1], 5) == []
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError):
-            newton_polygon([0, 1, 1], 5)
-
-    def test_non_monic_rejected(self):
-        with pytest.raises(ValueError):
-            newton_polygon([1, 2], 5)
+            _hull_segments([0, 1, 1], 5)
 
     def test_symmetry_helpers(self):
         np_ = polygon_of_slopes([0, 1])
@@ -268,15 +277,17 @@ class TestNewtonPolygon:
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([2, 3, 5, 7]), st.data())
-    def test_pairs_strictly_increasing(self, p, data):
+    def test_segments_strictly_rising(self, p, data):
         # coefficients of assorted p-adic valuations, constant term nonzero
         coeff = st.builds(lambda u, k: u * p ** k, st.integers(-50, 50), st.integers(0, 6))
         middle = data.draw(st.lists(coeff, max_size=8))
-        np_ = newton_polygon([data.draw(coeff.filter(bool))] + middle + [1], p)
-        slopes = [s for s, _ in np_.slopes]
+        coeffs = [data.draw(coeff.filter(bool))] + middle + [1]
+        segments = _hull_segments(coeffs, p)
+        slopes = [Fraction(dy, dx) for dy, dx in segments]
         assert all(a < b for a, b in zip(slopes, slopes[1:]))
-        assert all(m > 0 for _, m in np_.slopes)
-        assert np_.dimension == len(middle) + 1
+        assert all(dx > 0 for _, dx in segments)
+        assert sum(dx for _, dx in segments) == len(middle) + 1
+        assert hull_slopes(coeffs, p) == newton_slopes_sweep(coeffs, p)
 
     @settings(max_examples=60, deadline=None)
     @given(square_matrices(4), st.sampled_from([2, 3, 5, 7]))
@@ -285,11 +296,10 @@ class TestNewtonPolygon:
         if det(m) == 0:
             return
         coeffs = char_poly(m)
-        np_ = newton_polygon(coeffs, p)
-        assert slope_multiset(np_) == newton_slopes_sweep(coeffs, p)
+        assert hull_slopes(coeffs, p) == newton_slopes_sweep(coeffs, p)
         # total slope mass equals the valuation of the determinant
-        assert total(np_) == padic_valuation(det(m), p)
-        assert np_.dimension == m.rows
+        assert sum(dy for dy, _ in _hull_segments(coeffs, p)) == valuation(det(m), p)
+        assert sum(dx for _, dx in _hull_segments(coeffs, p)) == m.rows
 
 
 class TestQMatrix:

@@ -4,7 +4,7 @@ A direct sum keeps the characteristic polynomials of its summands as
 ``factors`` and never multiplies them out; ``hodge_newton`` merges the
 factors' hull segments and ``_det_phi`` multiplies their constant terms.
 Both must give what the dense module of ``oracles.py`` gives from the
-Berkowitz characteristic polynomial of the full phi.
+Hessenberg characteristic polynomial of the full phi.
 """
 
 import json
@@ -15,7 +15,7 @@ from math import isqrt
 from phinmod.builders import UniformizationData, resolve_component
 from phinmod.cli import run_checks
 from phinmod.exact_linalg import QMatrix, det
-from phinmod.io_formats import dump_json, module_from_report
+from phinmod.io_formats import dump_json
 from phinmod.phin_module import _det_phi, assemble, hodge_newton, verify_relations
 from phinmod.weil_data import (
     DEFAULT_POINT_BOUND,
@@ -26,7 +26,13 @@ from phinmod.weil_data import (
     validate_weil,
 )
 
-from oracles import dense_assemble, dense_hodge_newton, dense_relations, poly_mul
+from oracles import (
+    dense_assemble,
+    dense_hodge_newton,
+    dense_relations,
+    module_from_report,
+    poly_mul,
+)
 
 # (p, f): q = 3, 5, 7 at f = 1 and 9, 25 at f = 2
 FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]

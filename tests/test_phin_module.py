@@ -13,7 +13,14 @@ from phinmod.phin_module import (
 )
 from phinmod.weil_data import EllipticCurveSpec, frobenius_of_elliptic, validate_weil
 
-from oracles import dense_module, duality_pairing, heights, monodromy_pairing_matrix, scale
+from oracles import (
+    all_pass,
+    dense_module,
+    duality_pairing,
+    heights,
+    monodromy_pairing_matrix,
+    scale,
+)
 
 EMPTY_WEIL_5 = validate_weil(QMatrix(0, 0, ()), 5)
 
@@ -97,11 +104,11 @@ class TestAssemble:
 
 class TestVerifyRelations:
     def test_tate_passes(self):
-        assert verify_relations(tate_module()).all_pass
+        assert all_pass(verify_relations(tate_module()))
 
     def test_no_torus_commutation_trivial(self):
         r = verify_relations(good_reduction_module())
-        assert r.all_pass and r.n_phi_commutation
+        assert all_pass(r) and r.n_phi_commutation
 
     def test_corrupted_phi_detected(self):
         m = tate_module()
@@ -110,7 +117,7 @@ class TestVerifyRelations:
                                m.fil1_dim, m.gram)
         r = verify_relations(corrupted)
         assert not r.n_phi_commutation
-        assert not r.all_pass
+        assert not all_pass(r)
         # the other checks are independent and still pass
         assert r.n_squared_zero and r.phi_invertible
 
@@ -118,7 +125,7 @@ class TestVerifyRelations:
         # q = 9 module: weight-2 block scales by q, not p
         w = validate_weil([[0, -9], [1, 3]], 3, f=2)
         m = assemble(3, 2, QMatrix.from_rows([[1]]), w)
-        assert verify_relations(m).all_pass
+        assert all_pass(verify_relations(m))
         assert m.q == 9
 
 

@@ -7,6 +7,7 @@ two fuzz streams, on adversarial ids and component keys, on edge shapes
 block layouts, and at d = 200.  It never calls the standard encoder."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from phinmod.builders import CurveInstance, UniformizationData, build_from_curve
 from phinmod.cli import main, run_checks
+from phinmod.errors import SchemaError
 from phinmod.exact_linalg import NewtonPolygon, QMatrix
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph
@@ -25,7 +27,6 @@ from phinmod.io_formats import (
     instance_from_json,
     instance_to_json,
     load_instance,
-    module_from_report,
 )
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport, hodge_newton
 from phinmod.weil_data import (
@@ -36,7 +37,7 @@ from phinmod.weil_data import (
 )
 
 from conftest import INSTANCE_DIR, tate_instance
-from oracles import dense_module, report_dict
+from oracles import dense_module, module_from_report, report_dict
 from test_golden_reports import fuzz_digests, golden, instance_digests
 
 INSTANCE_FILES = sorted(INSTANCE_DIR.glob("*.json"), key=lambda p: p.name)
@@ -193,15 +194,22 @@ def test_dimension_zero_curve():
 
 @pytest.mark.parametrize("rows", [[["0", "-5", "1"], ["1", "2", "3"]], [[], []], [["1"], ["2"]]],
                          ids=["2x3", "2x0", "2x1"])
-def test_non_square_source_echo(rows):
-    # the reader takes a matrix source with 2 * genus rows of any width;
-    # no check accepts it, but its echo is the entries as read
-    obj = {"kind": "curve", "p": "5", "f": "1",
-           "graph": {"vertices": [{"id": "v", "genus": "1"}], "edges": []},
-           "components": {"v": {"type": "matrix", "entries": rows}}}
-    inst = instance_from_json(obj)
-    assert dump_json(inst) == canonical(instance_to_json(inst))
-    assert json.loads(dump_json(inst))["components"]["v"]["entries"] == rows
+def test_non_square_source_refused(rows, tmp_path, capsys):
+    # a matrix source that is not square is refused where it is read,
+    # naming its field, for a curve component and an abelian-variety block
+    shape = f"{len(rows)}x{len(rows[0])}"
+    curve = {"kind": "curve", "p": "5", "f": "1",
+             "graph": {"vertices": [{"id": "v", "genus": "1"}], "edges": []},
+             "components": {"v": {"type": "matrix", "entries": rows}}}
+    av = {"kind": "av", "p": "5", "f": "1", "torus_rank": "0", "gram": [],
+          "b_frobenius": [{"type": "matrix", "entries": rows}]}
+    for obj, field in ((curve, "components.v.entries"), (av, "b_frobenius[0].entries")):
+        with pytest.raises(SchemaError, match=re.escape(f"field '{field}' is {shape}, not square")):
+            instance_from_json(obj)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["build", str(path)]) == 2
+        assert f"field '{field}' is {shape}, not square" in capsys.readouterr().err
 
 
 def test_av_weil_runs_are_made_once(monkeypatch):
@@ -282,8 +290,8 @@ def assert_written_from_blocks(m: PhiNModule):
     dense = dense_module(m)
     for name in ("phi", "n"):
         assert written["module"][name] == dense_text(getattr(dense, name))
-    # read back: the same module, but for the scalars of empty weight
-    # blocks, which it does not show
+    # read back by the oracle: the same module, but for the scalars of
+    # empty weight blocks, which it does not show
     read = module_from_report(written)
     assert json.loads(dump_json(module_report(read)))["module"] == written["module"]
 
