@@ -666,17 +666,22 @@ def module_from_report(report):
     the blocks does not give back ``phi`` or ``n`` (an entry outside the
     blocks, or a weight-0 or weight-2 block of phi that is not scalar), the
     report is not in block form, and ValueError names the matrix; so it
-    does for a matrix of the wrong size, ranks that are not (w, w1, w), or
-    a q that is not a power p^f (f >= 1) of a prime.
+    does for a matrix of the wrong size, ranks that are not (w, w1, w), a
+    q that is not a power p^f (f >= 1) of a prime, or a fil1_dim outside
+    [0, d].
     """
     mod = report["module"]
     p, f, fil1_dim = int(mod["p"]), int(mod["f"]), int(mod["fil1_dim"])
-    if f < 1 or not is_prime_trial(p):
-        raise ValueError(f"field 'module.p' or 'module.f': q = {p}^{f} is not a prime power")
+    if f < 1:
+        raise ValueError(f"field 'module.f' = {f} must be >= 1")
+    if not is_prime_trial(p):
+        raise ValueError(f"field 'module.p' = {p} is not prime")
     w0, w1, w2 = (int(mod["dims"][w]) for w in ("w0", "w1", "w2"))
     if min(w0, w1, w2) < 0 or w0 != w2:
         raise ValueError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
     d = w0 + w1 + w2
+    if not 0 <= fil1_dim <= d:
+        raise ValueError(f"field 'module.fil1_dim' = {fil1_dim} is not in [0, {d}]")
     rows = {name: [[int(x) for x in r] for r in mod[name]] for name in ("phi", "n", "gram")}
     for name, size in (("phi", d), ("n", d), ("gram", w2)):
         if len(rows[name]) != size or any(len(r) != size for r in rows[name]):

@@ -150,8 +150,8 @@ def _report(name: str, capsys) -> dict:
 
 class TestModuleFromReport:
     """The oracle's reader refuses a report whose dense phi or n the
-    blocks cannot hold, naming the field; a report that is read back has
-    its blocks kept."""
+    blocks cannot hold, or whose p, f, fil1_dim or gram is malformed,
+    naming the field; a report that is read back has its blocks kept."""
 
     def test_round_trip_has_block_form(self, capsys):
         for name in ("tate.json", "banana.json", "theta.json", "av_tate.json"):
@@ -198,6 +198,22 @@ class TestModuleFromReport:
         report = _report("tate.json", capsys)
         report["module"]["n"][1][1] = "1"
         with pytest.raises(ValueError, match="'module.n' is not in block form"):
+            module_from_report(report)
+
+    @pytest.mark.parametrize(
+        "name, field, value, named",
+        [
+            ("tate.json", "f", "0", "'module.f' = 0 must be >= 1"),
+            ("tate.json", "p", "4", "'module.p' = 4 is not prime"),
+            ("theta.json", "fil1_dim", "-1", "'module.fil1_dim' = -1 is not in \\[0, 4\\]"),
+            ("theta.json", "fil1_dim", "99", "'module.fil1_dim' = 99 is not in \\[0, 4\\]"),
+            ("theta.json", "gram", [["1"]], "'module.gram' is not 2x2"),
+        ],
+    )
+    def test_bad_field_refused_naming_it(self, name, field, value, named, capsys):
+        report = _report(name, capsys)
+        report["module"][field] = value
+        with pytest.raises(ValueError, match=named):
             module_from_report(report)
 
 
