@@ -2,9 +2,13 @@
 
 All matrix kernels take row-major ``list[list[int]]`` and use exact integer
 arithmetic throughout, so intermediate values never leave the integers.
-There are two: :func:`bareiss`, the one fraction-free elimination pass whose
+There are three: two fraction-free (Bareiss) elimination passes, whose
 pivots give rank, determinant and the leading principal minors, and
 :func:`charpoly_int`, Berkowitz's division-free characteristic polynomial.
+:func:`bareiss_symmetric` eliminates a symmetric matrix on its upper
+triangle, visiting only the rows whose multiplier is nonzero, so a sparse
+Gram matrix costs about its fill; it gives up at a zero leading principal
+minor.  :func:`bareiss` takes any matrix, with row exchanges.
 ``det_int`` and ``rank_int`` only read the result of :func:`bareiss`; no
 package code calls them, and they are kept only as trace targets of the
 benchmark harness until it reads in-package spans (ROADMAP item 1).
@@ -207,6 +211,55 @@ def bareiss(rows: list[list[int]]) -> tuple:
         prev = pivot
         row += 1
     return tuple(pivots), swaps
+
+
+def bareiss_symmetric(rows: list[list[int]]):
+    """The :func:`bareiss` pass of a symmetric integer matrix, on its upper
+    triangle and its fill only.
+
+    Returns ``(pivots, 0)``, equal to ``bareiss(rows)``, when every leading
+    principal minor is nonzero, and None at the first zero one, where
+    :func:`bareiss` would exchange rows or skip a column.  No row is
+    exchanged, so every intermediate matrix is symmetric: only entries
+    (i, j) with j >= i are kept, and the multiplier of row i at pivot k is
+    the pivot row's entry (k, i).  A row whose multiplier is 0 is not
+    visited.  Left alone, its update would only have scaled it by
+    pivot / prev, and these factors telescope, so the row keeps the value
+    of ``prev`` at which it was last current and is scaled by prev / that
+    value once, when it is next used.  Its entries are minors of the input,
+    so that division is exact.  A tridiagonal or identity Gram matrix costs
+    O(n^2) this way, not O(n^3).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows]  # only entries (i, j >= i) are read or written
+    level = [1] * n  # the prev at which each row was last current
+    pivots = []
+    prev = 1
+    for k in range(n):
+        row_k = a[k]
+        last = level[k]
+        if last != prev:
+            for j in range(k, n):
+                row_k[j] = row_k[j] * prev // last
+        pivot = row_k[k]
+        if not pivot:
+            return None
+        for i in range(k + 1, n):
+            m = row_k[i]  # = entry (i, k), the multiplier of row i
+            if m:
+                row_i = a[i]
+                last = level[i]
+                if last == prev:
+                    for j in range(i, n):
+                        row_i[j] = (pivot * row_i[j] - m * row_k[j]) // prev
+                else:  # scaled to prev and updated in one pass
+                    x, y, z = pivot * prev, m * last, last * prev
+                    for j in range(i, n):
+                        row_i[j] = (x * row_i[j] - y * row_k[j]) // z
+                level[i] = pivot
+        pivots.append(pivot)
+        prev = pivot
+    return tuple(pivots), 0
 
 
 def det_int(rows: list[list[int]]) -> int:

@@ -4,12 +4,16 @@ A :class:`QMatrix` holds Python ``int`` entries only: :meth:`QMatrix.from_rows`
 refuses any other type, so every matrix that comes from outside the program
 is tested for integrality there, once.  Its kernels run on the integer rows
 via :mod:`phinmod._backend`.  Determinant, rank and the positive-definiteness
-test all read one Bareiss elimination pass, cached on the (immutable) matrix
-as :attr:`QMatrix.elimination`, so each matrix is eliminated at most once.
+test all read one fraction-free elimination pass, cached on the (immutable)
+matrix as :attr:`QMatrix.elimination`, so each matrix is eliminated at most
+once.  The pass is the symmetric one, on the upper triangle and its fill,
+when the matrix is symmetric and its leading principal minors are nonzero,
+as a positive definite Gram matrix's are; the symmetry test is made once
+per matrix too.
 
 Slopes of Newton polygons and their totals are the only fractional
 values: plain ``int`` where the denominator is 1, ``fractions.Fraction``
-otherwise (see :func:`as_rational`).  No floating point enters this module.
+otherwise.  No floating point enters this module.
 """
 
 from fractions import Fraction
@@ -17,33 +21,11 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Iterable, Sequence, Union
 
-from ._backend import bareiss, charpoly_int
+from ._backend import bareiss, bareiss_symmetric, charpoly_int
 from ._record import Record
 from .errors import ValidationError
 
 Rational = Union[int, Fraction]
-
-
-def as_rational(x) -> Rational:
-    """Coerce to an exact scalar, collapsing denominator-1 fractions to int.
-
-    An ``int`` is returned unchanged and a ``Fraction``, already in lowest
-    terms, as it is or as its numerator; only other types are converted by
-    ``Fraction(x)``.  No ``Fraction`` is built for an integer.
-    """
-    if isinstance(x, int):
-        return x
-    if not isinstance(x, Fraction):
-        x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def rational_str(x: Rational) -> str:
-    """Serialize as ``"a"`` or ``"a/b"`` in lowest terms."""
-    x = as_rational(x)
-    if isinstance(x, int):
-        return str(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 # (base, bound): Miller-Rabin to every prime base up to and including
@@ -171,16 +153,27 @@ class QMatrix(Record):
         return all(x == 0 for x in self.entries)
 
     def is_symmetric(self) -> bool:
+        return self._symmetric
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        """Whether the matrix equals its transpose: row i from the diagonal
+        on against column i from the diagonal down, one slice compare per
+        row, made once per matrix."""
         n, e = self.rows, self.entries
         return self.is_square and all(
-            e[i * n + j] == e[j * n + i] for i in range(n) for j in range(i)
+            e[i * n + i:(i + 1) * n] == e[i * n + i::n] for i in range(n)
         )
 
     @cached_property
     def elimination(self) -> tuple:
-        """(pivots, swaps): the :func:`~phinmod._backend.bareiss` pass on
-        the rows, run at most once per matrix."""
-        return bareiss(self.to_rows())
+        """(pivots, swaps) of one fraction-free pass on the rows, run at most
+        once per matrix: :func:`~phinmod._backend.bareiss_symmetric` on a
+        symmetric matrix, and :func:`~phinmod._backend.bareiss` otherwise or
+        when a leading principal minor is 0."""
+        rows = self.to_rows()
+        result = bareiss_symmetric(rows) if self._symmetric else None
+        return result or bareiss(rows)
 
     @cached_property
     def entry_strings(self) -> tuple:
@@ -276,44 +269,6 @@ class NewtonPolygon(Record):
                 raise ValueError("slopes must be strictly increasing after merging")
             prev = s
         object.__setattr__(self, "slopes", slopes)
-
-    @property
-    def dimension(self) -> int:
-        return sum(m for _, m in self.slopes)
-
-    def dual(self) -> "NewtonPolygon":
-        """Polygon with slopes s -> 1 - s; fixed points of this map are the
-        polygons symmetric about slope 1/2."""
-        return NewtonPolygon(tuple((1 - s, m) for s, m in reversed(self.slopes)))
-
-    def is_symmetric(self) -> bool:
-        return self == self.dual()
-
-    def lies_on_or_above(self, other: "NewtonPolygon") -> bool:
-        """Pointwise >= comparison of polygon heights (same dimension).
-
-        Between consecutive breakpoints of either polygon the difference of
-        the two heights is linear, so it is nonnegative everywhere when it
-        is at each breakpoint.  The walk visits only the union of the
-        breakpoints, not the heights at all d + 1 integer points.
-        """
-        if self.dimension != other.dimension:
-            raise ValueError("polygons have different dimensions")
-        a, b = iter(self.slopes), iter(other.slopes)
-        (sa, ma), (sb, mb) = next(a, (0, 0)), next(b, (0, 0))
-        diff = 0  # height of self minus height of other at the breakpoint
-        while ma:  # equal dimensions: mb runs out together with ma
-            step = min(ma, mb)
-            diff += (sa - sb) * step
-            if diff < 0:
-                return False
-            ma -= step
-            mb -= step
-            if not ma:
-                sa, ma = next(a, (0, 0))
-            if not mb:
-                sb, mb = next(b, (0, 0))
-        return True
 
 
 def _hull_segments(coeffs: Sequence, p: int) -> list:

@@ -41,7 +41,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from ._record import Record
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError, clipped, clipped_key
-from .exact_linalg import QMatrix, rational_str
+from .exact_linalg import QMatrix
 from .graph_core import DualGraph
 from .phin_module import PhiNModule, PolygonReport, RelationReport
 from .weil_data import (
@@ -505,9 +505,10 @@ _MODULE_HEAD = ''',
 
 
 def _slopes(slopes, indent: str) -> str:
-    """[[slope, multiplicity], ...] of a polygon's pairs."""
+    """[[slope, multiplicity], ...] of a polygon's pairs; a slope is an int
+    or a Fraction, whose text is "a" or "a/b" in lowest terms."""
     i1, i2 = indent + "  ", indent + "    "
-    return _array([f'[{i2}"{rational_str(s)}",{i2}"{n}"{i1}]' for s, n in slopes], indent)
+    return _array([f'[{i2}"{s}",{i2}"{n}"{i1}]' for s, n in slopes], indent)
 
 
 def _write_report(out: list, r: Report) -> None:
@@ -527,7 +528,7 @@ def _write_report(out: list, r: Report) -> None:
             f',\n    "p": "{m.p}",\n    "phi": ')
     _write_rows(out, m.dimension, _phi_runs(m, phi1_runs), i)
     out.append(f',\n    "t_hodge": "{polygons.t_hodge}",\n'
-               f'    "t_newton": "{rational_str(polygons.t_newton)}"\n  }}\n}}')
+               f'    "t_newton": "{polygons.t_newton}"\n  }}\n}}')
 
 
 def dump_json(obj) -> str:

@@ -34,7 +34,7 @@ into an exact matrix identity.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from ._record import Record
 from .errors import ValidationError
@@ -44,7 +44,6 @@ from .exact_linalg import (
     Rational,
     _hull_segments,
     _valuation,
-    as_rational,
     is_positive_definite,
     is_prime,
     rank,
@@ -218,42 +217,77 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
 
     The characteristic polynomial of phi is the product of phi1_factors and
     (T - c)^w for each scalar block c * I_w, so its slopes are the union of
-    theirs: each factor's integer hull segments (dy, dx), dx roots of slope
-    dy / dx.  p is tested once; equal slopes merge on the reduced (dy, dx),
-    and only the merged slopes become Fractions, sorted exactly.  The Hodge
-    polygon is at most the two pairs (0, d - fil1) and (1, fil1), and
-    :meth:`NewtonPolygon.lies_on_or_above` compares heights only at the
-    breakpoints, since the difference of two polygons is linear between
-    them.
+    theirs: each distinct factor's integer hull segments (dy, dx), dx roots
+    of slope dy / dx, taken as often as the factor occurs.  p is tested
+    once.  A slope is kept as the lowest-terms pair (num, den) of
+    dy / (dx * f), and the three verdicts are decided on these integers,
+    with L the lcm of the denominators:
+
+    * symmetric: each slope num / den has 1 - num / den, the pair
+      (den - num, den), with the same multiplicity;
+    * on or above: the Newton height times L against L * max(0, x - (d -
+      fil1)), the Hodge height, at each Newton breakpoint (see
+      :func:`_on_or_above_hodge`);
+    * endpoints: v_p(det phi) = f * fil1, with det phi from its blocks.
+
+    Only the reported slopes and ``t_newton`` that are not integers become
+    Fractions.
     """
     w0, _, w2 = m.dims
-    d = m.dimension
-    if not is_prime(m.p):
-        raise ValueError(f"p = {m.p} is not prime")
-    mult = {}  # reduced (dy, dx) -> number of roots of valuation dy / dx
-    blocks = [(chi, 1) for chi in m.phi1_factors]
-    for chi, w in blocks + [((-c, 1), w) for c, w in ((m.phi0, w0), (m.phi2, w2)) if w]:
+    d, p, f, fil1 = m.dimension, m.p, m.f, m.fil1_dim
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    weight = {}  # factor -> number of times it divides the char. polynomial
+    for chi in m.phi1_factors:
+        weight[chi] = weight.get(chi, 0) + 1
+    for c, w in ((m.phi0, w0), (m.phi2, w2)):
+        if w:
+            weight[(-c, 1)] = weight.get((-c, 1), 0) + w
+    mult = {}  # lowest-terms (num, den) -> number of roots of slope num / den
+    for chi, w in weight.items():
         # a zero constant term is refused, so det(phi) has a valuation
-        for dy, dx in _hull_segments(chi, m.p):
-            g = gcd(dy, dx)
-            key = (dy // g, dx // g)
+        for dy, dx in _hull_segments(chi, p):
+            g = gcd(dy, dx * f)
+            key = (dy // g, dx * f // g)
             mult[key] = mult.get(key, 0) + dx * w
-    newton = NewtonPolygon(tuple(sorted(
-        (as_rational(Fraction(a, b * m.f)), k) for (a, b), k in mult.items())))
-    t_newton = as_rational(Fraction(_valuation(_det_phi(m), m.p), m.f)) if d else 0
-    t_hodge = m.fil1_dim
-    hodge = NewtonPolygon(tuple(
-        (s, k) for s, k in ((0, d - m.fil1_dim), (1, m.fil1_dim)) if k > 0
-    ))
+    if not 0 <= fil1 <= d:
+        raise ValueError("polygons have different dimensions")
+    scale = lcm(*(den for _, den in mult))  # L
+    rise = {s: s[0] * (scale // s[1]) for s in mult}  # slope * L
+    slopes = sorted(mult, key=rise.get)
+    knee = d - fil1  # the Hodge polygon has slope 0 up to here, then 1
+    v = _valuation(_det_phi(m), p) if d else 0
     return PolygonReport(
-        t_newton=t_newton,
-        t_hodge=t_hodge,
-        newton=newton,
-        hodge=hodge,
-        endpoints_equal=(t_newton == t_hodge),
-        newton_on_or_above_hodge=newton.lies_on_or_above(hodge),
-        newton_symmetric=newton.is_symmetric(),
+        t_newton=v // f if v % f == 0 else Fraction(v, f),
+        t_hodge=fil1,
+        newton=NewtonPolygon(tuple(
+            (num if den == 1 else Fraction(num, den), mult[num, den]) for num, den in slopes)),
+        hodge=NewtonPolygon(tuple((s, k) for s, k in ((0, knee), (1, fil1)) if k > 0)),
+        endpoints_equal=v == f * fil1,
+        newton_on_or_above_hodge=_on_or_above_hodge(
+            [(mult[s], rise[s]) for s in slopes], knee, scale),
+        newton_symmetric=all(mult.get((den - num, den)) == k for (num, den), k in mult.items()),
     )
+
+
+def _on_or_above_hodge(segments, knee: int, scale: int) -> bool:
+    """Whether a Newton polygon, given as (length, slope * scale) segments
+    in order, lies on or above the Hodge polygon max(0, x - knee), by its
+    height times ``scale`` at each of its breakpoints.
+
+    Between two Newton breakpoints that do not enclose the knee both
+    polygons are linear.  At a knee inside a segment the Hodge height is
+    0, and the Newton height lies between its heights at the segment's
+    ends, each at least the Hodge height there, which is >= 0; so the
+    breakpoints decide.
+    """
+    x = height = 0
+    for k, rise in segments:
+        x += k
+        height += rise * k
+        if height < scale * max(0, x - knee):
+            return False
+    return True
 
 
 def verify_monodromy_duality(m: PhiNModule) -> bool:

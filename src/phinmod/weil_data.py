@@ -128,10 +128,6 @@ class WeilMatrix(Record):
         object.__setattr__(self, "factors", factors)
 
     @property
-    def q(self) -> int:
-        return self.p ** self.f
-
-    @property
     def size(self) -> int:
         return self.matrix.rows
 

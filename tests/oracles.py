@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 import phinmod.weil_data as weil_data
-from phinmod.exact_linalg import NewtonPolygon, QMatrix, as_rational
+from phinmod.exact_linalg import NewtonPolygon, QMatrix
 from phinmod.io_formats import instance_to_json
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
 
@@ -451,6 +451,15 @@ def resolve_by_validation(src, p, f, bound):
 
 # -- matrices and polygons that only tests build ------------------------------
 
+def as_rational(x):
+    """An exact scalar: an int as it is, a Fraction with denominator 1 as
+    its numerator, anything else through ``Fraction(x)`` the same way."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def identity(n):
     return scalar(n, 1)
 
@@ -483,6 +492,12 @@ def polygon_of_slopes(slopes):
 
 def slope_multiset(polygon):
     return [s for s, k in polygon.slopes for _ in range(k)]
+
+
+def symmetric_slopes(polygon):
+    """Whether the slope multiset is its own image under s -> 1 - s."""
+    slopes = slope_multiset(polygon)
+    return sorted(slopes) == sorted(1 - s for s in slopes)
 
 
 def heights(polygon):

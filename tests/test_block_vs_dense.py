@@ -5,14 +5,15 @@ oracle in ``oracles.py`` builds the full d x d matrices and checks the same
 identities with full-size products, a Hessenberg characteristic polynomial
 of phi, and det and rank of the full matrices.  Both must agree on every
 example instance, on the fixed fuzz streams, on block-form modules
-whose blocks have been altered so that checks fail, and on every report
-with one changed field that the oracle's ``module_from_report`` reads
-back.
+whose blocks have been altered so that checks fail, on hand-built modules
+at f = 1, 2 and 3 with repeated factors, and on every report with one
+changed field that the oracle's ``module_from_report`` reads back.
 """
 
 import copy
 import functools
 import json
+import random
 from itertools import product
 
 import pytest
@@ -113,11 +114,18 @@ def _hodge_newton_or_error(check, m):
         return ("ValueError", str(exc))
 
 
+POLYGON_VERDICTS = ("endpoints_equal", "newton_on_or_above_hodge", "newton_symmetric")
+
+
+def _polygon_verdicts(polygons: PolygonReport) -> set:
+    return {(name, getattr(polygons, name)) for name in POLYGON_VERDICTS}
+
+
 def test_altered_blocks_match_dense_oracle():
     """Block-form modules with altered scalar blocks of phi and an altered
     N block: every verdict, failing ones included, is the oracle's."""
     seen = set()
-    symmetric_seen = set()
+    verdicts_seen = set()
     for base in _base_modules():
         g = base.gram
         singular = QMatrix.from_rows([[g[0, 0]] * g.cols] + [[0] * g.cols] * (g.rows - 1))
@@ -133,14 +141,77 @@ def test_altered_blocks_match_dense_oracle():
             polygons = _hodge_newton_or_error(hodge_newton, m)
             assert polygons == _hodge_newton_or_error(dense_hodge_newton, dense)
             if isinstance(polygons, PolygonReport):
-                symmetric_seen.add(polygons.newton_symmetric)
+                verdicts_seen.update(_polygon_verdicts(polygons))
             seen.add(relations)
     # the alterations reach every failing verdict a block-form N allows
     # (N^2 = 0 holds for each of them)
     assert any(all_pass(r) for r in seen)
     for field in ("n_phi_commutation", "phi_invertible", "n_rank_is_torus_rank"):
         assert any(not getattr(r, field) for r in seen), field
-    assert symmetric_seen == {True, False}
+    assert verdicts_seen == {(name, ok) for name in POLYGON_VERDICTS for ok in (True, False)}
+
+
+def _companion(chi) -> list:
+    """The companion matrix of a monic polynomial, ascending coefficients:
+    its characteristic polynomial is chi."""
+    n = len(chi) - 1
+    return [[int(j == i - 1) for j in range(n - 1)] + [-chi[i]] for i in range(n)]
+
+
+def _hand_built(rng) -> PhiNModule:
+    """A block-form module at f = 1, 2 or 3 whose phi1 is the direct sum of
+    companion matrices of a few factors, some repeated: T^b - u p^a, of
+    the one slope a / b, and monic polynomials with random valuations."""
+    p, f = rng.choice((2, 3, 5)), rng.choice((1, 2, 3))
+
+    def coefficient():
+        return rng.choice((1, -1, 2, 7)) * p ** rng.randint(0, 4)
+
+    distinct = []
+    for _ in range(rng.randint(1, 3)):
+        b = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            distinct.append((-coefficient(),) + (0,) * (b - 1) + (1,))
+        else:
+            distinct.append((coefficient(),) + tuple(
+                rng.choice((0, coefficient())) for _ in range(b - 1)) + (1,))
+    factors = tuple(rng.choice(distinct) for _ in range(rng.randint(0, 4)))
+    w1 = sum(len(chi) - 1 for chi in factors)
+    phi1 = [[0] * w1 for _ in range(w1)]
+    k = 0
+    for chi in factors:
+        for i, row in enumerate(_companion(chi)):
+            phi1[k + i][k:k + len(row)] = row
+        k += len(chi) - 1
+    w2 = rng.randint(0, 2)
+    gram = QMatrix.from_rows([[int(i == j) for j in range(w2)] for i in range(w2)]
+                             ) if w2 else QMatrix(0, 0, ())
+    return PhiNModule(
+        p, f, coefficient(), QMatrix.from_rows(phi1) if w1 else QMatrix(0, 0, ()), factors,
+        coefficient(), gram, rng.randint(0, 2 * w2 + w1), gram)
+
+
+def test_hand_built_polygons_match_dense_oracle():
+    """Slopes with denominators from f, repeated factors, and each polygon
+    verdict both ways: the integer verdicts are the dense oracle's."""
+    rng = random.Random(25)
+    verdicts_seen = set()
+    kinds = {"fractional slope": 0, "repeated factor": 0}
+    for _ in range(200):
+        m = _hand_built(rng)
+        polygons = hodge_newton(m)
+        dense = dense_hodge_newton(dense_module(m))
+        assert polygons == dense, m
+        # an integer slope or t_newton is an int, not a Fraction equal to one
+        assert [type(s) for s, _ in polygons.newton.slopes] == [
+            type(s) for s, _ in dense.newton.slopes]
+        assert type(polygons.t_newton) is type(dense.t_newton)
+        verdicts_seen.update(_polygon_verdicts(polygons))
+        kinds["fractional slope"] += any(
+            not isinstance(s, int) for s, _ in polygons.newton.slopes) and m.f > 1
+        kinds["repeated factor"] += len(set(m.phi1_factors)) < len(m.phi1_factors)
+    assert verdicts_seen == {(name, ok) for name in POLYGON_VERDICTS for ok in (True, False)}
+    assert min(kinds.values()) >= 20
 
 
 def _report(name: str, capsys) -> dict:

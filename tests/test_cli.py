@@ -712,10 +712,10 @@ class TestReportPassLogic:
         assert written == failed
 
 
-def count_calls(monkeypatch, fn) -> list:
+def count_calls(monkeypatch, fn, calls=None) -> list:
     """Wrap ``fn`` in every phinmod module that holds a reference to it and
-    return the list its calls are appended to."""
-    calls = []
+    return the list its calls are appended to, ``calls`` if it is given."""
+    calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -727,6 +727,13 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_eliminations(monkeypatch) -> list:
+    """The one list that the calls of both elimination kernels, the
+    general and the symmetric one, are appended to."""
+    calls = count_calls(monkeypatch, phinmod._backend.bareiss)
+    return count_calls(monkeypatch, phinmod._backend.bareiss_symmetric, calls)
 
 
 class TestOncePerRequest:
@@ -746,7 +753,7 @@ class TestOncePerRequest:
         )
         counts = count_calls(monkeypatch, phinmod._backend.count_points)
         relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
-        eliminations = count_calls(monkeypatch, phinmod._backend.bareiss)
+        eliminations = count_eliminations(monkeypatch)
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         char_polys = count_calls(monkeypatch, phinmod.exact_linalg.char_poly)
         report = json.loads(dump_json(run_checks(inst, DEFAULT_POINT_BOUND)))
@@ -816,7 +823,7 @@ class TestOncePerRequest:
         }
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
-        eliminations = count_calls(monkeypatch, phinmod._backend.bareiss)
+        eliminations = count_eliminations(monkeypatch)
         run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
         assert len(validations) == 2
         assert len(relations) == 1
@@ -849,6 +856,23 @@ class TestLargeGraphBudget:
         report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
         assert time.perf_counter() - t0 < budget
         assert json.loads(dump_json(report))["checks"]["curve_jacobian_agreement"] == "pass"
+
+    def test_av_with_tridiagonal_gram_in_budget(self):
+        # torus rank 400 and no Weil block: d = 800, and the Gram matrix is
+        # the 400 x 400 tridiagonal 2, -1.  The elimination that rescaled
+        # every row below each pivot took 1.65-2.20 s of run_checks here;
+        # the symmetric pass visits only the nonzero entries above the
+        # diagonal and their fill
+        n = 400
+        gram = [["2" if i == j else "-1" if abs(i - j) == 1 else "0" for j in range(n)]
+                for i in range(n)]
+        obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": str(n), "gram": gram,
+               "b_frobenius": []}
+        t0 = time.perf_counter()
+        report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+        assert time.perf_counter() - t0 < 0.5
+        assert report.module.dimension == 2 * n
+        assert failed_checks(report) == []
 
     def test_bound_beyond_the_largest_prime_exit_2(self, tmp_path, capsys):
         # K_{2,4420}: the product of the degrees off the root hub is

@@ -283,3 +283,147 @@ class TestBareissZeroSkip:
             seen["exchange"] += swaps > 0
             seen["deficient"] += len(pivots) < min(len(rows), len(rows[0]) if rows else 0)
         assert min(seen.values()) >= 20
+
+
+def symmetric_of(upper):
+    """The symmetric matrix whose entries (i, j >= i) are upper[i][j - i],
+    0 past the end of a short row."""
+    n = len(upper)
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for t, x in enumerate(row):
+            rows[i][i + t] = rows[i + t][i] = x
+    return rows
+
+
+def banded(rng, n, width, lo=-3, hi=3, diagonal=0):
+    """A symmetric matrix with nonzero entries only within ``width`` of the
+    diagonal, ``diagonal`` added to each diagonal entry."""
+    return symmetric_of([
+        [rng.randint(lo, hi) + (diagonal if t == 0 else 0) if t <= width else 0
+         for t in range(n - i)]
+        for i in range(n)
+    ])
+
+
+def gram_plus_identity(rng, n, k, lo=-3, hi=3):
+    """B B^T + I for a random n x k integer B: positive definite."""
+    b = random_matrix(rng, n, k, lo, hi)
+    return [[sum(x * y for x, y in zip(b[i], b[j])) + (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+def symmetric_cases():
+    """(kind, rows) of seeded symmetric matrices: positive definite ones,
+    indefinite ones, tridiagonal, banded and block-diagonal ones, and
+    sparse ones, which often have a zero leading minor."""
+    rng = random.Random(55)
+    for _ in range(150):
+        yield "definite", gram_plus_identity(rng, rng.randint(0, 8), rng.randint(0, 8))
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        yield "arbitrary", symmetric_of([random_matrix(rng, 1, n - i, -9, 9)[0] for i in range(n)])
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        yield "sparse", symmetric_of(
+            [[rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n - i)] for i in range(n)])
+    for n in (1, 2, 5, 30, 60):
+        yield "tridiagonal", banded(rng, n, 1, diagonal=0)
+        yield "tridiagonal", symmetric_of([[2, -1][:n - i] for i in range(n)])
+    for _ in range(40):
+        n = rng.randint(2, 25)
+        yield "banded", banded(rng, n, rng.randint(1, 4), diagonal=rng.choice((0, 12)))
+    for _ in range(40):
+        # rows of a later block are left alone for many steps
+        blocks = [gram_plus_identity(rng, k, rng.randint(0, 3)) if rng.random() < 0.7
+                  else [[int(i == j) for j in range(k)] for i in range(k)]
+                  for k in (rng.randint(1, 5) for _ in range(rng.randint(1, 5)))]
+        yield "block-diagonal", block_diagonal(blocks)
+
+
+class TestBareissSymmetric:
+    """The symmetric pass, on the upper triangle and its fill, returns the
+    pivots and exchanges of bareiss, and of the same pass updating every
+    row, whenever every leading principal minor is nonzero, and None
+    otherwise; the matrix then eliminated by bareiss gives det, rank and
+    the positive-definiteness test of the oracles."""
+
+    @staticmethod
+    def check(rows) -> bool:
+        """Whether the symmetric pass decided ``rows``; asserts it agrees."""
+        from oracles import bareiss_unskipped
+
+        copy = [list(r) for r in rows]
+        result = _backend.bareiss_symmetric(rows)
+        assert rows == copy  # the input is not modified
+        expected = _backend.bareiss(rows)
+        assert expected == bareiss_unskipped(rows)
+        if result is None:
+            # a zero leading minor: bareiss exchanges rows or skips a column
+            assert expected[1] > 0 or len(expected[0]) < len(rows)
+            return False
+        assert result == expected
+        return True
+
+    def test_against_bareiss_and_unskipped_pass(self):
+        from oracles import det_gauss, positive_definite_sylvester, rank_gauss
+
+        from phinmod.exact_linalg import QMatrix, det, is_positive_definite, rank
+
+        decided = {}
+        fell_back = {}
+        for kind, rows in symmetric_cases():
+            if self.check(rows):
+                decided[kind] = decided.get(kind, 0) + 1
+                continue
+            fell_back[kind] = fell_back.get(kind, 0) + 1
+            m = QMatrix.from_rows(rows)
+            assert det(m) == det_gauss(rows)
+            assert rank(m) == rank_gauss(rows)
+            # a zero leading minor: not positive definite, by either test
+            assert not is_positive_definite(m) and not positive_definite_sylvester(rows)
+        assert decided["definite"] == 150
+        assert decided["arbitrary"] >= 100 and decided["sparse"] >= 20
+        assert fell_back["arbitrary"] >= 20 and fell_back["sparse"] >= 50
+        assert decided["banded"] >= 10 and decided["block-diagonal"] >= 10
+        assert decided["tridiagonal"] >= 5
+
+    def test_indefinite_with_nonzero_minors(self):
+        # minors 1, -3, -4: decided by the symmetric pass, and not positive
+        # definite
+        from phinmod.exact_linalg import QMatrix, is_positive_definite
+
+        rows = [[1, 2, 0], [2, 1, 2], [0, 2, 0]]
+        assert _backend.bareiss_symmetric(rows) == ((1, -3, -4), 0) == _backend.bareiss(rows)
+        assert not is_positive_definite(QMatrix.from_rows(rows))
+
+    def test_zero_leading_minor(self):
+        assert _backend.bareiss_symmetric([[0, 1], [1, 0]]) is None
+        assert _backend.bareiss_symmetric([[1, 1, 0], [1, 1, 0], [0, 0, 1]]) is None
+        assert _backend.bareiss_symmetric([[0]]) is None
+        assert _backend.bareiss_symmetric([]) == ((), 0) == _backend.bareiss([])
+
+    def test_bouquet_identity(self):
+        # the Gram matrix of a 400-loop bouquet: no row is ever visited
+        rows = [[int(i == j) for j in range(400)] for i in range(400)]
+        assert _backend.bareiss_symmetric(rows) == ((1,) * 400, 0) == _backend.bareiss(rows)
+
+    def test_long_tridiagonal(self):
+        # the 2, -1 tridiagonal matrix of order n has leading minors k + 1
+        n = 300
+        rows = symmetric_of([[2, -1][:n - i] for i in range(n)])
+        assert _backend.bareiss_symmetric(rows) == (tuple(range(2, n + 2)), 0)
+
+    def test_grams_of_instances_and_fuzz(self):
+        from conftest import INSTANCE_DIR
+
+        from phinmod.builders import CurveInstance, jacobian_data
+        from phinmod.fuzz import instance_stream
+        from phinmod.io_formats import load_instance
+
+        insts = [load_instance(str(path)) for path in sorted(INSTANCE_DIR.glob("*.json"))]
+        insts += instance_stream(7, 40)
+        for inst in insts:
+            u = jacobian_data(inst) if isinstance(inst, CurveInstance) else inst
+            # every Gram is positive definite, so the symmetric pass decides it
+            assert self.check(u.gram.to_rows())

@@ -135,7 +135,7 @@ class TestEllipticBlockFromTrace:
 class TestValidateWeil:
     def test_accepts_companion(self):
         w = validate_weil([[0, -5], [1, 2]], 5)
-        assert w.q == 5 and w.g == 1
+        assert w.p ** w.f == 5 and w.g == 1
 
     def test_rejects_identity(self):
         with pytest.raises(WeilValidationError, match="det"):
@@ -211,7 +211,7 @@ class TestValidateWeil:
     def test_f_greater_than_one(self):
         # companion of T^2 - 3T + 9 at q = 3^2
         w = validate_weil([[0, -9], [1, 3]], 3, f=2)
-        assert w.q == 9 and w.g == 1
+        assert w.p ** w.f == 9 and w.g == 1
 
 
 def poly_mul(a, b):
