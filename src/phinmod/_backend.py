@@ -19,6 +19,14 @@ Algebraic Number Theory", Alg. 7.4.12; Schoof, "Counting points on elliptic
 curves over finite fields", 1995, section 3).  Mestre's theorem guarantees
 that for p > 229 the group exponent of E or of E' has a single multiple in
 the Hasse interval; at and below that the square-table loop counts.
+
+The baby steps store x(i*Q) for 1 <= i <= s, and an x names both i*Q and
+-i*Q, so one giant step decides 2s + 1 candidate orders and the giant
+stride is (2s + 1)*Q.  The first giant step is the multiple of the stride
+whose window holds the lowest candidate, one scalar multiplication of about
+log2(p / s) doublings.  The baby and giant loops add affine points inline,
+one modular inversion each; ``_add`` and ``_mul`` serve the scalar
+multiples.
 """
 
 from math import isqrt
@@ -83,48 +91,79 @@ def _annihilators(pt: tuple, a: int, p: int, m: int, low: int, high: int) -> lis
 
     These are the multiples of lcm(m, order of pt) in the interval, so two
     consecutive ones differ by that lcm.  pt is an affine point of
-    y^2 = x^3 + a*x + b over F_p; b is never needed.  With Q = m*pt and
-    R = k0*pt, k0 the least multiple of m in the interval, the k are
-    k0 + t*m for the t in [0, top] with R + t*Q = O; baby steps store
-    x(i*Q) for 0 < i < s, giant steps walk R + j*s*Q and match
-    R + j*s*Q = -i*Q.
+    y^2 = x^3 + a*x + b over F_p; b is never needed.  With Q = m*pt the k
+    are the m*u, u in [low/m, high/m], with u*Q = O.
+
+    Baby steps store x(i*Q) -> (i, y(i*Q)) for 1 <= i <= s, s =
+    isqrt(top // 2) + 1 where top + 1 is the number of such u.  A point
+    whose x is stored is +i*Q or -i*Q, told apart by y, so one giant step
+    G = w*L*Q, L = 2s + 1, decides all L of the u in [w*L - s, w*L + s]:
+    u*Q = O for u = w*L - i when G = i*Q, for u = w*L + i when G = -i*Q
+    (both when y = 0), and for u = w*L when G = O.  The giant steps start
+    at the w whose window holds the least u, from w*S with S = L*Q, and
+    add S.  If Q has order at most 2s + 1, seen as i*Q = O or a repeated x
+    among the baby steps (i*Q = -j*Q: order i + j) or as S = O (order
+    2s + 1), the u are the multiples of that order and no giant step is
+    taken.
     """
-    k0 = -(-low // m) * m
-    top = (high - k0) // m
+    n0 = -(-low // m)  # the least u
+    top = high // m - n0
     q = _mul(m, pt, a, p)
-    r = _mul(k0 // m, q, a, p)
-    s = isqrt(top) + 1
+    s = isqrt(top // 2) + 1
     baby = {}  # x(i*Q) -> (i, y(i*Q)); the x are kept distinct
-    step = None
     order = 0
-    for i in range(1, s):
-        step = _add(step, q, a, p)
-        if step is None:
-            order = i
-            break
-        if step[0] in baby:  # i*Q = -j*Q for the stored j < i
-            order = i + baby[step[0]][0]
-            break
-        baby[step[0]] = (i, step[1])
+    if q is None:
+        order = 1
+    else:
+        xq, yq = x, y = q
+        baby[x] = (1, y)
+        for i in range(2, s + 1):  # (x, y) = (i - 1)*Q; add Q
+            if x == xq:  # only at i = 2, since the stored x are distinct
+                if y == 0:
+                    order = 2
+                    break
+                lam = (3 * x * x + a) * pow(2 * y, -1, p) % p
+            else:
+                lam = (y - yq) * pow(x - xq, -1, p) % p
+            x3 = (lam * lam - x - xq) % p
+            x, y = x3, (lam * (x - x3) - y) % p
+            if x in baby:  # i*Q = -j*Q for the stored j < i
+                order = i + baby[x][0]
+                break
+            baby[x] = (i, y)
+        else:
+            big = _add(_add((x, y), (x, y), a, p), q, a, p)  # S = 2*(s*Q) + Q
+            if big is None:
+                order = 2 * s + 1
     if order:
-        # Q has small order: walk to the first t with R + t*Q = O; the
-        # others follow every ``order`` steps.
-        for t in range(order):
-            if r is None:
-                return list(range(k0 + t * m, high + 1, order * m))
-            r = _add(r, q, a, p)
-        return []
-    stride = _add(step, q, a, p)  # s*Q
+        return list(range(-(-n0 // order) * order * m, high + 1, order * m))
+    span = 2 * s + 1  # L
+    w = (n0 + s) // span  # its window [w*L - s, w*L + s] holds n0
+    g = _mul(w, big, a, p)
+    xs, ys = big
+    mid, stride, reach = w * span * m, span * m, s * m  # k = m * u
     ks = []
-    for j in range(top // s + 1):
-        if r is None:
-            ks.append(k0 + j * s * m)
-        elif r[0] in baby:
-            i, y = baby[r[0]]
-            if (y + r[1]) % p == 0 and j * s + i <= top:
-                ks.append(k0 + (j * s + i) * m)
-        r = _add(r, stride, a, p)
-    return ks
+    while True:
+        if g is None:
+            ks.append(mid)
+        else:
+            x, y = g
+            hit = baby.get(x)
+            if hit:
+                i, yi = hit
+                if yi == y:
+                    ks.append(mid - i * m)
+                if (yi + y) % p == 0:
+                    ks.append(mid + i * m)
+        mid += stride
+        if mid - reach > high:
+            return [k for k in ks if low <= k <= high]
+        if g is None or x == xs:  # G = O, S or -S
+            g = _add(g, big, a, p)
+        else:
+            lam = (ys - y) * pow(xs - x, -1, p) % p
+            x3 = (lam * lam - x - xs) % p
+            g = x3, (lam * (x - x3) - y) % p
 
 
 def _add(u, v, a: int, p: int):

@@ -237,22 +237,20 @@ def is_positive_definite(m: QMatrix) -> bool:
     return swaps == 0 and len(pivots) == m.rows and all(x > 0 for x in pivots)
 
 
-def _valuation(x, p: int) -> int:
-    """v_p(x) of a nonzero int or Fraction, p prime, normalized so that
-    v_p(p) = 1."""
-    num, den = abs(x.numerator), x.denominator  # an int is n/1
+def _valuation(x: int, p: int) -> int:
+    """v_p(x) of a nonzero int, p prime."""
+    x = abs(x)
     v = 0
-    while num % p == 0:
-        num //= p
+    while x % p == 0:
+        x //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
     return v
 
 
 class NewtonPolygon(Record):
-    """Slope data: nondecreasing (slope, multiplicity) pairs.
+    """Slope data: (slope, multiplicity) pairs with strictly increasing
+    slopes and positive multiplicities, as ``phin_module.hodge_newton``
+    builds them; the record does not check them again.
 
     Slopes follow the reciprocal-root convention: an eigenvalue alpha of
     valuation v contributes multiplicity 1 at slope v.
@@ -261,13 +259,6 @@ class NewtonPolygon(Record):
     _fields = ("slopes",)
 
     def __init__(self, slopes: tuple):
-        prev = None
-        for s, mult in slopes:
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-            if prev is not None and s <= prev:
-                raise ValueError("slopes must be strictly increasing after merging")
-            prev = s
         object.__setattr__(self, "slopes", slopes)
 
 

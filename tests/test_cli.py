@@ -31,7 +31,7 @@ from phinmod.phin_module import PolygonReport, RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
-from oracles import module_from_report
+from oracles import count_points_euler, module_from_report
 
 
 def write_instance(tmp_path: Path, obj, name="inst.json") -> str:
@@ -574,6 +574,16 @@ class TestCountCommand:
         assert capsys.readouterr().out.strip() == "N=4 a=2"
         assert main(["count", "7", "-1", "0"]) == 0
         assert capsys.readouterr().out.strip() == "N=8 a=0"
+
+    @pytest.mark.parametrize("a4, a6", [("1", "1"), ("0", "7"), ("-3", "2024"), ("8191", "0")])
+    def test_shanks_mestre_count_matches_euler(self, a4, a6, capsys):
+        # 9973 is the largest prime under the point bound: the command
+        # counts it by baby-step giant-step, not by the square table
+        p = 9973
+        assert phinmod._backend.MESTRE_BOUND < p <= DEFAULT_POINT_BOUND
+        n = count_points_euler(p, int(a4) % p, int(a6) % p)
+        assert main(["count", str(p), a4, a6]) == 0
+        assert capsys.readouterr().out.strip() == f"N={n} a={p + 1 - n}"
 
     def test_singular_curve_exit_2(self, capsys):
         assert main(["count", "5", "0", "0"]) == 2

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from phinmod import _backend
 from phinmod.exact_linalg import is_prime
@@ -21,6 +24,40 @@ def random_curve(rng, p):
         a4, a6 = rng.randrange(p), rng.randrange(p)
         if (4 * a4 ** 3 + 27 * a6 ** 2) % p:
             return a4, a6
+
+
+def first_walk_point(p, a4, a6):
+    """The first point of the count's walk, (x*c, c^2) for the least x with
+    c = x^3 + a4*x + a6 != 0, and the a4*c^2 of its curve."""
+    x = next(x for x in range(p) if (x ** 3 + a4 * x + a6) % p)
+    c = (x ** 3 + a4 * x + a6) % p
+    return (x * c % p, c * c % p), a4 * c * c % p
+
+
+def point_order(pt, a, p, bound):
+    """The order of pt if it is at most bound, else None, by adding pt to
+    itself."""
+    acc = pt
+    for n in range(1, bound + 1):
+        if acc is None:
+            return n
+        acc = _backend._add(acc, pt, a, p)
+    return None
+
+
+def hasse_interval(p):
+    width = isqrt(4 * p)
+    return p + 1 - width, p + 1 + width
+
+
+def first_baby_count(p):
+    """The s of ``_annihilators`` at the walk's first point: m = 1, so the
+    candidates are low + t for 0 <= t <= top = 2*isqrt(4p), and s =
+    isqrt(top // 2) + 1."""
+    return isqrt(isqrt(4 * p)) + 1
+
+
+PRIMES_TO_10K = [n for n in range(230, 10 ** 4 + 1) if is_prime(n)]
 
 
 class TestShanksMestre:
@@ -75,6 +112,63 @@ class TestShanksMestre:
                     on_twist += 1
                     assert n == count_points_xy(p, a4, a6)
         assert on_twist >= 20
+
+    # Curves whose first walk point has order 2s + 1 or 2s, found by search.
+    # That point's multiples in the Hasse interval are those of its order;
+    # the later points of the walk, stepped as Q = m*pt, decide the count.
+    @pytest.mark.parametrize("p, a4, a6", [
+        (239, 5, 15), (251, 3, 3), (251, 23, 23), (293, 7, 27),
+        (9221, 2399, 4853), (9277, 773, 2808),
+    ])
+    def test_walk_point_of_order_2s_plus_1(self, p, a4, a6):
+        # the giant stride S = (2s + 1)*Q is O, and the order is read off it
+        s = first_baby_count(p)
+        pt, a = first_walk_point(p, a4, a6)
+        assert point_order(pt, a, p, 2 * s + 1) == 2 * s + 1
+        low, high = hasse_interval(p)
+        ks = _backend._annihilators(pt, a, p, 1, low, high)
+        assert ks == [k for k in range(low, high + 1) if k % (2 * s + 1) == 0]
+        assert _backend.count_points(p, a4, a6) == count_points_euler(p, a4, a6)
+
+    @pytest.mark.parametrize("p, a4, a6", [
+        (233, 4, 27), (239, 2, 33), (9623, 63, 8099), (9151, 130, 4061),
+    ])
+    def test_walk_point_of_order_2s(self, p, a4, a6):
+        # s*Q = -s*Q has y = 0 at the last baby step, so no x repeats and a
+        # giant step that lands on it matches both signs
+        s = first_baby_count(p)
+        pt, a = first_walk_point(p, a4, a6)
+        assert point_order(pt, a, p, 2 * s + 1) == 2 * s
+        assert _backend._mul(s, pt, a, p)[1] == 0
+        low, high = hasse_interval(p)
+        ks = _backend._annihilators(pt, a, p, 1, low, high)
+        assert ks == [k for k in range(low, high + 1) if k % (2 * s) == 0]
+        assert _backend.count_points(p, a4, a6) == count_points_euler(p, a4, a6)
+
+    @pytest.mark.parametrize("p, a4, a6, ms", [
+        (5743, 1301, 1392, [1, 1, 96]), (6701, 4212, 3889, [1, 54]),
+        (5647, 5123, 2093, [1, 275]), (9601, 4451, 8297, [1, 32]),
+    ])
+    def test_count_decided_at_m_above_1(self, p, a4, a6, ms, monkeypatch):
+        # the deciding point is stepped as Q = m*pt, m the lcm of the orders
+        # of the earlier points of its group
+        seen = []
+        annihilators = _backend._annihilators
+
+        def recording(pt, a, p, m, low, high):
+            seen.append(m)
+            return annihilators(pt, a, p, m, low, high)
+
+        monkeypatch.setattr(_backend, "_annihilators", recording)
+        assert _backend.count_points(p, a4, a6) == count_points_euler(p, a4, a6)
+        assert seen == ms
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(PRIMES_TO_10K), st.integers(0, 10 ** 4), st.integers(0, 10 ** 4))
+    def test_random_curves_against_euler(self, p, a4, a6):
+        a4, a6 = a4 % p, a6 % p
+        assume((4 * a4 ** 3 + 27 * a6 ** 2) % p)
+        assert _backend.count_points(p, a4, a6) == count_points_euler(p, a4, a6)
 
 
 class TestLargerSizes:

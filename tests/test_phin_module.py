@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from phinmod.builders import CurveInstance, build_from_av, build_from_curve
 from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix
+from phinmod.io_formats import load_instance
 from phinmod.phin_module import (
     PhiNModule,
     assemble,
@@ -13,6 +15,7 @@ from phinmod.phin_module import (
 )
 from phinmod.weil_data import EllipticCurveSpec, frobenius_of_elliptic, validate_weil
 
+from conftest import INSTANCE_DIR
 from oracles import (
     all_pass,
     dense_module,
@@ -164,6 +167,21 @@ class TestHodgeNewton:
         for m in (tate_module(), banana_elliptic_module(), good_reduction_module(),
                   theta_module()):
             assert symmetric_slopes(hodge_newton(m).newton)
+
+    def test_slopes_rise_and_multiplicities_are_positive(self, fuzz_batch):
+        # NewtonPolygon stores its slopes unchecked; hodge_newton keeps them
+        # strictly increasing with positive multiplicities
+        reports = [r.polygons for r in fuzz_batch.results]
+        for path in sorted(INSTANCE_DIR.glob("*.json")):
+            inst = load_instance(str(path))
+            build = build_from_curve if isinstance(inst, CurveInstance) else build_from_av
+            reports.append(hodge_newton(build(inst)))
+        assert len(reports) == 205
+        for r in reports:
+            for polygon in (r.newton, r.hodge):
+                slopes = [s for s, _ in polygon.slopes]
+                assert all(a < b for a, b in zip(slopes, slopes[1:]))
+                assert all(k > 0 for _, k in polygon.slopes)
 
 
 class TestMonodromyDuality:
