@@ -33,12 +33,10 @@ from .weil_data import (
 )
 
 # A component Frobenius source is one of:
-#   None                 -- genus-0 component (empty block)
+#   None                 -- genus-0 component (no block)
 #   EllipticCurveSpec    -- genus-1 component, counted over F_p (f = 1 only)
 #   QMatrix / row list   -- explicit integer Weil-q matrix of size 2*genus,
 #                           stored as a QMatrix
-
-_EMPTY = QMatrix(0, 0, ())
 
 
 class CurveInstance(Record):
@@ -98,14 +96,15 @@ class CurveInstance(Record):
 def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> WeilMatrix:
     """Turn a component source into validated Weil data at q = p^f.
 
-    A genus-0 component adds the empty block, which meets every Weil
+    A genus-0 component adds no block and no factor, which meets every Weil
     condition, so it is returned unvalidated; (p, f) is checked by the
     instance that holds the component.  An elliptic block is built from its
     counted trace (:func:`frobenius_of_elliptic`); only an explicit matrix
-    goes through :func:`validate_weil`.
+    goes through :func:`validate_weil`, which resolves an empty one as
+    genus 0.
     """
     if src is None:
-        return WeilMatrix(p, f, _EMPTY, ())
+        return WeilMatrix(p, f, (), ())
     if isinstance(src, EllipticCurveSpec):
         return frobenius_of_elliptic(src, bound)
     return validate_weil(src, p, f)

@@ -119,7 +119,10 @@ class QMatrix(Record):
 
     @staticmethod
     def block_diag(blocks: Iterable["QMatrix"]) -> "QMatrix":
-        """Direct sum: each block's rows, padded with zeros on both sides."""
+        """Direct sum: each block's rows, padded with zeros on both sides.
+        Requests keep block sums as their blocks; this dense form serves
+        only the genus-2 sources of :mod:`phinmod.fuzz` and
+        :func:`phinmod.io_formats.instance_to_json`."""
         blocks = list(blocks)
         nr = sum(b.rows for b in blocks)
         nc = sum(b.cols for b in blocks)

@@ -33,7 +33,7 @@ def _component_source(rng: random.Random, p: int, genus: int):
         return None
     if genus == 1:
         return _random_elliptic(rng, p)
-    blocks = [frobenius_of_elliptic(_random_elliptic(rng, p)).matrix for _ in range(genus)]
+    blocks = [frobenius_of_elliptic(_random_elliptic(rng, p)).blocks[0] for _ in range(genus)]
     return QMatrix.block_diag(blocks)
 
 

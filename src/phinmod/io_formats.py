@@ -22,13 +22,12 @@ number strings never need escaping.
 
 Each square matrix is written from one run of cells per row: row i is "0"
 but for its run.  The dense d x d ``phi`` and ``n``, and the ``b_frobenius``
-entries of an abelian-variety echo, take their runs from the blocks (the
-scalars, the diagonal blocks of the Weil matrix, whose sizes are the
-degrees of its factors, and N's one block), so no d x d row list is built
-and only the cells of runs are converted to text; a Weil-matrix row with a
-nonzero entry outside its block has its whole row as its run; an
-abelian variety's phi1 is its Weil matrix, so its report makes those runs
-once.  Another matrix has its whole rows as runs.  The text of a zero row is made once,
+entries of an abelian-variety echo, take their runs from the blocks: the
+scalars, N's one block, and each row of a phi1 block, its cells from the
+text the block keeps, moved right by the sizes of the blocks before it.
+So no d x d or w1 x w1 matrix or row list is built, and each cell of a
+block is converted to text once, however often it is written.  Another
+matrix has its whole rows as runs.  The text of a zero row is made once,
 and each other row is a slice of one zero-run text, its cells joined once,
 and the matching slice.
 """
@@ -211,7 +210,8 @@ def instance_to_json(inst) -> dict:
             "torus_rank": str(inst.torus_rank),
             "gram": matrix_to_strings(inst.gram),
             "b_frobenius": [
-                {"type": "matrix", "entries": matrix_to_strings(inst.b_frobenius.matrix)}
+                {"type": "matrix",
+                 "entries": matrix_to_strings(QMatrix.block_diag(inst.b_frobenius.blocks))}
             ],
         }
     raise TypeError(f"not an instance: {inst!r}")
@@ -330,45 +330,27 @@ def report_all_pass(report: Report) -> bool:
     return not failed_checks(report)
 
 
-def _runs(m: QMatrix, factors) -> list:
-    """(start, cells) of each row of the square ``m``: the row's diagonal
-    block, sized by the degrees of ``factors``, is its run, or the whole
-    row if it has a nonzero entry outside that block.  Only the cells of
-    runs are converted to text."""
-    n, e = m.cols, m.entries
-    if not n:
-        return []
-    sizes = [len(chi) - 1 for chi in factors]
-    if sum(sizes) != n:
-        sizes = (n,)
-    zero, runs, o = (0,) * n, [], 0
-    for size in sizes:
-        end = o + size
-        left, right = zero[:o], zero[end:]
-        for base in range(o * n, end * n, n):
-            if e[base:base + o] == left and e[base + end:base + n] == right:
-                a, b = o, end
-            else:
-                a, b = 0, n
-            runs.append((a, tuple(map(str, e[base + a:base + b]))))
-        o = end
+def _block_runs(blocks, start: int = 0) -> list:
+    """(start, cells) of each row of the block-diagonal sum of the square
+    ``blocks``, moved right by ``start``: a row of a block is its cells,
+    sliced from the text the block keeps, from ``start`` plus the sizes of
+    the blocks before it."""
+    runs = []
+    for b in blocks:
+        s, n = b.entry_strings, b.cols
+        runs += [(start, s[i * n:(i + 1) * n]) for i in range(n)]
+        start += n
     return runs
 
 
-def _dense_runs(m: QMatrix) -> list:
-    """Whole rows as runs, sliced from the text the matrix keeps."""
-    s, c = m.entry_strings, m.cols
-    return [(0, s[i * c:(i + 1) * c]) for i in range(m.rows)]
-
-
-def _phi_runs(m: PhiNModule, phi1_runs: list) -> list:
+def _phi_runs(m: PhiNModule) -> list:
     """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), one run per row:
-    the scalar on the diagonal, or the row's run of phi1, ``phi1_runs``,
-    moved right by w0."""
+    the scalar on the diagonal, or the row of its phi1 block, moved right
+    by w0."""
     w0, w1, _ = m.dims
     phi0, phi2 = (str(m.phi0),), (str(m.phi2),)
     runs = [(k, phi0) for k in range(w0)]
-    runs += [(w0 + s, cells) for s, cells in phi1_runs]
+    runs += _block_runs(m.phi1_blocks, w0)
     runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]
     return runs
 
@@ -425,16 +407,15 @@ def _write_source(out: list, src, indent: str) -> None:
                    + indent + "}")
     else:
         out.append("{" + i1 + '"entries": ')
-        _write_rows(out, src.rows, _dense_runs(src), i1)
+        _write_rows(out, src.rows, _block_runs((src,)), i1)
         out.append("," + i1 + '"type": "matrix"' + indent + "}")
 
 
-def _write_instance(out: list, inst, indent: str, phi1=(None, None, None)) -> None:
+def _write_instance(out: list, inst, indent: str) -> None:
     """Append the echo of a curve or abelian-variety instance, as
     :func:`instance_to_json` gives it: components in sorted vertex-id
-    order, then the graph's edges and vertices in their order.  ``phi1``
-    is a report's (matrix, factors, runs) of its module's phi1, which the
-    echo of a Weil matrix and factors that are the same reuses."""
+    order, then the graph's edges and vertices in their order; an
+    abelian variety's Weil matrix from its blocks."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -460,14 +441,11 @@ def _write_instance(out: list, inst, indent: str, phi1=(None, None, None)) -> No
         )
     elif isinstance(inst, UniformizationData):
         w = inst.b_frobenius
-        m, factors, runs = phi1
-        if m is not w.matrix or factors != w.factors:
-            runs = _runs(w.matrix, w.factors)
         out.append(f'{{{i1}"b_frobenius": [{i2}{{{i3}"entries": ')
-        _write_rows(out, w.size, runs, i3)
+        _write_rows(out, w.size, _block_runs(w.blocks), i3)
         out.append(f',{i3}"type": "matrix"{i2}}}{i1}],{i1}"f": "{inst.f}",'
                    f'{i1}"format": "{FORMAT_NAME}",{i1}"gram": ')
-        _write_rows(out, inst.gram.rows, _dense_runs(inst.gram), i1)
+        _write_rows(out, inst.gram.rows, _block_runs((inst.gram,)), i1)
         out.append(f',{i1}"kind": "av",{i1}"p": "{inst.p}",'
                    f'{i1}"torus_rank": "{inst.torus_rank}"{indent}}}')
     else:
@@ -516,17 +494,14 @@ def _write_report(out: list, r: Report) -> None:
     agreement = "" if r.agreement is None else _AGREEMENT % verdicts.pop(0)
     out.append(_REPORT_HEAD % (agreement, *verdicts))
     m, polygons, i = r.module, r.polygons, "\n    "
-    # an abelian variety's phi1 is its Weil matrix: one set of runs
-    # serves the echo and phi
-    phi1_runs = _runs(m.phi1, m.phi1_factors)
-    _write_instance(out, r.instance, "\n  ", (m.phi1, m.phi1_factors, phi1_runs))
+    _write_instance(out, r.instance, "\n  ")
     out.append(_MODULE_HEAD % (*m.dims, m.f, m.fil1_dim))
-    _write_rows(out, m.gram.rows, _dense_runs(m.gram), i)
+    _write_rows(out, m.gram.rows, _block_runs((m.gram,)), i)
     out += (',\n    "hodge_slopes": ', _slopes(polygons.hodge.slopes, i), ',\n    "n": ')
     _write_rows(out, m.dimension, _n_runs(m), i)
     out += (',\n    "newton_slopes": ', _slopes(polygons.newton.slopes, i),
             f',\n    "p": "{m.p}",\n    "phi": ')
-    _write_rows(out, m.dimension, _phi_runs(m, phi1_runs), i)
+    _write_rows(out, m.dimension, _phi_runs(m), i)
     out.append(f',\n    "t_hodge": "{polygons.t_hodge}",\n'
                f'    "t_newton": "{polygons.t_newton}"\n  }}\n}}')
 

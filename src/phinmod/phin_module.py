@@ -34,6 +34,7 @@ into an exact matrix identity.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from ._record import Record
@@ -55,14 +56,18 @@ class PhiNModule(Record):
     """Graded integral (phi, N)-module, stored as its blocks.
 
     phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), with integers phi0 and
-    phi2 and integer matrices phi1 and ``n02``, and N is ``n02`` in block
-    (weight 0, weight 2) and zero elsewhere.  ``phi1_factors`` multiply to
-    the characteristic polynomial of phi1, ascending and monic; ``==`` and
-    ``hash`` ignore them, as ``phi1`` determines them.
-    ``gram`` is the monodromy pairing on the weight-2 block.  The ranks
-    ``dims`` = (w0, w1, w2) are read off the blocks: w0 = w2 = gram.rows and
-    w1 = phi1.rows.  A module is exactly its blocks: no command reads a
-    dense matrix back into one.
+    phi2 and an integer matrix ``n02``, and N is ``n02`` in block
+    (weight 0, weight 2) and zero elsewhere.  phi1 is the block-diagonal
+    sum of the square QMatrix ``phi1_blocks``, in order; no dense phi1 is
+    built.  :func:`assemble` keeps the finest diagonal blocks of its Weil
+    matrix, which are unique, so ``==`` on them means ``==`` on phi1.
+    ``phi1_factors`` multiply to the characteristic polynomial of phi1,
+    ascending and monic; ``==`` and ``hash`` ignore them, as the blocks
+    determine them.  ``gram`` is the monodromy pairing on the weight-2
+    block.  The ranks ``dims`` = (w0, w1, w2) are read off the blocks:
+    w0 = w2 = gram.rows and w1 is the sum of the phi1 block sizes.  A
+    module is exactly its blocks: no command reads a dense matrix back into
+    one.
 
     Only dimensional consistency is enforced at construction, so
     deliberately corrupted instances can be constructed for testing.
@@ -70,15 +75,16 @@ class PhiNModule(Record):
     construction; :func:`verify_relations` checks them.
     """
 
-    _fields = ("p", "f", "phi0", "phi1", "phi1_factors", "phi2", "n02", "fil1_dim", "gram")
-    _compared = ("p", "f", "phi0", "phi1", "phi2", "n02", "fil1_dim", "gram")
+    _fields = ("p", "f", "phi0", "phi1_blocks", "phi1_factors", "phi2", "n02", "fil1_dim",
+               "gram")
+    _compared = ("p", "f", "phi0", "phi1_blocks", "phi2", "n02", "fil1_dim", "gram")
 
-    def __init__(self, p: int, f: int, phi0: int, phi1: QMatrix, phi1_factors: tuple,
+    def __init__(self, p: int, f: int, phi0: int, phi1_blocks: tuple, phi1_factors: tuple,
                  phi2: int, n02: QMatrix, fil1_dim: int, gram: QMatrix):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "phi1", phi1)
+        object.__setattr__(self, "phi1_blocks", phi1_blocks)
         object.__setattr__(self, "phi1_factors", phi1_factors)
         object.__setattr__(self, "phi2", phi2)
         object.__setattr__(self, "n02", n02)
@@ -87,17 +93,17 @@ class PhiNModule(Record):
         w0, w1, w2 = self.dims
         if gram.cols != w2:
             raise ValidationError("gram has wrong shape")
-        if phi1.cols != w1:
-            raise ValidationError("phi1 has wrong shape")
+        if any(b.rows != b.cols for b in phi1_blocks):
+            raise ValidationError("phi1 has a block that is not square")
         if sum(len(chi) - 1 for chi in phi1_factors) != w1:
             raise ValidationError("phi1_factors have wrong degree")
         if (n02.rows, n02.cols) != (w0, w2):
             raise ValidationError("n02 has wrong shape")
 
-    @property
+    @cached_property
     def dims(self) -> tuple:
-        """(w0, w1, w2), read off the blocks."""
-        return (self.gram.rows, self.phi1.rows, self.gram.rows)
+        """(w0, w1, w2), read off the blocks once."""
+        return (self.gram.rows, sum(b.rows for b in self.phi1_blocks), self.gram.rows)
 
     @property
     def q(self) -> int:
@@ -115,8 +121,8 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     on the torus character lattice); w must be validated Weil data at the
     same q.  The grading gives the splittings directly: no extension
     data survives at desk scale.  The blocks are stored as given: phi is
-    1, w.matrix (and w.factors, its characteristic polynomial) and q on
-    the three weights, and N is gram from weight 2 to weight 0.
+    1, the blocks of w (and w.factors, their characteristic polynomials)
+    and q on the three weights, and N is gram from weight 2 to weight 0.
 
     The result satisfies the relations of :func:`verify_relations` by
     construction: N maps weight 2 to weight 0 and kills both, phi is q on
@@ -139,7 +145,7 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         p=p,
         f=f,
         phi0=1,
-        phi1=w.matrix,
+        phi1_blocks=w.blocks,
         phi1_factors=w.factors,
         phi2=p ** f,
         n02=gram,

@@ -11,7 +11,8 @@ square table at and below it; see :mod:`phinmod._backend`).  Such a block
 is built from the counted trace a alone: its characteristic polynomial
 T^2 - a*T + p meets every Weil condition but the Hasse bound a^2 <= 4p,
 which is checked with the same message as in :func:`validate_weil`.  A
-direct sum keeps its blocks' characteristic polynomials as factors, never
+direct sum keeps its summands' blocks side by side, never assembled into
+one matrix, and their characteristic polynomials as factors, never
 multiplied out: the Newton polygon is the union of the factors' slopes.
 
 The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
@@ -25,11 +26,12 @@ from primitive integer pseudo-remainders and evaluated at the endpoints as
 A + B sqrt(q) with A, B integers, counts those roots.
 
 :func:`validate_weil` certifies a matrix block by block.  One pass over the
-entries finds its finest contiguous diagonal blocks (no permutation), and
-each block gets the whole certificate: characteristic polynomial, det,
-functional equation and archimedean condition.  That accepts nothing the
-certificate of the whole matrix refuses.  If every block chi_i passes, then
-chi = prod chi_i has chi(0) = prod q^(g_i) = q^g; the functional equation,
+entries finds its finest contiguous diagonal blocks (no permutation), which
+the result keeps in place of the matrix, and each block gets the whole
+certificate: characteristic polynomial, det, functional equation and
+archimedean condition.  That accepts nothing the certificate of the whole
+matrix refuses.  If every block chi_i passes, then chi = prod chi_i has
+chi(0) = prod q^(g_i) = q^g; the functional equation,
 T^(2g) chi(q/T) = q^g chi(T), is multiplicative in the factors; and the
 roots of chi are those of the chi_i, all of absolute value sqrt(q).  The
 converse fails: the sum of T^2 - q with itself is Weil, but T^2 - q alone
@@ -39,7 +41,7 @@ verdict and the message are those of the whole certificate.  A matrix that
 is one block, such as a dense 4 x 4, pays only the pass that finds it so.
 """
 
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 
 from ._backend import charpoly_int
@@ -104,32 +106,35 @@ def check_entry_digits(m: QMatrix) -> None:
 
 
 class WeilMatrix(Record):
-    """Validated Frobenius matrix of a weight-1 crystalline block.
+    """Validated Frobenius matrix of a weight-1 crystalline block, stored as
+    its finest contiguous diagonal blocks.
 
     q = p^f; size = 2g; g is the Hodge filtration dimension of the block.
-    ``factors`` are the characteristic polynomials (ascending coefficients,
-    leading 1) of the diagonal blocks of ``matrix``, in order, kept from
-    validation: one per finest diagonal block that is Weil on its own, or
+    The matrix is the block-diagonal sum of the square QMatrix ``blocks``,
+    in order; no dense size x size matrix is kept.  Finest blocks are
+    unique, so ``==`` on them means ``==`` on the matrix.  ``factors`` are
+    characteristic polynomials (ascending coefficients, leading 1) kept
+    from validation: one per block when every block is Weil on its own, or
     the whole characteristic polynomial when one is not (see
     :func:`validate_weil`), and a direct sum keeps its summands' factors.
-    They multiply to the characteristic polynomial of ``matrix``.  ``==``
-    and ``hash`` ignore them, as ``matrix`` determines them.  Every
+    They multiply to the characteristic polynomial of the matrix.  ``==``
+    and ``hash`` ignore them, as the blocks determine them.  Every
     eigenvalue has absolute value sqrt(q), certified exactly by
     :func:`validate_weil`.
     """
 
-    _fields = ("p", "f", "matrix", "factors")
-    _compared = ("p", "f", "matrix")
+    _fields = ("p", "f", "blocks", "factors")
+    _compared = ("p", "f", "blocks")
 
-    def __init__(self, p: int, f: int, matrix: QMatrix, factors: tuple):
+    def __init__(self, p: int, f: int, blocks: tuple, factors: tuple):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "factors", factors)
 
     @property
     def size(self) -> int:
-        return self.matrix.rows
+        return sum(b.rows for b in self.blocks)
 
     @property
     def g(self) -> int:
@@ -172,7 +177,7 @@ def frobenius_of_elliptic(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND
     conditions only the Hasse bound a^2 <= 4p can fail."""
     _, a = count_points(e, bound)
     _check_hasse(a, e.p)
-    return WeilMatrix(e.p, 1, QMatrix(2, 2, (0, -e.p, 1, a)), ((e.p, -a, 1),))
+    return WeilMatrix(e.p, 1, (QMatrix(2, 2, (0, -e.p, 1, a)),), ((e.p, -a, 1),))
 
 
 def _check_hasse(trace: int, q: int) -> None:
@@ -369,19 +374,15 @@ def _certify(rows: list, q: int) -> list:
     return coeffs
 
 
-def _blockwise_factors(m: QMatrix, q: int):
-    """The certified chi of each finest diagonal block of ``m``, or None if
-    ``m`` is one block or some block is not Weil on its own."""
-    blocks = _diagonal_blocks(m)
-    if len(blocks) < 2:
-        return None
-    n, e = m.rows, m.entries
+def _blockwise_factors(blocks: list, q: int):
+    """The certified chi of each of ``blocks``, row lists, or None if some
+    block is not Weil on its own."""
     factors = []
-    for a, b in blocks:
-        if (b - a) % 2:
+    for rows in blocks:
+        if len(rows) % 2:
             return None
         try:
-            factors.append(tuple(_certify([e[i * n + a:i * n + b] for i in range(a, b)], q)))
+            factors.append(tuple(_certify(rows, q)))
         except WeilValidationError:
             return None
     return tuple(factors)
@@ -402,10 +403,12 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     condition also excludes 1 and q as eigenvalues, as |1| < sqrt(q) < q.
     det is read off chi: for even size, det(m) = chi(0).
 
-    The last three run on each finest diagonal block of ``m``, whose
-    characteristic polynomials become the factors; if a block fails alone,
-    or ``m`` is one block, they run on ``m`` whole and its chi is the one
-    factor.  The module docstring shows why both give the same verdict.
+    The result keeps the finest diagonal blocks of ``m`` (``m`` itself when
+    it is one block, and none when it is empty, as a genus-0 component).
+    The last three checks run on each block, whose characteristic
+    polynomials become the factors; if a block fails alone, or ``m`` is one
+    block, they run on ``m`` whole and its chi is the one factor.  The
+    module docstring shows why both give the same verdict.
     """
     if not isinstance(m, QMatrix):
         m = QMatrix.from_rows(m)
@@ -417,8 +420,17 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     if m.rows % 2 != 0:
         raise WeilValidationError(f"Weil matrix has odd size {m.rows}")
     check_entry_digits(m)
-    factors = _blockwise_factors(m, q) or (tuple(_certify(m.to_rows(), q)),)
-    return WeilMatrix(p, f, m, factors)
+    spans = _diagonal_blocks(m)
+    if len(spans) == 1:
+        blocks, factors = (m,), None
+    else:
+        n, e = m.rows, m.entries
+        rows = [[e[i + a:i + b] for i in range(a * n, b * n, n)] for a, b in spans]
+        blocks = tuple([QMatrix(len(r), len(r), tuple(chain.from_iterable(r))) for r in rows])
+        factors = _blockwise_factors(rows, q)
+    if factors is None:
+        factors = (tuple(_certify(m.to_rows(), q)),)
+    return WeilMatrix(p, f, blocks, factors)
 
 
 def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
@@ -428,7 +440,9 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
     summand must match.  The summands are already validated and every Weil-q
     condition passes to a block sum (det and the characteristic polynomial
     multiply, the eigenvalues are the union), so the sum is not validated
-    again: its factors are the summands' factors, in order.
+    again: its blocks and its factors are the summands', in order, and no
+    dense matrix is built.  Finest blocks side by side are the finest
+    blocks of the sum.
     """
     ws = list(ws)
     for w in ws:
@@ -436,5 +450,5 @@ def direct_sum(ws, p: int, f: int = 1) -> WeilMatrix:
             raise WeilValidationError(
                 f"direct_sum: block has q = {w.p}^{w.f}, expected {p}^{f}"
             )
-    return WeilMatrix(p, f, QMatrix.block_diag([w.matrix for w in ws]),
+    return WeilMatrix(p, f, tuple(b for w in ws for b in w.blocks),
                       tuple(chi for w in ws for chi in w.factors))

@@ -534,19 +534,55 @@ class DenseModule:
         return sum(self.dims)
 
 
-def dense_from_blocks(p, f, phi0, phi1, phi2, n02, fil1_dim, gram):
+def block_sum_rows(blocks):
+    """Row lists of the block-diagonal sum of the square ``blocks``, set
+    entry by entry in plain nested lists, sharing no code with
+    QMatrix.block_diag."""
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    o = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                rows[o + i][o + j] = b[i, j]
+        o += b.rows
+    return rows
+
+
+def dense_weil(w):
+    """The matrix of a WeilMatrix, from its blocks."""
+    return _matrix(block_sum_rows(w.blocks))
+
+
+def finest_blocks(rows):
+    """The finest contiguous diagonal blocks of the square row list
+    ``rows``, as QMatrix.  far[i] is the largest index tied to i by a
+    nonzero entry of row i or column i; the matrix splits after k exactly
+    when no index up to k is tied beyond k."""
+    n = len(rows)
+    far = [max([i] + [j for j in range(n) if rows[i][j] or rows[j][i]]) for i in range(n)]
+    blocks, start, reach = [], 0, -1
+    for k in range(n):
+        reach = max(reach, far[k])
+        if reach == k:
+            blocks.append(_matrix([r[start:k + 1] for r in rows[start:k + 1]]))
+            start = k + 1
+    return tuple(blocks)
+
+
+def dense_from_blocks(p, f, phi0, phi1_blocks, phi2, n02, fil1_dim, gram):
     """Full matrices phi = diag(phi0 * I, phi1, phi2 * I) and N with n02 in
-    the weight-0 rows and weight-2 columns."""
+    the weight-0 rows and weight-2 columns, phi1 the block sum of
+    ``phi1_blocks``."""
     w0 = w2 = n02.rows
-    w1 = phi1.rows
+    phi1 = block_sum_rows(phi1_blocks)
+    w1 = len(phi1)
     d = w0 + w1 + w2
-    # plain nested lists, sharing no code with QMatrix.block_diag
     phi_rows = [[0] * d for _ in range(d)]
     for k in range(w0):
         phi_rows[k][k] = phi0
     for i in range(w1):
-        for j in range(w1):
-            phi_rows[w0 + i][w0 + j] = phi1[i, j]
+        phi_rows[w0 + i][w0:w0 + w1] = phi1[i]
     for k in range(w0 + w1, d):
         phi_rows[k][k] = phi2
     rows = [[0] * d for _ in range(d)]
@@ -561,13 +597,14 @@ def dense_from_blocks(p, f, phi0, phi1, phi2, n02, fil1_dim, gram):
 def dense_assemble(p, f, gram, weil):
     """The dense module of a Gram matrix and validated Weil data."""
     return dense_from_blocks(
-        p, f, 1, weil.matrix, p ** f, gram, gram.rows + weil.g, gram
+        p, f, 1, weil.blocks, p ** f, gram, gram.rows + weil.g, gram
     )
 
 
 def dense_module(m):
     """The full matrices of a block-stored PhiNModule."""
-    return dense_from_blocks(m.p, m.f, m.phi0, m.phi1, m.phi2, m.n02, m.fil1_dim, m.gram)
+    return dense_from_blocks(m.p, m.f, m.phi0, m.phi1_blocks, m.phi2, m.n02, m.fil1_dim,
+                             m.gram)
 
 
 def mat_mul(a, b):
@@ -676,8 +713,9 @@ def module_from_report(report):
     """The PhiNModule of a parsed report's ``module`` block.
 
     Every number is read with ``int``, and ``phi`` and ``n`` are split into
-    the blocks at the report's ``dims``.  ``phi1_factors`` is the one
-    factor ``charpoly_hessenberg`` of phi1.  When ``dense_from_blocks`` of
+    the blocks at the report's ``dims``, phi1 further into its
+    ``finest_blocks``.  ``phi1_factors`` is the one factor
+    ``charpoly_hessenberg`` of phi1.  When ``dense_from_blocks`` of
     the blocks does not give back ``phi`` or ``n`` (an entry outside the
     blocks, or a weight-0 or weight-2 block of phi that is not scalar), the
     report is not in block form, and ValueError names the matrix; so it
@@ -702,13 +740,13 @@ def module_from_report(report):
         if len(rows[name]) != size or any(len(r) != size for r in rows[name]):
             raise ValueError(f"field 'module.{name}' is not {size}x{size}")
     phi, n = rows["phi"], rows["n"]
-    phi1 = _matrix([r[w0:w0 + w1] for r in phi[w0:w0 + w1]])
-    chi = tuple(int(c) for c in charpoly_hessenberg(phi1.to_rows()))
+    phi1 = [r[w0:w0 + w1] for r in phi[w0:w0 + w1]]
+    chi = tuple(int(c) for c in charpoly_hessenberg(phi1))
     m = PhiNModule(
         p=p,
         f=f,
         phi0=phi[0][0] if w0 else 1,
-        phi1=phi1,
+        phi1_blocks=finest_blocks(phi1),
         phi1_factors=(chi,),
         phi2=phi[-1][-1] if w2 else p ** f,
         n02=_matrix([r[w0 + w1:] for r in n[:w0]]),

@@ -132,7 +132,7 @@ def test_altered_blocks_match_dense_oracle():
         n_blocks = [g, scale(g, 2), zeros(g.rows, g.cols), singular]
         scalars = [1, base.q, base.q ** 2, base.p, -base.q, 0]
         for phi0, phi2, n02 in product(scalars, scalars, n_blocks):
-            m = PhiNModule(base.p, base.f, phi0, base.phi1, base.phi1_factors, phi2, n02,
+            m = PhiNModule(base.p, base.f, phi0, base.phi1_blocks, base.phi1_factors, phi2, n02,
                            base.fil1_dim, base.gram)
             dense = dense_module(m)
             relations = verify_relations(m)
@@ -176,18 +176,14 @@ def _hand_built(rng) -> PhiNModule:
             distinct.append((coefficient(),) + tuple(
                 rng.choice((0, coefficient())) for _ in range(b - 1)) + (1,))
     factors = tuple(rng.choice(distinct) for _ in range(rng.randint(0, 4)))
+    # a companion matrix is one block: its ones below the diagonal tie it
+    blocks = tuple(QMatrix.from_rows(_companion(chi)) for chi in factors)
     w1 = sum(len(chi) - 1 for chi in factors)
-    phi1 = [[0] * w1 for _ in range(w1)]
-    k = 0
-    for chi in factors:
-        for i, row in enumerate(_companion(chi)):
-            phi1[k + i][k:k + len(row)] = row
-        k += len(chi) - 1
     w2 = rng.randint(0, 2)
     gram = QMatrix.from_rows([[int(i == j) for j in range(w2)] for i in range(w2)]
                              ) if w2 else QMatrix(0, 0, ())
     return PhiNModule(
-        p, f, coefficient(), QMatrix.from_rows(phi1) if w1 else QMatrix(0, 0, ()), factors,
+        p, f, coefficient(), blocks, factors,
         coefficient(), gram, rng.randint(0, 2 * w2 + w1), gram)
 
 

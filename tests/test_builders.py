@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, char_poly, det
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph, betti_one
+from phinmod.io_formats import dump_json, instance_from_json
 from phinmod.phin_module import assemble, verify_relations
 from phinmod.weil_data import (
     DEFAULT_POINT_BOUND,
@@ -112,8 +114,8 @@ class TestBuildFromCurve:
 
     def test_good_reduction_genus_two(self):
         g = DualGraph.build([("v0", 2)], [])
-        w1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)).matrix
-        w2 = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1)).matrix
+        (w1,) = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)).blocks
+        (w2,) = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1)).blocks
         inst = CurveInstance(
             graph=g, components={"v0": QMatrix.block_diag([w1, w2])}, p=5
         )
@@ -121,6 +123,8 @@ class TestBuildFromCurve:
         assert m.dimension == 4
         assert dense_module(m).n.is_zero()
         assert m.dims == (0, 4, 0)
+        # the 4 x 4 source is kept as its two finest blocks
+        assert m.phi1_blocks == (w1, w2)
 
     def test_theta(self):
         m = build_from_curve(theta_instance())
@@ -175,6 +179,38 @@ class TestBuildFromAV:
                 b_frobenius=validate_weil(QMatrix(0, 0, ()), 5),
                 p=5,
             )
+
+
+class TestEmptyMatrixSource:
+    """An empty matrix source resolves as genus 0: no block, no factor."""
+
+    def test_curve_vertex(self):
+        g = DualGraph.build([("v0", 0), ("v1", 1)], [("e0", "v0", "v1"), ("e1", "v0", "v1")])
+
+        def report(src):
+            inst = CurveInstance(g, {"v0": src, "v1": EllipticCurveSpec(5, 1, 0)}, p=5)
+            return run_checks(inst, DEFAULT_POINT_BOUND)
+
+        empty, genus0 = report(EMPTY), report(None)
+        assert empty.module == genus0.module
+        assert empty.module.phi1_factors == genus0.module.phi1_factors == ((5, -2, 1),)
+        # the report differs only in the echo, which says "matrix"
+        written, expected = json.loads(dump_json(empty)), json.loads(dump_json(genus0))
+        assert written["instance"]["components"]["v0"] == {"type": "matrix", "entries": []}
+        assert written["module"] == expected["module"]
+
+    def test_av_entry(self):
+        def obj(*sources):
+            return {"kind": "av", "p": "5", "f": "1", "torus_rank": "1", "gram": [["2"]],
+                    "b_frobenius": [{"type": "elliptic", "a4": "1", "a6": "0"}, *sources]}
+        empty = run_checks(instance_from_json(obj({"type": "matrix", "entries": []})),
+                           DEFAULT_POINT_BOUND)
+        genus0 = run_checks(instance_from_json(obj({"type": "genus0"})), DEFAULT_POINT_BOUND)
+        alone = run_checks(instance_from_json(obj()), DEFAULT_POINT_BOUND)
+        assert empty.module == genus0.module == alone.module
+        assert empty.module.phi1_factors == genus0.module.phi1_factors == ((5, -2, 1),)
+        # the echo is the one sum matrix either way
+        assert dump_json(empty) == dump_json(genus0) == dump_json(alone)
 
 
 class TestJacobianData:

@@ -30,6 +30,7 @@ from oracles import (
     dense_assemble,
     dense_hodge_newton,
     dense_relations,
+    dense_weil,
     module_from_report,
     poly_mul,
 )
@@ -117,8 +118,8 @@ def test_equality_ignores_how_chi_is_factored():
     b2 = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1))   # a = 0
     summed = direct_sum([b1, resolve_component(None, 5, 1), b2], 5, 1)
     # validation keeps one factor per diagonal block, as the sum does
-    assert validate_weil(summed.matrix, 5, 1).factors == summed.factors
-    whole = WeilMatrix(5, 1, summed.matrix, (tuple(poly_mul(*summed.factors)),))
+    assert validate_weil(dense_weil(summed), 5, 1).factors == summed.factors
+    whole = WeilMatrix(5, 1, summed.blocks, (tuple(poly_mul(*summed.factors)),))
     assert len(summed.factors) == 2 and len(whole.factors) == 1
     assert summed == whole and hash(summed) == hash(whole)
     gram = QMatrix.from_rows([[2, 1], [1, 2]])

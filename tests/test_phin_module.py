@@ -100,6 +100,16 @@ class TestAssemble:
             with pytest.raises(ValidationError, match="^matrix entries must be integers$"):
                 QMatrix.from_rows([[entry]])
 
+    def test_good_reduction_keeps_the_weil_blocks(self):
+        m = good_reduction_module()
+        assert m.phi1_blocks == (QMatrix.from_rows([[0, -5], [1, 2]]),)
+
+    def test_non_square_phi1_block_refused(self):
+        m = tate_module()
+        with pytest.raises(ValidationError, match="^phi1 has a block that is not square$"):
+            PhiNModule(m.p, m.f, m.phi0, (QMatrix(1, 2, (1, 2)),), ((0, 1),), m.phi2, m.n02,
+                       m.fil1_dim, m.gram)
+
     def test_q_mismatch_rejected(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(7, -1, 0))
         with pytest.raises(ValidationError, match="q"):
@@ -117,7 +127,7 @@ class TestVerifyRelations:
     def test_corrupted_phi_detected(self):
         m = tate_module()
         # phi = identity(2): the weight-2 scalar block is 1 instead of q = 5
-        corrupted = PhiNModule(m.p, m.f, m.phi0, m.phi1, m.phi1_factors, 1, m.n02,
+        corrupted = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors, 1, m.n02,
                                m.fil1_dim, m.gram)
         r = verify_relations(corrupted)
         assert not r.n_phi_commutation

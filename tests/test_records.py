@@ -141,13 +141,13 @@ def test_a_different_field_breaks_equality():
 def test_factors_are_not_compared(name):
     w = records(name)["WeilMatrix"]
     m = records(name)["PhiNModule"]
-    w2 = WeilMatrix(w.p, w.f, w.matrix, w.factors + ((1,),))
+    w2 = WeilMatrix(w.p, w.f, w.blocks, w.factors + ((1,),))
     assert w2 == w and hash(w2) == hash(w)
-    m2 = PhiNModule(m.p, m.f, m.phi0, m.phi1, m.phi1_factors + ((1,),), m.phi2, m.n02,
+    m2 = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors + ((1,),), m.phi2, m.n02,
                     m.fil1_dim, m.gram)
     assert m2 == m and hash(m2) == hash(m)
-    assert WeilMatrix(w.p, w.f + 1, w.matrix, w.factors) != w
-    m3 = PhiNModule(m.p, m.f, m.phi0, m.phi1, m.phi1_factors, m.phi2 + 1, m.n02,
+    assert WeilMatrix(w.p, w.f + 1, w.blocks, w.factors) != w
+    m3 = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors, m.phi2 + 1, m.n02,
                     m.fil1_dim, m.gram)
     assert m3 != m
 
@@ -158,5 +158,5 @@ def test_repr_names_each_field():
     assert repr(NewtonPolygon(((0, 2),))) == "NewtonPolygon(slopes=((0, 2),))"
     assert repr(EllipticCurveSpec(5, 6, 0)) == "EllipticCurveSpec(p=5, a4=1, a6=0)"
     w = records("av_tate.json")["WeilMatrix"]
-    assert repr(w) == "WeilMatrix(p=5, f=1, matrix=QMatrix(0x0: ), factors=())"
+    assert repr(w) == "WeilMatrix(p=5, f=1, blocks=(), factors=())"
     assert repr(QMatrix(2, 2, (1, 0, 0, 1))) == "QMatrix(2x2: 1 0; 0 1)"

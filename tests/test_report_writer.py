@@ -3,12 +3,15 @@
 ``report_dict`` the dict oracle of ``oracles.py``, and an instance alone as
 the same text of ``instance_to_json``: on the reports of ``instances/`` and
 two fuzz streams, on adversarial ids and component keys, on edge shapes
-(d = 0, no Weil block, fractional polygons), on module shapes and random
-block layouts, and at d = 200.  It never calls the standard encoder."""
+(d = 0, no Weil block, fractional polygons), on phi1 blocks that are not
+one per factor, on module shapes and random block layouts, and at d = 200
+and w1 = 400, where no request makes a dense phi1.  It never calls the
+standard encoder."""
 
 import json
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +40,7 @@ from phinmod.weil_data import (
 )
 
 from conftest import INSTANCE_DIR, tate_instance
-from oracles import dense_module, module_from_report, report_dict
+from oracles import dense_module, finest_blocks, module_from_report, report_dict
 from test_golden_reports import fuzz_digests, golden, instance_digests
 
 INSTANCE_FILES = sorted(INSTANCE_DIR.glob("*.json"), key=lambda p: p.name)
@@ -75,8 +78,8 @@ def test_every_matrix_holds_ints():
         if isinstance(echo, CurveInstance):
             matrices = [src for src in echo.components.values() if isinstance(src, QMatrix)]
         else:
-            matrices = [echo.gram, echo.b_frobenius.matrix]
-        for matrix in matrices + [m.phi1, m.n02, m.gram]:
+            matrices = [echo.gram, *echo.b_frobenius.blocks]
+        for matrix in matrices + [*m.phi1_blocks, m.n02, m.gram]:
             assert {type(x) for x in matrix.entries} <= {int}
         assert type(m.phi0) is type(m.phi2) is int
 
@@ -213,17 +216,59 @@ def test_non_square_source_refused(rows, tmp_path, capsys):
 
 
 def test_av_weil_runs_are_made_once(monkeypatch):
-    # an abelian variety's phi1 is its Weil matrix, so the echo of
-    # b_frobenius and phi are written from one set of runs
-    b = direct_sum([frobenius_of_elliptic(EllipticCurveSpec(5, 1, 1))] * 2, 5)
+    # an abelian variety's phi1 blocks are its Weil matrix's block objects,
+    # so the echo of b_frobenius and phi are written from one text of each
+    b = direct_sum([frobenius_of_elliptic(EllipticCurveSpec(5, 1, 1)),
+                    frobenius_of_elliptic(EllipticCurveSpec(5, 1, 2))], 5)
     inst = UniformizationData(1, QMatrix.from_rows([[2]]), b, 5)
     report = run_checks(inst, DEFAULT_POINT_BOUND)
-    assert report.module.phi1 is inst.b_frobenius.matrix
-    calls = []
-    runs = io_formats._runs
-    monkeypatch.setattr(io_formats, "_runs", lambda m, f: calls.append(m) or runs(m, f))
+    blocks = inst.b_frobenius.blocks
+    assert len(blocks) == len(report.module.phi1_blocks) == 2
+    assert all(x is y for x, y in zip(report.module.phi1_blocks, blocks))
+    converted = []
+    text = QMatrix.__dict__["entry_strings"].func
+    counted = cached_property(lambda m: converted.append(m) or text(m))
+    counted.__set_name__(QMatrix, "entry_strings")
+    monkeypatch.setattr(QMatrix, "entry_strings", counted)
     assert dump_json(report) == canonical(report_dict(report))
-    assert calls == [inst.b_frobenius.matrix]
+    assert [m for m in converted if any(m is x for x in blocks)] == list(blocks)
+
+
+# phi1 blocks that are not one per factor: sources with no block, and a
+# genus-1 component of two 1 x 1 blocks whose factor is certified whole
+MIXED_BLOCKS = {
+    "av-mixed-sources": (
+        {"kind": "av", "p": "5", "f": "1", "torus_rank": "1", "gram": [["3"]],
+         "b_frobenius": [
+             {"type": "elliptic", "a4": "1", "a6": "0"},
+             {"type": "genus0"},
+             {"type": "matrix", "entries": []},
+             # (T^2 - 2T + 5)(T^2 + 5): a companion matrix, one block
+             {"type": "matrix", "entries": [["0", "0", "0", "-25"], ["1", "0", "0", "10"],
+                                            ["0", "1", "0", "-10"], ["0", "0", "1", "2"]]},
+         ]},
+        ((2, 4), ((5, -2, 1), (25, -10, 10, -2, 1))),
+    ),
+    "curve-f2-scalar-block": (
+        {"kind": "curve", "p": "3", "f": "2",
+         "graph": {"vertices": [{"id": "v0", "genus": "1"}, {"id": "v1", "genus": "0"}],
+                   "edges": [{"id": "e0", "tail": "v0", "head": "v1"},
+                             {"id": "e1", "tail": "v0", "head": "v1"},
+                             {"id": "e2", "tail": "v1", "head": "v1"}]},
+         "components": {"v0": {"type": "matrix", "entries": [["3", "0"], ["0", "3"]]},
+                        "v1": {"type": "genus0"}}},
+        ((1, 1), ((9, -6, 1),)),
+    ),
+}
+
+
+@pytest.mark.parametrize("obj, layout", MIXED_BLOCKS.values(), ids=MIXED_BLOCKS.keys())
+def test_blocks_and_factors_differ(obj, layout):
+    report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+    m = report.module
+    assert (tuple(b.rows for b in m.phi1_blocks), m.phi1_factors) == layout
+    assert_written(report)
+    assert module_from_report(json.loads(dump_json(report))) == m
 
 
 def test_av_without_weil_block():
@@ -262,14 +307,15 @@ def dense_text(m: QMatrix) -> list:
 
 
 def hand_built(phi1_rows, sizes, gram_rows, phi0=1, phi2=5, n02_rows=None) -> PhiNModule:
-    """A module with phi1 and gram as given; each of ``sizes`` is the degree
-    of a placeholder factor, so the writer takes them as phi1's blocks."""
+    """A module with phi1, stored as the oracle's finest blocks of it, and
+    gram as given; each of ``sizes`` is the degree of a placeholder factor,
+    so the factors need not match the blocks."""
     def matrix(rows):
         return QMatrix.from_rows(rows) if rows else QMatrix(0, 0, ())
 
     gram = matrix(gram_rows)
     return PhiNModule(
-        p=5, f=1, phi0=phi0, phi1=matrix(phi1_rows),
+        p=5, f=1, phi0=phi0, phi1_blocks=finest_blocks(phi1_rows),
         phi1_factors=tuple((0,) * size + (1,) for size in sizes), phi2=phi2,
         n02=gram if n02_rows is None else matrix(n02_rows), fil1_dim=0, gram=gram,
     )
@@ -302,11 +348,12 @@ SHAPES = {
     "d=0": hand_built([], [], []),
     "w1=0": hand_built([], [], [[2, 1], [1, 2]]),
     "w0=w2=0": hand_built([[0, -5], [1, 2]], [2], []),
-    # an entry of phi1 in row 0 and one in row 3 lie outside the 2+2 blocks
+    # an entry of phi1 in row 0 and one in row 3 lie outside the 2+2
+    # factors, so phi1 is one 4 x 4 block
     "off-block": hand_built(
         [[1, 2, 0, 7], [3, 4, 0, 0], [0, 0, 5, 6], [0, -1, 7, 8]], [2, 2], [[1]]
     ),
-    # phi1 with a zero row and a 1x1 block, and blocks of size 0
+    # phi1 with a zero row and a 1x1 block, and factors of degree 0
     "zero-row": hand_built([[0, 0, 0], [0, 1, 2], [0, 3, 4]], [0, 1, 0, 2], [[3]]),
     "signs": hand_built(
         [[-2, 0], [0, 3]], [1, 1], [[1, 0], [0, 2]],
@@ -337,7 +384,8 @@ def test_signed_phi_text():
 def block_layouts(draw):
     """A module whose phi1 is block diagonal in random block sizes, with
     zero, small and large integer entries, and sometimes an entry outside
-    the blocks; the torus rank and Gram entries are random too."""
+    the blocks, which joins them; the factor degrees are the drawn sizes,
+    and the torus rank and Gram entries are random too."""
     entry = st.integers(-12, 12) | st.integers(-(10 ** 40), 10 ** 40)
     sizes = draw(st.lists(st.integers(0, 4), max_size=5))
     w1, w2 = sum(sizes), draw(st.integers(0, 3))
@@ -378,22 +426,51 @@ def reachable(obj):
             stack.extend(vars(x).values())
 
 
-def test_large_module_holds_no_dense_rows():
+SPECS_AT_5 = [EllipticCurveSpec(5, a4, a6) for a4 in range(5) for a6 in range(5)
+              if (4 * a4 ** 3 + 27 * a6 ** 2) % 5]
+
+
+def checked_and_written(inst, monkeypatch) -> tuple:
+    """(report, the most entries of a QMatrix made on the way) of ``inst``
+    checked by ``run_checks`` and written by ``dump_json``."""
+    sizes = []
+    init = QMatrix.__init__
+
+    def recording(self, rows, cols, entries):
+        sizes.append(rows * cols)
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(QMatrix, "__init__", recording)
+    report = run_checks(inst, DEFAULT_POINT_BOUND)
+    dump_json(report)
+    monkeypatch.undo()
+    return report, max(sizes, default=0)
+
+
+def test_large_module_holds_no_dense_rows(monkeypatch):
     # d = 200: a 50 x 50 tridiagonal Gram and 50 elliptic blocks
-    specs = [EllipticCurveSpec(5, a4, a6) for a4 in range(5) for a6 in range(5)
-             if (4 * a4 ** 3 + 27 * a6 ** 2) % 5]
-    b = direct_sum([frobenius_of_elliptic(specs[k % len(specs)]) for k in range(50)], 5)
+    b = direct_sum([frobenius_of_elliptic(SPECS_AT_5[k % len(SPECS_AT_5)])
+                    for k in range(50)], 5)
     gram = QMatrix.from_rows(
         [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(50)] for i in range(50)]
     )
-    report = run_checks(UniformizationData(50, gram, b, 5), DEFAULT_POINT_BOUND)
-    d = report.module.dimension
-    assert d == 200
-    assert not [x for x in reachable(report) if isinstance(x, list) and len(x) == d]
-    # the writer converts only the cells of runs, for phi and for the echo
-    # of the Weil matrix alike
-    m, w = report.module, report.instance.b_frobenius
-    phi_runs = io_formats._phi_runs(m, io_formats._runs(m.phi1, m.phi1_factors))
-    assert sum(len(cells) for _, cells in phi_runs) < d * d // 10
-    assert sum(len(cells) for _, cells in io_formats._runs(w.matrix, w.factors)) < d * d // 10
-    assert_written(report)
+    av = UniformizationData(50, gram, b, 5)
+    # w1 = 400: a path of 200 elliptic components with three more edges
+    vids = [f"v{k:03d}" for k in range(200)]
+    edges = [(f"e{k:03d}", vids[k - 1], vids[k]) for k in range(1, 200)]
+    edges += [("x0", "v000", "v199"), ("x1", "v050", "v150"), ("x2", "v010", "v010")]
+    curve = CurveInstance(DualGraph.build([(v, 1) for v in vids], edges),
+                          {v: SPECS_AT_5[k % len(SPECS_AT_5)] for k, v in enumerate(vids)}, p=5)
+    for inst, b1, d in ((av, 50, 200), (curve, 3, 406)):
+        report, largest = checked_and_written(inst, monkeypatch)
+        m = report.module
+        assert (m.dims[0], m.dimension) == (b1, d)
+        # no dense phi1 or phi is made: the largest matrix is a Gram or a
+        # Weil block
+        assert largest <= max(b1 * b1, 16)
+        assert not [x for x in reachable(report) if isinstance(x, list) and len(x) == d]
+        # the writer converts only the cells of runs, for phi and for the
+        # echo of the Weil matrix alike
+        assert sum(len(cells) for _, cells in io_formats._phi_runs(m)) < d * d // 10
+        assert sum(len(cells) for _, cells in io_formats._block_runs(m.phi1_blocks)) < d * d // 10
+        assert_written(report)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phinmod.weil_data as weil_data
+from phinmod.builders import resolve_component
 from phinmod.errors import ValidationError, WeilValidationError
 from phinmod.fuzz import instance_stream
 from phinmod.exact_linalg import QMatrix, char_poly
@@ -23,6 +24,8 @@ from phinmod.weil_data import (
 
 from oracles import (
     count_points_xy,
+    dense_weil,
+    finest_blocks,
     identity,
     is_prime_trial,
     newton_slopes_sweep,
@@ -73,14 +76,14 @@ class TestCountPoints:
 class TestFrobeniusOfElliptic:
     def test_companion_shape(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
-        assert w.matrix.to_rows() == [[0, -5], [1, 2]]
+        assert w.blocks == (QMatrix.from_rows([[0, -5], [1, 2]]),)
         assert (w.p, w.f, w.g) == (5, 1, 1)
 
     def test_char_poly_is_weil(self):
         for p, a4, a6 in [(5, 1, 0), (7, 6, 0), (3, 1, 0), (11, 1, 3)]:
             w = frobenius_of_elliptic(EllipticCurveSpec(p, a4, a6))
             _, a = count_points(EllipticCurveSpec(p, a4, a6))
-            assert char_poly(w.matrix) == [p, -a, 1]
+            assert char_poly(dense_weil(w)) == [p, -a, 1]
 
 
 class TestEllipticBlockFromTrace:
@@ -187,7 +190,7 @@ class TestValidateWeil:
     def test_archimedean_advisory_flag(self):
         # (5 +/- sqrt(5))/2 are real of the wrong modulus but multiply to q;
         # above 2x2 the exact certificate rejects them as the 2x2 path does
-        good = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)).matrix
+        (good,) = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)).blocks
         bad = QMatrix.from_rows([[0, -5], [1, 5]])
         with pytest.raises(WeilValidationError, match="archimedean"):
             validate_weil(QMatrix.block_diag([bad, good]), 5)
@@ -420,7 +423,13 @@ class TestBlockwiseCertificate:
     @given(block_diagonal())
     def test_same_verdict_as_the_whole_matrix(self, case):
         m, p, f = case
-        assert blockwise_verdict(m, p, f) == whole_verdict(m, p, f)
+        verdict = blockwise_verdict(m, p, f)
+        assert verdict == whole_verdict(m, p, f)
+        if verdict[0] == "ok":
+            # the kept blocks are the oracle's finest blocks, and sum to m
+            w = validate_weil(m, p, f)
+            assert w.blocks == finest_blocks(m.to_rows())
+            assert dense_weil(w) == m
 
     def test_sum_of_non_weil_blocks_accepted(self):
         # T^2 - q has det -q alone; twice it is (T^2 - q)^2, Weil
@@ -431,7 +440,10 @@ class TestBlockwiseCertificate:
 
     def test_scalar_p_at_f_2_accepted(self):
         # diag(p, p) at q = p^2: 1 x 1 blocks, Weil only together
-        assert validate_weil([[3, 0], [0, 3]], 3, 2).factors == ((9, -6, 1),)
+        w = validate_weil([[3, 0], [0, 3]], 3, 2)
+        assert w.factors == ((9, -6, 1),)
+        # the blocks are kept all the same: two 1 x 1, one quadratic factor
+        assert w.blocks == (QMatrix.from_rows([[3]]),) * 2
 
     def test_valid_block_beside_invalid_one(self):
         # [[0, -5], [1, 2]] is Weil at q = 5; [[0, -5], [1, 7]] breaks Hasse
@@ -442,10 +454,21 @@ class TestBlockwiseCertificate:
 
     def test_split_blocks_become_the_factors(self):
         m = QMatrix.from_rows([[0, -5, 0, 0], [1, 2, 0, 0], [0, 0, 0, -5], [0, 0, 1, 0]])
-        assert validate_weil(m, 5).factors == ((5, -2, 1), (5, 0, 1))
-        # a nonzero entry off the blocks joins them into one
+        w = validate_weil(m, 5)
+        assert w.factors == ((5, -2, 1), (5, 0, 1))
+        assert w.blocks == (QMatrix.from_rows([[0, -5], [1, 2]]),
+                            QMatrix.from_rows([[0, -5], [1, 0]]))
+        # a nonzero entry off the blocks joins them into one, kept as given
         joined = QMatrix.from_rows([[0, -5, 0, 0], [1, 2, 0, 0], [0, 0, 0, -5], [0, 1, 1, 0]])
-        assert len(validate_weil(joined, 5).factors) == 1
+        w = validate_weil(joined, 5)
+        assert len(w.factors) == 1 and len(w.blocks) == 1 and w.blocks[0] is joined
+
+    def test_empty_matrix_is_genus_0(self):
+        # no block and no factor, as resolve_component gives a genus-0 source
+        w = validate_weil(QMatrix(0, 0, ()), 5, 2)
+        genus0 = resolve_component(None, 5, 2)
+        assert w == genus0 and w.factors == genus0.factors == ()
+        assert w.blocks == ()
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_fuzz_genus_2_sources(self, seed):
@@ -468,7 +491,7 @@ class TestDirectSum:
 
     def test_single(self):
         b = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
-        assert direct_sum([b], 5, 1).matrix == b.matrix
+        assert direct_sum([b], 5, 1).blocks == b.blocks
 
     def test_two_blocks(self):
         b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))   # a = 2
@@ -477,7 +500,10 @@ class TestDirectSum:
         assert w.size == 4 and w.g == 2
         from phinmod.exact_linalg import det
 
-        assert det(w.matrix) == 25
+        assert det(dense_weil(w)) == 25
+        # the summands' block objects, side by side: no dense matrix
+        assert w.blocks == b1.blocks + b2.blocks
+        assert all(x is y for x, y in zip(w.blocks, b1.blocks + b2.blocks))
 
     def test_revalidation_accepts_generated_data(self):
         w = direct_sum(
@@ -488,8 +514,9 @@ class TestDirectSum:
             5,
             1,
         )
-        again = validate_weil(w.matrix, 5, 1)
+        again = validate_weil(dense_weil(w), 5, 1)
         assert again == w
+        assert again.blocks == w.blocks and again.factors == w.factors
 
     def test_mixed_q_rejected(self):
         b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
@@ -507,5 +534,5 @@ class TestSlopeSymmetry:
             blocks.setdefault(p, []).append(w)
         for p, ws in blocks.items():
             w = direct_sum(ws, p, 1)
-            slopes = newton_slopes_sweep(char_poly(w.matrix), p)
+            slopes = newton_slopes_sweep(char_poly(dense_weil(w)), p)
             assert slopes == sorted(1 - s for s in slopes)
