@@ -16,8 +16,11 @@ one matrix, and their characteristic polynomials as factors, never
 multiplied out: the Newton polygon is the union of the factors' slopes.
 
 The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
-certified exactly.  For 2x2 blocks it is trace^2 <= 4q.  Above that, the
-functional equation writes the characteristic polynomial as
+certified exactly.  A 2x2 block shows its characteristic polynomial
+T^2 - trace*T + det in its entries, so no Berkowitz pass runs on it: det = q
+is its whole functional equation and trace^2 <= 4q its archimedean
+condition.  Above that, Berkowitz's algorithm gives the characteristic
+polynomial, and the functional equation writes it as
 chi(T) = T^g h(T + q/T) with h monic of degree g, and the eigenvalues all
 have absolute value sqrt(q) exactly when every root of h is real and lies
 in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for root-unitary
@@ -28,17 +31,18 @@ A + B sqrt(q) with A, B integers, counts those roots.
 :func:`validate_weil` certifies a matrix block by block.  One pass over the
 entries finds its finest contiguous diagonal blocks (no permutation), which
 the result keeps in place of the matrix, and each block gets the whole
-certificate: characteristic polynomial, det, functional equation and
-archimedean condition.  That accepts nothing the certificate of the whole
-matrix refuses.  If every block chi_i passes, then chi = prod chi_i has
-chi(0) = prod q^(g_i) = q^g; the functional equation,
-T^(2g) chi(q/T) = q^g chi(T), is multiplicative in the factors; and the
-roots of chi are those of the chi_i, all of absolute value sqrt(q).  The
-converse fails: the sum of T^2 - q with itself is Weil, but T^2 - q alone
-has det -q, and diag(p, p) at q = p^2 is Weil with blocks of odd size.  So
-when a block fails alone the whole matrix is certified instead, and the
-verdict and the message are those of the whole certificate.  A matrix that
-is one block, such as a dense 4 x 4, pays only the pass that finds it so.
+certificate: characteristic polynomial, det, functional equation (tested on
+its g independent conditions) and archimedean condition.  That accepts
+nothing the certificate of the whole matrix refuses.  If every block chi_i
+passes, then chi = prod chi_i has chi(0) = prod q^(g_i) = q^g; the
+functional equation, T^(2g) chi(q/T) = q^g chi(T), is multiplicative in the
+factors; and the roots of chi are those of the chi_i, all of absolute value
+sqrt(q).  The converse fails: the sum of T^2 - q with itself is Weil, but
+T^2 - q alone has det -q, and diag(p, p) at q = p^2 is Weil with blocks of
+odd size.  So when a block fails alone the whole matrix is certified
+instead, and the verdict and the message are those of the whole
+certificate.  A matrix that is one block, such as a dense 4 x 4, pays only
+the pass that finds it so.
 """
 
 from itertools import chain, compress
@@ -199,9 +203,14 @@ def _shown(n: int) -> str:
 
 
 def _functional_equation_holds(coeffs: list, q: int, g: int) -> bool:
-    # Ascending coefficients of a monic degree-2g polynomial; the weight-1
-    # functional equation is a_i = q^(g-i) * a_(2g-i) for every i.
-    return all(coeffs[i] * q ** i == coeffs[2 * g - i] * q ** g for i in range(2 * g + 1))
+    """Whether the ascending coefficients of a monic degree-2g polynomial
+    satisfy the weight-1 functional equation, a_i = q^(g-i) * a_(2g-i).
+
+    Only i < g is tested: i = g always holds, and i > g restates the
+    equation for 2g - i.  For g = 1 the one condition left, a_0 = q, is the
+    det check.
+    """
+    return all(coeffs[i] == coeffs[2 * g - i] * q ** (g - i) for i in range(g))
 
 
 def _real_weil_poly(coeffs: list, q: int, g: int) -> list:
@@ -351,10 +360,19 @@ def _diagonal_blocks(m: QMatrix) -> list:
 def _certify(rows: list, q: int) -> list:
     """chi of the even-sized integer square matrix ``rows``, after checking
     det = q^g, the functional equation and the archimedean condition on it;
-    the first that fails raises WeilValidationError naming it."""
+    the first that fails raises WeilValidationError naming it.
+
+    A 2 x 2 block [[a, b], [c, d]] shows chi = T^2 - (a + d) T + (ad - bc)
+    in its entries; a larger one gets Berkowitz's characteristic
+    polynomial.
+    """
     n = len(rows)
     g = n // 2
-    coeffs = charpoly_int(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        coeffs = [a * d - b * c, -(a + d), 1]
+    else:
+        coeffs = charpoly_int(rows)
     if coeffs[0] != q ** g:
         raise WeilValidationError(
             f"Weil validation failed: det = {_shown(coeffs[0])} != q^g = {_shown(q ** g)}"
@@ -365,8 +383,8 @@ def _certify(rows: list, q: int) -> list:
             "functional equation"
         )
     if n == 2:
-        _check_hasse(rows[0][0] + rows[1][1], q)
-    if n > 2 and not _archimedean_holds(coeffs, q, g):
+        _check_hasse(a + d, q)
+    elif not _archimedean_holds(coeffs, q, g):
         raise WeilValidationError(
             "Weil validation failed: archimedean check, not every eigenvalue "
             "has absolute value sqrt(q)"
@@ -401,7 +419,9 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     archimedean condition, trace^2 <= 4q for 2x2 blocks and certified by a
     Sturm sequence above (see the module docstring).  The archimedean
     condition also excludes 1 and q as eigenvalues, as |1| < sqrt(q) < q.
-    det is read off chi: for even size, det(m) = chi(0).
+    det is read off chi: for even size, det(m) = chi(0).  chi of a 2x2
+    block is read off its trace and determinant; Berkowitz computes it for
+    larger blocks and for the whole matrix.
 
     The result keeps the finest diagonal blocks of ``m`` (``m`` itself when
     it is one block, and none when it is empty, as a genus-0 component).

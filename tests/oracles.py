@@ -8,12 +8,16 @@ sum by Euler's criterion instead of baby-step giant-step point counting, a
 minimal-slope sweep instead of a monotone chain, spanning trees enumerated
 one by one instead of a Laplacian cofactor, one tree search per cycle and
 dense edge vectors instead of root paths and sparse supports, one
-determinant per leading minor instead of a single Bareiss pass, and trial
-division instead of Miller-Rabin.  Slow and only used at tiny sizes.
-Two oracles of shortcuts are the package's own code without the shortcut:
-``bareiss_unskipped``, the Bareiss pass with every row updated, and
-``resolve_by_validation``, which sends every component block through the
-general Weil gate.
+determinant per leading minor instead of a single Bareiss pass, trial
+division instead of Miller-Rabin, the functional equation stated at all
+2g + 1 indices instead of its g independent ones, and the closed form of
+genus-2 Weil polynomials instead of a Sturm sequence.  Slow and only used
+at tiny sizes.  Three oracles of shortcuts are the package's own code
+without the shortcut: ``bareiss_unskipped``, the Bareiss pass with every
+row updated, ``resolve_by_validation``, which sends every component block
+through the general Weil gate, and ``certify_berkowitz``, the Weil
+certificate with every characteristic polynomial computed (by Hessenberg
+reduction), a 2 x 2 one too.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -43,6 +47,7 @@ from fractions import Fraction
 from itertools import combinations, groupby
 
 import phinmod.weil_data as weil_data
+from phinmod.errors import WeilValidationError
 from phinmod.exact_linalg import NewtonPolygon, QMatrix
 from phinmod.io_formats import instance_to_json
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
@@ -447,6 +452,74 @@ def resolve_by_validation(src, p, f, bound):
         _, a = weil_data.count_points(src, bound)
         return weil_data.validate_weil(QMatrix.from_rows([[0, -src.p], [1, a]]), src.p, 1)
     return weil_data.validate_weil(src, p, f)
+
+
+def functional_equation_all_indices(coeffs, q, g):
+    """The weight-1 functional equation of the ascending coefficients of a
+    monic degree-2g polynomial, stated at every index i in 0..2g as
+    a_i * q^i == a_(2g-i) * q^g."""
+    return all(coeffs[i] * q ** i == coeffs[2 * g - i] * q ** g for i in range(2 * g + 1))
+
+
+def genus2_weil_closed_form(a1, a2, q):
+    """Whether every root of T^4 + a1 T^3 + a2 T^2 + q a1 T + q^2 has
+    absolute value sqrt(q), by the closed form of Rueck (1990) and Maisner
+    and Nart (2002, Lemma 2.1): h(x) = x^2 + a1 x + a2 - 2q has both roots
+    real (4 a2 <= a1^2 + 8q), its vertex in [-2 sqrt(q), 2 sqrt(q)]
+    (a1^2 <= 16q) and h(+-2 sqrt(q)) = a2 + 2q +- 2 a1 sqrt(q) >= 0."""
+    return (a1 * a1 <= 16 * q and 4 * a2 <= a1 * a1 + 8 * q and a2 + 2 * q >= 0
+            and 4 * a1 * a1 * q <= (a2 + 2 * q) ** 2)
+
+
+def _digit_count(n):
+    """Decimal digits of |n|, counted a thousand at a time, since ``str``
+    refuses an int of over 4300 digits."""
+    n, k, chunk = abs(n), 0, 10 ** 1000
+    while n >= chunk:
+        n //= chunk
+        k += 1000
+    return k + len(str(n))
+
+
+def _shown(n):
+    k = _digit_count(n)
+    return str(n) if k <= 60 else f"{'-' if n < 0 else ''}<{k}-digit integer>"
+
+
+def certify_berkowitz(rows, q):
+    """The Weil certificate of the even-sized square integer matrix ``rows``
+    in its general form: chi by Hessenberg reduction whatever the size,
+    det = q^g, the functional equation at every index, then trace^2 <= 4q
+    for a 2 x 2 matrix and the package's Sturm certificate above.  Returns
+    chi, ascending, or raises WeilValidationError with the package's
+    messages."""
+    n = len(rows)
+    g = n // 2
+    chi = charpoly_hessenberg(rows)
+    assert all(c.denominator == 1 for c in chi)
+    chi = [int(c) for c in chi]
+    if chi[0] != q ** g:
+        raise WeilValidationError(
+            f"Weil validation failed: det = {_shown(chi[0])} != q^g = {_shown(q ** g)}"
+        )
+    if not functional_equation_all_indices(chi, q, g):
+        raise WeilValidationError(
+            "Weil validation failed: characteristic polynomial violates the "
+            "functional equation"
+        )
+    if n == 2:
+        trace = rows[0][0] + rows[1][1]
+        if trace * trace > 4 * q:
+            raise WeilValidationError(
+                f"Weil validation failed: archimedean check, trace^2 = "
+                f"{_shown(trace * trace)} > 4q = {4 * q}"
+            )
+    elif not weil_data._archimedean_holds(chi, q, g):
+        raise WeilValidationError(
+            "Weil validation failed: archimedean check, not every eigenvalue "
+            "has absolute value sqrt(q)"
+        )
+    return chi
 
 
 # -- matrices and polygons that only tests build ------------------------------

@@ -797,13 +797,16 @@ class TestOncePerRequest:
             p=5,
         )
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
+        certificates = count_calls(monkeypatch, phinmod.weil_data._certify)
         char_polys = count_calls(monkeypatch, phinmod._backend.charpoly_int)
         report = json.loads(dump_json(run_checks(inst, DEFAULT_POINT_BOUND)))
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
         assert [args[0] for args in validations] == [block, inst.components["v3"]]
-        # one characteristic polynomial per diagonal block: v3 has two
-        rows = [[list(r) for r in args[0]] for args in char_polys]
+        # one certificate per diagonal block: v3 has two
+        rows = [[list(r) for r in args[0]] for args in certificates]
         assert rows == [block.to_rows(), block.to_rows(), [[0, -5], [1, 0]]]
+        # every block is 2 x 2, so its chi is read off its trace and det
+        assert char_polys == []
 
     def test_one_spanning_tree_per_curve(self, monkeypatch):
         trees = count_calls(monkeypatch, phinmod.graph_core._spanning_tree)

@@ -13,9 +13,11 @@ from phinmod.errors import ValidationError, WeilValidationError
 from phinmod.fuzz import instance_stream
 from phinmod.exact_linalg import QMatrix, char_poly
 from phinmod.weil_data import (
+    MAX_ENTRY_DIGITS,
     EllipticCurveSpec,
     _archimedean_holds,
     _certify,
+    _functional_equation_holds,
     count_points,
     direct_sum,
     frobenius_of_elliptic,
@@ -23,9 +25,12 @@ from phinmod.weil_data import (
 )
 
 from oracles import (
+    certify_berkowitz,
     count_points_xy,
     dense_weil,
     finest_blocks,
+    functional_equation_all_indices,
+    genus2_weil_closed_form,
     identity,
     is_prime_trial,
     newton_slopes_sweep,
@@ -198,18 +203,26 @@ class TestValidateWeil:
         assert ok.g == 2
 
     def test_size_and_entry_caps_before_char_poly(self, monkeypatch):
-        from phinmod.weil_data import MAX_ENTRY_DIGITS, MAX_WEIL_SIZE
+        from phinmod.weil_data import MAX_WEIL_SIZE
 
         def no_char_poly(m):
             raise AssertionError("char_poly reached")
 
+        def no_certificate(rows, q):
+            raise AssertionError("certificate reached")
+
+        # a 2 x 2 block never reaches charpoly_int, so the certificate
+        # itself is patched too
         monkeypatch.setattr("phinmod.weil_data.charpoly_int", no_char_poly)
+        monkeypatch.setattr("phinmod.weil_data._certify", no_certificate)
         n = MAX_WEIL_SIZE + 2
         with pytest.raises(WeilValidationError, match=f"{n} rows; a Weil block has at most"):
             validate_weil(zeros(n, n), 5)
         for big in (10 ** MAX_ENTRY_DIGITS, -(10 ** MAX_ENTRY_DIGITS)):
-            with pytest.raises(WeilValidationError, match=f"more than {MAX_ENTRY_DIGITS}"):
-                validate_weil([[0, big], [1, 0]], 5)
+            for rows in ([[0, big], [1, 0]],
+                         [[0, 0, 0, big], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]):
+                with pytest.raises(WeilValidationError, match=f"more than {MAX_ENTRY_DIGITS}"):
+                    validate_weil(rows, 5)
 
     def test_f_greater_than_one(self):
         # companion of T^2 - 3T + 9 at q = 3^2
@@ -371,13 +384,170 @@ class TestArchimedeanCertificate:
                                 validate_weil(m, p, f)
 
 
+def certificate_outcome(certify, rows, q):
+    """("ok", chi) or ("refused", message) of one certificate function."""
+    try:
+        return "ok", list(certify(rows, q))
+    except WeilValidationError as exc:
+        return "refused", str(exc)
+
+
+def conjugated_companion(trace, det, ks):
+    """A 2 x 2 matrix with the given trace and det: the companion of
+    T^2 - trace*T + det conjugated by [[1, k], [0, 1]] for each k of ``ks``,
+    transposed in between so the shears alternate sides."""
+    a, b, c, d = 0, -det, 1, trace
+    for k in ks:
+        a, b, d = a + k * c, b + k * (d - a) - k * k * c, d - k * c
+        b, c = c, b
+    return [[a, b], [c, d]]
+
+
+# (p, f) for the 2 x 2 certificate: q = 2, 3, 5, 9, 25, 101
+FIELDS_2X2 = [(2, 1), (3, 1), (5, 1), (3, 2), (5, 2), (101, 1)]
+
+
+@st.composite
+def two_by_two(draw):
+    """(rows, q): small entries, a trace near +-2 sqrt(q) with det = +-q,
+    or entries of up to about 40 digits, random or of det = +-q."""
+    p, f = draw(st.sampled_from(FIELDS_2X2))
+    q = p ** f
+    edge = math.isqrt(4 * q)
+    kind = draw(st.sampled_from(["small", "near_hasse", "big", "big_det_q"]))
+    if kind == "small":
+        entries = draw(st.lists(st.integers(-12, 12), min_size=4, max_size=4))
+        return [entries[:2], entries[2:]], q
+    det = draw(st.sampled_from([q, q, -q]))
+    if kind == "big":
+        entries = draw(st.lists(st.integers(-10 ** 40, 10 ** 40), min_size=4, max_size=4))
+        return [entries[:2], entries[2:]], q
+    if kind == "near_hasse":
+        trace = draw(st.sampled_from([-1, 1])) * (edge + draw(st.integers(-2, 2)))
+        ks = draw(st.lists(st.integers(-30, 30), max_size=2))
+    else:
+        trace = draw(st.one_of(st.integers(-edge - 2, edge + 2),
+                               st.integers(-10 ** 20, 10 ** 20)))
+        ks = draw(st.lists(st.integers(-10 ** 20, 10 ** 20), min_size=1, max_size=2))
+    return conjugated_companion(trace, det, ks), q
+
+
+class TestTwoByTwoCertificate:
+    """A 2 x 2 block's chi is read off its trace and determinant; the
+    certificate must give the chi, or the refusal and its message, of the
+    general certificate built on the Hessenberg characteristic polynomial."""
+
+    def test_conjugated_companion_keeps_trace_and_det(self):
+        for ks in ([], [3], [-7, 2], [10 ** 20, -(10 ** 19)]):
+            (a, b), (c, d) = conjugated_companion(5, -9, ks)
+            assert (a + d, a * d - b * c) == (5, -9), ks
+
+    @settings(max_examples=600, deadline=None)
+    @given(two_by_two())
+    def test_same_outcome_as_the_general_certificate(self, case):
+        rows, q = case
+        assert certificate_outcome(_certify, rows, q) == certificate_outcome(
+            certify_berkowitz, rows, q)
+
+    def test_hasse_boundary(self):
+        # a^2 = 4q is accepted (q = 9, 25), a^2 = 4q + 1 refused (q = 2)
+        for rows, q in (([[0, -9], [1, 6]], 9), ([[0, -25], [1, -10]], 25)):
+            assert _certify(rows, q) == certify_berkowitz(rows, q) == [q, -rows[1][1], 1]
+        refusal = "archimedean check, trace^2 = 9 > 4q = 8"
+        for rows in ([[0, -2], [1, 3]], conjugated_companion(-3, 2, [4, -1])):
+            outcome = certificate_outcome(_certify, rows, 2)
+            assert outcome == certificate_outcome(certify_berkowitz, rows, 2)
+            assert outcome[0] == "refused" and refusal in outcome[1]
+
+    def test_entries_near_the_digit_cap(self):
+        # det and trace^2 of thousands of digits are named by digit count
+        big = 10 ** (MAX_ENTRY_DIGITS - 1) - 1
+        half = 10 ** (MAX_ENTRY_DIGITS // 2 - 1)
+        cases = [
+            ([[big, big], [big, big - 1]], 5),  # det = -big: 3999 digits
+            ([[-big, 0], [0, big]], 5),  # det = -big^2: 7998 digits
+            ([[big, 1], [0, 1]], 10 ** 60 - 1),  # 60 digits, shown in full
+            ([[big, 1], [0, 1]], 7),
+            (conjugated_companion(4, 5, [half]), 5),  # Weil, entries ~ 10^3998
+            (conjugated_companion(half, 5, [half]), 5),  # trace^2 of 3999 digits
+            (conjugated_companion(-5, 5, [half, 3]), 5),
+        ]
+        outcomes = []
+        for rows, q in cases:
+            assert max(abs(x) for r in rows for x in r) < 10 ** MAX_ENTRY_DIGITS
+            outcome = certificate_outcome(_certify, rows, q)
+            assert outcome == certificate_outcome(certify_berkowitz, rows, q), rows
+            outcomes.append(outcome)
+        assert "det = -<3999-digit integer> != q^g = 5" in outcomes[0][1]
+        assert "det = -<7998-digit integer>" in outcomes[1][1]
+        assert outcomes[4] == ("ok", [5, -4, 1])
+        assert "trace^2 = <3999-digit integer> > 4q = 20" in outcomes[5][1]
+
+
+class TestFunctionalEquation:
+    """The g conditions tested against the statement at every index."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_verdict_as_every_index(self, data):
+        p, f = data.draw(st.sampled_from(FIELDS))
+        q = p ** f
+        g = data.draw(st.integers(1, 5))
+        h = data.draw(st.lists(st.integers(-3 * q, 3 * q), min_size=g, max_size=g)) + [1]
+        chi = chi_from_h(h, q)
+        assert functional_equation_all_indices(chi, q, g)
+        if data.draw(st.booleans()):
+            # a_g is the equation's fixed point: any other change breaks it
+            i = data.draw(st.integers(0, 2 * g - 1))
+            chi[i] += data.draw(st.integers(-3, 3).filter(bool))
+            assert functional_equation_all_indices(chi, q, g) == (i == g)
+        assert _functional_equation_holds(chi, q, g) == functional_equation_all_indices(chi, q, g)
+
+
+@st.composite
+def genus_two_near_boundaries(draw):
+    """(a1, a2, q) with a1 near +-4 sqrt(q) or anywhere inside, and a2 near
+    one of the closed form's boundaries or anywhere in its range."""
+    p, f = draw(st.sampled_from(FIELDS + [(101, 1), (3, 5)]))
+    q = p ** f
+    edge = math.isqrt(16 * q)
+    a1 = draw(st.one_of(
+        st.builds(lambda s, o: s * (edge + o), st.sampled_from([-1, 1]), st.integers(-2, 2)),
+        st.integers(-edge - 2, edge + 2)))
+    # the largest a2 with real roots, the smallest with h(+-2 sqrt(q)) >= 0
+    real = (a1 * a1 + 8 * q) // 4
+    ends = (math.isqrt(4 * a1 * a1 * q - 1) + 1 if a1 else 0) - 2 * q
+    a2 = draw(st.one_of(
+        st.builds(lambda b, o: b + o, st.sampled_from([real, ends, -2 * q]), st.integers(-2, 2)),
+        st.integers(-2 * q - 3, 6 * q + 3)))
+    return a1, a2, q
+
+
+class TestGenusTwoClosedForm:
+    """The Sturm certificate at g = 2 against the closed form of Rueck and
+    Maisner-Nart."""
+
+    @settings(max_examples=800, deadline=None)
+    @given(genus_two_near_boundaries())
+    def test_same_verdict_as_the_closed_form(self, case):
+        a1, a2, q = case
+        chi = [q * q, q * a1, a2, a1, 1]
+        assert _archimedean_holds(chi, q, 2) == genus2_weil_closed_form(a1, a2, q)
+
+    def test_boundary_points(self):
+        # (T^2 - 5)^2 and (T -+ 3)^4 at q = 9 have the roots of h at the
+        # endpoints +-2 sqrt(q), simple and double; a1 = 13 and a2 = -11
+        # step outside
+        for a1, a2, q, truth in ((0, -10, 5, True), (12, 54, 9, True), (-12, 54, 9, True),
+                                 (13, 54, 9, False), (0, -11, 5, False)):
+            assert genus2_weil_closed_form(a1, a2, q) == truth, (a1, a2, q)
+            assert _archimedean_holds([q * q, q * a1, a2, a1, 1], q, 2) == truth, (a1, a2, q)
+
+
 def whole_verdict(m, p, f):
     """The certificate run on the whole matrix, as before blocks were
     split: ("ok", chi) or ("refused", message)."""
-    try:
-        return "ok", list(_certify(m.to_rows(), p ** f))
-    except WeilValidationError as exc:
-        return "refused", str(exc)
+    return certificate_outcome(_certify, m.to_rows(), p ** f)
 
 
 def blockwise_verdict(m, p, f):
