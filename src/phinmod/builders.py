@@ -121,7 +121,8 @@ class UniformizationData(Record):
         check_q(p, f)
         if (gram.rows, gram.cols) != (torus_rank, torus_rank):
             raise ValidationError(
-                f"gram is {gram.rows}x{gram.cols}, torus rank is {torus_rank}"
+                f"field 'torus_rank' = {clipped(torus_rank)} is not the torus rank of a "
+                f"{gram.rows}x{gram.cols} gram"
             )
         if (b_frobenius.p, b_frobenius.f) != (p, f):
             raise ValidationError("good-reduction Frobenius q mismatch")

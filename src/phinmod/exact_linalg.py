@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 from ._backend import bareiss, bareiss_symmetric, charpoly_int
 from ._record import Record
-from .errors import ValidationError
+from .errors import ValidationError, clipped
 
 Rational = Union[int, Fraction]
 
@@ -61,7 +61,7 @@ def is_prime(n: int) -> bool:
     """
     if n >= PRIME_BOUND:
         raise ValidationError(
-            f"field 'p' = {n} is not below {PRIME_BOUND}, the bound of the "
+            f"field 'p' = {clipped(n)} is not below {PRIME_BOUND}, the bound of the "
             f"exact primality test"
         )
     if n < 2:

@@ -5,8 +5,19 @@ never face 64-bit overflow and round-trips are bit-exact.  Matrix entries
 are integers; only a slope or ``t_newton`` of a report may be fractional,
 written "a/b" in lowest terms.  A matrix entry that is not a decimal
 integer of at most MAX_ENTRY_DIGITS digits is refused before it is parsed.
-A row of strings is read in one pass: one pattern match per entry, then one
-``map(int, row)``; only other rows are read entry by entry.
+
+:func:`instance_from_json` reads a well-formed instance in one pass.  Its
+whole shape is read first, by direct indexing and exact type tests, with
+integer fields matched by ``INT_TEXT`` and matrix entries by ``_ENTRY``;
+then the records are built, in the order of the field-by-field reader, and
+their errors propagate.  On any shape fault (a missing key, a value of the
+wrong JSON type, a JSON number where a string of digits belongs, a bad
+entry, a ragged, non-square or oversized matrix, an unknown source type, an
+elliptic source of an abelian variety at f != 1) nothing is built, and the
+field-by-field reader :func:`_read_by_field` reads the file again: it is
+the only code that names a fault, so messages do not depend on which reader
+ran.  In that reader a row of strings takes one pattern match per entry,
+then one ``map(int, row)``; only other rows are read entry by entry.
 
 A request's result is a :class:`Report` record: the instance, its module
 and the verdicts of its checks.  :func:`dump_json` writes it section by
@@ -41,11 +52,12 @@ from ._record import Record
 from .builders import CurveInstance, UniformizationData, resolve_component
 from .errors import SchemaError, clipped, clipped_key
 from .exact_linalg import QMatrix
-from .graph_core import DualGraph
+from .graph_core import DualGraph, Edge, Vertex
 from .phin_module import PhiNModule, PolygonReport, RelationReport
 from .weil_data import (
     DEFAULT_POINT_BOUND,
     MAX_ENTRY_DIGITS,
+    MAX_WEIL_SIZE,
     EllipticCurveSpec,
     check_weil_size,
     direct_sum,
@@ -217,8 +229,9 @@ def instance_to_json(inst) -> dict:
     raise TypeError(f"not an instance: {inst!r}")
 
 
-def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
-    """Parse and validate an instance file; SchemaError names the bad field."""
+def _read_by_field(obj, bound: int = DEFAULT_POINT_BOUND):
+    """Parse and validate an instance file field by field; SchemaError
+    names the bad field."""
     if not isinstance(obj, Mapping):
         raise SchemaError("instance file must be a JSON object")
     # an instance may omit its format; one that names it names this one
@@ -271,6 +284,123 @@ def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
             torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
         )
     raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")
+
+
+def _int(text) -> int:
+    """An integer field read in one pass: a string of INT_TEXT.  A JSON
+    number, or any other value, raises TypeError, and digits beyond Python's
+    int/str limit raise ValueError."""
+    if not INT_TEXT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+def _matrix(rows) -> QMatrix:
+    """A matrix read in one pass: a list of equal-length lists of entry
+    strings, each matched by ``_ENTRY``; any other value raises ValueError
+    or TypeError."""
+    if type(rows) is not list:
+        raise ValueError("not a list")
+    n = len(rows[0]) if rows else 0
+    cells = []
+    for r in rows:
+        if type(r) is not list or len(r) != n:
+            raise ValueError("not a row")
+        cells += r
+    if not all(map(_ENTRY.fullmatch, cells)):  # TypeError for a non-string
+        raise ValueError("bad entry")
+    return QMatrix(len(rows), n, tuple(map(int, cells)))
+
+
+def _source(src):
+    """A component source read in one pass: None for genus 0, the pair
+    (a4, a6) of an elliptic curve, or a square matrix of at most
+    MAX_WEIL_SIZE rows."""
+    if type(src) is not dict:
+        raise ValueError("not an object")
+    kind = src["type"]
+    if kind == "genus0":
+        return None
+    if kind == "elliptic":
+        return _int(src["a4"]), _int(src["a6"])
+    # the size is tested first, so a large block is not read
+    rows = src["entries"] if kind == "matrix" else None
+    if type(rows) is not list or len(rows) > MAX_WEIL_SIZE:
+        raise ValueError("not a matrix source")
+    m = _matrix(rows)
+    if m.rows != m.cols:
+        raise ValueError("not square")
+    return m
+
+
+def _spec(src, p: int):
+    """A source read by :func:`_source`, its elliptic pair built into a
+    curve at p."""
+    return EllipticCurveSpec(p, *src) if type(src) is tuple else src
+
+
+def _read_shape(obj) -> tuple:
+    """(kind, p, f, a, b, sources) of a well-formed instance, read in one
+    pass with no record built: a curve's vertices, edges and sources by
+    vertex id, or an abelian variety's torus rank, Gram matrix and list of
+    sources.  Any shape fault raises KeyError, TypeError or ValueError."""
+    if type(obj) is not dict or obj.get("format", FORMAT_NAME) != FORMAT_NAME:
+        raise ValueError("not an instance")
+    kind, p, f = obj["kind"], _int(obj["p"]), _int(obj["f"])
+    if kind == "curve":
+        graph, comps = obj["graph"], obj["components"]
+        if type(graph) is not dict or type(comps) is not dict:
+            raise ValueError("not an object")
+        vs, es = graph["vertices"], graph["edges"]
+        if type(vs) is not list or type(es) is not list:
+            raise ValueError("not a list")
+        vertices, edges, sources = [], [], {}
+        for v in vs:
+            if type(v) is not dict or type(i := v["id"]) is not str:
+                raise ValueError("not a vertex")
+            vertices.append(Vertex(i, _int(v["genus"])))
+        for e in es:
+            if type(e) is not dict:
+                raise ValueError("not an edge")
+            i, t, h = e["id"], e["tail"], e["head"]
+            if not type(i) is type(t) is type(h) is str:
+                raise ValueError("not an edge")
+            edges.append(Edge(i, t, h))
+        for vid, src in comps.items():
+            if type(vid) is not str:
+                raise ValueError("not a vertex id")
+            sources[vid] = _source(src)
+        return kind, p, f, tuple(vertices), tuple(edges), sources
+    if kind == "av":
+        torus_rank, gram = _int(obj["torus_rank"]), _matrix(obj["gram"])
+        srcs = obj["b_frobenius"]
+        if type(srcs) is not list:
+            raise ValueError("not a list")
+        sources = list(map(_source, srcs))
+        if f != 1 and tuple in map(type, sources):
+            raise ValueError("elliptic source at f != 1")
+        return kind, p, f, torus_rank, gram, sources
+    raise ValueError("unknown kind")
+
+
+def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
+    """Parse and validate an instance file; SchemaError names the bad field.
+
+    The whole shape is read first, in one pass.  If it holds, the records
+    are built in the order of the field-by-field reader, and their errors
+    propagate.  On any shape fault nothing is built, and
+    :func:`_read_by_field` reads the file again and names the fault."""
+    try:
+        kind, p, f, a, b, sources = _read_shape(obj)
+    except (KeyError, TypeError, ValueError):
+        return _read_by_field(obj, bound)
+    if kind == "curve":
+        graph = DualGraph(a, b)
+        components = {vid: _spec(s, p) for vid, s in sources.items()}
+        return CurveInstance(graph=graph, components=components, p=p, f=f)
+    blocks = [resolve_component(_spec(s, p), p, f, bound) for s in sources]
+    return UniformizationData(torus_rank=a, gram=b, b_frobenius=direct_sum(blocks, p, f),
+                              p=p, f=f)
 
 
 def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):

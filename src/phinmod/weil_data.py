@@ -51,7 +51,7 @@ from math import gcd
 from ._backend import charpoly_int
 from ._backend import count_points as _count_points_kernel
 from ._record import Record
-from .errors import ValidationError, WeilValidationError
+from .errors import ValidationError, WeilValidationError, clipped
 from .exact_linalg import QMatrix, is_prime
 
 DEFAULT_POINT_BOUND = 10 ** 4
@@ -71,12 +71,13 @@ def check_q(p: int, f: int, context: str = "") -> None:
     p^f is formed.
     """
     if not is_prime(p):
-        raise ValidationError(f"field '{context}p' = {p} is not prime")
+        raise ValidationError(f"field '{context}p' = {clipped(p)} is not prime")
     if f < 1:
-        raise ValidationError(f"field '{context}f' = {f} must be >= 1")
+        raise ValidationError(f"field '{context}f' = {clipped(f)} must be >= 1")
     if f * (p.bit_length() - 1) >= 4 * MAX_Q_DIGITS or p ** f >= _Q_LIMIT:
         raise ValidationError(
-            f"field '{context}f' = {f}: q = p^f has more than {MAX_Q_DIGITS} decimal digits"
+            f"field '{context}f' = {clipped(f)}: q = p^f has more than {MAX_Q_DIGITS} "
+            f"decimal digits"
         )
 
 
@@ -153,7 +154,7 @@ class EllipticCurveSpec(Record):
 
     def __init__(self, p: int, a4: int, a6: int):
         if p == 2 or not is_prime(p):
-            raise ValidationError(f"field 'p' = {p} is not an odd prime")
+            raise ValidationError(f"field 'p' = {clipped(p)} is not an odd prime")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "a4", a4 % p)
         object.__setattr__(self, "a6", a6 % p)

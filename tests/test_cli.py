@@ -307,6 +307,41 @@ class TestIntegerFields:
         assert main(["build", write_instance(tmp_path, _elliptic_curve(p="+7", a4="-3"))]) == 0
 
 
+BIG = "9" * 4000
+
+
+class TestLongIntegersClipped:
+    """An integer field of 4000 digits that the records refuse is shown
+    clipped: one line of stderr, short, naming the field."""
+
+    def _av(self, **fields) -> dict:
+        return {"kind": "av", "p": "5", "f": "1", "torus_rank": "1", "gram": [["1"]],
+                "b_frobenius": [], **fields}
+
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            (_elliptic_curve(p=BIG), "'p'"),
+            (_elliptic_curve(p="-" + BIG), "'p'"),
+            (_elliptic_curve(f=BIG), "'f'"),
+            (_elliptic_curve(f="-" + BIG), "'f'"),
+            ({"kind": "av", "p": BIG, "f": "1", "torus_rank": "1", "gram": [["1"]],
+              "b_frobenius": []}, "'p'"),
+            ({"kind": "av", "p": "-" + BIG, "f": "1", "torus_rank": "1", "gram": [["1"]],
+              "b_frobenius": []}, "'p'"),
+            ({"kind": "av", "p": "5", "f": "1", "torus_rank": BIG, "gram": [["1"]],
+              "b_frobenius": []}, "'torus_rank'"),
+        ],
+        ids=["curve-p", "curve-negative-p", "curve-f", "curve-negative-f", "av-p",
+             "av-negative-p", "torus-rank"],
+    )
+    def test_exit_2_with_one_short_line(self, tmp_path, capsys, obj, field):
+        assert main(["build", write_instance(tmp_path, obj)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200, err
+        assert f"field {field} = " in err and "Traceback" not in err
+
+
 class TestNoSettings:
     """A report depends on its input alone: the commands take no option
     that changes it and read no environment variable."""
