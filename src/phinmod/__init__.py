@@ -21,7 +21,6 @@ from .errors import GraphError, SchemaError, ValidationError, WeilValidationErro
 from .exact_linalg import (
     NewtonPolygon,
     QMatrix,
-    Rational,
     char_poly,
     det,
     rank,
@@ -60,7 +59,6 @@ __all__ = [
     "NewtonPolygon",
     "PhiNModule",
     "QMatrix",
-    "Rational",
     "SchemaError",
     "UniformizationData",
     "ValidationError",

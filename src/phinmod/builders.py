@@ -15,7 +15,7 @@ the number of spanning trees of the dual graph (the order of the component
 group of the Jacobian), counted by the matrix-tree theorem.
 """
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from ._record import FrozenMap, Record
 from .errors import ValidationError, clipped, clipped_items

@@ -12,20 +12,18 @@ as a positive definite Gram matrix's are; the symmetry test is made once
 per matrix too.
 
 Slopes of Newton polygons and their totals are the only fractional
-values: plain ``int`` where the denominator is 1, ``fractions.Fraction``
-otherwise.  No floating point enters this module.
+values, and each is kept as the pair of ``int`` (num, den) in lowest terms,
+den >= 1 and the sign on num: an integer slope n is (n, 1).  No floating
+point enters this module.
 """
 
-from fractions import Fraction
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, Sequence, Union
 
 from ._backend import bareiss, bareiss_symmetric, charpoly_int
 from ._record import Record
 from .errors import ValidationError, clipped
-
-Rational = Union[int, Fraction]
 
 
 # (base, bound): Miller-Rabin to every prime base up to and including
@@ -253,7 +251,9 @@ def _valuation(x: int, p: int) -> int:
 class NewtonPolygon(Record):
     """Slope data: (slope, multiplicity) pairs with strictly increasing
     slopes and positive multiplicities, as ``phin_module.hodge_newton``
-    builds them; the record does not check them again.
+    builds them; the record does not check them again.  A slope is the
+    lowest-terms pair (num, den) of ints with den >= 1: slope 1/2 is
+    (1, 2) and slope 0 is (0, 1).
 
     Slopes follow the reciprocal-root convention: an eigenvalue alpha of
     valuation v contributes multiplicity 1 at slope v.

@@ -29,10 +29,10 @@ count shares no kernel with the determinant of the Gram matrix it is
 compared with.
 """
 
+from collections.abc import Sequence
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import Sequence
 
 from ._record import Record
 from .errors import GraphError, clipped
@@ -235,11 +235,6 @@ def spanning_tree_count(g: DualGraph) -> int:
     if n == 1:
         return 1
     bits = prime.bit_length()
-
-    def fold(t):
-        t = (t & prime) + (t >> bits)
-        return (t & prime) + (t >> bits)
-
     rows = [{} for _ in range(n)]
     diag = [0] * n
     for e in g.edges:
@@ -262,14 +257,23 @@ def spanning_tree_count(g: DualGraph) -> int:
             continue
         rows[k] = None
         c = diag[k]
-        count = fold(count * c)
+        # each product is folded twice, inline: a call per update costs more
+        t = count * c
+        t = (t & prime) + (t >> bits)
+        count = (t & prime) + (t >> bits)
         inverse = 1 if c == 1 else pow(c, -1, prime)
         for i in row:
             ri = rows[i]
-            m = fold(ri.pop(k) * inverse)  # M_ik / c
-            diag[i] = fold(diag[i] - m * row[i])
+            t = ri.pop(k) * inverse
+            t = (t & prime) + (t >> bits)
+            m = (t & prime) + (t >> bits)  # M_ik / c
+            t = diag[i] - m * row[i]
+            t = (t & prime) + (t >> bits)
+            diag[i] = (t & prime) + (t >> bits)
             for j, b in row.items():
                 if j != i:
-                    ri[j] = fold(ri.get(j, 0) - m * b)
+                    t = ri.get(j, 0) - m * b
+                    t = (t & prime) + (t >> bits)
+                    ri[j] = (t & prime) + (t >> bits)
             heappush(heap, (len(ri), i))
     return count % prime

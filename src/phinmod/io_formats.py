@@ -2,9 +2,11 @@
 
 One JSON dialect for both: every number is a decimal string, so consumers
 never face 64-bit overflow and round-trips are bit-exact.  Matrix entries
-are integers; only a slope or ``t_newton`` of a report may be fractional,
-written "a/b" in lowest terms.  A matrix entry that is not a decimal
-integer of at most MAX_ENTRY_DIGITS digits is refused before it is parsed.
+are integers; only a slope or ``t_newton`` of a report may be fractional.
+The report keeps each as its lowest-terms pair (num, den), den >= 1, and
+it is written "num" when den is 1 and "num/den" otherwise.  A matrix entry
+that is not a decimal integer of at most MAX_ENTRY_DIGITS digits is
+refused before it is parsed.
 
 :func:`instance_from_json` reads a well-formed instance in one pass.  Its
 whole shape is read first, by direct indexing and exact type tests, with
@@ -612,11 +614,18 @@ _MODULE_HEAD = ''',
     "gram": '''
 
 
+def _ratio(pair: tuple) -> str:
+    """Text of a lowest-terms (num, den): "num" when den is 1, else
+    "num/den"."""
+    num, den = pair
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def _slopes(slopes, indent: str) -> str:
-    """[[slope, multiplicity], ...] of a polygon's pairs; a slope is an int
-    or a Fraction, whose text is "a" or "a/b" in lowest terms."""
+    """[[slope, multiplicity], ...] of a polygon's pairs, each slope
+    written by :func:`_ratio`."""
     i1, i2 = indent + "  ", indent + "    "
-    return _array([f'[{i2}"{s}",{i2}"{n}"{i1}]' for s, n in slopes], indent)
+    return _array([f'[{i2}"{_ratio(s)}",{i2}"{n}"{i1}]' for s, n in slopes], indent)
 
 
 def _write_report(out: list, r: Report) -> None:
@@ -633,7 +642,7 @@ def _write_report(out: list, r: Report) -> None:
             f',\n    "p": "{m.p}",\n    "phi": ')
     _write_rows(out, m.dimension, _phi_runs(m), i)
     out.append(f',\n    "t_hodge": "{polygons.t_hodge}",\n'
-               f'    "t_newton": "{polygons.t_newton}"\n  }}\n}}')
+               f'    "t_newton": "{_ratio(polygons.t_newton)}"\n  }}\n}}')
 
 
 def dump_json(obj) -> str:

@@ -33,7 +33,6 @@ inputs in scope the dual side carries the same Gram matrix, which turns the
 into an exact matrix identity.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
 
@@ -42,7 +41,6 @@ from .errors import ValidationError
 from .exact_linalg import (
     NewtonPolygon,
     QMatrix,
-    Rational,
     _hull_segments,
     _valuation,
     is_positive_definite,
@@ -198,13 +196,15 @@ class PolygonReport(Record):
     """Newton and Hodge data of the module's Frobenius and filtration.
 
     ``newton`` has its slopes normalized by 1/f; ``newton_symmetric`` says
-    whether they are invariant under s -> 1 - s.
+    whether they are invariant under s -> 1 - s.  ``t_newton`` and every
+    slope are lowest-terms (num, den) pairs of ints, den >= 1; ``t_hodge``
+    is the int fil1_dim.
     """
 
     _fields = ("t_newton", "t_hodge", "newton", "hodge", "endpoints_equal",
                "newton_on_or_above_hodge", "newton_symmetric")
 
-    def __init__(self, t_newton: Rational, t_hodge: int, newton: NewtonPolygon,
+    def __init__(self, t_newton: tuple, t_hodge: int, newton: NewtonPolygon,
                  hodge: NewtonPolygon, endpoints_equal: bool, newton_on_or_above_hodge: bool,
                  newton_symmetric: bool):
         object.__setattr__(self, "t_newton", t_newton)
@@ -236,8 +236,9 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
       :func:`_on_or_above_hodge`);
     * endpoints: v_p(det phi) = f * fil1, with det phi from its blocks.
 
-    Only the reported slopes and ``t_newton`` that are not integers become
-    Fractions.
+    The report keeps these pairs as they are: every Newton and Hodge slope,
+    and ``t_newton`` = v_p(det phi) / f, is a lowest-terms (num, den) with
+    den >= 1, an integer n being (n, 1).
     """
     w0, _, w2 = m.dims
     d, p, f, fil1 = m.dimension, m.p, m.f, m.fil1_dim
@@ -263,12 +264,12 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     slopes = sorted(mult, key=rise.get)
     knee = d - fil1  # the Hodge polygon has slope 0 up to here, then 1
     v = _valuation(_det_phi(m), p) if d else 0
+    g = gcd(v, f)
     return PolygonReport(
-        t_newton=v // f if v % f == 0 else Fraction(v, f),
+        t_newton=(v // g, f // g),
         t_hodge=fil1,
-        newton=NewtonPolygon(tuple(
-            (num if den == 1 else Fraction(num, den), mult[num, den]) for num, den in slopes)),
-        hodge=NewtonPolygon(tuple((s, k) for s, k in ((0, knee), (1, fil1)) if k > 0)),
+        newton=NewtonPolygon(tuple((s, mult[s]) for s in slopes)),
+        hodge=NewtonPolygon(tuple((s, k) for s, k in (((0, 1), knee), ((1, 1), fil1)) if k > 0)),
         endpoints_equal=v == f * fil1,
         newton_on_or_above_hodge=_on_or_above_hodge(
             [(mult[s], rise[s]) for s in slopes], knee, scale),

@@ -33,8 +33,11 @@ module with ``int`` and the dense construction alone: no command of the
 package reads a report.
 
 The matrix and polygon helpers that only tests need (identity, zero and
-scalar matrices, sums and multiples, and a polygon's slope multiset,
-heights and total) live here too.
+scalar matrices, sums and multiples, and a polygon's slope multiset and
+heights) live here too.  The package keeps a slope as the lowest-terms
+pair (num, den); the oracles compute with ``Fraction`` and meet the
+package's pairs only through ``as_pair`` (out) and ``slope_multiset``
+(in).
 
 ``report_dict`` is the report as the nested dict the package once built
 and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
@@ -45,6 +48,7 @@ dense module.  It defines the report's bytes as
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
+from math import gcd
 
 import phinmod.weil_data as weil_data
 from phinmod.errors import WeilValidationError
@@ -524,13 +528,11 @@ def certify_berkowitz(rows, q):
 
 # -- matrices and polygons that only tests build ------------------------------
 
-def as_rational(x):
-    """An exact scalar: an int as it is, a Fraction with denominator 1 as
-    its numerator, anything else through ``Fraction(x)`` the same way."""
-    if isinstance(x, int):
-        return x
+def as_pair(x):
+    """The lowest-terms (num, den), den >= 1, of an exact scalar (an int
+    or a Fraction): the package's form of a slope."""
     x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
+    return (x.numerator, x.denominator)
 
 
 def identity(n):
@@ -557,14 +559,16 @@ def scale(m, c):
     return QMatrix(m.rows, m.cols, tuple(c * x for x in m.entries))
 
 
-def polygon_of_slopes(slopes):
-    """The NewtonPolygon of an unsorted slope multiset, duplicates merged."""
-    ordered = sorted(as_rational(x) for x in slopes)
-    return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(ordered)))
+def is_lowest_terms(pair):
+    """Whether pair is (num, den) of ints with den >= 1 and gcd 1."""
+    num, den = pair
+    return type(num) is int and type(den) is int and den >= 1 and gcd(num, den) == 1
 
 
 def slope_multiset(polygon):
-    return [s for s, k in polygon.slopes for _ in range(k)]
+    """The slopes of a polygon, each (num, den) read as a Fraction, as
+    often as its multiplicity."""
+    return [Fraction(*s) for s, k in polygon.slopes for _ in range(k)]
 
 
 def symmetric_slopes(polygon):
@@ -576,14 +580,10 @@ def symmetric_slopes(polygon):
 def heights(polygon):
     """Partial sums of the sorted slope multiset: the polygon's vertices at
     every integer point."""
-    out = [0]
+    out = [Fraction(0)]
     for s in slope_multiset(polygon):
-        out.append(as_rational(out[-1] + s))
+        out.append(out[-1] + s)
     return out
-
-
-def total(polygon):
-    return as_rational(sum(s * k for s, k in polygon.slopes))
 
 
 # -- the dense (phi, N)-module ------------------------------------------------
@@ -706,8 +706,9 @@ def _partial_sums(slopes):
 
 
 def _merged(slopes):
-    """(slope, multiplicity) pairs of an ascending slope list."""
-    return NewtonPolygon(tuple((s, len(list(run))) for s, run in groupby(slopes)))
+    """(slope, multiplicity) pairs of an ascending slope list, each slope
+    given as its (num, den) pair."""
+    return NewtonPolygon(tuple((as_pair(s), len(list(run))) for s, run in groupby(slopes)))
 
 
 def dense_hodge_newton(m):
@@ -719,13 +720,13 @@ def dense_hodge_newton(m):
     coeffs = charpoly_hessenberg(m.phi.to_rows())
     if d and coeffs[0] == 0:
         raise ValueError("zero constant term: 0 is an eigenvalue")
-    newton = [as_rational(Fraction(s) / m.f) for s in newton_slopes_sweep(coeffs, m.p)]
+    newton = [Fraction(s) / m.f for s in newton_slopes_sweep(coeffs, m.p)]
     hodge = [0] * (d - m.fil1_dim) + [1] * m.fil1_dim
     if len(hodge) != d:
         raise ValueError("polygons have different dimensions")
-    t_newton = as_rational(Fraction(valuation(det_gauss(m.phi.to_rows()), m.p), m.f)) if d else 0
+    t_newton = Fraction(valuation(det_gauss(m.phi.to_rows()), m.p), m.f) if d else Fraction(0)
     return PolygonReport(
-        t_newton=t_newton,
+        t_newton=as_pair(t_newton),
         t_hodge=m.fil1_dim,
         newton=_merged(newton),
         hodge=_merged(hodge),
@@ -842,12 +843,13 @@ def _verdict(ok):
     return "pass" if ok else "fail"
 
 
-def _text(x):
-    return str(Fraction(x))
+def _text(pair):
+    """A (num, den) slope as ``str`` of its Fraction."""
+    return str(Fraction(*pair))
 
 
 def _text_rows(m):
-    return [[_text(x) for x in m.row(i)] for i in range(m.rows)]
+    return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 def report_dict(report):

@@ -34,9 +34,9 @@ def test_criterion_1_tate_golden(tmp_path):
         dense_module(m).phi.to_rows() == [[1, 0], [0, 5]]
         and dense_module(m).n.to_rows() == [[0, 1], [0, 0]]
         and m.gram.to_rows() == [[1]]
-        and polygons.t_newton == 1
+        and polygons.t_newton == (1, 1)
         and polygons.t_hodge == 1
-        and polygons.newton.slopes == ((0, 1), (1, 1))
+        and polygons.newton.slopes == (((0, 1), 1), ((1, 1), 1))
     )
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1 = main(["build", str(INSTANCE_DIR / "tate.json"), "--out", str(out1)])
@@ -81,7 +81,7 @@ def test_criterion_5_filtration_endpoints(fuzz_batch):
     ok = True
     for r in fuzz_batch.results:
         expected = r.instance.graph.total_genus() + betti_one(r.instance.graph)
-        ok = ok and r.polygons.t_newton == r.polygons.t_hodge == expected
+        ok = ok and r.polygons.t_newton == (expected, 1) and r.polygons.t_hodge == expected
         ok = ok and symmetric_slopes(r.polygons.newton)
         ok = ok and r.polygons.newton_on_or_above_hodge
     criterion(5, "polygon endpoints and slope symmetry", ok)

@@ -55,6 +55,7 @@ from oracles import (
     dense_hodge_newton,
     dense_module,
     dense_relations,
+    is_lowest_terms,
     module_from_report,
     scale,
     zeros,
@@ -198,13 +199,12 @@ def test_hand_built_polygons_match_dense_oracle():
         polygons = hodge_newton(m)
         dense = dense_hodge_newton(dense_module(m))
         assert polygons == dense, m
-        # an integer slope or t_newton is an int, not a Fraction equal to one
-        assert [type(s) for s, _ in polygons.newton.slopes] == [
-            type(s) for s, _ in dense.newton.slopes]
-        assert type(polygons.t_newton) is type(dense.t_newton)
+        # every slope and t_newton is a lowest-terms pair of ints, den >= 1
+        for pair in (polygons.t_newton, *(s for s, _ in polygons.newton.slopes)):
+            assert is_lowest_terms(pair), pair
         verdicts_seen.update(_polygon_verdicts(polygons))
         kinds["fractional slope"] += any(
-            not isinstance(s, int) for s, _ in polygons.newton.slopes) and m.f > 1
+            den > 1 for (_, den), _ in polygons.newton.slopes) and m.f > 1
         kinds["repeated factor"] += len(set(m.phi1_factors)) < len(m.phi1_factors)
     assert verdicts_seen == {(name, ok) for name in POLYGON_VERDICTS for ok in (True, False)}
     assert min(kinds.values()) >= 20

@@ -603,6 +603,23 @@ def test_import_pulls_in_no_dataclasses():
     assert out.strip() == "[]"
 
 
+def test_import_pulls_in_no_fractions_or_typing():
+    """Slopes are (num, den) pairs of ints and annotations come from
+    ``collections.abc``, so ``import phinmod`` loads none of ``fractions``
+    (nor the ``decimal`` and ``numbers`` it imports) or ``typing``.  ``-S``
+    keeps ``site``, whose ``.pth`` files may import ``typing`` themselves,
+    out of the interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import phinmod; "
+        "print(sorted({'fractions', 'decimal', 'numbers', 'typing'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
 class TestCountCommand:
     def test_spot_values(self, capsys):
         assert main(["count", "5", "1", "0"]) == 0

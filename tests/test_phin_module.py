@@ -21,6 +21,7 @@ from oracles import (
     dense_module,
     duality_pairing,
     heights,
+    is_lowest_terms,
     monodromy_pairing_matrix,
     scale,
     symmetric_slopes,
@@ -146,23 +147,23 @@ class TestVerifyRelations:
 class TestHodgeNewton:
     def test_tate(self):
         r = hodge_newton(tate_module())
-        assert r.t_newton == 1 == r.t_hodge
-        assert r.newton.slopes == ((0, 1), (1, 1))
+        assert r.t_newton == (1, 1) and r.t_hodge == 1
+        assert r.newton.slopes == (((0, 1), 1), ((1, 1), 1))
         assert r.endpoints_equal and r.newton_on_or_above_hodge
 
     def test_supersingular_strictly_above(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1))
         m = assemble(5, 1, QMatrix(0, 0, ()), w)
         r = hodge_newton(m)
-        assert r.newton.slopes == ((Fraction(1, 2), 2),)
-        assert r.hodge.slopes == ((0, 1), (1, 1))
+        assert r.newton.slopes == (((1, 2), 2),)
+        assert r.hodge.slopes == (((0, 1), 1), ((1, 1), 1))
         assert r.newton_on_or_above_hodge
         assert heights(r.newton)[1] > heights(r.hodge)[1]
 
     def test_empty_module(self):
         m = assemble(5, 1, QMatrix(0, 0, ()), EMPTY_WEIL_5)
         r = hodge_newton(m)
-        assert r.t_newton == 0 == r.t_hodge
+        assert r.t_newton == (0, 1) and r.t_hodge == 0
         assert r.newton.slopes == ()
 
     def test_f_two_normalization(self):
@@ -170,28 +171,43 @@ class TestHodgeNewton:
         m = assemble(3, 2, QMatrix.from_rows([[1]]), w)
         r = hodge_newton(m)
         # raw valuations {0, 2} normalize to {0, 1}
-        assert r.newton.slopes == ((0, 1), (1, 1))
-        assert r.t_newton == 1 == r.t_hodge
+        assert r.newton.slopes == (((0, 1), 1), ((1, 1), 1))
+        assert r.t_newton == (1, 1) and r.t_hodge == 1
 
     def test_newton_symmetric(self):
         for m in (tate_module(), banana_elliptic_module(), good_reduction_module(),
                   theta_module()):
             assert symmetric_slopes(hodge_newton(m).newton)
 
-    def test_slopes_rise_and_multiplicities_are_positive(self, fuzz_batch):
-        # NewtonPolygon stores its slopes unchecked; hodge_newton keeps them
-        # strictly increasing with positive multiplicities
+    @pytest.fixture(scope="class")
+    def reports(self, fuzz_batch):
+        """The polygons of the fuzz batch and of every instances/*.json."""
         reports = [r.polygons for r in fuzz_batch.results]
         for path in sorted(INSTANCE_DIR.glob("*.json")):
             inst = load_instance(str(path))
             build = build_from_curve if isinstance(inst, CurveInstance) else build_from_av
             reports.append(hodge_newton(build(inst)))
         assert len(reports) == 205
+        return reports
+
+    def test_slopes_rise_and_multiplicities_are_positive(self, reports):
+        # NewtonPolygon stores its slopes unchecked; hodge_newton keeps them
+        # strictly increasing with positive multiplicities
         for r in reports:
             for polygon in (r.newton, r.hodge):
-                slopes = [s for s, _ in polygon.slopes]
+                slopes = [Fraction(*s) for s, _ in polygon.slopes]
                 assert all(a < b for a, b in zip(slopes, slopes[1:]))
                 assert all(k > 0 for _, k in polygon.slopes)
+
+    def test_slopes_and_t_newton_are_lowest_terms_pairs(self, reports):
+        fractional = 0
+        for r in reports:
+            pairs = [r.t_newton] + [s for polygon in (r.newton, r.hodge)
+                                    for s, _ in polygon.slopes]
+            assert all(is_lowest_terms(s) for s in pairs), r
+            fractional += any(den > 1 for _, den in pairs)
+        # supersingular components give slope 1/2
+        assert fractional > 0
 
 
 class TestMonodromyDuality:

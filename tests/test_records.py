@@ -155,7 +155,7 @@ def test_factors_are_not_compared(name):
 def test_repr_names_each_field():
     assert repr(Vertex("v0", 1)) == "Vertex(id='v0', genus=1)"
     assert repr(Edge("e0", "v0", "v1")) == "Edge(id='e0', tail='v0', head='v1')"
-    assert repr(NewtonPolygon(((0, 2),))) == "NewtonPolygon(slopes=((0, 2),))"
+    assert repr(NewtonPolygon((((0, 1), 2),))) == "NewtonPolygon(slopes=(((0, 1), 2),))"
     assert repr(EllipticCurveSpec(5, 6, 0)) == "EllipticCurveSpec(p=5, a4=1, a6=0)"
     w = records("av_tate.json")["WeilMatrix"]
     assert repr(w) == "WeilMatrix(p=5, f=1, blocks=(), factors=())"

@@ -10,7 +10,6 @@ standard encoder."""
 
 import json
 import re
-from fractions import Fraction
 from functools import cached_property
 
 import pytest
@@ -284,10 +283,9 @@ def test_fractional_polygons():
     # the writer reads only the polygons' numbers and verdicts, so a
     # hand-made PolygonReport reaches every shape of them
     polygons = PolygonReport(
-        t_newton=Fraction(-7, 2), t_hodge=3,
-        newton=NewtonPolygon(((Fraction(-1, 3), 3), (0, 1), (Fraction(4, 2), 1),
-                              (Fraction(5, 2), 2))),
-        hodge=NewtonPolygon(((0, 2), (1, 4))),
+        t_newton=(-7, 2), t_hodge=3,
+        newton=NewtonPolygon((((-1, 3), 3), ((0, 1), 1), ((2, 1), 1), ((5, 2), 2))),
+        hodge=NewtonPolygon((((0, 1), 2), ((1, 1), 4))),
         endpoints_equal=False, newton_on_or_above_hodge=True, newton_symmetric=False,
     )
     inst = tate_instance()
@@ -296,7 +294,7 @@ def test_fractional_polygons():
     assert_written(report)
     module = json.loads(dump_json(report))["module"]
     assert module["t_newton"] == "-7/2"
-    # a Fraction with denominator 1 is written as an integer
+    # a pair with denominator 1 is written as an integer
     assert module["newton_slopes"] == [["-1/3", "3"], ["0", "1"], ["2", "1"], ["5/2", "2"]]
 
 
