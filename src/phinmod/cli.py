@@ -59,7 +59,7 @@ def run_checks(inst, bound: int) -> Report:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     try:
-        inst = load_instance(args.file, DEFAULT_POINT_BOUND)
+        inst = load_instance(args.file)
         report = run_checks(inst, DEFAULT_POINT_BOUND)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,20 +29,48 @@ class SchemaError(ValidationError):
     """An instance or report file does not match the documented schema."""
 
 
+def digit_count_text(n: int) -> str:
+    """n as its sign and its count of decimal digits, "<k-digit integer>",
+    for an int too long to write: Python writes none of over 4300 digits.
+    The count goes up from a bound, log10(2) > 0.301029."""
+    k = (abs(n).bit_length() - 1) * 301029 // 1000000 + 1
+    while abs(n) >= 10 ** k:
+        k += 1
+    return f"{'-' if n < 0 else ''}<{k}-digit integer>"
+
+
+class _Repr(reprlib.Repr):
+    """``reprlib``'s bounded repr, with an int that Python refuses to write
+    shown by :func:`digit_count_text`, wherever it is nested."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # beyond Python's int/str digit limit
+            return digit_count_text(x)
+
+
+_repr = _Repr().repr
+
+
 def clipped(value) -> str:
     """repr of an input value for a message, kept short: a string's first
     20 characters and the length of a longer one; the repr of any other
-    value, bounded in size and depth by ``reprlib``, cut at 40 characters."""
+    value, bounded in size and depth by ``reprlib``, cut at 40 characters.
+    An int too long to write is shown by its digit count."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 20 else f"{value[:20]!r}... ({len(value)} characters)"
-    text = reprlib.repr(value)
+    text = _repr(value)
     return text if len(text) <= 40 else f"{text[:40]}... ({type(value).__name__})"
 
 
-def clipped_key(key: str) -> str:
+def clipped_key(key) -> str:
     """A key inside a dotted field path, by the rule of :func:`clipped`
-    but unquoted: itself up to 20 characters, else its first 20 and its
-    length."""
+    but unquoted: a string itself up to 20 characters, else its first 20
+    and its length; a key of another type, such as an int key of a mapping
+    passed in process, as :func:`clipped` shows it."""
+    if not isinstance(key, str):
+        return clipped(key)
     return key if len(key) <= 20 else f"{key[:20]}... ({len(key)} characters)"
 
 

@@ -8,18 +8,19 @@ it is written "num" when den is 1 and "num/den" otherwise.  A matrix entry
 that is not a decimal integer of at most MAX_ENTRY_DIGITS digits is
 refused before it is parsed.
 
-:func:`instance_from_json` reads a well-formed instance in one pass.  Its
-whole shape is read first, by direct indexing and exact type tests, with
-integer fields matched by ``INT_TEXT`` and matrix entries by ``_ENTRY``;
-then the records are built, in the order of the field-by-field reader, and
-their errors propagate.  On any shape fault (a missing key, a value of the
-wrong JSON type, a JSON number where a string of digits belongs, a bad
-entry, a ragged, non-square or oversized matrix, an unknown source type, an
-elliptic source of an abelian variety at f != 1) nothing is built, and the
-field-by-field reader :func:`_read_by_field` reads the file again: it is
-the only code that names a fault, so messages do not depend on which reader
-ran.  In that reader a row of strings takes one pattern match per entry,
-then one ``map(int, row)``; only other rows are read entry by entry.
+:func:`instance_from_json` reads an instance in one pass, in the order of
+its fields, and builds each record as soon as its fields are read: a
+curve's graph before its components, and each Weil block of an abelian
+variety, certified once, before the next block is read.  Each integer
+field, vertex, edge, component source and matrix has a fast path, exact
+type tests with integer fields matched by ``INT_TEXT`` and matrix entries
+by ``_ENTRY``, that builds no message context.  If those tests fail (a
+missing key, a value of the wrong JSON type, a JSON number where a string
+of digits belongs, a bad entry, a ragged, non-square or oversized matrix,
+an unknown source type), the same node alone is read again, field by field
+and entry by entry, by helpers that either take a rarer spelling (a JSON
+number in an integer field or entry, a mapping that is not a dict) or
+raise the SchemaError that names the fault.
 
 A request's result is a :class:`Report` record: the instance, its module
 and the verdicts of its checks.  :func:`dump_json` writes it section by
@@ -130,23 +131,11 @@ def _parse_entry(x) -> int:
     return int(s)
 
 
-def _parse_row(r: list) -> list:
-    """One regex pass over a row of strings, then one map.  Any other row
-    is read entry by entry, so its values and its first bad entry's
-    message are the same."""
-    try:
-        if all(map(_ENTRY.fullmatch, r)):
-            return list(map(int, r))
-    except TypeError:  # an entry that is not a string
-        pass
-    return [_parse_entry(x) for x in r]
-
-
 def matrix_from_strings(rows, context: str) -> QMatrix:
     if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
         raise SchemaError(f"field '{context}' must be an array of arrays")
     try:
-        parsed = [_parse_row(r) for r in rows]
+        parsed = [[_parse_entry(x) for x in r] for r in rows]
     except ValueError as exc:
         raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
     if not parsed:
@@ -231,65 +220,8 @@ def instance_to_json(inst) -> dict:
     raise TypeError(f"not an instance: {inst!r}")
 
 
-def _read_by_field(obj, bound: int = DEFAULT_POINT_BOUND):
-    """Parse and validate an instance file field by field; SchemaError
-    names the bad field."""
-    if not isinstance(obj, Mapping):
-        raise SchemaError("instance file must be a JSON object")
-    # an instance may omit its format; one that names it names this one
-    if "format" in obj and obj["format"] != FORMAT_NAME:
-        raise SchemaError(f"field 'format' must be {FORMAT_NAME!r}")
-    kind = _get(obj, "kind", "")
-    p = _as_int(_get(obj, "p", ""), "p")
-    f = _as_int(_get(obj, "f", ""), "f")
-    if kind == "curve":
-        graph_obj = _get(obj, "graph", "")
-        vertices = []
-        for k, v in enumerate(_get_list(graph_obj, "vertices", "graph.")):
-            vertices.append(
-                (
-                    _get_str(v, "id", f"graph.vertices[{k}]."),
-                    _as_int(_get(v, "genus", f"graph.vertices[{k}]."), f"graph.vertices[{k}].genus"),
-                )
-            )
-        edges = []
-        for k, e in enumerate(_get_list(graph_obj, "edges", "graph.")):
-            edges.append(
-                (
-                    _get_str(e, "id", f"graph.edges[{k}]."),
-                    _get_str(e, "tail", f"graph.edges[{k}]."),
-                    _get_str(e, "head", f"graph.edges[{k}]."),
-                )
-            )
-        graph = DualGraph.build(vertices, edges)
-        comp_obj = _get(obj, "components", "")
-        if not isinstance(comp_obj, Mapping):
-            raise SchemaError("field 'components' must be an object")
-        components = {
-            vid: source_from_json(src, p, f"components.{clipped_key(vid)}")
-            for vid, src in comp_obj.items()
-        }
-        return CurveInstance(graph=graph, components=components, p=p, f=f)
-    if kind == "av":
-        torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
-        gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
-        blocks = []
-        for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
-            src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
-            if isinstance(src, EllipticCurveSpec) and f != 1:
-                raise SchemaError(
-                    f"field 'b_frobenius[{k}]': elliptic sources require f = 1"
-                )
-            blocks.append(resolve_component(src, p, f, bound))
-        b = direct_sum(blocks, p, f)
-        return UniformizationData(
-            torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
-        )
-    raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")
-
-
 def _int(text) -> int:
-    """An integer field read in one pass: a string of INT_TEXT.  A JSON
+    """An integer field on the fast path: a string of INT_TEXT.  A JSON
     number, or any other value, raises TypeError, and digits beyond Python's
     int/str limit raise ValueError."""
     if not INT_TEXT.fullmatch(text):
@@ -298,7 +230,7 @@ def _int(text) -> int:
 
 
 def _matrix(rows) -> QMatrix:
-    """A matrix read in one pass: a list of equal-length lists of entry
+    """A matrix on the fast path: a list of equal-length lists of entry
     strings, each matched by ``_ENTRY``; any other value raises ValueError
     or TypeError."""
     if type(rows) is not list:
@@ -314,98 +246,100 @@ def _matrix(rows) -> QMatrix:
     return QMatrix(len(rows), n, tuple(map(int, cells)))
 
 
-def _source(src):
-    """A component source read in one pass: None for genus 0, the pair
-    (a4, a6) of an elliptic curve, or a square matrix of at most
-    MAX_WEIL_SIZE rows."""
-    if type(src) is not dict:
-        raise ValueError("not an object")
-    kind = src["type"]
-    if kind == "genus0":
-        return None
-    if kind == "elliptic":
-        return _int(src["a4"]), _int(src["a6"])
-    # the size is tested first, so a large block is not read
-    rows = src["entries"] if kind == "matrix" else None
-    if type(rows) is not list or len(rows) > MAX_WEIL_SIZE:
-        raise ValueError("not a matrix source")
-    m = _matrix(rows)
-    if m.rows != m.cols:
-        raise ValueError("not square")
-    return m
-
-
-def _spec(src, p: int):
-    """A source read by :func:`_source`, its elliptic pair built into a
-    curve at p."""
-    return EllipticCurveSpec(p, *src) if type(src) is tuple else src
-
-
-def _read_shape(obj) -> tuple:
-    """(kind, p, f, a, b, sources) of a well-formed instance, read in one
-    pass with no record built: a curve's vertices, edges and sources by
-    vertex id, or an abelian variety's torus rank, Gram matrix and list of
-    sources.  Any shape fault raises KeyError, TypeError or ValueError."""
-    if type(obj) is not dict or obj.get("format", FORMAT_NAME) != FORMAT_NAME:
-        raise ValueError("not an instance")
-    kind, p, f = obj["kind"], _int(obj["p"]), _int(obj["f"])
-    if kind == "curve":
-        graph, comps = obj["graph"], obj["components"]
-        if type(graph) is not dict or type(comps) is not dict:
-            raise ValueError("not an object")
-        vs, es = graph["vertices"], graph["edges"]
-        if type(vs) is not list or type(es) is not list:
-            raise ValueError("not a list")
-        vertices, edges, sources = [], [], {}
-        for v in vs:
-            if type(v) is not dict or type(i := v["id"]) is not str:
-                raise ValueError("not a vertex")
-            vertices.append(Vertex(i, _int(v["genus"])))
-        for e in es:
-            if type(e) is not dict:
-                raise ValueError("not an edge")
-            i, t, h = e["id"], e["tail"], e["head"]
-            if not type(i) is type(t) is type(h) is str:
-                raise ValueError("not an edge")
-            edges.append(Edge(i, t, h))
-        for vid, src in comps.items():
-            if type(vid) is not str:
-                raise ValueError("not a vertex id")
-            sources[vid] = _source(src)
-        return kind, p, f, tuple(vertices), tuple(edges), sources
-    if kind == "av":
-        torus_rank, gram = _int(obj["torus_rank"]), _matrix(obj["gram"])
-        srcs = obj["b_frobenius"]
-        if type(srcs) is not list:
-            raise ValueError("not a list")
-        sources = list(map(_source, srcs))
-        if f != 1 and tuple in map(type, sources):
-            raise ValueError("elliptic source at f != 1")
-        return kind, p, f, torus_rank, gram, sources
-    raise ValueError("unknown kind")
-
-
-def instance_from_json(obj, bound: int = DEFAULT_POINT_BOUND):
-    """Parse and validate an instance file; SchemaError names the bad field.
-
-    The whole shape is read first, in one pass.  If it holds, the records
-    are built in the order of the field-by-field reader, and their errors
-    propagate.  On any shape fault nothing is built, and
-    :func:`_read_by_field` reads the file again and names the fault."""
+def _source(src, p: int, field: str, key):
+    """The component source ``src`` at p: None for genus 0, an
+    :class:`EllipticCurveSpec`, or a square matrix of at most MAX_WEIL_SIZE
+    rows.  Any other shape is read again by :func:`source_from_json`, which
+    takes a rarer spelling or names the fault at ``field % clipped_key(key)``."""
     try:
-        kind, p, f, a, b, sources = _read_shape(obj)
+        if type(src) is not dict:
+            raise TypeError("not an object")
+        kind = src["type"]
+        if kind == "genus0":
+            return None
+        if kind == "elliptic":
+            a4, a6 = _int(src["a4"]), _int(src["a6"])
+        else:
+            # the size is tested first, so a large block is not read
+            rows = src["entries"] if kind == "matrix" else None
+            if type(rows) is not list or len(rows) > MAX_WEIL_SIZE:
+                raise ValueError("not a matrix source")
+            m = _matrix(rows)
+            if m.rows != m.cols:
+                raise ValueError("not square")
+            return m
     except (KeyError, TypeError, ValueError):
-        return _read_by_field(obj, bound)
+        return source_from_json(src, p, field % clipped_key(key))
+    return EllipticCurveSpec(p, a4, a6)
+
+
+def instance_from_json(obj):
+    """Parse and validate an instance file in one pass, each node by its
+    fast path or, failing that, read again alone; SchemaError names the bad
+    field."""
+    if type(obj) is not dict and not isinstance(obj, Mapping):
+        raise SchemaError("instance file must be a JSON object")
+    # an instance may omit its format; one that names it names this one
+    if "format" in obj and obj["format"] != FORMAT_NAME:
+        raise SchemaError(f"field 'format' must be {FORMAT_NAME!r}")
+    try:
+        kind, p, f = obj["kind"], _int(obj["p"]), _int(obj["f"])
+    except (KeyError, TypeError, ValueError):
+        kind = _get(obj, "kind", "")
+        p, f = _as_int(_get(obj, "p", ""), "p"), _as_int(_get(obj, "f", ""), "f")
     if kind == "curve":
-        graph = DualGraph(a, b)
-        components = {vid: _spec(s, p) for vid, s in sources.items()}
+        graph = _get(obj, "graph", "")
+        vertices = []
+        for k, v in enumerate(_get_list(graph, "vertices", "graph.")):
+            try:
+                if type(v) is not dict or type(i := v["id"]) is not str:
+                    raise TypeError("not a vertex")
+                vertices.append(Vertex(i, _int(v["genus"])))
+            except (KeyError, TypeError, ValueError):
+                at = f"graph.vertices[{k}]."
+                vertices.append(Vertex(_get_str(v, "id", at),
+                                       _as_int(_get(v, "genus", at), at + "genus")))
+        edges = []
+        for k, e in enumerate(_get_list(graph, "edges", "graph.")):
+            try:
+                if type(e) is not dict:
+                    raise TypeError("not an edge")
+                i, t, h = e["id"], e["tail"], e["head"]
+                if not type(i) is type(t) is type(h) is str:
+                    raise TypeError("not an edge")
+                edges.append(Edge(i, t, h))
+            except (KeyError, TypeError, ValueError):
+                at = f"graph.edges[{k}]."
+                edges.append(Edge(_get_str(e, "id", at), _get_str(e, "tail", at),
+                                  _get_str(e, "head", at)))
+        graph = DualGraph(tuple(vertices), tuple(edges))
+        comps = _get(obj, "components", "")
+        if type(comps) is not dict and not isinstance(comps, Mapping):
+            raise SchemaError("field 'components' must be an object")
+        components = {vid: _source(src, p, "components.%s", vid) for vid, src in comps.items()}
         return CurveInstance(graph=graph, components=components, p=p, f=f)
-    blocks = [resolve_component(_spec(s, p), p, f, bound) for s in sources]
-    return UniformizationData(torus_rank=a, gram=b, b_frobenius=direct_sum(blocks, p, f),
-                              p=p, f=f)
+    if kind == "av":
+        try:
+            torus_rank = _int(obj["torus_rank"])
+        except (KeyError, TypeError, ValueError):
+            torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
+        gram = _get(obj, "gram", "")
+        try:
+            gram = _matrix(gram)
+        except (TypeError, ValueError):
+            gram = matrix_from_strings(gram, "gram")
+        blocks = []
+        for k, src in enumerate(_get_list(obj, "b_frobenius", "")):
+            src = _source(src, p, "b_frobenius[%s]", k)
+            if isinstance(src, EllipticCurveSpec) and f != 1:
+                raise SchemaError(f"field 'b_frobenius[{k}]': elliptic sources require f = 1")
+            blocks.append(resolve_component(src, p, f, DEFAULT_POINT_BOUND))
+        return UniformizationData(torus_rank=torus_rank, gram=gram,
+                                  b_frobenius=direct_sum(blocks, p, f), p=p, f=f)
+    raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")
 
 
-def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):
+def load_instance(path: str):
     # Besides malformed JSON, bad UTF-8 and integers over Python's digit
     # limit raise ValueError, and arrays nested too deeply RecursionError.
     try:
@@ -413,7 +347,7 @@ def load_instance(path: str, bound: int = DEFAULT_POINT_BOUND):
             obj = json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
-    return instance_from_json(obj, bound)
+    return instance_from_json(obj)
 
 
 # -- reports ------------------------------------------------------------------

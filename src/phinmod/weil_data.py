@@ -51,7 +51,7 @@ from math import gcd
 from ._backend import charpoly_int
 from ._backend import count_points as _count_points_kernel
 from ._record import Record
-from .errors import ValidationError, WeilValidationError, clipped
+from .errors import ValidationError, WeilValidationError, clipped, digit_count_text
 from .exact_linalg import QMatrix, is_prime
 
 DEFAULT_POINT_BOUND = 10 ** 4
@@ -195,12 +195,8 @@ def _check_hasse(trace: int, q: int) -> None:
 
 
 def _shown(n: int) -> str:
-    """n in decimal up to 60 digits, else its digit count (Python writes no
-    int of over 4300 digits), counted up from a bound: log10(2) > 0.301029."""
-    k = (abs(n).bit_length() - 1) * 301029 // 1000000 + 1
-    while abs(n) >= 10 ** k:
-        k += 1
-    return str(n) if k <= 60 else f"{'-' if n < 0 else ''}<{k}-digit integer>"
+    """n in decimal up to 60 digits, else its digit count."""
+    return str(n) if abs(n) < 10 ** 60 else digit_count_text(n)
 
 
 def _functional_equation_holds(coeffs: list, q: int, g: int) -> bool:

@@ -43,18 +43,35 @@ package's pairs only through ``as_pair`` (out) and ``slope_multiset``
 and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
 dense module.  It defines the report's bytes as
 ``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``.
+
+``read_by_field`` is the instance reader the package once kept to name a
+fault: the whole file read field by field with ``isinstance`` tests and a
+context string for every field, and each record built as soon as its
+fields are read.  It is the message oracle of ``instance_from_json``: the
+same record, or the same exception class and message, on any input.
 """
 
+import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, groupby
 from math import gcd
 
 import phinmod.weil_data as weil_data
-from phinmod.errors import WeilValidationError
+from phinmod.builders import CurveInstance, UniformizationData, resolve_component
+from phinmod.errors import SchemaError, WeilValidationError, clipped, clipped_key
 from phinmod.exact_linalg import NewtonPolygon, QMatrix
-from phinmod.io_formats import instance_to_json
+from phinmod.graph_core import DualGraph
+from phinmod.io_formats import FORMAT_NAME, instance_to_json
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
+from phinmod.weil_data import (
+    DEFAULT_POINT_BOUND,
+    MAX_ENTRY_DIGITS,
+    EllipticCurveSpec,
+    check_weil_size,
+    direct_sum,
+)
 
 
 def poly_add(a, b):
@@ -887,3 +904,167 @@ def report_dict(report):
         },
         "checks": checks,
     }
+
+
+# -- the field-by-field instance reader ---------------------------------------
+
+# A matrix entry is a decimal integer; an integer field given as a string.
+_ENTRY = re.compile(r"[+-]?[0-9]{1,%d}" % MAX_ENTRY_DIGITS)
+INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _get(obj: Mapping, field: str, context: str):
+    """obj[field]; ``context`` is the dotted path of obj plus a trailing dot."""
+    # dict first: it is what JSON gives, and the ABC check costs ten times more
+    if not isinstance(obj, dict) and not isinstance(obj, Mapping):
+        raise SchemaError(f"field '{context[:-1]}' must be an object")
+    if field not in obj:
+        raise SchemaError(f"missing field '{context}{field}'")
+    return obj[field]
+
+
+def _get_list(obj: Mapping, field: str, context: str) -> list:
+    value = _get(obj, field, context)
+    if not isinstance(value, list):
+        raise SchemaError(f"field '{context}{field}' must be an array")
+    return value
+
+
+def _get_str(obj: Mapping, field: str, context: str) -> str:
+    value = _get(obj, field, context)
+    if not isinstance(value, str):
+        raise SchemaError(f"field '{context}{field}' must be a string")
+    return value
+
+
+def _as_int(value, context: str) -> int:
+    if isinstance(value, bool):
+        raise SchemaError(f"field '{context}' must be an integer string")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        try:
+            if INT_TEXT.fullmatch(value):
+                return int(value)
+        except ValueError:  # beyond Python's int/str digit limit
+            pass
+        raise SchemaError(f"field '{context}' is not an integer: {clipped(value)}")
+    raise SchemaError(f"field '{context}' must be an integer string")
+
+
+def _parse_entry(x) -> int:
+    s = str(x)
+    if not _ENTRY.fullmatch(s):
+        raise ValueError(
+            f"{clipped(s)} is not a decimal integer of at most {MAX_ENTRY_DIGITS} digits"
+        )
+    return int(s)
+
+
+def _parse_row(r: list) -> list:
+    """One regex pass over a row of strings, then one map.  Any other row
+    is read entry by entry, so its values and its first bad entry's
+    message are the same."""
+    try:
+        if all(map(_ENTRY.fullmatch, r)):
+            return list(map(int, r))
+    except TypeError:  # an entry that is not a string
+        pass
+    return [_parse_entry(x) for x in r]
+
+
+def matrix_from_strings(rows, context: str) -> QMatrix:
+    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
+        raise SchemaError(f"field '{context}' must be an array of arrays")
+    try:
+        parsed = [_parse_row(r) for r in rows]
+    except ValueError as exc:
+        raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
+    if not parsed:
+        return QMatrix(0, 0, ())
+    try:
+        return QMatrix.from_rows(parsed)
+    except ValueError as exc:
+        raise SchemaError(f"field '{context}': {exc}") from None
+
+
+def source_from_json(obj, p: int, context: str):
+    if not isinstance(obj, Mapping):
+        raise SchemaError(f"field '{context}' must be an object")
+    kind = _get(obj, "type", context + ".")
+    if kind == "genus0":
+        return None
+    if kind == "elliptic":
+        return EllipticCurveSpec(
+            p,
+            _as_int(_get(obj, "a4", context + "."), context + ".a4"),
+            _as_int(_get(obj, "a6", context + "."), context + ".a6"),
+        )
+    if kind == "matrix":
+        entries = _get(obj, "entries", context + ".")
+        if isinstance(entries, list):
+            # validate_weil checks this too; here the message names the
+            # field, and a large block is refused before it is parsed
+            check_weil_size(len(entries), f"field '{context}.entries'")
+        m = matrix_from_strings(entries, context + ".entries")
+        if not m.is_square:
+            raise SchemaError(f"field '{context}.entries' is {m.rows}x{m.cols}, not square")
+        return m
+    raise SchemaError(f"field '{context}.type' has unknown value {clipped(kind)}")
+
+
+def read_by_field(obj, bound: int = DEFAULT_POINT_BOUND):
+    """Parse and validate an instance file field by field; SchemaError
+    names the bad field."""
+    if not isinstance(obj, Mapping):
+        raise SchemaError("instance file must be a JSON object")
+    # an instance may omit its format; one that names it names this one
+    if "format" in obj and obj["format"] != FORMAT_NAME:
+        raise SchemaError(f"field 'format' must be {FORMAT_NAME!r}")
+    kind = _get(obj, "kind", "")
+    p = _as_int(_get(obj, "p", ""), "p")
+    f = _as_int(_get(obj, "f", ""), "f")
+    if kind == "curve":
+        graph_obj = _get(obj, "graph", "")
+        vertices = []
+        for k, v in enumerate(_get_list(graph_obj, "vertices", "graph.")):
+            vertices.append(
+                (
+                    _get_str(v, "id", f"graph.vertices[{k}]."),
+                    _as_int(_get(v, "genus", f"graph.vertices[{k}]."), f"graph.vertices[{k}].genus"),
+                )
+            )
+        edges = []
+        for k, e in enumerate(_get_list(graph_obj, "edges", "graph.")):
+            edges.append(
+                (
+                    _get_str(e, "id", f"graph.edges[{k}]."),
+                    _get_str(e, "tail", f"graph.edges[{k}]."),
+                    _get_str(e, "head", f"graph.edges[{k}]."),
+                )
+            )
+        graph = DualGraph.build(vertices, edges)
+        comp_obj = _get(obj, "components", "")
+        if not isinstance(comp_obj, Mapping):
+            raise SchemaError("field 'components' must be an object")
+        components = {
+            vid: source_from_json(src, p, f"components.{clipped_key(vid)}")
+            for vid, src in comp_obj.items()
+        }
+        return CurveInstance(graph=graph, components=components, p=p, f=f)
+    if kind == "av":
+        torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
+        gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
+        blocks = []
+        for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
+            src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
+            if isinstance(src, EllipticCurveSpec) and f != 1:
+                raise SchemaError(
+                    f"field 'b_frobenius[{k}]': elliptic sources require f = 1"
+                )
+            blocks.append(resolve_component(src, p, f, bound))
+        b = direct_sum(blocks, p, f)
+        return UniformizationData(
+            torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
+        )
+    raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")

@@ -1,24 +1,30 @@
-"""Instances read in one pass, and the field-by-field reader that names a
-fault.
+"""Instances read in one pass, each node by its fast path or read again
+alone.
 
-``instance_from_json`` reads the whole shape of an instance first, then
-builds its records; on any shape fault it leaves the file to
-``io_formats._read_by_field``.  Whatever the input, the outcome must be
-that reader's: an ``==`` record, or the same exception class and message.
+``instance_from_json`` reads each field, vertex, edge, source and matrix by
+exact type tests, and a node that fails them again by the helpers that
+take a rarer spelling or name the fault.  Whatever the input, the outcome
+must be that of ``oracles.read_by_field``, which reads every field with
+``isinstance`` tests and a context string: an ``==`` record, or the same
+exception class and message.  Each Weil block is certified at most once.
 The inputs are the mutated instances of ``test_cli_mutations.py``, with
 lists and objects swapped and integer strings spelled as JSON numbers.
 """
 
+import contextlib
 import copy
 import json
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phinmod.io_formats as io_formats
+from phinmod.errors import SchemaError, ValidationError
 from phinmod.io_formats import INT_TEXT, instance_from_json
 
+from oracles import read_by_field
 from test_cli_mutations import INSTANCES, mutated_instances, paths
 
 
@@ -29,8 +35,34 @@ def outcome(read, obj):
         return (type(exc).__name__, str(exc))
 
 
+@contextlib.contextmanager
+def certificates():
+    """The source of every block that ``instance_from_json`` certifies."""
+    calls = []
+    certify = io_formats.resolve_component
+
+    def counted(src, *args):
+        calls.append(src)
+        return certify(src, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io_formats, "resolve_component", counted)
+        yield calls
+
+
+def source_count(obj) -> int:
+    """How many Weil blocks an abelian-variety file lists; 0 for any other."""
+    if not isinstance(obj, dict) or obj.get("kind") != "av":
+        return 0
+    sources = obj.get("b_frobenius")
+    return len(sources) if isinstance(sources, list) else 0
+
+
 def assert_read_by_field(obj):
-    assert outcome(instance_from_json, obj) == outcome(io_formats._read_by_field, obj)
+    with certificates() as calls:
+        got = outcome(instance_from_json, obj)
+    assert got == outcome(read_by_field, obj)
+    assert len(calls) <= source_count(obj)
 
 
 def respell(node):
@@ -95,9 +127,11 @@ def _edit(obj, path, value):
 
 ELLIPTIC = {"type": "elliptic", "a4": "1", "a6": "1"}
 MATRIX = {"type": "matrix", "entries": [["0", "-5"], ["1", "2"]]}
+NOT_WEIL = {"type": "matrix", "entries": [["0", "-5"], ["1", "5"]]}
 
-# (base, path, value): one shape fault, or a rarer valid spelling, each read
-# again by the field-by-field reader
+# (base, path, value, *more): one shape fault, or a rarer valid spelling,
+# each read again by the slow path of its node; ``more`` holds further
+# (path, value) edits
 CASES = {
     "vertices-object": (_curve, ("graph", "vertices"), {}),
     "edges-object": (_curve, ("graph", "edges"), {}),
@@ -133,52 +167,71 @@ CASES = {
     "gram-empty-row": (_av, ("gram",), [[]]),
     "torus-rank-number": (_av, ("torus_rank",), 1),
     "b-frobenius-object": (_av, ("b_frobenius",), {"0": MATRIX}),
-    "elliptic-at-f-2": (_av, ("b_frobenius",), [ELLIPTIC]),
+    "elliptic-at-f-2": (_av, ("b_frobenius",), [ELLIPTIC], (("f",), "2")),
     "singular-elliptic": (_av, ("b_frobenius",), [{**ELLIPTIC, "a4": "0", "a6": "0"}]),
     "not-weil": (_av, ("b_frobenius", 0, "entries", 1, 1), "5"),
+    # a record's fault before a later shape fault: the record's is named
+    "duplicate-vertex-then-bad-source": (_curve, ("graph", "vertices", 1, "id"), "v0",
+                                         (("components", "v0"), {"type": "matrix"})),
+    "not-weil-then-unknown-type": (_av, ("b_frobenius",), [NOT_WEIL, {"type": "torus"}]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fault_and_spelling_cases(case):
-    base, path, value = CASES[case]
-    obj = _edit(base(), path, value)
-    if case == "elliptic-at-f-2":
-        obj["f"] = "2"
+    base, path, value, *more = CASES[case]
+    obj = base()
+    for path, value in [(path, value), *more]:
+        _edit(obj, path, value)
     assert_read_by_field(obj)
 
 
-@pytest.mark.parametrize("case", ["format-absent", "singular-elliptic", "not-weil", "gram-not-square"])
-def test_well_formed_shapes_are_read_once(case, monkeypatch):
-    """A well-formed shape, whether its records take it or refuse it, is
-    not read again."""
-    base, path, value = CASES[case]
-    obj = _edit(base(), path, value)
-    expected = outcome(io_formats._read_by_field, obj)
-    calls = []
-    monkeypatch.setattr(io_formats, "_read_by_field", lambda *args: calls.append(args))
-    assert outcome(instance_from_json, obj) == expected and calls == []
-
-
-def test_a_refused_weil_block_is_certified_once(monkeypatch):
+def test_a_refused_weil_block_is_certified_once():
     """A shape fault after a block that its certificate refuses: the block
-    is certified by the field-by-field reader alone."""
-    calls = []
-    certify = io_formats.resolve_component
-
-    def counted(src, *args):
-        calls.append(src)
-        return certify(src, *args)
-
-    monkeypatch.setattr(io_formats, "resolve_component", counted)
+    is certified once, and the certificate's refusal is the one named."""
     obj = _av()
     obj["b_frobenius"].append({"type": "torus"})
     obj["b_frobenius"][0]["entries"][1][1] = "5"
-    assert outcome(instance_from_json, obj)[0] == "WeilValidationError"
+    with certificates() as calls:
+        assert outcome(instance_from_json, obj)[0] == "WeilValidationError"
     assert len(calls) == 1
 
 
 def test_the_examples_read_as_written():
     for name, obj in INSTANCES.items():
         inst = instance_from_json(json.loads(json.dumps(obj)))
-        assert outcome(io_formats._read_by_field, obj) == ("record", inst), name
+        assert outcome(read_by_field, obj) == ("record", inst), name
+
+
+def test_any_mapping_reads_as_an_object():
+    """In process an object may be any Mapping, here a read-only view: every
+    node then takes its slow path, and the record is the one of the dicts."""
+    def viewed(node):
+        if isinstance(node, dict):
+            return MappingProxyType({k: viewed(v) for k, v in node.items()})
+        if isinstance(node, list):
+            return [viewed(x) for x in node]
+        return node
+
+    for name, obj in INSTANCES.items():
+        inst = instance_from_json(obj)
+        assert instance_from_json(viewed(obj)) == inst == read_by_field(viewed(obj)), name
+
+
+def test_an_int_too_long_to_write_is_shown_by_its_digit_count():
+    """In process a genus may be an int that Python refuses to write; the
+    message that names it gives its digit count."""
+    obj = _curve()
+    obj["graph"]["vertices"][0]["genus"] = 10 ** 5000
+    obj["components"]["v0"] = {"type": "genus0"}
+    with pytest.raises(ValidationError, match="has genus <5001-digit integer> but a genus-0"):
+        instance_from_json(obj)
+
+
+def test_a_component_key_that_is_not_a_string_is_named():
+    """In process a components mapping may have an int key; a fault of its
+    source names the field with the key as ``clipped`` shows it."""
+    obj = _curve()
+    obj["components"][7] = {"type": "torus"}
+    with pytest.raises(SchemaError, match=r"^field 'components\.7\.type' has unknown value 'torus'$"):
+        instance_from_json(obj)

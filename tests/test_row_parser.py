@@ -1,9 +1,10 @@
-"""Matrix rows read in one pass, and the primality memo.
+"""Matrix rows, and the primality memo.
 
-``matrix_from_strings`` reads a row of decimal-integer strings with one
-regex pass and one ``map(int, ...)``; every other row goes entry by entry
-through ``_parse_entry``.  Values and error messages must be those of a
-reader that sends every entry through ``_parse_entry``.
+``instance_from_json`` reads a matrix of decimal-integer strings with one
+regex pass and one ``map(int, ...)``; any other matrix goes to
+``matrix_from_strings``, entry by entry through ``_parse_entry``.  Values
+and error messages must be those of a reader that sends every entry
+through ``_parse_entry``.
 
 ``is_prime`` keeps its last answer, so a request tests its one p once.
 """
@@ -95,11 +96,14 @@ def test_integer_rows_skip_the_per_entry_reader(monkeypatch):
         return _parse_entry(x)
 
     monkeypatch.setattr(io_formats, "_parse_entry", counted)
-    m = matrix_from_strings([["1", "-2"], ["+3", "007"]], "gram")
-    assert m.entries == (1, -2, 3, 7) and calls == []
-    # a JSON integer is not a string: its row goes entry by entry
-    m = matrix_from_strings([["1", "2"], [3, "4"]], "gram")
-    assert m.entries == (1, 2, 3, 4) and calls == [3, "4"]
+    obj = av_large_q_shaped()
+    obj["gram"][0] = ["+2", "001", "-0"]
+    inst = instance_from_json(obj)
+    assert inst.gram.entries == (2, 1, 0, 1, 2, 1, 0, 1, 2) and calls == []
+    # a JSON integer is not a string: its matrix goes entry by entry
+    obj["gram"][1][0] = 1
+    assert instance_from_json(obj) == inst
+    assert calls == ["+2", "001", "-0", 1, "2", "1", "0", "1", "2"]
 
 
 def test_text_is_made_once_per_matrix_and_rows_are_fresh():
