@@ -19,14 +19,18 @@ The archimedean condition (every eigenvalue of absolute value sqrt(q)) is
 certified exactly.  A 2x2 block shows its characteristic polynomial
 T^2 - trace*T + det in its entries, so no Berkowitz pass runs on it: det = q
 is its whole functional equation and trace^2 <= 4q its archimedean
-condition.  Above that, Berkowitz's algorithm gives the characteristic
-polynomial, and the functional equation writes it as
-chi(T) = T^g h(T + q/T) with h monic of degree g, and the eigenvalues all
-have absolute value sqrt(q) exactly when every root of h is real and lies
-in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for root-unitary
-polynomials", 2008).  A Sturm sequence of the squarefree part of h, built
-from primitive integer pseudo-remainders and evaluated at the endpoints as
-A + B sqrt(q) with A, B integers, counts those roots.
+condition.  Above that, the functional equation writes the characteristic
+polynomial as chi(T) = T^g h(T + q/T) with h monic of degree g, and the
+eigenvalues all have absolute value sqrt(q) exactly when every root of h is
+real and lies in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for
+root-unitary polynomials", 2008).  A 4x4 block's chi comes from the twelve
+2x2 minors of its top and bottom row pairs, and at g = 2 that condition on
+h(x) = x^2 + a1 x + a2 - 2q has a closed form in a1 and a2 (Rueck 1990;
+Maisner and Nart 2002), so no Berkowitz or Sturm pass runs on it either.
+From 6 rows on, Berkowitz's algorithm gives chi, and a Sturm sequence of
+the squarefree part of h, built from primitive integer pseudo-remainders
+and evaluated at the endpoints as A + B sqrt(q) with A, B integers, counts
+those roots.
 
 :func:`validate_weil` certifies a matrix block by block.  One pass over the
 entries finds its finest contiguous diagonal blocks (no permutation), which
@@ -354,20 +358,52 @@ def _diagonal_blocks(m: QMatrix) -> list:
     return blocks
 
 
+def _charpoly_4x4(rows: list) -> list:
+    """Ascending chi of a 4 x 4 integer matrix from the twelve 2 x 2 minors
+    of rows (0, 1) and of rows (2, 3): det is their Laplace expansion, each
+    3 x 3 principal minor is expanded along its one row outside a pair, and
+    two of the six 2 x 2 principal minors are among the twelve."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    u01, u02, u03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    u12, u13, u23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    l01, l02, l03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    l12, l13, l23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    det = u01 * l23 - u02 * l13 + u03 * l12 + u12 * l03 - u13 * l02 + u23 * l01
+    e2 = (u01 + l23 + a0 * c2 - a2 * c0 + a0 * d3 - a3 * d0
+          + b1 * c2 - b2 * c1 + b1 * d3 - b3 * d1)
+    e3 = (c0 * u12 - c1 * u02 + c2 * u01 + d0 * u13 - d1 * u03 + d3 * u01
+          + a0 * l23 - a2 * l03 + a3 * l02 + b1 * l23 - b2 * l13 + b3 * l12)
+    return [det, -e3, e2, -(a0 + b1 + c2 + d3), 1]
+
+
+def _genus_two_holds(a1: int, a2: int, q: int) -> bool:
+    """The archimedean condition of chi = T^4 + a1 T^3 + a2 T^2 + q a1 T + q^2
+    in closed form (Rueck 1990; Maisner and Nart 2002, Lemma 2.1): both
+    roots of h(x) = x^2 + a1 x + a2 - 2q are real (4 a2 <= a1^2 + 8q) and in
+    [-2 sqrt(q), 2 sqrt(q)], as its vertex -a1/2 is (a1^2 <= 16q) and
+    h(+-2 sqrt(q)) = a2 + 2q +- 2 a1 sqrt(q) >= 0."""
+    s, t = a1 * a1, a2 + 2 * q
+    return s <= 16 * q and 4 * a2 <= s + 8 * q and t >= 0 and 4 * s * q <= t * t
+
+
 def _certify(rows: list, q: int) -> list:
     """chi of the even-sized integer square matrix ``rows``, after checking
     det = q^g, the functional equation and the archimedean condition on it;
     the first that fails raises WeilValidationError naming it.
 
     A 2 x 2 block [[a, b], [c, d]] shows chi = T^2 - (a + d) T + (ad - bc)
-    in its entries; a larger one gets Berkowitz's characteristic
-    polynomial.
+    in its entries, and its archimedean condition is the Hasse bound.  A
+    4 x 4 block's chi comes from its 2 x 2 minors and its archimedean
+    condition is the genus-2 closed form.  From 6 rows on, Berkowitz gives
+    chi and a Sturm sequence certifies the archimedean condition.
     """
     n = len(rows)
     g = n // 2
     if n == 2:
         (a, b), (c, d) = rows
         coeffs = [a * d - b * c, -(a + d), 1]
+    elif n == 4:
+        coeffs = _charpoly_4x4(rows)
     else:
         coeffs = charpoly_int(rows)
     if coeffs[0] != q ** g:
@@ -381,7 +417,8 @@ def _certify(rows: list, q: int) -> list:
         )
     if n == 2:
         _check_hasse(a + d, q)
-    elif not _archimedean_holds(coeffs, q, g):
+    elif not (_genus_two_holds(coeffs[3], coeffs[2], q) if n == 4
+              else _archimedean_holds(coeffs, q, g)):
         raise WeilValidationError(
             "Weil validation failed: archimedean check, not every eigenvalue "
             "has absolute value sqrt(q)"
@@ -413,12 +450,13 @@ def validate_weil(m, p: int, f: int = 1) -> WeilMatrix:
     order: at most MAX_WEIL_SIZE rows, evenness and entries of at most
     MAX_ENTRY_DIGITS digits, all before chi is computed; det = q^g; the
     functional equation of the characteristic polynomial chi; the
-    archimedean condition, trace^2 <= 4q for 2x2 blocks and certified by a
-    Sturm sequence above (see the module docstring).  The archimedean
-    condition also excludes 1 and q as eigenvalues, as |1| < sqrt(q) < q.
-    det is read off chi: for even size, det(m) = chi(0).  chi of a 2x2
-    block is read off its trace and determinant; Berkowitz computes it for
-    larger blocks and for the whole matrix.
+    archimedean condition, trace^2 <= 4q for 2x2 blocks, the genus-2 closed
+    form for 4x4 ones and certified by a Sturm sequence from 6 rows on (see
+    the module docstring).  The archimedean condition also excludes 1 and q
+    as eigenvalues, as |1| < sqrt(q) < q.  det is read off chi: for even
+    size, det(m) = chi(0).  chi of a 2x2 block is read off its trace and
+    determinant and that of a 4x4 one off its 2x2 minors; Berkowitz
+    computes it for blocks, and for a whole matrix, of 6 rows or more.
 
     The result keeps the finest diagonal blocks of ``m`` (``m`` itself when
     it is one block, and none when it is empty, as a genus-0 component).

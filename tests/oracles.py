@@ -10,14 +10,14 @@ one by one instead of a Laplacian cofactor, one tree search per cycle and
 dense edge vectors instead of root paths and sparse supports, one
 determinant per leading minor instead of a single Bareiss pass, trial
 division instead of Miller-Rabin, the functional equation stated at all
-2g + 1 indices instead of its g independent ones, and the closed form of
-genus-2 Weil polynomials instead of a Sturm sequence.  Slow and only used
-at tiny sizes.  Three oracles of shortcuts are the package's own code
-without the shortcut: ``bareiss_unskipped``, the Bareiss pass with every
-row updated, ``resolve_by_validation``, which sends every component block
+2g + 1 indices instead of its g independent ones.  Slow and only used at
+tiny sizes.  Three oracles of shortcuts are the package's own code without
+the shortcut: ``bareiss_unskipped``, the Bareiss pass with every row
+updated, ``resolve_by_validation``, which sends every component block
 through the general Weil gate, and ``certify_berkowitz``, the Weil
 certificate with every characteristic polynomial computed (by Hessenberg
-reduction), a 2 x 2 one too.
+reduction) and every archimedean condition above 2 x 2 certified by the
+Sturm sequence, a 4 x 4 one too.
 
 The dense (phi, N)-module below is the construction the package replaced by
 block storage: full d x d matrices for phi, N and the duality pairing, and
@@ -482,16 +482,6 @@ def functional_equation_all_indices(coeffs, q, g):
     return all(coeffs[i] * q ** i == coeffs[2 * g - i] * q ** g for i in range(2 * g + 1))
 
 
-def genus2_weil_closed_form(a1, a2, q):
-    """Whether every root of T^4 + a1 T^3 + a2 T^2 + q a1 T + q^2 has
-    absolute value sqrt(q), by the closed form of Rueck (1990) and Maisner
-    and Nart (2002, Lemma 2.1): h(x) = x^2 + a1 x + a2 - 2q has both roots
-    real (4 a2 <= a1^2 + 8q), its vertex in [-2 sqrt(q), 2 sqrt(q)]
-    (a1^2 <= 16q) and h(+-2 sqrt(q)) = a2 + 2q +- 2 a1 sqrt(q) >= 0."""
-    return (a1 * a1 <= 16 * q and 4 * a2 <= a1 * a1 + 8 * q and a2 + 2 * q >= 0
-            and 4 * a1 * a1 * q <= (a2 + 2 * q) ** 2)
-
-
 def _digit_count(n):
     """Decimal digits of |n|, counted a thousand at a time, since ``str``
     refuses an int of over 4300 digits."""
@@ -554,6 +544,19 @@ def as_pair(x):
 
 def identity(n):
     return scalar(n, 1)
+
+
+def conjugated(rows, shears):
+    """The integer square matrix ``rows`` conjugated by E = I + c e_ij for
+    each (i, j, c), i != j, of ``shears``: row i gains c times row j, then
+    column j loses c times column i.  Each E is unimodular, so chi and the
+    Weil verdict are kept."""
+    m = [list(r) for r in rows]
+    for i, j, c in shears:
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for r in m:
+            r[j] -= c * r[i]
+    return m
 
 
 def zeros(rows, cols):

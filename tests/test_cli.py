@@ -31,7 +31,7 @@ from phinmod.phin_module import PolygonReport, RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
-from oracles import count_points_euler, module_from_report
+from oracles import conjugated, count_points_euler, module_from_report
 
 
 def write_instance(tmp_path: Path, obj, name="inst.json") -> str:
@@ -798,6 +798,18 @@ def count_eliminations(monkeypatch) -> list:
     return count_calls(monkeypatch, phinmod._backend.bareiss_symmetric, calls)
 
 
+def dense_weil_rows(traces, q) -> list:
+    """The companion matrix of prod (T^2 - a T + q) over ``traces``,
+    conjugated by I + e_i0 for every row i > 0, which keeps it one diagonal
+    block, as decimal strings."""
+    chi = [1]
+    for a in traces:
+        chi = [q * x - a * y + z for x, y, z in zip(chi + [0, 0], [0] + chi + [0], [0, 0] + chi)]
+    n = len(chi) - 1
+    m = [[int(j == i - 1) for j in range(n - 1)] + [-chi[i]] for i in range(n)]
+    return [[str(x) for x in r] for r in conjugated(m, [(i, 0, 1) for i in range(1, n)])]
+
+
 class TestOncePerRequest:
     def test_curve_counts_each_component_once(self, monkeypatch):
         g = DualGraph.build(
@@ -886,13 +898,24 @@ class TestOncePerRequest:
                 {"type": "matrix", "entries": [["0", "-5"], ["1", "0"]]},
             ],
         }
+        # a dense 4 x 4 block is certified from its minors and the genus-2
+        # closed form, a 6 x 6 one by Berkowitz and a Sturm sequence
+        obj["b_frobenius"].append({"type": "matrix", "entries": dense_weil_rows((1, -2), 5)})
         validations = count_calls(monkeypatch, phinmod.weil_data.validate_weil)
         relations = count_calls(monkeypatch, phinmod.phin_module.verify_relations)
         eliminations = count_eliminations(monkeypatch)
+        charpolys = count_calls(monkeypatch, phinmod._backend.charpoly_int)
+        sturms = count_calls(monkeypatch, phinmod.weil_data._sturm_sequence)
         run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
-        assert len(validations) == 2
+        assert len(validations) == 3
         assert len(relations) == 1
         assert eliminations == [([[2]],)]
+        assert charpolys == [] and sturms == []
+        obj["b_frobenius"].append({"type": "matrix", "entries": dense_weil_rows((1, -2, 3), 5)})
+        run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+        assert len(validations) == 3 + 4
+        assert [len(rows) for (rows,) in charpolys] == [6]
+        assert sturms
 
 
 # sha256 of the report of the 400-loop bouquet below, as written before its

@@ -31,7 +31,7 @@ import phinmod.io_formats
 from phinmod.cli import main
 
 from conftest import INSTANCE_DIR
-from oracles import resolve_by_validation
+from oracles import conjugated, resolve_by_validation
 
 INSTANCES = {
     path.name: json.loads(path.read_text(encoding="utf-8"))
@@ -77,11 +77,28 @@ def companion(p: str, a: int) -> list:
     return [["0", f"-{p}"], ["1", str(a)]]
 
 
+def dense_genus_2(p: str, traces: list, shears: list) -> list:
+    """The companion matrix of (T^2 - a1 T + p)(T^2 - a2 T + p) conjugated by
+    ``shears`` (see ``oracles.conjugated``)."""
+    q = int(p)
+    a1, a2 = traces
+    c3, c2, c1, c0 = -(a1 + a2), 2 * q + a1 * a2, -q * (a1 + a2), q * q
+    m = [[0, 0, 0, -c0], [1, 0, 0, -c1], [0, 1, 0, -c2], [0, 0, 1, -c3]]
+    return [[str(x) for x in row] for row in conjugated(m, shears)]
+
+
+# (i, j, c) with i != j and c = +-1, +-2
+SHEARS = st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3), st.sampled_from((-2, -1, 1, 2)))
+                  .map(lambda t: (t[0], (t[0] + t[1]) % 4, t[2])), max_size=8)
+
+
 @st.composite
 def sources(draw, p: str, genus: int):
     """A component source of the given genus at p: genus 0, an elliptic
     curve (possibly singular) or a companion block of a trace in [-5, 5]
-    (past the Hasse bound for some), two of them for genus 2."""
+    (past the Hasse bound for some); for genus 2, two of them side by side
+    or the companion of their product conjugated by unit shears, a dense
+    4 x 4 block."""
     if genus == 0:
         return {"type": "genus0"}
     traces = [draw(st.integers(-5, 5)) for _ in range(genus)]
@@ -91,6 +108,8 @@ def sources(draw, p: str, genus: int):
     blocks = [companion(p, a) for a in traces]
     if genus == 1:
         return {"type": "matrix", "entries": blocks[0]}
+    if draw(st.booleans()):
+        return {"type": "matrix", "entries": dense_genus_2(p, traces, draw(SHEARS))}
     zeros = ["0", "0"]
     return {"type": "matrix", "entries": [r + zeros for r in blocks[0]] + [zeros + r for r in blocks[1]]}
 

@@ -3,8 +3,9 @@
 ``instance_from_json`` reads a matrix of decimal-integer strings with one
 regex pass and one ``map(int, ...)``; any other matrix goes to
 ``matrix_from_strings``, entry by entry through ``_parse_entry``.  Values
-and error messages must be those of a reader that sends every entry
-through ``_parse_entry``.
+and error messages must be those of the field-by-field reader
+``oracles.read_by_field``; each rows list is read as the Gram matrix of an
+abelian variety.
 
 ``is_prime`` keeps its last answer, so a request tests its one p once.
 """
@@ -16,36 +17,28 @@ import pytest
 
 import phinmod.io_formats as io_formats
 from phinmod.cli import run_checks
-from phinmod.errors import SchemaError
+from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, is_prime
-from phinmod.io_formats import _parse_entry, instance_from_json, load_instance, matrix_from_strings
+from phinmod.io_formats import _parse_entry, instance_from_json, load_instance
 from phinmod.weil_data import DEFAULT_POINT_BOUND
 
 from conftest import INSTANCE_DIR
-from oracles import is_prime_trial
+from oracles import is_prime_trial, read_by_field
 
 
-def per_entry_reference(rows, context: str) -> QMatrix:
-    """``matrix_from_strings`` with every entry read by ``_parse_entry``."""
-    if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
-        raise SchemaError(f"field '{context}' must be an array of arrays")
-    try:
-        parsed = [[_parse_entry(x) for x in r] for r in rows]
-    except ValueError as exc:
-        raise SchemaError(f"field '{context}' has a bad entry: {exc}") from None
-    if not parsed:
-        return QMatrix(0, 0, ())
-    try:
-        return QMatrix.from_rows(parsed)
-    except ValueError as exc:
-        raise SchemaError(f"field '{context}': {exc}") from None
+def av_with_gram(rows) -> dict:
+    """An abelian variety at p = 5 with Gram matrix ``rows`` and a torus
+    rank of its row count."""
+    rank = len(rows) if isinstance(rows, list) else 0
+    return {"kind": "av", "p": "5", "f": "1", "torus_rank": str(rank), "gram": rows,
+            "b_frobenius": []}
 
 
 def outcome(read, rows):
     try:
-        m = read(rows, "gram")
-    except SchemaError as exc:
-        return ("SchemaError", str(exc))
+        m = read(av_with_gram(rows)).gram
+    except ValidationError as exc:
+        return (type(exc).__name__, str(exc))
     return (m.rows, m.cols, m.entries, tuple(type(x) for x in m.entries))
 
 
@@ -70,12 +63,12 @@ def test_rows_read_as_by_entry(entry):
         [[entry, entry], ["1", "2", "3"]],
     ]
     for rows in shapes:
-        assert outcome(matrix_from_strings, rows) == outcome(per_entry_reference, rows), rows
+        assert outcome(instance_from_json, rows) == outcome(read_by_field, rows), rows
 
 
 @pytest.mark.parametrize("rows", [[], [[]], [[], []], [[], ["1"]], [["1"], []], "12", [["1"], "2"]])
 def test_empty_and_malformed_rows_read_as_by_entry(rows):
-    assert outcome(matrix_from_strings, rows) == outcome(per_entry_reference, rows)
+    assert outcome(instance_from_json, rows) == outcome(read_by_field, rows)
 
 
 def test_seeded_rows_read_as_by_entry():
@@ -85,7 +78,7 @@ def test_seeded_rows_read_as_by_entry():
         n = rng.randint(1, 4)
         rows = [[rng.choice(forms[:6]) if rng.random() < 0.8 else rng.choice(forms)
                  for _ in range(n)] for _ in range(rng.randint(1, 4))]
-        assert outcome(matrix_from_strings, rows) == outcome(per_entry_reference, rows), rows
+        assert outcome(instance_from_json, rows) == outcome(read_by_field, rows), rows
 
 
 def test_integer_rows_skip_the_per_entry_reader(monkeypatch):

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
 import random
 
@@ -7,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phinmod.cli as cli
 import phinmod.weil_data as weil_data
+from phinmod._backend import charpoly_int
 from phinmod.builders import resolve_component
 from phinmod.errors import ValidationError, WeilValidationError
 from phinmod.fuzz import instance_stream
@@ -17,7 +22,9 @@ from phinmod.weil_data import (
     EllipticCurveSpec,
     _archimedean_holds,
     _certify,
+    _charpoly_4x4,
     _functional_equation_holds,
+    _genus_two_holds,
     count_points,
     direct_sum,
     frobenius_of_elliptic,
@@ -26,11 +33,12 @@ from phinmod.weil_data import (
 
 from oracles import (
     certify_berkowitz,
+    charpoly_leverrier,
+    conjugated,
     count_points_xy,
     dense_weil,
     finest_blocks,
     functional_equation_all_indices,
-    genus2_weil_closed_form,
     identity,
     is_prime_trial,
     newton_slopes_sweep,
@@ -504,11 +512,14 @@ class TestFunctionalEquation:
         assert _functional_equation_holds(chi, q, g) == functional_equation_all_indices(chi, q, g)
 
 
+GENUS_TWO_FIELDS = FIELDS + [(101, 1), (3, 5)]
+
+
 @st.composite
 def genus_two_near_boundaries(draw):
     """(a1, a2, q) with a1 near +-4 sqrt(q) or anywhere inside, and a2 near
     one of the closed form's boundaries or anywhere in its range."""
-    p, f = draw(st.sampled_from(FIELDS + [(101, 1), (3, 5)]))
+    p, f = draw(st.sampled_from(GENUS_TWO_FIELDS))
     q = p ** f
     edge = math.isqrt(16 * q)
     a1 = draw(st.one_of(
@@ -524,24 +535,173 @@ def genus_two_near_boundaries(draw):
 
 
 class TestGenusTwoClosedForm:
-    """The Sturm certificate at g = 2 against the closed form of Rueck and
-    Maisner-Nart."""
+    """The closed form of Rueck and Maisner-Nart that certifies a 4 x 4
+    block against the Sturm certificate at g = 2."""
 
     @settings(max_examples=800, deadline=None)
     @given(genus_two_near_boundaries())
-    def test_same_verdict_as_the_closed_form(self, case):
+    def test_same_verdict_as_the_sturm_certificate(self, case):
         a1, a2, q = case
         chi = [q * q, q * a1, a2, a1, 1]
-        assert _archimedean_holds(chi, q, 2) == genus2_weil_closed_form(a1, a2, q)
+        assert _genus_two_holds(a1, a2, q) == _archimedean_holds(chi, q, 2)
 
     def test_boundary_points(self):
         # (T^2 - 5)^2 and (T -+ 3)^4 at q = 9 have the roots of h at the
-        # endpoints +-2 sqrt(q), simple and double; a1 = 13 and a2 = -11
-        # step outside
+        # endpoints +-2 sqrt(q), simple and double; (T^2 - T + 5)^2 has a
+        # double root of h inside; a1 = 13, a2 = -11 and a2 = 12 step outside
         for a1, a2, q, truth in ((0, -10, 5, True), (12, 54, 9, True), (-12, 54, 9, True),
-                                 (13, 54, 9, False), (0, -11, 5, False)):
-            assert genus2_weil_closed_form(a1, a2, q) == truth, (a1, a2, q)
+                                 (-2, 11, 5, True), (13, 54, 9, False), (0, -11, 5, False),
+                                 (-2, 12, 5, False)):
+            assert _genus_two_holds(a1, a2, q) == truth, (a1, a2, q)
             assert _archimedean_holds([q * q, q * a1, a2, a1, 1], q, 2) == truth, (a1, a2, q)
+
+
+def shears(rng, count):
+    """``count`` random (i, j, c), i != j, for :func:`conjugated`."""
+    return [(*rng.sample(range(4), 2), rng.choice((-2, -1, 1, 2))) for _ in range(count)]
+
+
+def special_4x4(rng, bound):
+    """Zero, singular, triangular and block-diagonal 4 x 4 matrices with
+    entries below ``bound``."""
+    def entry():
+        return rng.randrange(-bound + 1, bound)
+
+    r = [[entry() for _ in range(4)] for _ in range(4)]
+    u = [entry() for _ in range(4)]
+    v = [entry() for _ in range(4)]
+    return [
+        [[0] * 4 for _ in range(4)],
+        [[x * y for y in v] for x in u],  # rank 1
+        [r[0], r[1], [x + y for x, y in zip(r[0], r[1])], r[3]],  # rank <= 3
+        [r[0], r[1], r[0], r[1]],  # rank <= 2
+        [[r[i][j] if j >= i else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if j <= i else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if (i < 2) == (j < 2) else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if (i < 1) == (j < 1) else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if (i < 3) == (j < 3) else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if i == j else 0 for j in range(4)] for i in range(4)],
+        [[r[i][j] if {i, j} <= {1, 2} or i == j else 0 for j in range(4)] for i in range(4)],
+    ]
+
+
+@st.composite
+def four_by_four(draw):
+    """A 4 x 4 integer matrix: entries of 1 to 4000 digits or small ones,
+    some zeroed, or one of the special shapes."""
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        shapes = special_4x4(rng, 10 ** draw(st.sampled_from([1, 3, 40, MAX_ENTRY_DIGITS])))
+        return draw(st.sampled_from(shapes))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):
+        entry = st.integers(1, MAX_ENTRY_DIGITS).flatmap(
+            lambda k: st.integers(-(10 ** k - 1), 10 ** k - 1))
+    entries = draw(st.lists(entry, min_size=16, max_size=16))
+    zeros = draw(st.lists(st.booleans(), min_size=16, max_size=16))
+    entries = [0 if z else x for x, z in zip(entries, zeros)]
+    return [entries[i:i + 4] for i in range(0, 16, 4)]
+
+
+class TestFourByFourCharpoly:
+    """chi of a 4 x 4 block from its 2 x 2 minors against the
+    Faddeev-LeVerrier trace recursion and Berkowitz."""
+
+    def test_seeded_matrices(self):
+        rng = random.Random("4x4 minors")
+        for digits in (1, 2, 20, 300, MAX_ENTRY_DIGITS):
+            bound = 10 ** digits
+            cases = special_4x4(rng, bound)
+            cases += [[[rng.randrange(-bound + 1, bound) for _ in range(4)] for _ in range(4)]
+                      for _ in range(4 if digits == MAX_ENTRY_DIGITS else 40)]
+            for rows in cases:
+                chi = _charpoly_4x4(rows)
+                assert chi == charpoly_leverrier(rows) == charpoly_int(rows), rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(four_by_four())
+    def test_same_as_leverrier_and_berkowitz(self, rows):
+        assert _charpoly_4x4(rows) == charpoly_leverrier(rows) == charpoly_int(rows)
+
+
+def dense_companion(chi, rng):
+    """The companion matrix of the monic quartic chi, ascending, conjugated
+    by unit shears."""
+    return conjugated(companion(chi).to_rows(), shears(rng, 8))
+
+
+def weil_4x4(rng, a1, a2, q):
+    """A dense 4 x 4 matrix of chi = T^4 + a1 T^3 + a2 T^2 + q a1 T + q^2."""
+    return dense_companion([q * q, q * a1, a2, a1, 1], rng)
+
+
+@st.composite
+def refused_or_weil_4x4(draw):
+    """(rows, p, f): a dense 4 x 4 of the closed form's near-boundary
+    (a1, a2), some with det or the functional equation broken by a change
+    to chi's constant term or to its coefficient of T."""
+    a1, a2, q = draw(genus_two_near_boundaries())
+    p, f = next((p, f) for p, f in GENUS_TWO_FIELDS if p ** f == q)
+    chi = [q * q, q * a1, a2, a1, 1]
+    broken = draw(st.sampled_from([None, None, 0, 1]))
+    if broken is not None:
+        chi[broken] += draw(st.integers(-3, 3).filter(bool))
+    return dense_companion(chi, random.Random(draw(st.integers(0, 2 ** 32)))), p, f
+
+
+def av_with_block(rows, p, f):
+    return {"kind": "av", "p": str(p), "f": str(f), "torus_rank": "1", "gram": [["2"]],
+            "b_frobenius": [{"type": "matrix", "entries": [[str(x) for x in r] for r in rows]}]}
+
+
+def build_exit(tmp_path, obj):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(["build", str(path)])
+    return code, err.getvalue()
+
+
+class TestFourByFourCertificate:
+    """A dense 4 x 4 block is certified from its minors and the closed
+    form; verdict, chi and message must be those of the general certificate
+    on the Hessenberg characteristic polynomial and the Sturm sequence."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(refused_or_weil_4x4())
+    def test_same_outcome_as_the_general_certificate(self, case):
+        rows, p, f = case
+        expected = certificate_outcome(certify_berkowitz, rows, p ** f)
+        assert certificate_outcome(_certify, rows, p ** f) == expected
+        assert blockwise_verdict(QMatrix.from_rows(rows), p, f) == expected
+
+    def test_refused_blocks_name_the_failed_check_and_exit_2(self, tmp_path):
+        rng = random.Random("refused 4x4")
+        weil = weil_4x4(rng, -2, 11, 5)  # (T^2 - T + 5)^2
+        cases = [
+            ("det", dense_companion([24, -10, 11, -2, 1], rng)),
+            ("functional equation", dense_companion([25, -11, 11, -2, 1], rng)),
+            # h = x^2 - 2x + 2: roots 1 +- i are not real
+            ("archimedean", weil_4x4(rng, -2, 12, 5)),
+            # h = x^2 - 21: roots +-sqrt(21) lie outside [-2 sqrt(5), 2 sqrt(5)]
+            ("archimedean", weil_4x4(rng, 0, -11, 5)),
+            # (T - 1)(T - 5)(T^2 + 5): 1 and q are eigenvalues
+            ("archimedean", weil_4x4(rng, -6, 10, 5)),
+            ("det", [[0, 0, 0, -(10 ** 3999)], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]),
+        ]
+        assert validate_weil(weil, 5).factors == ((25, -10, 11, -2, 1),)
+        assert build_exit(tmp_path, av_with_block(weil, 5, 1))[0] == 0
+        for check, rows in cases:
+            assert len(weil_data._diagonal_blocks(QMatrix.from_rows(rows))) == 1
+            with pytest.raises(WeilValidationError) as general:
+                certify_berkowitz(rows, 5)
+            message = str(general.value)
+            assert check in message
+            with pytest.raises(WeilValidationError) as short:
+                validate_weil(rows, 5)
+            assert str(short.value) == message
+            code, err = build_exit(tmp_path, av_with_block(rows, 5, 1))
+            assert code == 2 and message in err, (check, err)
 
 
 def whole_verdict(m, p, f):
