@@ -562,8 +562,9 @@ def shears(rng, count):
 
 
 def special_4x4(rng, bound):
-    """Zero, singular, triangular and block-diagonal 4 x 4 matrices with
-    entries below ``bound``."""
+    """Zero, singular, triangular and block-diagonal 4 x 4 matrices built
+    from random entries below ``bound`` (the rank-1 one from their
+    products)."""
     def entry():
         return rng.randrange(-bound + 1, bound)
 
