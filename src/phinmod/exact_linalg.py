@@ -150,9 +150,6 @@ class QMatrix(Record):
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
-
     def is_symmetric(self) -> bool:
         return self._symmetric
 

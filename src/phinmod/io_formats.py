@@ -410,22 +410,21 @@ def _block_runs(blocks, start: int = 0) -> list:
 
 
 def _phi_runs(m: PhiNModule) -> list:
-    """Dense phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), one run per row:
-    the scalar on the diagonal, or the row of its phi1 block, moved right
-    by w0."""
+    """Dense phi = diag(I_w0, phi1, q * I_w2), one run per row: the scalar
+    on the diagonal, or the row of its phi1 block, moved right by w0."""
     w0, w1, _ = m.dims
-    phi0, phi2 = (str(m.phi0),), (str(m.phi2),)
-    runs = [(k, phi0) for k in range(w0)]
+    one, q = ("1",), (str(m.q),)
+    runs = [(k, one) for k in range(w0)]
     runs += _block_runs(m.phi1_blocks, w0)
-    runs += [(k, phi2) for k in range(w0 + w1, m.dimension)]
+    runs += [(k, q) for k in range(w0 + w1, m.dimension)]
     return runs
 
 
 def _n_runs(m: PhiNModule) -> list:
-    """Dense N: the rows of n02 from column w0 + w1 on in the weight-0
+    """Dense N: the rows of gram from column w0 + w1 on in the weight-0
     rows, and zero rows below."""
     w0, w1, w2 = m.dims
-    s = m.n02.entry_strings
+    s = m.gram.entry_strings
     return [(w0 + w1, s[i * w2:(i + 1) * w2]) for i in range(w0)] + [(0, ())] * (w1 + w2)
 
 

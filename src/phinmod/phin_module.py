@@ -1,4 +1,4 @@
-"""The filtered (phi, N)-module, stored as its blocks, and its checks.
+"""The filtered (phi, N)-module, stored as its free blocks, and its checks.
 
 The module is graded in three weights: weight 0 models Hom(Gamma, K) (rank =
 first Betti number of the dual graph), weight 1 the good-reduction abelian
@@ -11,22 +11,27 @@ block, the monodromy Gram matrix, from weight 2 to weight 0:
                                                   [0, 0, 0],
                                                   [0, 0, 0]]
 
-:class:`PhiNModule` stores only these blocks, and every identity is checked
-on them, at the cost of the blocks rather than of the dimension d:
+:class:`PhiNModule` stores only the free blocks W and G: the scalars 1 and
+q and the place of G are the shape itself.  Every identity is checked on
+the blocks, at the cost of the blocks rather than of the dimension d, and
+only where a free block can break it:
 
 * N^2 = 0 holds for any N of this shape: N maps weight 2 into weight 0,
   which it kills.  N phi and q phi N vanish outside block (0, 2), where
-  they are G * q and q * 1 * G; rank N = rank G.
+  they are G * q and q * 1 * G, so they agree for every G.  Both verdicts
+  are therefore the literal True.
+* rank N = rank G, computed.
 * det phi is the product of the block determinants; det W is read off the
   constant terms of the factors of chi_W, which are never multiplied out.
 * The characteristic polynomial of phi is (T - 1)^w0 * chi_W(T) * (T - q)^w2,
   so its Newton polygon is the union of the slopes of the factors.
 * The duality pairing is the identity on the anti-diagonal blocks, so it
-  carries N's block (0, 2) to block (2, 2), where the monodromy pairing is
-  the Gram matrix.
+  carries N's block (0, 2), which is G, to block (2, 2), where the
+  monodromy pairing is G too: the identity holds for every G, and its
+  verdict is the literal True.
 
-The commutation N phi = q phi N is then forced, and for q = p it is the
-classical relation between the Hyodo-Kato operators.  Duality pairs the
+For q = p the commutation N phi = q phi N is the classical relation
+between the Hyodo-Kato operators.  Duality pairs the
 module with its dual-side counterpart; for the principally-polarizable
 inputs in scope the dual side carries the same Gram matrix, which turns the
 "cup product of alpha with N beta equals the monodromy pairing" statement
@@ -51,52 +56,45 @@ from .weil_data import WeilMatrix
 
 
 class PhiNModule(Record):
-    """Graded integral (phi, N)-module, stored as its blocks.
+    """Graded integral (phi, N)-module, stored as its free blocks.
 
-    phi = diag(phi0 * I_w0, phi1, phi2 * I_w2), with integers phi0 and
-    phi2 and an integer matrix ``n02``, and N is ``n02`` in block
-    (weight 0, weight 2) and zero elsewhere.  phi1 is the block-diagonal
-    sum of the square QMatrix ``phi1_blocks``, in order; no dense phi1 is
-    built.  :func:`assemble` keeps the finest diagonal blocks of its Weil
-    matrix, which are unique, so ``==`` on them means ``==`` on phi1.
+    phi = diag(I_w0, phi1, q * I_w2), and N is ``gram`` in block (weight 0,
+    weight 2) and zero elsewhere: the weight-0 and weight-2 blocks of phi
+    and the block of N are fixed by q and the monodromy pairing, so only
+    phi1 and ``gram`` are stored.  phi1 is the block-diagonal sum of the
+    square QMatrix ``phi1_blocks``, in order; no dense phi1 is built.
+    :func:`assemble` keeps the finest diagonal blocks of its Weil matrix,
+    which are unique, so ``==`` on them means ``==`` on phi1.
     ``phi1_factors`` multiply to the characteristic polynomial of phi1,
     ascending and monic; ``==`` and ``hash`` ignore them, as the blocks
-    determine them.  ``gram`` is the monodromy pairing on the weight-2
-    block.  The ranks ``dims`` = (w0, w1, w2) are read off the blocks:
-    w0 = w2 = gram.rows and w1 is the sum of the phi1 block sizes.  A
-    module is exactly its blocks: no command reads a dense matrix back into
-    one.
+    determine them.  The ranks ``dims`` = (w0, w1, w2) are read off the
+    blocks: w0 = w2 = gram.rows and w1 is the sum of the phi1 block sizes,
+    which is even; ``fil1_dim`` = w2 + w1 / 2.  A module is exactly its
+    blocks: no command reads a dense matrix back into one.
 
-    Only dimensional consistency is enforced at construction, so
-    deliberately corrupted instances can be constructed for testing.
-    :func:`assemble` builds modules that satisfy the relations by
-    construction; :func:`verify_relations` checks them.
+    Only shapes are enforced at construction, so test modules with a
+    singular gram or phi1 can be built; :func:`assemble` builds modules
+    that satisfy the relations, which :func:`verify_relations` checks.
     """
 
-    _fields = ("p", "f", "phi0", "phi1_blocks", "phi1_factors", "phi2", "n02", "fil1_dim",
-               "gram")
-    _compared = ("p", "f", "phi0", "phi1_blocks", "phi2", "n02", "fil1_dim", "gram")
+    _fields = ("p", "f", "phi1_blocks", "phi1_factors", "gram")
+    _compared = ("p", "f", "phi1_blocks", "gram")
 
-    def __init__(self, p: int, f: int, phi0: int, phi1_blocks: tuple, phi1_factors: tuple,
-                 phi2: int, n02: QMatrix, fil1_dim: int, gram: QMatrix):
+    def __init__(self, p: int, f: int, phi1_blocks: tuple, phi1_factors: tuple, gram: QMatrix):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "phi1_blocks", phi1_blocks)
         object.__setattr__(self, "phi1_factors", phi1_factors)
-        object.__setattr__(self, "phi2", phi2)
-        object.__setattr__(self, "n02", n02)
-        object.__setattr__(self, "fil1_dim", fil1_dim)
         object.__setattr__(self, "gram", gram)
-        w0, w1, w2 = self.dims
+        _, w1, w2 = self.dims
         if gram.cols != w2:
             raise ValidationError("gram has wrong shape")
         if any(b.rows != b.cols for b in phi1_blocks):
             raise ValidationError("phi1 has a block that is not square")
+        if w1 % 2:
+            raise ValidationError("phi1 has odd size")
         if sum(len(chi) - 1 for chi in phi1_factors) != w1:
             raise ValidationError("phi1_factors have wrong degree")
-        if (n02.rows, n02.cols) != (w0, w2):
-            raise ValidationError("n02 has wrong shape")
 
     @cached_property
     def dims(self) -> tuple:
@@ -111,6 +109,12 @@ class PhiNModule(Record):
     def dimension(self) -> int:
         return sum(self.dims)
 
+    @property
+    def fil1_dim(self) -> int:
+        """dim Fil^1 = w2 + g, g = w1 / 2 the genus of the abelian part."""
+        _, w1, w2 = self.dims
+        return w2 + w1 // 2
+
 
 def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     """Assemble the graded module from a Gram matrix and a Weil block.
@@ -118,14 +122,14 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
     gram must be symmetric and positive definite (the monodromy pairing
     on the torus character lattice); w must be validated Weil data at the
     same q.  The grading gives the splittings directly: no extension
-    data survives at desk scale.  The blocks are stored as given: phi is
-    1, the blocks of w (and w.factors, their characteristic polynomials)
-    and q on the three weights, and N is gram from weight 2 to weight 0.
+    data survives at desk scale.  The free blocks are stored as given: the
+    blocks of w (and w.factors, their characteristic polynomials) as phi1,
+    and gram, which is also N's block from weight 2 to weight 0.
 
-    The result satisfies the relations of :func:`verify_relations` by
-    construction: N maps weight 2 to weight 0 and kills both, phi is q on
-    weight 2 and 1 on weight 0, det(phi) = q^(w2 + g), and the Gram block
-    is positive definite, so rank N = w2.
+    The result satisfies the relations of :func:`verify_relations`: the
+    module's shape forces N^2 = 0 and N phi = q phi N, the Weil gate gives
+    det(phi) = q^(w2 + g), and the Gram block is positive definite, so
+    rank N = w2.
     """
     if (w.p, w.f) != (p, f):
         raise ValidationError(
@@ -139,25 +143,13 @@ def assemble(p: int, f: int, gram: QMatrix, w: WeilMatrix) -> PhiNModule:
         raise ValidationError(
             "gram not positive definite" if gram.is_symmetric() else "gram not symmetric"
         )
-    return PhiNModule(
-        p=p,
-        f=f,
-        phi0=1,
-        phi1_blocks=w.blocks,
-        phi1_factors=w.factors,
-        phi2=p ** f,
-        n02=gram,
-        fil1_dim=gram.rows + w.g,
-        gram=gram,
-    )
+    return PhiNModule(p, f, w.blocks, w.factors, gram)
 
 
 def _det_phi(m: PhiNModule) -> int:
-    """det(phi) as the product of the block determinants; det(phi1) is
-    (-1)^w1 times the constant terms of its factors."""
-    w0, w1, w2 = m.dims
-    det_phi1 = (-1) ** w1 * prod(chi[0] for chi in m.phi1_factors)
-    return m.phi0 ** w0 * det_phi1 * m.phi2 ** w2
+    """det(phi) as the product of the block determinants; as w1 is even,
+    det(phi1) is the product of the constant terms of its factors."""
+    return prod(chi[0] for chi in m.phi1_factors) * m.q ** m.dims[2]
 
 
 class RelationReport(Record):
@@ -178,17 +170,18 @@ def verify_relations(m: PhiNModule) -> RelationReport:
     """Exact checks on the blocks: N^2 = 0, N phi = q phi N, phi
     invertible, rank N = w2.
 
-    N^2 = 0 holds for every N of block form; N phi and q phi N agree outside
-    block (0, 2) and are n02 * phi2 and q * phi0 * n02 there, equal entry by
-    entry exactly when phi2 = q * phi0 or n02 = 0; det(phi) is the product of
-    the block determinants; rank N = rank n02.  Each verdict is the one the
+    The first two are the literal True: N of the module's shape maps
+    weight 2 into weight 0, which it kills, and N phi and q phi N are both
+    q * gram in block (0, 2) and zero elsewhere.  phi is invertible exactly
+    when no factor of chi_phi1 has a zero constant term, as the scalars 1
+    and q are not zero; rank N = rank gram.  Each verdict is the one the
     dense matrices of the module give.
     """
     return RelationReport(
         n_squared_zero=True,
-        n_phi_commutation=m.phi2 == m.q * m.phi0 or m.n02.is_zero(),
-        phi_invertible=_det_phi(m) != 0,
-        n_rank_is_torus_rank=rank(m.n02) == m.dims[2],
+        n_phi_commutation=True,
+        phi_invertible=all(chi[0] for chi in m.phi1_factors),
+        n_rank_is_torus_rank=rank(m.gram) == m.dims[2],
     )
 
 
@@ -218,11 +211,11 @@ class PolygonReport(Record):
 
 def hodge_newton(m: PhiNModule) -> PolygonReport:
     """Newton polygon of phi (valuations normalized by 1/f) against the
-    two-step Hodge polygon determined by fil1_dim, and whether the Newton
-    slopes are symmetric about 1/2.
+    two-step Hodge polygon determined by fil1_dim (w2 + w1 / 2, never
+    above d), and whether the Newton slopes are symmetric about 1/2.
 
-    The characteristic polynomial of phi is the product of phi1_factors and
-    (T - c)^w for each scalar block c * I_w, so its slopes are the union of
+    The characteristic polynomial of phi is the product of phi1_factors,
+    (T - 1)^w0 and (T - q)^w2, so its slopes are the union of
     theirs: each distinct factor's integer hull segments (dy, dx), dx roots
     of slope dy / dx, taken as often as the factor occurs.  p is tested
     once.  A slope is kept as the lowest-terms pair (num, den) of
@@ -247,7 +240,7 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     weight = {}  # factor -> number of times it divides the char. polynomial
     for chi in m.phi1_factors:
         weight[chi] = weight.get(chi, 0) + 1
-    for c, w in ((m.phi0, w0), (m.phi2, w2)):
+    for c, w in ((1, w0), (m.q, w2)):
         if w:
             weight[(-c, 1)] = weight.get((-c, 1), 0) + w
     mult = {}  # lowest-terms (num, den) -> number of roots of slope num / den
@@ -257,8 +250,6 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
             g = gcd(dy, dx * f)
             key = (dy // g, dx * f // g)
             mult[key] = mult.get(key, 0) + dx * w
-    if not 0 <= fil1 <= d:
-        raise ValueError("polygons have different dimensions")
     scale = lcm(*(den for _, den in mult))  # L
     rise = {s: s[0] * (scale // s[1]) for s in mult}  # slope * L
     slopes = sorted(mult, key=rise.get)
@@ -299,13 +290,13 @@ def _on_or_above_hodge(segments, knee: int, scale: int) -> bool:
 
 def verify_monodromy_duality(m: PhiNModule) -> bool:
     """Exact identity: pairing alpha with N' beta through the duality matrix
-    recovers the monodromy pairing.
+    recovers the monodromy pairing.  The literal True, for every module.
 
     The duality pairing is the identity on the blocks (w0, w2'), (w1, w1')
     and (w2, w0'), and the dual-side monodromy N' uses the same Gram matrix
     (self-dual inputs).  So pairing with N' moves N's block (0, 2) to block
     (2, 2) and leaves every other block zero, and the monodromy pairing is
-    the Gram matrix on block (2, 2): the identity holds exactly when
-    n02 == gram.
+    the Gram matrix on block (2, 2).  N's block (0, 2) is the module's
+    gram, so the identity holds whatever gram is.
     """
-    return m.n02 == m.gram
+    return True

@@ -118,7 +118,7 @@ class WeilMatrix(Record):
     """Validated Frobenius matrix of a weight-1 crystalline block, stored as
     its finest contiguous diagonal blocks.
 
-    q = p^f; size = 2g; g is the Hodge filtration dimension of the block.
+    q = p^f; size = 2g, g being the Hodge filtration dimension of the block.
     The matrix is the block-diagonal sum of the square QMatrix ``blocks``,
     in order; no dense size x size matrix is kept.  Finest blocks are
     unique, so ``==`` on them means ``==`` on the matrix.  ``factors`` are
@@ -144,10 +144,6 @@ class WeilMatrix(Record):
     @property
     def size(self) -> int:
         return sum(b.rows for b in self.blocks)
-
-    @property
-    def g(self) -> int:
-        return self.size // 2
 
 
 class EllipticCurveSpec(Record):

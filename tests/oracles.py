@@ -13,8 +13,9 @@ division instead of Miller-Rabin, the functional equation stated at all
 2g + 1 indices instead of its g independent ones.  Slow and only used at
 tiny sizes.  Three oracles of shortcuts are the package's own code without
 the shortcut: ``bareiss_unskipped``, the Bareiss pass with every row
-updated, ``resolve_by_validation``, which sends every component block
-through the general Weil gate, and ``certify_berkowitz``, the Weil
+updated, ``resolve_by_validation``, which sends the genus-0 and elliptic
+component blocks through the general Weil gate and certifies a matrix
+block with ``certify_berkowitz``, and ``certify_berkowitz``, the Weil
 certificate with every characteristic polynomial computed (by Hessenberg
 reduction) and every archimedean condition above 2 x 2 certified by the
 Sturm sequence, a 4 x 4 one too.
@@ -26,7 +27,11 @@ characteristic polynomial of phi, and det and rank of the full matrices by
 dividing Gaussian elimination.  Its polygons come from the minimal-slope
 sweep of that polynomial, and "Newton on or above Hodge" compares the
 partial sums of the two slope multisets at every integer point, not at the
-breakpoints alone.  None of it calls a kernel of the package.
+breakpoints alone.  None of it calls a kernel of the package.  Unlike a
+``PhiNModule``, which stores only its free blocks, ``dense_from_blocks``
+takes any scalars for the weight-0 and weight-2 blocks of phi, any block
+of N and any dim Fil^1, so its verdicts can fail where the package's are
+forced.
 
 ``module_from_report`` reads a parsed report back into its block-stored
 module with ``int`` and the dense construction alone: no command of the
@@ -463,16 +468,31 @@ def is_prime_trial(n):
 
 
 def resolve_by_validation(src, p, f, bound):
-    """A component block the general way: every source, the genus-0 and the
-    elliptic one too, goes through ``validate_weil``, an elliptic one as
-    the companion matrix of its counted trace.  The counter is looked up
-    on its module, so a patched one serves this path too."""
+    """A component block the general way.  The genus-0 and the elliptic
+    source go through ``validate_weil``, an elliptic one as the companion
+    matrix of its counted trace; the counter is looked up on its module, so
+    a patched one serves this path too.  A matrix source passes the
+    package's input caps (``check_q``, squareness, ``check_weil_size``,
+    evenness, ``check_entry_digits``) and is then accepted or refused by
+    ``certify_berkowitz`` on the whole matrix, never by ``validate_weil``:
+    it is kept as its ``finest_blocks``, with that one chi as its factor."""
     if src is None:
         return weil_data.validate_weil(QMatrix(0, 0, ()), p, f)
     if isinstance(src, weil_data.EllipticCurveSpec):
         _, a = weil_data.count_points(src, bound)
         return weil_data.validate_weil(QMatrix.from_rows([[0, -src.p], [1, a]]), src.p, 1)
-    return weil_data.validate_weil(src, p, f)
+    weil_data.check_q(p, f)
+    if not src.is_square:
+        raise WeilValidationError("Weil matrix must be square")
+    check_weil_size(src.rows)
+    if src.rows % 2:
+        raise WeilValidationError(f"Weil matrix has odd size {src.rows}")
+    weil_data.check_entry_digits(src)
+    rows = src.to_rows()
+    if not rows:
+        return weil_data.WeilMatrix(p, f, (), ())
+    chi = certify_berkowitz(rows, p ** f)
+    return weil_data.WeilMatrix(p, f, finest_blocks(rows), (tuple(chi),))
 
 
 def functional_equation_all_indices(coeffs, q, g):
@@ -690,14 +710,22 @@ def dense_from_blocks(p, f, phi0, phi1_blocks, phi2, n02, fil1_dim, gram):
 def dense_assemble(p, f, gram, weil):
     """The dense module of a Gram matrix and validated Weil data."""
     return dense_from_blocks(
-        p, f, 1, weil.blocks, p ** f, gram, gram.rows + weil.g, gram
+        p, f, 1, weil.blocks, p ** f, gram, gram.rows + weil.size // 2, gram
     )
 
 
 def dense_module(m):
-    """The full matrices of a block-stored PhiNModule."""
-    return dense_from_blocks(m.p, m.f, m.phi0, m.phi1_blocks, m.phi2, m.n02, m.fil1_dim,
+    """The full matrices of a block-stored PhiNModule: phi is 1, phi1 and q
+    on the three weights, N is gram from weight 2 to weight 0, and dim
+    Fil^1 is w2 plus half of w1."""
+    w1 = sum(b.rows for b in m.phi1_blocks)
+    return dense_from_blocks(m.p, m.f, 1, m.phi1_blocks, m.q, m.gram, m.gram.rows + w1 // 2,
                              m.gram)
+
+
+def is_zero(m):
+    """Whether every entry of the QMatrix ``m`` is 0."""
+    return all(x == 0 for x in m.entries)
 
 
 def mat_mul(a, b):
@@ -809,13 +837,15 @@ def module_from_report(report):
     Every number is read with ``int``, and ``phi`` and ``n`` are split into
     the blocks at the report's ``dims``, phi1 further into its
     ``finest_blocks``.  ``phi1_factors`` is the one factor
-    ``charpoly_hessenberg`` of phi1.  When ``dense_from_blocks`` of
-    the blocks does not give back ``phi`` or ``n`` (an entry outside the
+    ``charpoly_hessenberg`` of phi1.  When ``dense_from_blocks`` of the
+    blocks does not give back ``phi`` or ``n`` (an entry outside the
     blocks, or a weight-0 or weight-2 block of phi that is not scalar), the
-    report is not in block form, and ValueError names the matrix; so it
-    does for a matrix of the wrong size, ranks that are not (w, w1, w), a
-    q that is not a power p^f (f >= 1) of a prime, or a fil1_dim outside
-    [0, d].
+    report is not in block form, and ValueError names the matrix.  A
+    module fixes the rest of its shape, so ValueError names the field too
+    for a weight-0 scalar of phi other than 1, a weight-2 one other than q,
+    a block of n other than gram, a fil1_dim other than w2 + w1 / 2, a
+    matrix of the wrong size, ranks that are not (w, w1, w) with w1 even,
+    or a q that is not a power p^f (f >= 1) of a prime.
     """
     mod = report["module"]
     p, f, fil1_dim = int(mod["p"]), int(mod["f"]), int(mod["fil1_dim"])
@@ -824,37 +854,35 @@ def module_from_report(report):
     if not is_prime_trial(p):
         raise ValueError(f"field 'module.p' = {p} is not prime")
     w0, w1, w2 = (int(mod["dims"][w]) for w in ("w0", "w1", "w2"))
-    if min(w0, w1, w2) < 0 or w0 != w2:
+    if min(w0, w1, w2) < 0 or w0 != w2 or w1 % 2:
         raise ValueError(f"field 'module.dims' has bad ranks {(w0, w1, w2)}")
+    if fil1_dim != w2 + w1 // 2:
+        raise ValueError(f"field 'module.fil1_dim' = {fil1_dim} is not w2 + g = {w2 + w1 // 2}")
     d = w0 + w1 + w2
-    if not 0 <= fil1_dim <= d:
-        raise ValueError(f"field 'module.fil1_dim' = {fil1_dim} is not in [0, {d}]")
     rows = {name: [[int(x) for x in r] for r in mod[name]] for name in ("phi", "n", "gram")}
     for name, size in (("phi", d), ("n", d), ("gram", w2)):
         if len(rows[name]) != size or any(len(r) != size for r in rows[name]):
             raise ValueError(f"field 'module.{name}' is not {size}x{size}")
     phi, n = rows["phi"], rows["n"]
     phi1 = [r[w0:w0 + w1] for r in phi[w0:w0 + w1]]
-    chi = tuple(int(c) for c in charpoly_hessenberg(phi1))
-    m = PhiNModule(
-        p=p,
-        f=f,
-        phi0=phi[0][0] if w0 else 1,
-        phi1_blocks=finest_blocks(phi1),
-        phi1_factors=(chi,),
-        phi2=phi[-1][-1] if w2 else p ** f,
-        n02=_matrix([r[w0 + w1:] for r in n[:w0]]),
-        fil1_dim=fil1_dim,
-        gram=_matrix(rows["gram"]),
-    )
-    dense = dense_module(m)
+    phi0, phi2 = phi[0][0] if w0 else 1, phi[-1][-1] if w2 else p ** f
+    blocks, n02 = finest_blocks(phi1), _matrix([r[w0 + w1:] for r in n[:w0]])
+    dense = dense_from_blocks(p, f, phi0, blocks, phi2, n02, fil1_dim, n02)
     for name in ("phi", "n"):
         if getattr(dense, name).to_rows() != rows[name]:
             raise ValueError(
                 f"field 'module.{name}' is not in block form: an entry lies outside "
                 "the weight blocks, or a weight-0 or weight-2 block is not scalar"
             )
-    return m
+    if phi0 != 1:
+        raise ValueError(f"field 'module.phi' has weight-0 scalar {phi0}, not 1")
+    if phi2 != p ** f:
+        raise ValueError(f"field 'module.phi' has weight-2 scalar {phi2}, not q = {p ** f}")
+    gram = _matrix(rows["gram"])
+    if n02 != gram:
+        raise ValueError("field 'module.n' has a weight-(0, 2) block other than 'module.gram'")
+    chi = tuple(int(c) for c in charpoly_hessenberg(phi1))
+    return PhiNModule(p, f, blocks, (chi,), gram)
 
 
 # -- the report as a dict -----------------------------------------------------

@@ -4,10 +4,13 @@ Every check of :mod:`phinmod.phin_module` runs on the blocks; the dense
 oracle in ``oracles.py`` builds the full d x d matrices and checks the same
 identities with full-size products, a Hessenberg characteristic polynomial
 of phi, and det and rank of the full matrices.  Both must agree on every
-example instance, on the fixed fuzz streams, on block-form modules
-whose blocks have been altered so that checks fail, on hand-built modules
-at f = 1, 2 and 3 with repeated factors, and on every report with one
-changed field that the oracle's ``module_from_report`` reads back.
+example instance, on the fixed fuzz streams, on modules whose free blocks
+(phi1 and gram) have been altered so that checks fail, on hand-built
+modules at f = 1, 2 and 3 with repeated factors, and on every report with
+one changed field that the oracle's ``module_from_report`` reads back.
+The blocks a module no longer stores (the scalars of phi on weights 0 and
+2, and N's block) are altered on the dense oracle alone, whose verdicts
+must then flag the change.
 """
 
 import copy
@@ -33,6 +36,7 @@ from phinmod.io_formats import (
 from phinmod.phin_module import (
     PhiNModule,
     PolygonReport,
+    RelationReport,
     assemble,
     hodge_newton,
     verify_monodromy_duality,
@@ -52,6 +56,7 @@ from oracles import (
     charpoly_hessenberg,
     dense_assemble,
     dense_duality,
+    dense_from_blocks,
     dense_hodge_newton,
     dense_module,
     dense_relations,
@@ -122,34 +127,76 @@ def _polygon_verdicts(polygons: PolygonReport) -> set:
     return {(name, getattr(polygons, name)) for name in POLYGON_VERDICTS}
 
 
+def _gram_blocks(g: QMatrix) -> list:
+    """gram, twice gram, zero and a singular matrix of its shape."""
+    singular = QMatrix.from_rows([[g[0, 0]] * g.cols] + [[0] * g.cols] * (g.rows - 1))
+    return [g, scale(g, 2), zeros(g.rows, g.cols), singular]
+
+
+def _phi1_alterations(base: PhiNModule) -> list:
+    """(blocks, factors) of phi1 of ``base`` alone and beside the companion
+    block of T^2 - T (singular), T^2 + 1 (unit roots) or T^2 + q (slope
+    1/2)."""
+    out = [(base.phi1_blocks, base.phi1_factors)]
+    for chi in ((0, -1, 1), (1, 0, 1), (base.q, 0, 1)):
+        block = QMatrix.from_rows(_companion(chi))
+        out.append((base.phi1_blocks + (block,), base.phi1_factors + (chi,)))
+    return out
+
+
 def test_altered_blocks_match_dense_oracle():
-    """Block-form modules with altered scalar blocks of phi and an altered
-    N block: every verdict, failing ones included, is the oracle's."""
+    """Modules with an altered phi1 or gram, the blocks a module stores:
+    every verdict, failing ones included, is the oracle's."""
     seen = set()
     verdicts_seen = set()
     for base in _base_modules():
-        g = base.gram
-        singular = QMatrix.from_rows([[g[0, 0]] * g.cols] + [[0] * g.cols] * (g.rows - 1))
-        n_blocks = [g, scale(g, 2), zeros(g.rows, g.cols), singular]
-        scalars = [1, base.q, base.q ** 2, base.p, -base.q, 0]
-        for phi0, phi2, n02 in product(scalars, scalars, n_blocks):
-            m = PhiNModule(base.p, base.f, phi0, base.phi1_blocks, base.phi1_factors, phi2, n02,
-                           base.fil1_dim, base.gram)
+        for (blocks, factors), gram in product(_phi1_alterations(base), _gram_blocks(base.gram)):
+            m = PhiNModule(base.p, base.f, blocks, factors, gram)
             dense = dense_module(m)
             relations = verify_relations(m)
-            assert relations == dense_relations(dense), (phi0, phi2, n02)
+            assert relations == dense_relations(dense), m
             assert verify_monodromy_duality(m) == dense_duality(dense)
             polygons = _hodge_newton_or_error(hodge_newton, m)
             assert polygons == _hodge_newton_or_error(dense_hodge_newton, dense)
             if isinstance(polygons, PolygonReport):
                 verdicts_seen.update(_polygon_verdicts(polygons))
             seen.add(relations)
-    # the alterations reach every failing verdict a block-form N allows
-    # (N^2 = 0 holds for each of them)
+    # the alterations reach every verdict that a free block can break
     assert any(all_pass(r) for r in seen)
-    for field in ("n_phi_commutation", "phi_invertible", "n_rank_is_torus_rank"):
+    for field in ("phi_invertible", "n_rank_is_torus_rank"):
         assert any(not getattr(r, field) for r in seen), field
     assert verdicts_seen == {(name, ok) for name in POLYGON_VERDICTS for ok in (True, False)}
+
+
+def test_dense_oracle_flags_altered_scalars_and_n():
+    """Each dense module whose weight-0 or weight-2 scalar of phi, or whose
+    N block, is not the assembled one fails a dense verdict, or has no
+    Newton polygon: the alterations that a PhiNModule cannot hold."""
+    failed = set()
+    count = 0
+    for base in _base_modules():
+        g = base.gram
+        scalars = [1, base.q, base.q ** 2, base.p, -base.q, 0]
+        for phi0, phi2, n02 in product(scalars, scalars, _gram_blocks(g)):
+            if (phi0, phi2, n02) == (1, base.q, g):
+                continue
+            count += 1
+            dense = dense_from_blocks(base.p, base.f, phi0, base.phi1_blocks, phi2, n02,
+                                      base.fil1_dim, g)
+            polygons = _hodge_newton_or_error(dense_hodge_newton, dense)
+            verdicts = {name for name in RelationReport._fields
+                        if not getattr(dense_relations(dense), name)}
+            if not dense_duality(dense):
+                verdicts.add("monodromy_duality")
+            if isinstance(polygons, PolygonReport):
+                verdicts |= {name for name, ok in _polygon_verdicts(polygons) if not ok}
+            else:
+                verdicts.add("no Newton polygon")
+            assert verdicts, (base, phi0, phi2, n02)
+            failed |= verdicts
+    assert count == 565
+    assert failed == {"n_phi_commutation", "phi_invertible", "n_rank_is_torus_rank",
+                      "monodromy_duality", "no Newton polygon", *POLYGON_VERDICTS}
 
 
 def _companion(chi) -> list:
@@ -162,7 +209,8 @@ def _companion(chi) -> list:
 def _hand_built(rng) -> PhiNModule:
     """A block-form module at f = 1, 2 or 3 whose phi1 is the direct sum of
     companion matrices of a few factors, some repeated: T^b - u p^a, of
-    the one slope a / b, and monic polynomials with random valuations."""
+    the one slope a / b, and monic polynomials with random valuations, with
+    one more linear factor when their degrees add up to an odd number."""
     p, f = rng.choice((2, 3, 5)), rng.choice((1, 2, 3))
 
     def coefficient():
@@ -177,15 +225,14 @@ def _hand_built(rng) -> PhiNModule:
             distinct.append((coefficient(),) + tuple(
                 rng.choice((0, coefficient())) for _ in range(b - 1)) + (1,))
     factors = tuple(rng.choice(distinct) for _ in range(rng.randint(0, 4)))
+    if sum(len(chi) - 1 for chi in factors) % 2:
+        factors += ((-coefficient(), 1),)  # phi1 has even size
     # a companion matrix is one block: its ones below the diagonal tie it
     blocks = tuple(QMatrix.from_rows(_companion(chi)) for chi in factors)
-    w1 = sum(len(chi) - 1 for chi in factors)
     w2 = rng.randint(0, 2)
     gram = QMatrix.from_rows([[int(i == j) for j in range(w2)] for i in range(w2)]
                              ) if w2 else QMatrix(0, 0, ())
-    return PhiNModule(
-        p, f, coefficient(), blocks, factors,
-        coefficient(), gram, rng.randint(0, 2 * w2 + w1), gram)
+    return PhiNModule(p, f, blocks, factors, gram)
 
 
 def test_hand_built_polygons_match_dense_oracle():
@@ -217,8 +264,9 @@ def _report(name: str, capsys) -> dict:
 
 class TestModuleFromReport:
     """The oracle's reader refuses a report whose dense phi or n the
-    blocks cannot hold, or whose p, f, fil1_dim or gram is malformed,
-    naming the field; a report that is read back has its blocks kept."""
+    blocks cannot hold, whose fixed blocks are not those of a module, or
+    whose p, f, dims, fil1_dim or gram is malformed, naming the field; a
+    report that is read back has its free blocks kept."""
 
     def test_round_trip_has_block_form(self, capsys):
         for name in ("tate.json", "banana.json", "theta.json", "av_tate.json"):
@@ -251,13 +299,33 @@ class TestModuleFromReport:
             module_from_report(report)
 
     def test_in_block_change_is_kept(self, capsys):
-        report = _report("tate.json", capsys)
+        # an entry of phi1, a free block: [[0, -5], [1, 2]] becomes singular
+        report = _report("good_reduction.json", capsys)
         altered = copy.deepcopy(report)
-        altered["module"]["phi"][1][1] = "1"  # the weight-2 scalar
+        altered["module"]["phi"][0][1] = "0"
         m = module_from_report(altered)
-        assert m.phi2 == 1
-        assert not verify_relations(m).n_phi_commutation
+        assert m.phi1_blocks[0] == QMatrix.from_rows([[0, 0], [1, 2]])
+        assert not verify_relations(m).phi_invertible
         assert m != module_from_report(report)
+
+    @pytest.mark.parametrize(
+        "name, field, i, j, value, named",
+        [
+            ("tate.json", "phi", 1, 1, "1", "'module.phi' has weight-2 scalar 1, not q = 5"),
+            ("tate.json", "phi", 0, 0, "5", "'module.phi' has weight-0 scalar 5, not 1"),
+            ("tate.json", "n", 0, 1, "2",
+             "'module.n' has a weight-\\(0, 2\\) block other than 'module.gram'"),
+            ("theta.json", "gram", 0, 1, "0",
+             "'module.n' has a weight-\\(0, 2\\) block other than 'module.gram'"),
+        ],
+    )
+    def test_fixed_block_change_refused_naming_it(self, name, field, i, j, value, named, capsys):
+        # the scalars of phi on weights 0 and 2 and N's block are fixed by
+        # q and gram, so no module holds another value
+        report = _report(name, capsys)
+        report["module"][field][i][j] = value
+        with pytest.raises(ValueError, match=named):
+            module_from_report(report)
 
     def test_off_block_module_is_not_serialized(self, capsys):
         # the weight-1 diagonal of N: refused on reading, so no module that
@@ -272,8 +340,11 @@ class TestModuleFromReport:
         [
             ("tate.json", "f", "0", "'module.f' = 0 must be >= 1"),
             ("tate.json", "p", "4", "'module.p' = 4 is not prime"),
-            ("theta.json", "fil1_dim", "-1", "'module.fil1_dim' = -1 is not in \\[0, 4\\]"),
-            ("theta.json", "fil1_dim", "99", "'module.fil1_dim' = 99 is not in \\[0, 4\\]"),
+            ("theta.json", "fil1_dim", "-1", "'module.fil1_dim' = -1 is not w2 \\+ g = 2"),
+            ("theta.json", "fil1_dim", "3", "'module.fil1_dim' = 3 is not w2 \\+ g = 2"),
+            ("good_reduction.json", "fil1_dim", "3", "'module.fil1_dim' = 3 is not w2 \\+ g = 2"),
+            ("good_reduction.json", "dims", {"w0": "0", "w1": "3", "w2": "0"},
+             "'module.dims' has bad ranks \\(0, 3, 0\\)"),
             ("theta.json", "gram", [["1"]], "'module.gram' is not 2x2"),
         ],
     )

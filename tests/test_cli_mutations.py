@@ -5,10 +5,13 @@ instances (``instances/*.json``), or changes, deletes or adds a field
 anywhere in it, or both, and runs ``cli.main(["build", path])``.
 The exit-code contract must hold: 0, 1 or 2, no exception escaping ``main``
 and no traceback on stderr, within a deadline per case.  The outcome must
-also be that of the general path, where the genus-0 and the elliptic
-components go through ``validate_weil`` too (``oracles.resolve_by_validation``):
+also be that of the general path (``oracles.resolve_by_validation``), where
+the genus-0 and the elliptic components go through ``validate_weil`` too and
+a matrix component is certified by ``oracles.certify_berkowitz`` instead:
 the same exit code and the same report bytes, so the closed-form blocks
-accept and refuse exactly what the general gate does.
+and the minors and closed form of a 4 x 4 block accept and refuse exactly
+what the general certificate does.  Three fixed genus-2 blocks on the
+boundaries of the closed form run on every test run.
 
 Error messages are not compared.  On a refused abelian-variety file the
 general path names a bad (p, f) at its first genus-0 block, the closed form
@@ -23,7 +26,7 @@ import json
 from datetime import timedelta
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import phinmod.builders
@@ -159,6 +162,15 @@ def mutated_instances(draw):
     return obj
 
 
+def with_genus_2_block(traces: list) -> dict:
+    """av_tate.json with one more abelian block, the dense genus-2 source
+    of ``traces`` at p = 5 under a few fixed shears."""
+    obj = copy.deepcopy(INSTANCES["av_tate.json"])
+    entries = dense_genus_2(obj["p"], traces, [(0, 1, 1), (2, 3, -1), (1, 2, 2)])
+    obj["b_frobenius"].append({"type": "matrix", "entries": entries})
+    return obj
+
+
 @pytest.fixture(scope="module")
 def instance_path(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated") / "instance.json"
@@ -173,6 +185,12 @@ def build(path) -> tuple:
 
 @settings(max_examples=300, deadline=timedelta(seconds=2))
 @given(mutated_instances())
+# traces 5 and -5: not Weil, though chi meets every closed-form condition
+# but a2 + 2q >= 0
+@example(obj=with_genus_2_block([5, -5]))
+# traces 4 and 4, -4 and -4: Weil, with 4 a2 = a1^2 + 8q and a1^2 = 64 > 4q
+@example(obj=with_genus_2_block([4, 4]))
+@example(obj=with_genus_2_block([-4, -4]))
 def test_mutated_build_keeps_the_exit_contract(instance_path, obj):
     instance_path.write_text(json.dumps(obj), encoding="utf-8")
     code, out, err = build(instance_path)

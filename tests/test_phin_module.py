@@ -18,10 +18,13 @@ from phinmod.weil_data import EllipticCurveSpec, frobenius_of_elliptic, validate
 from conftest import INSTANCE_DIR
 from oracles import (
     all_pass,
+    dense_from_blocks,
     dense_module,
+    dense_relations,
     duality_pairing,
     heights,
     is_lowest_terms,
+    is_zero,
     monodromy_pairing_matrix,
     scale,
     symmetric_slopes,
@@ -60,7 +63,7 @@ class TestAssemble:
     def test_good_reduction(self):
         m = good_reduction_module()
         assert m.dims == (0, 2, 0)
-        assert dense_module(m).n.is_zero()
+        assert is_zero(dense_module(m).n)
         assert m.fil1_dim == 1
 
     def test_banana_plus_elliptic(self):
@@ -108,8 +111,16 @@ class TestAssemble:
     def test_non_square_phi1_block_refused(self):
         m = tate_module()
         with pytest.raises(ValidationError, match="^phi1 has a block that is not square$"):
-            PhiNModule(m.p, m.f, m.phi0, (QMatrix(1, 2, (1, 2)),), ((0, 1),), m.phi2, m.n02,
-                       m.fil1_dim, m.gram)
+            PhiNModule(m.p, m.f, (QMatrix(1, 2, (1, 2)),), ((0, 1),), m.gram)
+
+    def test_odd_phi1_refused(self):
+        # dim Fil^1 = w2 + w1 / 2 needs an even w1
+        m = tate_module()
+        with pytest.raises(ValidationError, match="^phi1 has odd size$"):
+            PhiNModule(m.p, m.f, (QMatrix.from_rows([[2]]),), ((-2, 1),), m.gram)
+        three = (QMatrix.from_rows([[0, -5], [1, 2]]), QMatrix.from_rows([[1]]))
+        with pytest.raises(ValidationError, match="^phi1 has odd size$"):
+            PhiNModule(m.p, m.f, three, ((5, -2, 1), (-1, 1)), m.gram)
 
     def test_q_mismatch_rejected(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(7, -1, 0))
@@ -127,10 +138,10 @@ class TestVerifyRelations:
 
     def test_corrupted_phi_detected(self):
         m = tate_module()
-        # phi = identity(2): the weight-2 scalar block is 1 instead of q = 5
-        corrupted = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors, 1, m.n02,
-                               m.fil1_dim, m.gram)
-        r = verify_relations(corrupted)
+        # phi = identity(2): the weight-2 scalar block is 1 instead of q = 5,
+        # which only the dense oracle can hold
+        corrupted = dense_from_blocks(m.p, m.f, 1, m.phi1_blocks, 1, m.gram, m.fil1_dim, m.gram)
+        r = dense_relations(corrupted)
         assert not r.n_phi_commutation
         assert not all_pass(r)
         # the other checks are independent and still pass
@@ -215,7 +226,7 @@ class TestMonodromyDuality:
         assert monodromy_pairing_matrix(tate_module()).to_rows() == [[0, 0], [0, 1]]
 
     def test_pairing_matrix_no_torus(self):
-        assert monodromy_pairing_matrix(good_reduction_module()).is_zero()
+        assert is_zero(monodromy_pairing_matrix(good_reduction_module()))
 
     def test_pairing_matrix_theta(self):
         m = theta_module()

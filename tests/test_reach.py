@@ -29,14 +29,6 @@ UNREACHED = {
 }
 
 
-# methods of public classes that no command reaches, each with its reason
-UNREACHED_METHODS = {
-    # verify_relations reads it only when phi2 != q * phi0, and assemble
-    # sets phi2 = q * phi0: only hand-built test modules take that branch
-    "QMatrix.is_zero": "read by verify_relations on hand-built modules only",
-}
-
-
 def _methods() -> dict:
     """"Class.name" -> the code of each non-dunder function, static method,
     property and cached property defined on a class of ``phinmod.__all__``."""
@@ -84,8 +76,7 @@ def test_every_public_function_is_reached(tmp_path, capsys):
     assert codes == [0] * (len(argvs) - 1) + [2]
     assert "exceeds the point-counting bound" in capsys.readouterr().err
     methods = _methods()
-    assert set(UNREACHED_METHODS) <= set(methods)
-    assert {name for name, code in methods.items() if code not in called} == set(UNREACHED_METHODS)
+    assert {name for name, code in methods.items() if code not in called} == set()
     functions = {
         name: inspect.unwrap(obj) for name in phinmod.__all__
         if inspect.isfunction(inspect.unwrap(obj := getattr(phinmod, name)))

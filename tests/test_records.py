@@ -143,12 +143,10 @@ def test_factors_are_not_compared(name):
     m = records(name)["PhiNModule"]
     w2 = WeilMatrix(w.p, w.f, w.blocks, w.factors + ((1,),))
     assert w2 == w and hash(w2) == hash(w)
-    m2 = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors + ((1,),), m.phi2, m.n02,
-                    m.fil1_dim, m.gram)
+    m2 = PhiNModule(m.p, m.f, m.phi1_blocks, m.phi1_factors + ((1,),), m.gram)
     assert m2 == m and hash(m2) == hash(m)
     assert WeilMatrix(w.p, w.f + 1, w.blocks, w.factors) != w
-    m3 = PhiNModule(m.p, m.f, m.phi0, m.phi1_blocks, m.phi1_factors, m.phi2 + 1, m.n02,
-                    m.fil1_dim, m.gram)
+    m3 = PhiNModule(m.p, m.f + 1, m.phi1_blocks, m.phi1_factors, m.gram)
     assert m3 != m
 
 

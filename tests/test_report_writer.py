@@ -78,9 +78,9 @@ def test_every_matrix_holds_ints():
             matrices = [src for src in echo.components.values() if isinstance(src, QMatrix)]
         else:
             matrices = [echo.gram, *echo.b_frobenius.blocks]
-        for matrix in matrices + [*m.phi1_blocks, m.n02, m.gram]:
+        for matrix in matrices + [*m.phi1_blocks, m.gram]:
             assert {type(x) for x in matrix.entries} <= {int}
-        assert type(m.phi0) is type(m.phi2) is int
+        assert type(m.q) is int
 
 
 @pytest.mark.parametrize(
@@ -304,19 +304,13 @@ def dense_text(m: QMatrix) -> list:
     return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-def hand_built(phi1_rows, sizes, gram_rows, phi0=1, phi2=5, n02_rows=None) -> PhiNModule:
-    """A module with phi1, stored as the oracle's finest blocks of it, and
-    gram as given; each of ``sizes`` is the degree of a placeholder factor,
-    so the factors need not match the blocks."""
-    def matrix(rows):
-        return QMatrix.from_rows(rows) if rows else QMatrix(0, 0, ())
-
-    gram = matrix(gram_rows)
-    return PhiNModule(
-        p=5, f=1, phi0=phi0, phi1_blocks=finest_blocks(phi1_rows),
-        phi1_factors=tuple((0,) * size + (1,) for size in sizes), phi2=phi2,
-        n02=gram if n02_rows is None else matrix(n02_rows), fil1_dim=0, gram=gram,
-    )
+def hand_built(phi1_rows, sizes, gram_rows, p=5, f=1) -> PhiNModule:
+    """A module at q = p^f with phi1, stored as the oracle's finest blocks
+    of it, and gram as given; each of ``sizes`` is the degree of a
+    placeholder factor, so the factors need not match the blocks."""
+    gram = QMatrix.from_rows(gram_rows) if gram_rows else QMatrix(0, 0, ())
+    return PhiNModule(p, f, finest_blocks(phi1_rows),
+                      tuple((0,) * size + (1,) for size in sizes), gram)
 
 
 # the writer reads only the polygons' numbers, so one report's polygons and
@@ -336,8 +330,7 @@ def assert_written_from_blocks(m: PhiNModule):
     dense = dense_module(m)
     for name in ("phi", "n"):
         assert written["module"][name] == dense_text(getattr(dense, name))
-    # read back by the oracle: the same module, but for the scalars of
-    # empty weight blocks, which it does not show
+    # read back by the oracle, the module writes the same module block
     read = module_from_report(written)
     assert json.loads(dump_json(module_report(read)))["module"] == written["module"]
 
@@ -351,12 +344,12 @@ SHAPES = {
     "off-block": hand_built(
         [[1, 2, 0, 7], [3, 4, 0, 0], [0, 0, 5, 6], [0, -1, 7, 8]], [2, 2], [[1]]
     ),
-    # phi1 with a zero row and a 1x1 block, and factors of degree 0
-    "zero-row": hand_built([[0, 0, 0], [0, 1, 2], [0, 3, 4]], [0, 1, 0, 2], [[3]]),
-    "signs": hand_built(
-        [[-2, 0], [0, 3]], [1, 1], [[1, 0], [0, 2]],
-        phi0=-3, phi2=-7 * 10 ** 30, n02_rows=[[-20, 0], [0, 5]],
+    # phi1 with a zero row and 1x1 blocks, and factors of degree 0
+    "zero-row": hand_built(
+        [[0, 0, 0, 0], [0, 1, 2, 0], [0, 3, 4, 0], [0, 0, 0, -6]], [0, 1, 0, 2, 1], [[3]]
     ),
+    # q = 7^36 has 31 digits, and gram holds a negative entry
+    "signs": hand_built([[-2, 0], [0, 3]], [1, 1], [[-20, 0], [0, 5]], p=7, f=36),
 }
 
 
@@ -366,16 +359,17 @@ def test_module_shapes(m):
 
 
 def test_signed_phi_text():
-    phi = json.loads(dump_json(module_report(SHAPES["signs"])))["module"]["phi"]
-    big = "-7" + "0" * 30
-    assert phi == [
-        ["-3", "0", "0", "0", "0", "0"],
-        ["0", "-3", "0", "0", "0", "0"],
+    module = json.loads(dump_json(module_report(SHAPES["signs"])))["module"]
+    big = "2651730845859653471779023381601"  # 7^36
+    assert module["phi"] == [
+        ["1", "0", "0", "0", "0", "0"],
+        ["0", "1", "0", "0", "0", "0"],
         ["0", "0", "-2", "0", "0", "0"],
         ["0", "0", "0", "3", "0", "0"],
         ["0", "0", "0", "0", big, "0"],
         ["0", "0", "0", "0", "0", big],
     ]
+    assert module["n"][:2] == [["0", "0", "0", "0", "-20", "0"], ["0", "0", "0", "0", "0", "5"]]
 
 
 @st.composite
@@ -383,9 +377,13 @@ def block_layouts(draw):
     """A module whose phi1 is block diagonal in random block sizes, with
     zero, small and large integer entries, and sometimes an entry outside
     the blocks, which joins them; the factor degrees are the drawn sizes,
-    and the torus rank and Gram entries are random too."""
+    with a 1 x 1 block more when they add up to an odd number, and the
+    torus rank and Gram entries are random too.  q is 5, or has 30 digits
+    or more, so the scalar cells of phi are long ints too."""
     entry = st.integers(-12, 12) | st.integers(-(10 ** 40), 10 ** 40)
     sizes = draw(st.lists(st.integers(0, 4), max_size=5))
+    if sum(sizes) % 2:
+        sizes.append(1)
     w1, w2 = sum(sizes), draw(st.integers(0, 3))
     phi1 = [[0] * w1 for _ in range(w1)]
     o = 0
@@ -397,7 +395,8 @@ def block_layouts(draw):
     for _ in range(draw(st.integers(0, 2)) if w1 else 0):
         phi1[draw(st.integers(0, w1 - 1))][draw(st.integers(0, w1 - 1))] = draw(entry)
     gram = [[draw(entry) for _ in range(w2)] for _ in range(w2)]
-    return hand_built(phi1, sizes, gram, phi0=draw(entry), phi2=draw(entry))
+    p, f = draw(st.sampled_from([(5, 1), (2, 100), (7, 36), (9973, 8)]))
+    return hand_built(phi1, sizes, gram, p=p, f=f)
 
 
 @settings(max_examples=200, deadline=None)
