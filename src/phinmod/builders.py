@@ -1,12 +1,15 @@
 """The two construction pipelines and the curve/Jacobian agreement check.
 
-Abelian-variety side: torus rank, lattice Gram matrix and good-reduction
-Frobenius are taken as given (the uniformization data).  Curve side: a dual
-graph with per-component Frobenius sources is turned into the uniformization
-data of its Jacobian (torus rank b1, the monodromy Gram matrix of the cycle
-space, the direct sum of the component blocks in ascending vertex-id order)
-and built through the same path, so each component is resolved once and the
-Gram matrix comes only from :func:`monodromy_gram`.
+Abelian-variety side: torus rank, lattice Gram matrix and the component
+sources of the good-reduction part are taken as given (the uniformization
+data).  :func:`build_from_av` is the one place a source is resolved: it
+turns each into Weil data (:func:`resolve_component`), takes their direct
+sum in order and assembles the module.  Curve side: a dual graph with
+per-component Frobenius sources is turned into the uniformization data of
+its Jacobian (torus rank b1, the monodromy Gram matrix of the cycle space,
+the component sources in ascending vertex-id order) and built through the
+same path, so each component is resolved once and the Gram matrix comes
+only from :func:`monodromy_gram`.
 
 ``check_curve_jacobian_agreement`` tests the built module against facts of
 the curve that do not go through that path: the weight ranks (b1, 2 * total
@@ -112,44 +115,54 @@ def resolve_component(src, p: int, f: int, bound: int = DEFAULT_POINT_BOUND) -> 
 
 class UniformizationData(Record):
     """Abelian-variety datum: torus rank, lattice Gram matrix, and the
-    good-reduction part's Frobenius."""
+    component sources of the good-reduction part, direct-summed in order.
+    ``b_frobenius`` is stored as a tuple of sources as a file gives them
+    (None, an :class:`EllipticCurveSpec` or a QMatrix, each row-list source
+    made a QMatrix); :func:`build_from_av` resolves them."""
 
     _fields = ("torus_rank", "gram", "b_frobenius", "p", "f")
 
-    def __init__(self, torus_rank: int, gram: QMatrix, b_frobenius: WeilMatrix, p: int,
-                 f: int = 1):
+    def __init__(self, torus_rank: int, gram: QMatrix, b_frobenius, p: int, f: int = 1):
         check_q(p, f)
         if (gram.rows, gram.cols) != (torus_rank, torus_rank):
             raise ValidationError(
                 f"field 'torus_rank' = {clipped(torus_rank)} is not the torus rank of a "
                 f"{gram.rows}x{gram.cols} gram"
             )
-        if (b_frobenius.p, b_frobenius.f) != (p, f):
-            raise ValidationError("good-reduction Frobenius q mismatch")
+        sources = []
+        for k, src in enumerate(b_frobenius):
+            if isinstance(src, EllipticCurveSpec):
+                if f != 1:
+                    raise ValidationError(
+                        f"field 'b_frobenius[{k}]': elliptic sources require f = 1"
+                    )
+            elif src is not None and not isinstance(src, QMatrix):
+                src = QMatrix.from_rows(src)
+            sources.append(src)
         object.__setattr__(self, "torus_rank", torus_rank)
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "b_frobenius", b_frobenius)
+        object.__setattr__(self, "b_frobenius", tuple(sources))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
 
 
-def build_from_av(u: UniformizationData) -> PhiNModule:
-    """Module of an abelian variety from its uniformization data."""
-    return assemble(u.p, u.f, u.gram, u.b_frobenius)
+def build_from_av(u: UniformizationData, bound: int = DEFAULT_POINT_BOUND) -> PhiNModule:
+    """Module of an abelian variety from its uniformization data: each
+    source resolved at q = p^f (points counted for p up to ``bound``), in
+    order, and the direct sum of the results assembled with the Gram
+    matrix."""
+    blocks = [resolve_component(src, u.p, u.f, bound) for src in u.b_frobenius]
+    return assemble(u.p, u.f, u.gram, direct_sum(blocks, u.p, u.f))
 
 
-def jacobian_data(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> UniformizationData:
+def jacobian_data(c: CurveInstance) -> UniformizationData:
     """Uniformization data of the Jacobian: torus rank = b1, lattice pairing
     = monodromy Gram matrix, good-reduction part = product of the component
-    Jacobians (blocks in ascending vertex-id order)."""
-    blocks = [
-        resolve_component(c.components[v.id], c.p, c.f, bound)
-        for v in sorted(c.graph.vertices, key=lambda v: v.id)
-    ]
+    Jacobians (their sources, unresolved, in ascending vertex-id order)."""
     return UniformizationData(
         torus_rank=betti_one(c.graph),
         gram=monodromy_gram(c.graph),
-        b_frobenius=direct_sum(blocks, c.p, c.f),
+        b_frobenius=[c.components[vid] for vid in sorted(c.components)],
         p=c.p,
         f=c.f,
     )
@@ -158,7 +171,7 @@ def jacobian_data(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> Uniform
 def build_from_curve(c: CurveInstance, bound: int = DEFAULT_POINT_BOUND) -> PhiNModule:
     """Module of a semistable curve: the module of its Jacobian's
     uniformization data."""
-    return build_from_av(jacobian_data(c, bound))
+    return build_from_av(jacobian_data(c), bound)
 
 
 def check_curve_jacobian_agreement(c: CurveInstance, module: PhiNModule) -> bool:

@@ -48,7 +48,7 @@ def run_checks(inst, bound: int) -> Report:
         module = build_from_curve(inst, bound)
         agreement = check_curve_jacobian_agreement(inst, module)
     else:
-        module = build_from_av(inst)
+        module = build_from_av(inst, bound)
         agreement = None
     relations = verify_relations(module)
     polygons = hodge_newton(module)

@@ -10,8 +10,12 @@ refused before it is parsed.
 
 :func:`instance_from_json` reads an instance in one pass, in the order of
 its fields, and builds each record as soon as its fields are read: a
-curve's graph before its components, and each Weil block of an abelian
-variety, certified once, before the next block is read.  Each integer
+curve's graph before its components.  It only reads: a component source is
+kept as the file gives it (None, an EllipticCurveSpec or a QMatrix), and no
+point is counted and no Weil block certified until
+``builders.build_from_av`` resolves the sources.  So a file's shape fault
+is named before a record's (``check_q``, the torus rank, an elliptic
+source at f != 1), and both before a refused certificate.  Each integer
 field, vertex, edge, component source and matrix has a fast path, exact
 type tests with integer fields matched by ``INT_TEXT`` and matrix entries
 by ``_ENTRY``, that builds no message context.  If those tests fail (a
@@ -26,19 +30,21 @@ A request's result is a :class:`Report` record: the instance, its module
 and the verdicts of its checks.  :func:`dump_json` writes it section by
 section with functions that know each section's keys in sorted order: the
 checks from the two check records and the two booleans, the instance echo
-from the :class:`CurveInstance` or :class:`UniformizationData`, and the
-module from its blocks.  Every piece is appended to one list, joined once.
-The text is exactly ``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of
-the report as a dict (``tests/oracles.py`` builds that dict), and of
-:func:`instance_to_json` for an instance written alone.  Input strings (ids
-and component keys) are quoted by the C ``encode_basestring_ascii``;
-number strings never need escaping.
+from the :class:`CurveInstance`, or from the :class:`UniformizationData`
+and the module's phi1 blocks, and the module from its blocks.  Every piece
+is appended to one list, joined once.  The text is exactly
+``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a dict
+(``tests/oracles.py`` builds that dict), and of :func:`instance_to_json`
+for a curve instance written alone.  Input strings (ids and component
+keys) are quoted by the C ``encode_basestring_ascii``; number strings
+never need escaping.
 
 Each square matrix is written from one run of cells per row: row i is "0"
 but for its run.  The dense d x d ``phi`` and ``n``, and the ``b_frobenius``
-entries of an abelian-variety echo, take their runs from the blocks: the
-scalars, N's one block, and each row of a phi1 block, its cells from the
-text the block keeps, moved right by the sizes of the blocks before it.
+entries of an abelian-variety echo, take their runs from the module's
+blocks: the scalars, N's one block, and each row of a phi1 block, its
+cells from the text the block keeps, moved right by the sizes of the
+blocks before it.
 So no d x d or w1 x w1 matrix or row list is built, and each cell of a
 block is converted to text once, however often it is written.  Another
 matrix has its whole rows as runs.  The text of a zero row is made once,
@@ -52,19 +58,12 @@ from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from ._record import Record
-from .builders import CurveInstance, UniformizationData, resolve_component
+from .builders import CurveInstance, UniformizationData
 from .errors import SchemaError, clipped, clipped_key
 from .exact_linalg import QMatrix
 from .graph_core import DualGraph, Edge, Vertex
 from .phin_module import PhiNModule, PolygonReport, RelationReport
-from .weil_data import (
-    DEFAULT_POINT_BOUND,
-    MAX_ENTRY_DIGITS,
-    MAX_WEIL_SIZE,
-    EllipticCurveSpec,
-    check_weil_size,
-    direct_sum,
-)
+from .weil_data import MAX_ENTRY_DIGITS, MAX_WEIL_SIZE, EllipticCurveSpec, check_weil_size
 
 FORMAT_NAME = "phinmod-instance-v1"
 REPORT_NAME = "phinmod-report-v1"
@@ -183,41 +182,21 @@ def source_from_json(obj, p: int, context: str):
 
 # -- instances ----------------------------------------------------------------
 
-def instance_to_json(inst) -> dict:
-    """Canonical JSON form of a curve or abelian-variety instance."""
-    if isinstance(inst, CurveInstance):
-        return {
-            "format": FORMAT_NAME,
-            "kind": "curve",
-            "p": str(inst.p),
-            "f": str(inst.f),
-            "graph": {
-                "vertices": [
-                    {"id": v.id, "genus": str(v.genus)} for v in inst.graph.vertices
-                ],
-                "edges": [
-                    {"id": e.id, "tail": e.tail, "head": e.head}
-                    for e in inst.graph.edges
-                ],
-            },
-            "components": {
-                vid: source_to_json(src) for vid, src in inst.components.items()
-            },
-        }
-    if isinstance(inst, UniformizationData):
-        return {
-            "format": FORMAT_NAME,
-            "kind": "av",
-            "p": str(inst.p),
-            "f": str(inst.f),
-            "torus_rank": str(inst.torus_rank),
-            "gram": matrix_to_strings(inst.gram),
-            "b_frobenius": [
-                {"type": "matrix",
-                 "entries": matrix_to_strings(QMatrix.block_diag(inst.b_frobenius.blocks))}
-            ],
-        }
-    raise TypeError(f"not an instance: {inst!r}")
+def instance_to_json(inst: CurveInstance) -> dict:
+    """Canonical JSON form of a curve instance."""
+    if not isinstance(inst, CurveInstance):
+        raise TypeError(f"not a curve instance: {inst!r}")
+    return {
+        "format": FORMAT_NAME,
+        "kind": "curve",
+        "p": str(inst.p),
+        "f": str(inst.f),
+        "graph": {
+            "vertices": [{"id": v.id, "genus": str(v.genus)} for v in inst.graph.vertices],
+            "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in inst.graph.edges],
+        },
+        "components": {vid: source_to_json(src) for vid, src in inst.components.items()},
+    }
 
 
 def _int(text) -> int:
@@ -328,14 +307,10 @@ def instance_from_json(obj):
             gram = _matrix(gram)
         except (TypeError, ValueError):
             gram = matrix_from_strings(gram, "gram")
-        blocks = []
-        for k, src in enumerate(_get_list(obj, "b_frobenius", "")):
-            src = _source(src, p, "b_frobenius[%s]", k)
-            if isinstance(src, EllipticCurveSpec) and f != 1:
-                raise SchemaError(f"field 'b_frobenius[{k}]': elliptic sources require f = 1")
-            blocks.append(resolve_component(src, p, f, DEFAULT_POINT_BOUND))
-        return UniformizationData(torus_rank=torus_rank, gram=gram,
-                                  b_frobenius=direct_sum(blocks, p, f), p=p, f=f)
+        sources = [_source(src, p, "b_frobenius[%s]", k)
+                   for k, src in enumerate(_get_list(obj, "b_frobenius", ""))]
+        return UniformizationData(torus_rank=torus_rank, gram=gram, b_frobenius=sources,
+                                  p=p, f=f)
     raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")
 
 
@@ -476,11 +451,12 @@ def _write_source(out: list, src, indent: str) -> None:
         out.append("," + i1 + '"type": "matrix"' + indent + "}")
 
 
-def _write_instance(out: list, inst, indent: str) -> None:
-    """Append the echo of a curve or abelian-variety instance, as
-    :func:`instance_to_json` gives it: components in sorted vertex-id
-    order, then the graph's edges and vertices in their order; an
-    abelian variety's Weil matrix from its blocks."""
+def _write_instance(out: list, inst, indent: str, m: PhiNModule = None) -> None:
+    """Append the echo of a curve instance, as :func:`instance_to_json`
+    gives it: components in sorted vertex-id order, then the graph's edges
+    and vertices in their order.  An abelian variety is echoed only in the
+    report of its module ``m``: its sources as one matrix source, the
+    resolved Weil matrix, written from m's phi1 blocks."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
@@ -504,17 +480,16 @@ def _write_instance(out: list, inst, indent: str) -> None:
             _array(edges, i2), f',{i2}"vertices": ', _array(vertices, i2),
             f'{i1}}},{i1}"kind": "curve",{i1}"p": "{inst.p}"{indent}}}',
         )
-    elif isinstance(inst, UniformizationData):
-        w = inst.b_frobenius
+    elif isinstance(inst, UniformizationData) and m is not None:
         out.append(f'{{{i1}"b_frobenius": [{i2}{{{i3}"entries": ')
-        _write_rows(out, w.size, _block_runs(w.blocks), i3)
+        _write_rows(out, m.dims[1], _block_runs(m.phi1_blocks), i3)
         out.append(f',{i3}"type": "matrix"{i2}}}{i1}],{i1}"f": "{inst.f}",'
                    f'{i1}"format": "{FORMAT_NAME}",{i1}"gram": ')
         _write_rows(out, inst.gram.rows, _block_runs((inst.gram,)), i1)
         out.append(f',{i1}"kind": "av",{i1}"p": "{inst.p}",'
                    f'{i1}"torus_rank": "{inst.torus_rank}"{indent}}}')
     else:
-        raise TypeError(f"not a report or an instance: {type(inst).__name__}")
+        raise TypeError(f"not a report or a curve instance: {type(inst).__name__}")
 
 
 _AGREEMENT = '\n    "curve_jacobian_agreement": "%s",'
@@ -566,7 +541,7 @@ def _write_report(out: list, r: Report) -> None:
     agreement = "" if r.agreement is None else _AGREEMENT % verdicts.pop(0)
     out.append(_REPORT_HEAD % (agreement, *verdicts))
     m, polygons, i = r.module, r.polygons, "\n    "
-    _write_instance(out, r.instance, "\n  ")
+    _write_instance(out, r.instance, "\n  ", m)
     out.append(_MODULE_HEAD % (*m.dims, m.f, m.fil1_dim))
     _write_rows(out, m.gram.rows, _block_runs((m.gram,)), i)
     out += (',\n    "hodge_slopes": ', _slopes(polygons.hodge.slopes, i), ',\n    "n": ')
@@ -579,11 +554,11 @@ def _write_report(out: list, r: Report) -> None:
 
 
 def dump_json(obj) -> str:
-    """Canonical byte-stable text of a :class:`Report`, or of a curve or
-    abelian-variety instance alone (the fuzz failure dump): exactly
+    """Canonical byte-stable text of a :class:`Report`, or of a curve
+    instance alone (the fuzz failure dump): exactly
     ``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a
-    dict, or of ``instance_to_json(obj)``.  Any other value raises
-    TypeError."""
+    dict, or of ``instance_to_json(obj)``.  Any other value, an
+    abelian-variety instance too, raises TypeError."""
     out = []
     if isinstance(obj, Report):
         _write_report(out, obj)

@@ -118,9 +118,9 @@ class WeilMatrix(Record):
     """Validated Frobenius matrix of a weight-1 crystalline block, stored as
     its finest contiguous diagonal blocks.
 
-    q = p^f; size = 2g, g being the Hodge filtration dimension of the block.
-    The matrix is the block-diagonal sum of the square QMatrix ``blocks``,
-    in order; no dense size x size matrix is kept.  Finest blocks are
+    q = p^f; the matrix has 2g rows, g being the Hodge filtration dimension
+    of the block.  It is the block-diagonal sum of the square QMatrix
+    ``blocks``, in order; no dense 2g x 2g matrix is kept.  Finest blocks are
     unique, so ``==`` on them means ``==`` on the matrix.  ``factors`` are
     characteristic polynomials (ascending coefficients, leading 1) kept
     from validation: one per block when every block is Weil on its own, or
@@ -140,10 +140,6 @@ class WeilMatrix(Record):
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "factors", factors)
-
-    @property
-    def size(self) -> int:
-        return sum(b.rows for b in self.blocks)
 
 
 class EllipticCurveSpec(Record):
@@ -171,7 +167,7 @@ class EllipticCurveSpec(Record):
 def count_points(e: EllipticCurveSpec, bound: int = DEFAULT_POINT_BOUND) -> tuple:
     """(#E(F_p), trace a = p + 1 - #E); p above ``bound`` is refused."""
     if e.p > bound:
-        raise ValidationError(f"p = {e.p} exceeds the point-counting bound {bound}")
+        raise ValidationError(f"field 'p' = {e.p} exceeds the point-counting bound {bound}")
     n = _count_points_kernel(e.p, e.a4, e.a6)
     return n, e.p + 1 - n
 

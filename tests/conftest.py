@@ -8,6 +8,7 @@ from phinmod.builders import (
     CurveInstance,
     build_from_curve,
     check_curve_jacobian_agreement,
+    resolve_component,
 )
 from phinmod.fuzz import instance_stream
 from phinmod.graph_core import DualGraph
@@ -16,11 +17,18 @@ from phinmod.phin_module import (
     verify_monodromy_duality,
     verify_relations,
 )
+from phinmod.weil_data import direct_sum
 
 FUZZ_SEED = 1
 FUZZ_COUNT = 200
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
+
+
+def resolved_weil(u):
+    """The Weil part of the uniformization data ``u``: its sources resolved
+    and summed as ``build_from_av`` does."""
+    return direct_sum([resolve_component(src, u.p, u.f) for src in u.b_frobenius], u.p, u.f)
 
 
 def tate_instance() -> CurveInstance:

@@ -46,13 +46,15 @@ package's pairs only through ``as_pair`` (out) and ``slope_multiset``
 
 ``report_dict`` is the report as the nested dict the package once built
 and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
-dense module.  It defines the report's bytes as
+dense module, and an abelian variety's echo written from the module's phi1
+blocks (``av_echo``).  It defines the report's bytes as
 ``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``.
 
 ``read_by_field`` is the instance reader the package once kept to name a
 fault: the whole file read field by field with ``isinstance`` tests and a
 context string for every field, and each record built as soon as its
-fields are read.  It is the message oracle of ``instance_from_json``: the
+fields are read; like the package's reader it resolves no component
+source.  It is the message oracle of ``instance_from_json``: the
 same record, or the same exception class and message, on any input.
 """
 
@@ -64,18 +66,16 @@ from itertools import combinations, groupby
 from math import gcd
 
 import phinmod.weil_data as weil_data
-from phinmod.builders import CurveInstance, UniformizationData, resolve_component
+from phinmod.builders import CurveInstance, UniformizationData
 from phinmod.errors import SchemaError, WeilValidationError, clipped, clipped_key
 from phinmod.exact_linalg import NewtonPolygon, QMatrix
 from phinmod.graph_core import DualGraph
 from phinmod.io_formats import FORMAT_NAME, instance_to_json
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
 from phinmod.weil_data import (
-    DEFAULT_POINT_BOUND,
     MAX_ENTRY_DIGITS,
     EllipticCurveSpec,
     check_weil_size,
-    direct_sum,
 )
 
 
@@ -710,7 +710,8 @@ def dense_from_blocks(p, f, phi0, phi1_blocks, phi2, n02, fil1_dim, gram):
 def dense_assemble(p, f, gram, weil):
     """The dense module of a Gram matrix and validated Weil data."""
     return dense_from_blocks(
-        p, f, 1, weil.blocks, p ** f, gram, gram.rows + weil.size // 2, gram
+        p, f, 1, weil.blocks, p ** f, gram, gram.rows + sum(b.rows for b in weil.blocks) // 2,
+        gram
     )
 
 
@@ -900,9 +901,26 @@ def _text_rows(m):
     return [[str(x) for x in m.row(i)] for i in range(m.rows)]
 
 
+def av_echo(inst, m):
+    """The echo of the abelian-variety instance ``inst`` in the report of its
+    module ``m``: its sources as one matrix source, the sum of the phi1
+    blocks."""
+    entries = [[str(x) for x in r] for r in block_sum_rows(m.phi1_blocks)]
+    return {
+        "format": FORMAT_NAME,
+        "kind": "av",
+        "p": str(inst.p),
+        "f": str(inst.f),
+        "torus_rank": str(inst.torus_rank),
+        "gram": _text_rows(inst.gram),
+        "b_frobenius": [{"type": "matrix", "entries": entries}],
+    }
+
+
 def report_dict(report):
     """The report record ``report`` as a dict of strings and plain lists."""
-    m, polygons = report.module, report.polygons
+    m, polygons, inst = report.module, report.polygons, report.instance
+    echo = instance_to_json(inst) if isinstance(inst, CurveInstance) else av_echo(inst, m)
     dense = dense_module(m)
     w0, w1, w2 = m.dims
     checks = {
@@ -919,7 +937,7 @@ def report_dict(report):
         checks["curve_jacobian_agreement"] = _verdict(report.agreement)
     return {
         "format": "phinmod-report-v1",
-        "instance": instance_to_json(report.instance),
+        "instance": echo,
         "module": {
             "p": str(m.p),
             "f": str(m.f),
@@ -1044,7 +1062,7 @@ def source_from_json(obj, p: int, context: str):
     raise SchemaError(f"field '{context}.type' has unknown value {clipped(kind)}")
 
 
-def read_by_field(obj, bound: int = DEFAULT_POINT_BOUND):
+def read_by_field(obj):
     """Parse and validate an instance file field by field; SchemaError
     names the bad field."""
     if not isinstance(obj, Mapping):
@@ -1086,16 +1104,11 @@ def read_by_field(obj, bound: int = DEFAULT_POINT_BOUND):
     if kind == "av":
         torus_rank = _as_int(_get(obj, "torus_rank", ""), "torus_rank")
         gram = matrix_from_strings(_get(obj, "gram", ""), "gram")
-        blocks = []
-        for k, src_obj in enumerate(_get_list(obj, "b_frobenius", "")):
-            src = source_from_json(src_obj, p, f"b_frobenius[{k}]")
-            if isinstance(src, EllipticCurveSpec) and f != 1:
-                raise SchemaError(
-                    f"field 'b_frobenius[{k}]': elliptic sources require f = 1"
-                )
-            blocks.append(resolve_component(src, p, f, bound))
-        b = direct_sum(blocks, p, f)
+        sources = [
+            source_from_json(src_obj, p, f"b_frobenius[{k}]")
+            for k, src_obj in enumerate(_get_list(obj, "b_frobenius", ""))
+        ]
         return UniformizationData(
-            torus_rank=torus_rank, gram=gram, b_frobenius=b, p=p, f=f
+            torus_rank=torus_rank, gram=gram, b_frobenius=sources, p=p, f=f
         )
     raise SchemaError(f"field 'kind' has unknown value {clipped(kind)}")

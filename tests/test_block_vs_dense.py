@@ -49,7 +49,7 @@ from phinmod.weil_data import (
     validate_weil,
 )
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, resolved_weil
 from oracles import (
     DenseModule,
     all_pass,
@@ -83,7 +83,7 @@ def written_module(inst, m: PhiNModule) -> dict:
 def test_block_path_matches_dense_oracle():
     for name, inst in example_instances():
         u = jacobian_data(inst) if isinstance(inst, CurveInstance) else inst
-        dense = dense_assemble(u.p, u.f, u.gram, u.b_frobenius)
+        dense = dense_assemble(u.p, u.f, u.gram, resolved_weil(u))
         m = build_from_av(u)
         assert verify_relations(m) == dense_relations(dense), name
         assert hodge_newton(m) == dense_hodge_newton(dense), name
@@ -99,7 +99,7 @@ def test_hessenberg_matches_berkowitz_on_dense_phi():
     # dense phi of the example instances and fuzz streams
     for name, inst in example_instances():
         u = jacobian_data(inst) if isinstance(inst, CurveInstance) else inst
-        phi = dense_assemble(u.p, u.f, u.gram, u.b_frobenius).phi
+        phi = dense_assemble(u.p, u.f, u.gram, resolved_weil(u)).phi
         assert charpoly_hessenberg(phi.to_rows()) == char_poly(phi), name
 
 

@@ -35,7 +35,7 @@ ENTRY_POINTS = {
         graph=DualGraph.build([("v0", 0)], []), components={"v0": None}, p=p, f=f
     ),
     "UniformizationData": lambda p, f: UniformizationData(
-        torus_rank=0, gram=EMPTY, b_frobenius=validate_weil(EMPTY, 5), p=p, f=f
+        torus_rank=0, gram=EMPTY, b_frobenius=[None], p=p, f=f
     ),
     "validate_weil": lambda p, f: validate_weil(EMPTY, p, f),
 }
@@ -146,7 +146,7 @@ class TestBuildFromAV:
         u = UniformizationData(
             torus_rank=1,
             gram=QMatrix.from_rows([[1]]),
-            b_frobenius=validate_weil(QMatrix(0, 0, ()), 5),
+            b_frobenius=[None],
             p=5,
         )
         m = build_from_av(u)
@@ -156,7 +156,7 @@ class TestBuildFromAV:
         u = UniformizationData(
             torus_rank=0,
             gram=QMatrix(0, 0, ()),
-            b_frobenius=frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)),
+            b_frobenius=[EllipticCurveSpec(5, 1, 0)],
             p=5,
         )
         m = build_from_av(u)
@@ -166,7 +166,7 @@ class TestBuildFromAV:
         u = UniformizationData(
             torus_rank=2,
             gram=QMatrix.from_rows([[2, 1], [1, 2]]),
-            b_frobenius=validate_weil(QMatrix(0, 0, ()), 5),
+            b_frobenius=[None],
             p=5,
         )
         assert build_from_av(u) == build_from_curve(theta_instance())
@@ -176,9 +176,31 @@ class TestBuildFromAV:
             UniformizationData(
                 torus_rank=2,
                 gram=QMatrix.from_rows([[1]]),
-                b_frobenius=validate_weil(QMatrix(0, 0, ()), 5),
+                b_frobenius=[None],
                 p=5,
             )
+
+    def test_sources_are_kept_unresolved(self):
+        # a row list is made a QMatrix; nothing is counted or certified, so
+        # a matrix that is not Weil is kept until the module is built
+        rows = [[0, -5], [1, 5]]
+        spec = EllipticCurveSpec(5, 1, 0)
+        u = UniformizationData(0, EMPTY, [None, spec, rows, EMPTY], 5)
+        assert u.b_frobenius == (None, spec, QMatrix.from_rows(rows), EMPTY)
+        with pytest.raises(ValidationError, match="trace\\^2 = 25 > 4q = 20"):
+            build_from_av(u)
+
+    def test_elliptic_source_refused_at_f_2(self):
+        with pytest.raises(ValidationError,
+                           match=r"^field 'b_frobenius\[1\]': elliptic sources require f = 1$"):
+            UniformizationData(0, EMPTY, [None, EllipticCurveSpec(5, 1, 0)], 5, 2)
+
+    def test_bound_is_passed_to_the_point_count(self):
+        u = UniformizationData(0, EMPTY, [EllipticCurveSpec(101, 1, 1)], 101)
+        assert build_from_av(u).dims == (0, 2, 0)
+        with pytest.raises(ValidationError,
+                           match="^field 'p' = 101 exceeds the point-counting bound 100$"):
+            build_from_av(u, 100)
 
 
 class TestEmptyMatrixSource:
@@ -218,7 +240,7 @@ class TestJacobianData:
         u = jacobian_data(tate_instance())
         assert u.torus_rank == 1
         assert u.gram.to_rows() == [[1]]
-        assert u.b_frobenius.size == 0
+        assert u.b_frobenius == (None,)
 
     def test_tree_of_elliptic_vertices(self):
         g = DualGraph.build([("v0", 1), ("v1", 1)], [("e0", "v0", "v1")])
@@ -232,7 +254,9 @@ class TestJacobianData:
         )
         u = jacobian_data(inst)
         assert u.torus_rank == 0
-        assert u.b_frobenius.size == 4
+        # the sources, unresolved, in ascending vertex-id order
+        assert u.b_frobenius == (EllipticCurveSpec(5, 1, 0), EllipticCurveSpec(5, 0, 1))
+        assert build_from_av(u).dims == (0, 4, 0)
 
     def test_theta(self):
         u = jacobian_data(theta_instance())
@@ -263,7 +287,7 @@ class TestAgreement:
         u = UniformizationData(
             torus_rank=2,
             gram=QMatrix.from_rows([[2, 1], [1, 2]]),
-            b_frobenius=frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0)),
+            b_frobenius=[EllipticCurveSpec(5, 1, 0)],
             p=5,
         )
         assert not check_curve_jacobian_agreement(theta_instance(), build_from_av(u))

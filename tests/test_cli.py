@@ -646,6 +646,22 @@ class TestCountCommand:
         err = capsys.readouterr().err
         assert "field 'p' = 4 is not an odd prime" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["curve", "av", "count"])
+    def test_p_above_the_point_bound_exit_2_naming_p(self, tmp_path, capsys, kind):
+        # 10007 is the least prime above the bound
+        if kind == "count":
+            argv = ["count", "10007", "1", "1"]
+        elif kind == "curve":
+            argv = ["build", write_instance(tmp_path, _elliptic_curve(p="10007"))]
+        else:
+            obj = {"kind": "av", "p": "10007", "f": "1", "torus_rank": "0", "gram": [],
+                   "b_frobenius": [{"type": "elliptic", "a4": "1", "a6": "1"}]}
+            argv = ["build", write_instance(tmp_path, obj)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: field 'p' = 10007 exceeds the point-counting bound 10000\n"
+
     def test_elliptic_component_at_non_prime_p_names_p(self, tmp_path, capsys):
         obj = instance_to_json(tate_instance())
         obj["p"] = "4"

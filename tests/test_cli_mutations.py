@@ -5,18 +5,22 @@ instances (``instances/*.json``), or changes, deletes or adds a field
 anywhere in it, or both, and runs ``cli.main(["build", path])``.
 The exit-code contract must hold: 0, 1 or 2, no exception escaping ``main``
 and no traceback on stderr, within a deadline per case.  The outcome must
-also be that of the general path (``oracles.resolve_by_validation``), where
-the genus-0 and the elliptic components go through ``validate_weil`` too and
-a matrix component is certified by ``oracles.certify_berkowitz`` instead:
-the same exit code and the same report bytes, so the closed-form blocks
-and the minors and closed form of a 4 x 4 block accept and refuse exactly
-what the general certificate does.  Three fixed genus-2 blocks on the
-boundaries of the closed form run on every test run.
+also be that of the general path (``oracles.resolve_by_validation`` in
+place of ``builders.resolve_component``, which ``build_from_av`` alone
+calls), where the genus-0 and the elliptic components go through
+``validate_weil`` too and a matrix component is certified by
+``oracles.certify_berkowitz`` instead: the same exit code and the same
+report bytes, so the closed-form blocks and the minors and closed form of
+a 4 x 4 block accept and refuse exactly what the general certificate does.
+Three fixed genus-2 blocks on the boundaries of the closed form run on
+every test run.
 
-Error messages are not compared.  On a refused abelian-variety file the
-general path names a bad (p, f) at its first genus-0 block, the closed form
-at the first matrix block or when the data is assembled, so when a later
-block is malformed too the two paths name different fields.
+A refusal's message is compared too.  The reader resolves no source, and
+the instance records check (p, f), the torus rank and each source's shape
+before the first source is resolved, so both paths resolve the same
+sources in the same order, and the first refused one is refused with the
+same message: the general certificate tests det, the functional equation
+and the archimedean condition in the package's order and words.
 """
 
 import contextlib
@@ -30,7 +34,6 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import phinmod.builders
-import phinmod.io_formats
 from phinmod.cli import main
 
 from conftest import INSTANCE_DIR
@@ -201,6 +204,7 @@ def test_mutated_build_keeps_the_exit_contract(instance_path, obj):
         assert err.startswith("error: ") and not out
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(phinmod.builders, "resolve_component", resolve_by_validation)
-        mp.setattr(phinmod.io_formats, "resolve_component", resolve_by_validation)
         general = build(instance_path)
     assert (code, out) == general[:2]
+    if code == 2:
+        assert err == general[2]

@@ -125,7 +125,8 @@ def test_equality_ignores_how_chi_is_factored():
     m = assemble(5, 1, gram, summed)
     assert m == assemble(5, 1, gram, whole)
     # a report read back holds phi1's characteristic polynomial whole
-    u = UniformizationData(torus_rank=2, gram=gram, b_frobenius=summed, p=5)
+    sources = [EllipticCurveSpec(5, 1, 0), None, EllipticCurveSpec(5, 0, 1)]
+    u = UniformizationData(torus_rank=2, gram=gram, b_frobenius=sources, p=5)
     read = module_from_report(json.loads(dump_json(run_checks(u, DEFAULT_POINT_BOUND))))
     assert len(m.phi1_factors) == 2 and len(read.phi1_factors) == 1
     assert read == m and hash(read) == hash(m)

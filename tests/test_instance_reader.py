@@ -6,13 +6,18 @@ exact type tests, and a node that fails them again by the helpers that
 take a rarer spelling or name the fault.  Whatever the input, the outcome
 must be that of ``oracles.read_by_field``, which reads every field with
 ``isinstance`` tests and a context string: an ``==`` record, or the same
-exception class and message.  Each Weil block is certified at most once.
-The inputs are the mutated instances of ``test_cli_mutations.py``, with
-lists and objects swapped and integer strings spelled as JSON numbers.
+exception class and message.  The reader only reads: it counts no point and
+certifies no Weil block, and ``builders.build_from_av`` resolves each
+source once when the module is built.  So an abelian-variety file names a
+shape fault first, then a record's (``check_q``, the torus rank, an
+elliptic source at f != 1), then a refused certificate.  The inputs are
+the mutated instances of ``test_cli_mutations.py``, with lists and objects
+swapped and integer strings spelled as JSON numbers.
 """
 
 import contextlib
 import copy
+import io
 import json
 from types import MappingProxyType
 
@@ -20,8 +25,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import phinmod.io_formats as io_formats
+import phinmod.builders
+import phinmod.cli
+import phinmod.weil_data
+from phinmod.cli import main
 from phinmod.errors import SchemaError, ValidationError
+from phinmod.exact_linalg import QMatrix
 from phinmod.io_formats import INT_TEXT, instance_from_json
 
 from oracles import read_by_field
@@ -36,33 +45,31 @@ def outcome(read, obj):
 
 
 @contextlib.contextmanager
-def certificates():
-    """The source of every block that ``instance_from_json`` certifies."""
+def nothing_resolved():
+    """``validate_weil`` and ``count_points``, wherever the package holds
+    them, replaced by functions that note their call and raise; the list
+    of calls is yielded."""
     calls = []
-    certify = io_formats.resolve_component
 
-    def counted(src, *args):
-        calls.append(src)
-        return certify(src, *args)
+    def refuse(name):
+        def called(*args):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return called
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io_formats, "resolve_component", counted)
+        for module in (phinmod.weil_data, phinmod.builders):
+            mp.setattr(module, "validate_weil", refuse("validate_weil"))
+        for module in (phinmod.weil_data, phinmod.cli):
+            mp.setattr(module, "count_points", refuse("count_points"))
         yield calls
 
 
-def source_count(obj) -> int:
-    """How many Weil blocks an abelian-variety file lists; 0 for any other."""
-    if not isinstance(obj, dict) or obj.get("kind") != "av":
-        return 0
-    sources = obj.get("b_frobenius")
-    return len(sources) if isinstance(sources, list) else 0
-
-
 def assert_read_by_field(obj):
-    with certificates() as calls:
+    with nothing_resolved() as calls:
         got = outcome(instance_from_json, obj)
+    assert calls == []
     assert got == outcome(read_by_field, obj)
-    assert len(calls) <= source_count(obj)
 
 
 def respell(node):
@@ -173,6 +180,8 @@ CASES = {
     # a record's fault before a later shape fault: the record's is named
     "duplicate-vertex-then-bad-source": (_curve, ("graph", "vertices", 1, "id"), "v0",
                                          (("components", "v0"), {"type": "matrix"})),
+    # a block that is not Weil is read, not certified: the later shape
+    # fault is named
     "not-weil-then-unknown-type": (_av, ("b_frobenius",), [NOT_WEIL, {"type": "torus"}]),
 }
 
@@ -186,15 +195,100 @@ def test_fault_and_spelling_cases(case):
     assert_read_by_field(obj)
 
 
-def test_a_refused_weil_block_is_certified_once():
-    """A shape fault after a block that its certificate refuses: the block
-    is certified once, and the certificate's refusal is the one named."""
+def test_the_reader_counts_and_certifies_nothing():
+    """Every example file, and an abelian variety with a block that is not
+    Weil, an elliptic source and a later shape fault, read with
+    ``validate_weil`` and ``count_points`` made to raise: the sources are
+    kept as given, and the shape fault is named."""
     obj = _av()
-    obj["b_frobenius"].append({"type": "torus"})
-    obj["b_frobenius"][0]["entries"][1][1] = "5"
-    with certificates() as calls:
-        assert outcome(instance_from_json, obj)[0] == "WeilValidationError"
-    assert len(calls) == 1
+    obj["b_frobenius"] = [NOT_WEIL, ELLIPTIC]
+    with nothing_resolved() as calls:
+        for example in INSTANCES.values():
+            instance_from_json(example)
+        inst = instance_from_json(copy.deepcopy(obj))
+        obj["b_frobenius"].append({"type": "torus"})
+        with pytest.raises(SchemaError, match=r"^field 'b_frobenius\[2\]\.type' has unknown"):
+            instance_from_json(obj)
+    assert calls == []
+    assert inst.b_frobenius[0] == QMatrix.from_rows([[0, -5], [1, 5]])
+    assert inst.b_frobenius[1].a4 == 1
+
+
+def build(obj, tmp_path) -> tuple:
+    """(exit code, stderr) of ``phinmod build`` on ``obj``."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["build", str(path)])
+    return code, err.getvalue()
+
+
+def test_build_resolves_each_source_once(tmp_path):
+    """``build`` resolves each component source once, in order, and stops
+    at the first that is refused."""
+    calls = []
+    resolve = phinmod.builders.resolve_component
+
+    def counted(src, *args):
+        calls.append(src)
+        return resolve(src, *args)
+
+    cases = [(obj, 0, len(obj["components" if obj["kind"] == "curve" else "b_frobenius"]))
+             for obj in INSTANCES.values()]
+    three = _av()
+    three["b_frobenius"] += [ELLIPTIC, {"type": "genus0"}]
+    cases.append((three, 0, 3))
+    refused = _av()
+    refused["b_frobenius"] += [NOT_WEIL, ELLIPTIC]
+    cases.append((refused, 2, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phinmod.builders, "resolve_component", counted)
+        for obj, code, resolved in cases:
+            calls.clear()
+            assert build(obj, tmp_path)[0] == code
+            assert len(calls) == resolved
+
+
+def av_with(*edits) -> dict:
+    """``_av()`` with the fields of each of ``edits``; the b_frobenius
+    lists of several are joined in order."""
+    obj = _av()
+    for fields in edits:
+        obj.update(fields)
+    sources = [src for fields in edits for src in fields.get("b_frobenius", [])]
+    if sources:
+        obj["b_frobenius"] = sources
+    return obj
+
+
+# Two faults of an abelian-variety file from adjacent stages of the order
+# shape, record (check_q, torus rank, elliptic at f != 1), certificate:
+# the fields of the earlier stage's fault, with its message, and those of
+# the later one's, whose sources come first in the file
+FAULT_PAIRS = {
+    "shape-before-check-q": ({"b_frobenius": [MATRIX, {"type": "torus"}]},
+                             "field 'b_frobenius[1].type' has unknown value 'torus'",
+                             {"p": "4"}),
+    "check-q-before-torus-rank": ({"p": "4"}, "field 'p' = 4 is not prime",
+                                  {"torus_rank": "2"}),
+    "torus-rank-before-elliptic-at-f-2": (
+        {"torus_rank": "2"}, "field 'torus_rank' = 2 is not the torus rank of a 1x1 gram",
+        {"f": "2", "b_frobenius": [ELLIPTIC]}),
+    "elliptic-at-f-2-before-certificate": (
+        {"f": "2", "b_frobenius": [ELLIPTIC]},
+        "field 'b_frobenius[1]': elliptic sources require f = 1",
+        {"b_frobenius": [NOT_WEIL]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULT_PAIRS))
+def test_av_faults_are_named_in_order(case, tmp_path):
+    named, message, later = FAULT_PAIRS[case]
+    assert build(av_with(later, named), tmp_path) == (2, f"error: {message}\n")
+    # each fault alone is refused too
+    for fields in (named, later):
+        assert build(av_with(fields), tmp_path)[0] == 2, (case, fields)
 
 
 def test_the_examples_read_as_written():

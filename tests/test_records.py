@@ -27,7 +27,7 @@ from phinmod.phin_module import (
 )
 from phinmod.weil_data import EllipticCurveSpec, WeilMatrix
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, resolved_weil
 
 
 def records(name: str) -> dict:
@@ -39,7 +39,7 @@ def records(name: str) -> dict:
     out = {
         "UniformizationData": u,
         "PhiNModule": m,
-        "WeilMatrix": u.b_frobenius,
+        "WeilMatrix": resolved_weil(u),
         "QMatrix": u.gram,
         "RelationReport": verify_relations(m),
         "PolygonReport": polygons,

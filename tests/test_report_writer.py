@@ -1,7 +1,7 @@
 """``io_formats.dump_json`` writes a report record as exactly
 ``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``, with
-``report_dict`` the dict oracle of ``oracles.py``, and an instance alone as
-the same text of ``instance_to_json``: on the reports of ``instances/`` and
+``report_dict`` the dict oracle of ``oracles.py``, and a curve instance
+alone as the same text of ``instance_to_json``: on the reports of ``instances/`` and
 two fuzz streams, on adversarial ids and component keys, on edge shapes
 (d = 0, no Weil block, fractional polygons), on phi1 blocks that are not
 one per factor, on module shapes and random block layouts, and at d = 200
@@ -31,12 +31,7 @@ from phinmod.io_formats import (
     load_instance,
 )
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport, hodge_newton
-from phinmod.weil_data import (
-    DEFAULT_POINT_BOUND,
-    EllipticCurveSpec,
-    direct_sum,
-    frobenius_of_elliptic,
-)
+from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance
 from oracles import dense_module, finest_blocks, module_from_report, report_dict
@@ -50,9 +45,11 @@ def canonical(obj) -> str:
 
 
 def assert_written(report: Report):
-    """The report's text is the oracle's, and so is its instance's echo."""
+    """The report's text is the oracle's, and so is a curve instance's echo
+    written alone."""
     assert dump_json(report) == canonical(report_dict(report))
-    assert dump_json(report.instance) == canonical(instance_to_json(report.instance))
+    if isinstance(report.instance, CurveInstance):
+        assert dump_json(report.instance) == canonical(instance_to_json(report.instance))
 
 
 @pytest.mark.parametrize("path", INSTANCE_FILES, ids=lambda p: p.name)
@@ -77,7 +74,7 @@ def test_every_matrix_holds_ints():
         if isinstance(echo, CurveInstance):
             matrices = [src for src in echo.components.values() if isinstance(src, QMatrix)]
         else:
-            matrices = [echo.gram, *echo.b_frobenius.blocks]
+            matrices = [echo.gram, *(s for s in echo.b_frobenius if isinstance(s, QMatrix))]
         for matrix in matrices + [*m.phi1_blocks, m.gram]:
             assert {type(x) for x in matrix.entries} <= {int}
         assert type(m.q) is int
@@ -90,6 +87,16 @@ def test_every_matrix_holds_ints():
 def test_only_reports_and_instances_are_written(obj):
     with pytest.raises(TypeError):
         dump_json(obj)
+
+
+def test_an_av_instance_alone_is_not_written():
+    # an abelian variety's echo is written from its module's blocks, so
+    # only its report holds one
+    inst = load_instance(str(INSTANCE_DIR / "av_tate.json"))
+    with pytest.raises(TypeError, match="not a report or a curve instance"):
+        dump_json(inst)
+    with pytest.raises(TypeError, match="not a curve instance"):
+        instance_to_json(inst)
 
 
 def test_standard_encoder_is_never_called(tmp_path, monkeypatch):
@@ -215,15 +222,13 @@ def test_non_square_source_refused(rows, tmp_path, capsys):
 
 
 def test_av_weil_runs_are_made_once(monkeypatch):
-    # an abelian variety's phi1 blocks are its Weil matrix's block objects,
-    # so the echo of b_frobenius and phi are written from one text of each
-    b = direct_sum([frobenius_of_elliptic(EllipticCurveSpec(5, 1, 1)),
-                    frobenius_of_elliptic(EllipticCurveSpec(5, 1, 2))], 5)
-    inst = UniformizationData(1, QMatrix.from_rows([[2]]), b, 5)
+    # the echo of an abelian variety's b_frobenius and phi are both written
+    # from the module's phi1 blocks, so from one text of each
+    inst = UniformizationData(1, QMatrix.from_rows([[2]]),
+                              [EllipticCurveSpec(5, 1, 1), EllipticCurveSpec(5, 1, 2)], 5)
     report = run_checks(inst, DEFAULT_POINT_BOUND)
-    blocks = inst.b_frobenius.blocks
-    assert len(blocks) == len(report.module.phi1_blocks) == 2
-    assert all(x is y for x, y in zip(report.module.phi1_blocks, blocks))
+    blocks = report.module.phi1_blocks
+    assert len(blocks) == 2
     converted = []
     text = QMatrix.__dict__["entry_strings"].func
     counted = cached_property(lambda m: converted.append(m) or text(m))
@@ -446,8 +451,7 @@ def checked_and_written(inst, monkeypatch) -> tuple:
 
 def test_large_module_holds_no_dense_rows(monkeypatch):
     # d = 200: a 50 x 50 tridiagonal Gram and 50 elliptic blocks
-    b = direct_sum([frobenius_of_elliptic(SPECS_AT_5[k % len(SPECS_AT_5)])
-                    for k in range(50)], 5)
+    b = [SPECS_AT_5[k % len(SPECS_AT_5)] for k in range(50)]
     gram = QMatrix.from_rows(
         [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(50)] for i in range(50)]
     )

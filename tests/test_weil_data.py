@@ -90,7 +90,7 @@ class TestFrobeniusOfElliptic:
     def test_companion_shape(self):
         w = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
         assert w.blocks == (QMatrix.from_rows([[0, -5], [1, 2]]),)
-        assert (w.p, w.f, w.size) == (5, 1, 2)
+        assert (w.p, w.f, sum(b.rows for b in w.blocks)) == (5, 1, 2)
 
     def test_char_poly_is_weil(self):
         for p, a4, a6 in [(5, 1, 0), (7, 6, 0), (3, 1, 0), (11, 1, 3)]:
@@ -151,7 +151,7 @@ class TestEllipticBlockFromTrace:
 class TestValidateWeil:
     def test_accepts_companion(self):
         w = validate_weil([[0, -5], [1, 2]], 5)
-        assert w.p ** w.f == 5 and w.size == 2
+        assert w.p ** w.f == 5 and sum(b.rows for b in w.blocks) == 2
 
     def test_rejects_identity(self):
         with pytest.raises(WeilValidationError, match="det"):
@@ -208,7 +208,7 @@ class TestValidateWeil:
         with pytest.raises(WeilValidationError, match="archimedean"):
             validate_weil(QMatrix.block_diag([bad, good]), 5)
         ok = validate_weil(QMatrix.block_diag([good, good]), 5)
-        assert ok.size == 4
+        assert sum(b.rows for b in ok.blocks) == 4
 
     def test_size_and_entry_caps_before_char_poly(self, monkeypatch):
         from phinmod.weil_data import MAX_WEIL_SIZE
@@ -235,7 +235,7 @@ class TestValidateWeil:
     def test_f_greater_than_one(self):
         # companion of T^2 - 3T + 9 at q = 3^2
         w = validate_weil([[0, -9], [1, 3]], 3, f=2)
-        assert w.p ** w.f == 9 and w.size == 2
+        assert w.p ** w.f == 9 and sum(b.rows for b in w.blocks) == 2
 
 
 def poly_mul(a, b):
@@ -818,7 +818,7 @@ class TestBlockwiseCertificate:
 class TestDirectSum:
     def test_empty(self):
         w = direct_sum([], 5, 1)
-        assert w.size == 0
+        assert w.blocks == ()
 
     def test_single(self):
         b = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))
@@ -828,7 +828,7 @@ class TestDirectSum:
         b1 = frobenius_of_elliptic(EllipticCurveSpec(5, 1, 0))   # a = 2
         b2 = frobenius_of_elliptic(EllipticCurveSpec(5, 0, 1))   # a = 0
         w = direct_sum([b1, b2], 5, 1)
-        assert w.size == 4
+        assert sum(b.rows for b in w.blocks) == 4
         from phinmod.exact_linalg import det
 
         assert det(dense_weil(w)) == 25
