@@ -19,7 +19,6 @@ from .builders import (
 )
 from .errors import GraphError, SchemaError, ValidationError, WeilValidationError
 from .exact_linalg import (
-    NewtonPolygon,
     QMatrix,
     char_poly,
     det,
@@ -56,7 +55,6 @@ __all__ = [
     "DualGraph",
     "EllipticCurveSpec",
     "GraphError",
-    "NewtonPolygon",
     "PhiNModule",
     "QMatrix",
     "SchemaError",

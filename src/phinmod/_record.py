@@ -9,12 +9,9 @@ says otherwise, and a record equals only records of its own class.
 
 Fields and ``functools.cached_property`` values live in the instance
 ``__dict__``, so ``copy``, ``deepcopy`` and ``pickle`` restore a record
-without running ``__init__`` or ``__setattr__``.  A mapping field is held
-as a :class:`FrozenMap`, which can be hashed, copied and pickled like the
-record that holds it.
+without running ``__init__`` or ``__setattr__``.
 """
 
-from collections.abc import Mapping
 from operator import attrgetter
 
 
@@ -44,30 +41,3 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-
-class FrozenMap(Mapping):
-    """A read-only mapping over its own copy of a dict.  Unlike
-    ``types.MappingProxyType`` it hashes (when its values do), and ``copy``,
-    ``deepcopy`` and ``pickle`` restore it; ``==`` compares it with any
-    mapping."""
-
-    def __init__(self, items):
-        self._items = dict(items)
-
-    def __getitem__(self, key):
-        return self._items[key]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def items(self):  # the dict's own view: no Python call per item
-        return self._items.items()
-
-    def __hash__(self):
-        return hash(frozenset(self._items.items()))
-
-    def __repr__(self) -> str:
-        return f"FrozenMap({self._items!r})"

@@ -20,7 +20,7 @@ group of the Jacobian), counted by the matrix-tree theorem.
 
 from collections.abc import Mapping
 
-from ._record import FrozenMap, Record
+from ._record import Record
 from .errors import ValidationError, clipped, clipped_items
 from .exact_linalg import QMatrix, det
 from .graph_core import DualGraph, betti_one, monodromy_gram, spanning_tree_count
@@ -44,8 +44,9 @@ from .weil_data import (
 
 class CurveInstance(Record):
     """Semistable curve datum: dual graph plus component Frobenius sources.
-    ``components`` is stored as a read-only :class:`FrozenMap`, with each
-    row-list source made a QMatrix."""
+    ``components`` is given as a mapping from vertex id to source and stored
+    as the tuple of (vertex id, source) pairs in ascending id order, with
+    each row-list source made a QMatrix."""
 
     _fields = ("graph", "components", "p", "f")
 
@@ -91,7 +92,7 @@ class CurveInstance(Record):
                     )
                 components[v.id] = m
         object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "components", FrozenMap(components))
+        object.__setattr__(self, "components", tuple(sorted(components.items())))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "f", f)
 
@@ -117,8 +118,9 @@ class UniformizationData(Record):
     """Abelian-variety datum: torus rank, lattice Gram matrix, and the
     component sources of the good-reduction part, direct-summed in order.
     ``b_frobenius`` is stored as a tuple of sources as a file gives them
-    (None, an :class:`EllipticCurveSpec` or a QMatrix, each row-list source
-    made a QMatrix); :func:`build_from_av` resolves them."""
+    (None, an :class:`EllipticCurveSpec` over F_p at f = 1 or a QMatrix,
+    each row-list source made a QMatrix); :func:`build_from_av` resolves
+    them."""
 
     _fields = ("torus_rank", "gram", "b_frobenius", "p", "f")
 
@@ -135,6 +137,11 @@ class UniformizationData(Record):
                 if f != 1:
                     raise ValidationError(
                         f"field 'b_frobenius[{k}]': elliptic sources require f = 1"
+                    )
+                if src.p != p:
+                    raise ValidationError(
+                        f"field 'b_frobenius[{k}]': elliptic source lives over F_{src.p}, "
+                        f"instance is at q = {p}^{f}"
                     )
             elif src is not None and not isinstance(src, QMatrix):
                 src = QMatrix.from_rows(src)
@@ -162,7 +169,7 @@ def jacobian_data(c: CurveInstance) -> UniformizationData:
     return UniformizationData(
         torus_rank=betti_one(c.graph),
         gram=monodromy_gram(c.graph),
-        b_frobenius=[c.components[vid] for vid in sorted(c.components)],
+        b_frobenius=[src for _, src in c.components],
         p=c.p,
         f=c.f,
     )

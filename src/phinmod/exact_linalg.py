@@ -119,8 +119,7 @@ class QMatrix(Record):
     def block_diag(blocks: Iterable["QMatrix"]) -> "QMatrix":
         """Direct sum: each block's rows, padded with zeros on both sides.
         Requests keep block sums as their blocks; this dense form serves
-        only the genus-2 sources of :mod:`phinmod.fuzz` and
-        :func:`phinmod.io_formats.instance_to_json`."""
+        only the genus-2 sources of :mod:`phinmod.fuzz`."""
         blocks = list(blocks)
         nr = sum(b.rows for b in blocks)
         nc = sum(b.cols for b in blocks)
@@ -243,23 +242,6 @@ def _valuation(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-class NewtonPolygon(Record):
-    """Slope data: (slope, multiplicity) pairs with strictly increasing
-    slopes and positive multiplicities, as ``phin_module.hodge_newton``
-    builds them; the record does not check them again.  A slope is the
-    lowest-terms pair (num, den) of ints with den >= 1: slope 1/2 is
-    (1, 2) and slope 0 is (0, 1).
-
-    Slopes follow the reciprocal-root convention: an eigenvalue alpha of
-    valuation v contributes multiplicity 1 at slope v.
-    """
-
-    _fields = ("slopes",)
-
-    def __init__(self, slopes: tuple):
-        object.__setattr__(self, "slopes", slopes)
 
 
 def _hull_segments(coeffs: Sequence, p: int) -> list:

@@ -33,11 +33,11 @@ checks from the two check records and the two booleans, the instance echo
 from the :class:`CurveInstance`, or from the :class:`UniformizationData`
 and the module's phi1 blocks, and the module from its blocks.  Every piece
 is appended to one list, joined once.  The text is exactly
-``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a dict
-(``tests/oracles.py`` builds that dict), and of :func:`instance_to_json`
-for a curve instance written alone.  Input strings (ids and component
-keys) are quoted by the C ``encode_basestring_ascii``; number strings
-never need escaping.
+``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a dict,
+or of a curve instance written alone as a dict (``tests/oracles.py``
+builds both dicts; :func:`instance_to_json` reads the second back from the
+text).  Input strings (ids and component keys) are quoted by the C
+``encode_basestring_ascii``; number strings never need escaping.
 
 Each square matrix is written from one run of cells per row: row i is "0"
 but for its run.  The dense d x d ``phi`` and ``n``, and the ``b_frobenius``
@@ -114,13 +114,6 @@ def _as_int(value, context: str) -> int:
     raise SchemaError(f"field '{context}' must be an integer string")
 
 
-def matrix_to_strings(m: QMatrix) -> list:
-    # fresh row lists sliced from the text the matrix keeps, so a matrix
-    # written twice in one report is converted once and no row is shared
-    s, c = m.entry_strings, m.cols
-    return [list(s[i * c:(i + 1) * c]) for i in range(m.rows)]
-
-
 def _parse_entry(x) -> int:
     s = str(x)
     if not _ENTRY.fullmatch(s):
@@ -146,14 +139,6 @@ def matrix_from_strings(rows, context: str) -> QMatrix:
 
 
 # -- component sources -------------------------------------------------------
-
-def source_to_json(src) -> dict:
-    if src is None:
-        return {"type": "genus0"}
-    if isinstance(src, EllipticCurveSpec):
-        return {"type": "elliptic", "a4": str(src.a4), "a6": str(src.a6)}
-    return {"type": "matrix", "entries": matrix_to_strings(src)}
-
 
 def source_from_json(obj, p: int, context: str):
     if not isinstance(obj, Mapping):
@@ -183,20 +168,9 @@ def source_from_json(obj, p: int, context: str):
 # -- instances ----------------------------------------------------------------
 
 def instance_to_json(inst: CurveInstance) -> dict:
-    """Canonical JSON form of a curve instance."""
-    if not isinstance(inst, CurveInstance):
-        raise TypeError(f"not a curve instance: {inst!r}")
-    return {
-        "format": FORMAT_NAME,
-        "kind": "curve",
-        "p": str(inst.p),
-        "f": str(inst.f),
-        "graph": {
-            "vertices": [{"id": v.id, "genus": str(v.genus)} for v in inst.graph.vertices],
-            "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in inst.graph.edges],
-        },
-        "components": {vid: source_to_json(src) for vid, src in inst.components.items()},
-    }
+    """The curve instance ``inst`` as the dict its canonical text holds
+    (``perfbench/selftest.py`` compares its generator with it)."""
+    return json.loads(dump_json(inst))
 
 
 def _int(text) -> int:
@@ -438,7 +412,7 @@ def _array(items: list, indent: str) -> str:
 
 
 def _write_source(out: list, src, indent: str) -> None:
-    """Append a component source as :func:`source_to_json` gives it."""
+    """Append a component source: its ``type`` and its fields."""
     i1 = indent + "  "
     if src is None:
         out.append("{" + i1 + '"type": "genus0"' + indent + "}")
@@ -452,18 +426,18 @@ def _write_source(out: list, src, indent: str) -> None:
 
 
 def _write_instance(out: list, inst, indent: str, m: PhiNModule = None) -> None:
-    """Append the echo of a curve instance, as :func:`instance_to_json`
-    gives it: components in sorted vertex-id order, then the graph's edges
-    and vertices in their order.  An abelian variety is echoed only in the
-    report of its module ``m``: its sources as one matrix source, the
-    resolved Weil matrix, written from m's phi1 blocks."""
+    """Append the echo of a curve instance: components in ascending
+    vertex-id order, then the graph's edges and vertices in their order.
+    An abelian variety is echoed only in the report of its module ``m``:
+    its sources as one matrix source, the resolved Weil matrix, written
+    from m's phi1 blocks."""
     i1 = indent + "  "
     i2 = i1 + "  "
     i3 = i2 + "  "
     if isinstance(inst, CurveInstance):
         # a graph has a vertex, and each vertex a component
         out.append("{" + i1 + '"components": {')
-        for vid, src in sorted(inst.components.items()):
+        for vid, src in inst.components:
             out += (i2, _encode_str(vid), ": ")
             _write_source(out, src, i2)
             out.append(",")
@@ -544,9 +518,9 @@ def _write_report(out: list, r: Report) -> None:
     _write_instance(out, r.instance, "\n  ", m)
     out.append(_MODULE_HEAD % (*m.dims, m.f, m.fil1_dim))
     _write_rows(out, m.gram.rows, _block_runs((m.gram,)), i)
-    out += (',\n    "hodge_slopes": ', _slopes(polygons.hodge.slopes, i), ',\n    "n": ')
+    out += (',\n    "hodge_slopes": ', _slopes(polygons.hodge, i), ',\n    "n": ')
     _write_rows(out, m.dimension, _n_runs(m), i)
-    out += (',\n    "newton_slopes": ', _slopes(polygons.newton.slopes, i),
+    out += (',\n    "newton_slopes": ', _slopes(polygons.newton, i),
             f',\n    "p": "{m.p}",\n    "phi": ')
     _write_rows(out, m.dimension, _phi_runs(m), i)
     out.append(f',\n    "t_hodge": "{polygons.t_hodge}",\n'
@@ -557,7 +531,7 @@ def dump_json(obj) -> str:
     """Canonical byte-stable text of a :class:`Report`, or of a curve
     instance alone (the fuzz failure dump): exactly
     ``json.dumps(d, indent=2, sort_keys=True) + "\\n"`` of the report as a
-    dict, or of ``instance_to_json(obj)``.  Any other value, an
+    dict, or of the instance as a dict.  Any other value, an
     abelian-variety instance too, raises TypeError."""
     out = []
     if isinstance(obj, Report):

@@ -44,7 +44,6 @@ from math import gcd, lcm, prod
 from ._record import Record
 from .errors import ValidationError
 from .exact_linalg import (
-    NewtonPolygon,
     QMatrix,
     _hull_segments,
     _valuation,
@@ -188,18 +187,22 @@ def verify_relations(m: PhiNModule) -> RelationReport:
 class PolygonReport(Record):
     """Newton and Hodge data of the module's Frobenius and filtration.
 
-    ``newton`` has its slopes normalized by 1/f; ``newton_symmetric`` says
-    whether they are invariant under s -> 1 - s.  ``t_newton`` and every
-    slope are lowest-terms (num, den) pairs of ints, den >= 1; ``t_hodge``
-    is the int fil1_dim.
+    ``newton`` and ``hodge`` are tuples of (slope, multiplicity) pairs with
+    strictly increasing slopes and positive multiplicities, as
+    :func:`hodge_newton` builds them.  Slopes follow the reciprocal-root
+    convention: an eigenvalue alpha of valuation v contributes multiplicity
+    1 at slope v.  ``newton`` has its slopes normalized by 1/f;
+    ``newton_symmetric`` says whether they are invariant under s -> 1 - s.
+    ``t_newton`` and every slope are lowest-terms (num, den) pairs of ints,
+    den >= 1, so slope 1/2 is (1, 2) and slope 0 is (0, 1); ``t_hodge`` is
+    the int fil1_dim.
     """
 
     _fields = ("t_newton", "t_hodge", "newton", "hodge", "endpoints_equal",
                "newton_on_or_above_hodge", "newton_symmetric")
 
-    def __init__(self, t_newton: tuple, t_hodge: int, newton: NewtonPolygon,
-                 hodge: NewtonPolygon, endpoints_equal: bool, newton_on_or_above_hodge: bool,
-                 newton_symmetric: bool):
+    def __init__(self, t_newton: tuple, t_hodge: int, newton: tuple, hodge: tuple,
+                 endpoints_equal: bool, newton_on_or_above_hodge: bool, newton_symmetric: bool):
         object.__setattr__(self, "t_newton", t_newton)
         object.__setattr__(self, "t_hodge", t_hodge)
         object.__setattr__(self, "newton", newton)
@@ -259,8 +262,8 @@ def hodge_newton(m: PhiNModule) -> PolygonReport:
     return PolygonReport(
         t_newton=(v // g, f // g),
         t_hodge=fil1,
-        newton=NewtonPolygon(tuple((s, mult[s]) for s in slopes)),
-        hodge=NewtonPolygon(tuple((s, k) for s, k in (((0, 1), knee), ((1, 1), fil1)) if k > 0)),
+        newton=tuple((s, mult[s]) for s in slopes),
+        hodge=tuple((s, k) for s, k in (((0, 1), knee), ((1, 1), fil1)) if k > 0),
         endpoints_equal=v == f * fil1,
         newton_on_or_above_hodge=_on_or_above_hodge(
             [(mult[s], rise[s]) for s in slopes], knee, scale),

@@ -46,9 +46,12 @@ package's pairs only through ``as_pair`` (out) and ``slope_multiset``
 
 ``report_dict`` is the report as the nested dict the package once built
 and wrote with ``json.dumps``: plain lists, ``phi`` and ``n`` read off the
-dense module, and an abelian variety's echo written from the module's phi1
-blocks (``av_echo``).  It defines the report's bytes as
-``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``.
+dense module, a curve's echo from ``instance_to_json`` and an abelian
+variety's echo written from the module's phi1 blocks (``av_echo``).  Each
+matrix entry is written by ``str`` of the int, not from the text a QMatrix
+keeps.  It defines the report's bytes as
+``json.dumps(report_dict(r), indent=2, sort_keys=True) + "\\n"``, and
+``instance_to_json`` those of a curve instance written alone.
 
 ``read_by_field`` is the instance reader the package once kept to name a
 fault: the whole file read field by field with ``isinstance`` tests and a
@@ -68,9 +71,9 @@ from math import gcd
 import phinmod.weil_data as weil_data
 from phinmod.builders import CurveInstance, UniformizationData
 from phinmod.errors import SchemaError, WeilValidationError, clipped, clipped_key
-from phinmod.exact_linalg import NewtonPolygon, QMatrix
+from phinmod.exact_linalg import QMatrix
 from phinmod.graph_core import DualGraph
-from phinmod.io_formats import FORMAT_NAME, instance_to_json
+from phinmod.io_formats import FORMAT_NAME
 from phinmod.phin_module import PhiNModule, PolygonReport, RelationReport
 from phinmod.weil_data import (
     MAX_ENTRY_DIGITS,
@@ -608,7 +611,7 @@ def is_lowest_terms(pair):
 def slope_multiset(polygon):
     """The slopes of a polygon, each (num, den) read as a Fraction, as
     often as its multiplicity."""
-    return [Fraction(*s) for s, k in polygon.slopes for _ in range(k)]
+    return [Fraction(*s) for s, k in polygon for _ in range(k)]
 
 
 def symmetric_slopes(polygon):
@@ -757,7 +760,7 @@ def _partial_sums(slopes):
 def _merged(slopes):
     """(slope, multiplicity) pairs of an ascending slope list, each slope
     given as its (num, den) pair."""
-    return NewtonPolygon(tuple((as_pair(s), len(list(run))) for s, run in groupby(slopes)))
+    return tuple((as_pair(s), len(list(run))) for s, run in groupby(slopes))
 
 
 def dense_hodge_newton(m):
@@ -897,8 +900,34 @@ def _text(pair):
     return str(Fraction(*pair))
 
 
-def _text_rows(m):
+def matrix_to_strings(m):
+    """Rows of ``m`` as lists of ``str`` of each entry."""
     return [[str(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def source_to_json(src):
+    """A component source as the dict an instance file holds."""
+    if src is None:
+        return {"type": "genus0"}
+    if isinstance(src, EllipticCurveSpec):
+        return {"type": "elliptic", "a4": str(src.a4), "a6": str(src.a6)}
+    return {"type": "matrix", "entries": matrix_to_strings(src)}
+
+
+def instance_to_json(inst):
+    """The curve instance ``inst`` as the dict an instance file holds: the
+    echo of a curve's report, and the fuzz failure dump."""
+    return {
+        "format": FORMAT_NAME,
+        "kind": "curve",
+        "p": str(inst.p),
+        "f": str(inst.f),
+        "graph": {
+            "vertices": [{"id": v.id, "genus": str(v.genus)} for v in inst.graph.vertices],
+            "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in inst.graph.edges],
+        },
+        "components": {vid: source_to_json(src) for vid, src in inst.components},
+    }
 
 
 def av_echo(inst, m):
@@ -912,7 +941,7 @@ def av_echo(inst, m):
         "p": str(inst.p),
         "f": str(inst.f),
         "torus_rank": str(inst.torus_rank),
-        "gram": _text_rows(inst.gram),
+        "gram": matrix_to_strings(inst.gram),
         "b_frobenius": [{"type": "matrix", "entries": entries}],
     }
 
@@ -945,11 +974,11 @@ def report_dict(report):
             "fil1_dim": str(m.fil1_dim),
             "t_newton": _text(polygons.t_newton),
             "t_hodge": str(polygons.t_hodge),
-            "newton_slopes": [[_text(s), str(k)] for s, k in polygons.newton.slopes],
-            "hodge_slopes": [[_text(s), str(k)] for s, k in polygons.hodge.slopes],
-            "phi": _text_rows(dense.phi),
-            "n": _text_rows(dense.n),
-            "gram": _text_rows(m.gram),
+            "newton_slopes": [[_text(s), str(k)] for s, k in polygons.newton],
+            "hodge_slopes": [[_text(s), str(k)] for s, k in polygons.hodge],
+            "phi": matrix_to_strings(dense.phi),
+            "n": matrix_to_strings(dense.n),
+            "gram": matrix_to_strings(m.gram),
         },
         "checks": checks,
     }

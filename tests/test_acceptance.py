@@ -36,7 +36,7 @@ def test_criterion_1_tate_golden(tmp_path):
         and m.gram.to_rows() == [[1]]
         and polygons.t_newton == (1, 1)
         and polygons.t_hodge == 1
-        and polygons.newton.slopes == (((0, 1), 1), ((1, 1), 1))
+        and polygons.newton == (((0, 1), 1), ((1, 1), 1))
     )
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     code1 = main(["build", str(INSTANCE_DIR / "tate.json"), "--out", str(out1)])

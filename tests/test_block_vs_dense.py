@@ -27,12 +27,7 @@ from phinmod.builders import CurveInstance, build_from_av, jacobian_data
 from phinmod.cli import main, run_checks
 from phinmod.exact_linalg import QMatrix, char_poly
 from phinmod.fuzz import instance_stream
-from phinmod.io_formats import (
-    Report,
-    dump_json,
-    load_instance,
-    matrix_to_strings,
-)
+from phinmod.io_formats import Report, dump_json, load_instance
 from phinmod.phin_module import (
     PhiNModule,
     PolygonReport,
@@ -61,6 +56,7 @@ from oracles import (
     dense_module,
     dense_relations,
     is_lowest_terms,
+    matrix_to_strings,
     module_from_report,
     scale,
     zeros,
@@ -247,11 +243,11 @@ def test_hand_built_polygons_match_dense_oracle():
         dense = dense_hodge_newton(dense_module(m))
         assert polygons == dense, m
         # every slope and t_newton is a lowest-terms pair of ints, den >= 1
-        for pair in (polygons.t_newton, *(s for s, _ in polygons.newton.slopes)):
+        for pair in (polygons.t_newton, *(s for s, _ in polygons.newton)):
             assert is_lowest_terms(pair), pair
         verdicts_seen.update(_polygon_verdicts(polygons))
         kinds["fractional slope"] += any(
-            den > 1 for (_, den), _ in polygons.newton.slopes) and m.f > 1
+            den > 1 for (_, den), _ in polygons.newton) and m.f > 1
         kinds["repeated factor"] += len(set(m.phi1_factors)) < len(m.phi1_factors)
     assert verdicts_seen == {(name, ok) for name in POLYGON_VERDICTS for ok in (True, False)}
     assert min(kinds.values()) >= 20

@@ -94,7 +94,7 @@ class TestCurveInstanceValidation:
         from_matrix = CurveInstance(
             graph=g, components={"v0": QMatrix.from_rows(rows)}, p=5
         )
-        assert from_rows.components["v0"] == QMatrix.from_rows(rows)
+        assert from_rows.components == (("v0", QMatrix.from_rows(rows)),)
         assert run_checks(from_rows, DEFAULT_POINT_BOUND) == run_checks(
             from_matrix, DEFAULT_POINT_BOUND
         )
@@ -194,6 +194,19 @@ class TestBuildFromAV:
         with pytest.raises(ValidationError,
                            match=r"^field 'b_frobenius\[1\]': elliptic sources require f = 1$"):
             UniformizationData(0, EMPTY, [None, EllipticCurveSpec(5, 1, 0)], 5, 2)
+
+    def test_elliptic_source_over_another_prime_refused_naming_it(self):
+        # a file cannot give one (the reader builds each spec at the
+        # file's p), but a caller can, and it is refused with the record
+        for sources, k in (([EllipticCurveSpec(7, 1, 1)], 0),
+                           ([None, EllipticCurveSpec(5, 1, 0), EllipticCurveSpec(7, 1, 1)], 2)):
+            with pytest.raises(ValidationError, match=(
+                    rf"^field 'b_frobenius\[{k}\]': elliptic source lives over F_7, "
+                    r"instance is at q = 5\^1$")):
+                UniformizationData(0, EMPTY, sources, 5)
+        # at f = 2 the f = 1 message comes first, as it did
+        with pytest.raises(ValidationError, match="elliptic sources require f = 1$"):
+            UniformizationData(0, EMPTY, [EllipticCurveSpec(7, 1, 1)], 5, 2)
 
     def test_bound_is_passed_to_the_point_count(self):
         u = UniformizationData(0, EMPTY, [EllipticCurveSpec(101, 1, 1)], 101)
@@ -305,7 +318,7 @@ class TestRelabeling:
             [(new_v[v.id], v.genus) for v in inst.graph.vertices],
             [(new_e[e.id], new_v[e.tail], new_v[e.head]) for e in inst.graph.edges],
         )
-        comps = {new_v[k]: v for k, v in inst.components.items()}
+        comps = {new_v[k]: v for k, v in inst.components}
         return CurveInstance(graph=g, components=comps, p=inst.p, f=inst.f)
 
     def test_invariants_preserved(self):

@@ -24,14 +24,20 @@ from phinmod.io_formats import (
     dump_json,
     failed_checks,
     instance_from_json,
-    instance_to_json,
     report_all_pass,
 )
 from phinmod.phin_module import PolygonReport, RelationReport
 from phinmod.weil_data import DEFAULT_POINT_BOUND, EllipticCurveSpec
 
 from conftest import INSTANCE_DIR, tate_instance, theta_instance
-from oracles import conjugated, count_points_euler, module_from_report
+from oracles import (
+    conjugated,
+    count_points_euler,
+    instance_to_json,
+    module_from_report,
+    positive_definite_sylvester,
+    report_dict,
+)
 
 
 def write_instance(tmp_path: Path, obj, name="inst.json") -> str:
@@ -175,6 +181,73 @@ class TestBuildCommand:
         assert main(["build", write_instance(tmp_path, obj)]) == 2
         err = capsys.readouterr().err
         assert "Weil validation failed" in err and "det" in err
+
+
+def _gram(rng: random.Random, n: int, kind: str) -> list:
+    """A seeded n x n Gram matrix of ``kind``, as int rows.  "AAt+I" is
+    G = A * A^T + I for a random n x n matrix A; "indefinite" negates one
+    diagonal entry of G, "zero-leading-minor" zeroes its top-left entry and
+    "non-symmetric" moves one off-diagonal entry by 1.  "singular" is
+    A * A^T for a random n x (n - 1) matrix A."""
+    def product(cols: int) -> list:  # A * A^T for a random n x cols matrix A
+        a = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(n)]
+        return [[sum(x * y for x, y in zip(r, s)) for s in a] for r in a]
+
+    if kind == "singular":
+        return product(n - 1)
+    g = product(n)
+    for i in range(n):
+        g[i][i] += 1
+    if kind == "indefinite":
+        k = rng.randrange(n)
+        g[k][k] = -g[k][k]
+    elif kind == "zero-leading-minor":
+        g[0][0] = 0
+    elif kind == "non-symmetric" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        g[i][j] += rng.choice((-1, 1))
+    return g
+
+
+GRAM_KINDS = ("AAt+I", "indefinite", "singular", "zero-leading-minor", "non-symmetric")
+
+
+class TestAvGramThroughBuild:
+    """Seeded Gram matrices of sizes 1 to 8 in each of GRAM_KINDS, built as
+    abelian varieties by ``phinmod build``.  Which are accepted is decided
+    by ``oracles.positive_definite_sylvester`` (a determinant per leading
+    minor) and the refusal message by a symmetry test: an accepted Gram
+    gives the text of ``oracles.report_dict`` and exit 0, a refused one
+    exit 2 naming the fault."""
+
+    @pytest.mark.parametrize("kind", GRAM_KINDS)
+    def test_outcome_is_the_oracles(self, tmp_path, capsys, kind):
+        rng = random.Random(f"gram {kind}")
+        outcomes = set()
+        for n in range(1, 9):
+            for _ in range(2):
+                rows = _gram(rng, n, kind)
+                obj = {"kind": "av", "p": "5", "f": "1", "torus_rank": str(n),
+                       "gram": [[str(x) for x in r] for r in rows],
+                       "b_frobenius": [{"type": "elliptic", "a4": "1", "a6": "1"}]}
+                path = write_instance(tmp_path, obj)
+                code = main(["build", path])
+                captured = capsys.readouterr()
+                if positive_definite_sylvester(rows):
+                    report = run_checks(instance_from_json(obj), DEFAULT_POINT_BOUND)
+                    expected = json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
+                    assert (code, captured.out) == (0, expected), rows
+                    outcomes.add("accepted")
+                else:
+                    symmetric = all(r[j] == rows[j][i] for i, r in enumerate(rows)
+                                    for j in range(n))
+                    fault = "positive definite" if symmetric else "symmetric"
+                    assert (code, captured.out) == (2, ""), rows
+                    assert captured.err == f"error: gram not {fault}\n", rows
+                    outcomes.add(fault)
+        # each kind reaches the outcome it is drawn for
+        assert outcomes >= {"AAt+I": {"accepted"}, "non-symmetric": {"symmetric"}}.get(
+            kind, {"positive definite"})
 
 
 class TestLargePrime:
@@ -881,7 +954,7 @@ class TestOncePerRequest:
         char_polys = count_calls(monkeypatch, phinmod._backend.charpoly_int)
         report = json.loads(dump_json(run_checks(inst, DEFAULT_POINT_BOUND)))
         assert report["checks"]["curve_jacobian_agreement"] == "pass"
-        assert [args[0] for args in validations] == [block, inst.components["v3"]]
+        assert [args[0] for args in validations] == [block, dict(inst.components)["v3"]]
         # one certificate per diagonal block: v3 has two
         rows = [[list(r) for r in args[0]] for args in certificates]
         assert rows == [block.to_rows(), block.to_rows(), [[0, -5], [1, 0]]]

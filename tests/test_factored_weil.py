@@ -105,7 +105,7 @@ def test_factored_path_matches_dense_oracle():
         assert polygons == dense_hodge_newton(dense), (p, f, w)
         assert verify_relations(m) == dense_relations(dense), (p, f, w)
         assert _det_phi(m) == det(dense.phi), (p, f, w)
-        slopes.update(s for s, _ in polygons.newton.slopes)
+        slopes.update(s for s, _ in polygons.newton)
         factor_counts.add(len(w.factors))
     # supersingular factors (slope 1/2) and sums of many factors occur
     assert {(0, 1), (1, 2), (1, 1)} <= slopes

@@ -63,4 +63,4 @@ def test_library_block_gives_the_stated_values():
             checked += 1
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
-    assert checked == 6
+    assert checked == 7

@@ -5,8 +5,9 @@ Every public record type is built from ``instances/good_reduction.json``
 abelian variety with an empty good-reduction part).  Equal records hash
 alike, a record equals its copies, ``copy``, ``deepcopy`` and ``pickle``
 give an equal object, and no field can be assigned or deleted.
-``CurveInstance`` holds its components in a read-only ``FrozenMap``, which
-hashes and round-trips with the record and stays read-only in every copy.
+``CurveInstance`` holds its components as a tuple of (vertex id, source)
+pairs in ascending id order, which hashes and round-trips with the record
+and stays read-only in every copy.
 """
 
 import copy
@@ -15,7 +16,7 @@ import pickle
 import pytest
 
 from phinmod.builders import CurveInstance, UniformizationData, build_from_av, jacobian_data
-from phinmod.exact_linalg import NewtonPolygon, QMatrix
+from phinmod.exact_linalg import QMatrix
 from phinmod.graph_core import DualGraph, Edge, Vertex
 from phinmod.io_formats import load_instance
 from phinmod.phin_module import (
@@ -43,7 +44,6 @@ def records(name: str) -> dict:
         "QMatrix": u.gram,
         "RelationReport": verify_relations(m),
         "PolygonReport": polygons,
-        "NewtonPolygon": polygons.newton,
     }
     if isinstance(inst, CurveInstance):
         out.update(
@@ -51,7 +51,7 @@ def records(name: str) -> dict:
             DualGraph=inst.graph,
             Vertex=inst.graph.vertices[0],
             Edge=inst.graph.edges[0],
-            EllipticCurveSpec=inst.components["v0"],
+            EllipticCurveSpec=dict(inst.components)["v0"],
         )
     return out
 
@@ -64,8 +64,8 @@ CASES = [
 IDS = [f"{name}-{type_name}" for name, type_name, _ in CASES]
 
 ALL_TYPES = {
-    CurveInstance, DualGraph, Edge, EllipticCurveSpec, NewtonPolygon, PhiNModule,
-    PolygonReport, QMatrix, RelationReport, UniformizationData, Vertex, WeilMatrix,
+    CurveInstance, DualGraph, Edge, EllipticCurveSpec, PhiNModule, PolygonReport, QMatrix,
+    RelationReport, UniformizationData, Vertex, WeilMatrix,
 }
 
 
@@ -112,21 +112,30 @@ def test_not_equal_to_another_type(name, type_name, record):
 
 def test_curve_instance_components_are_read_only():
     inst = records("good_reduction.json")["CurveInstance"]
+    components = inst.components
+    assert [vid for vid, _ in components] == ["v0", "v1"]
     for twin in (inst, copy.copy(inst), copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
         with pytest.raises(TypeError):
-            twin.components["v0"] = None
+            twin.components[0] = ("v0", None)
         with pytest.raises(TypeError):
-            del twin.components["v0"]
-        assert twin.components == dict(inst.components)
-        assert "v0" in twin.components and len(twin.components) == 2
+            del twin.components[0]
+        with pytest.raises(AttributeError):
+            twin.components = ()
+        assert type(twin.components) is tuple and twin.components == components
+        assert hash(twin.components) == hash(components) and hash(twin) == hash(inst)
+    assert inst.components is components
 
 
 def test_curve_instances_differ_by_a_component():
     inst = records("good_reduction.json")["CurveInstance"]
     other = CurveInstance(graph=inst.graph, p=inst.p, f=inst.f,
-                          components={**inst.components, "v0": EllipticCurveSpec(5, 2, 1)})
+                          components=dict(inst.components, v0=EllipticCurveSpec(5, 2, 1)))
     assert other != inst
     assert CurveInstance(graph=inst.graph, components=dict(inst.components), p=inst.p) == inst
+    # the mapping's order is not kept: the pairs are sorted by vertex id
+    backwards = dict(reversed(inst.components))
+    assert list(backwards) == ["v1", "v0"]
+    assert CurveInstance(graph=inst.graph, components=backwards, p=inst.p) == inst
 
 
 def test_a_different_field_breaks_equality():
@@ -153,7 +162,6 @@ def test_factors_are_not_compared(name):
 def test_repr_names_each_field():
     assert repr(Vertex("v0", 1)) == "Vertex(id='v0', genus=1)"
     assert repr(Edge("e0", "v0", "v1")) == "Edge(id='e0', tail='v0', head='v1')"
-    assert repr(NewtonPolygon((((0, 1), 2),))) == "NewtonPolygon(slopes=(((0, 1), 2),))"
     assert repr(EllipticCurveSpec(5, 6, 0)) == "EllipticCurveSpec(p=5, a4=1, a6=0)"
     w = records("av_tate.json")["WeilMatrix"]
     assert repr(w) == "WeilMatrix(p=5, f=1, blocks=(), factors=())"

@@ -5,7 +5,8 @@ regex pass and one ``map(int, ...)``; any other matrix goes to
 ``matrix_from_strings``, entry by entry through ``_parse_entry``.  Values
 and error messages must be those of the field-by-field reader
 ``oracles.read_by_field``; each rows list is read as the Gram matrix of an
-abelian variety.
+abelian variety.  A matrix keeps the text of its entries, made once and
+written as ``oracles.matrix_to_strings`` writes it.
 
 ``is_prime`` keeps its last answer, so a request tests its one p once.
 """
@@ -16,14 +17,16 @@ import random
 import pytest
 
 import phinmod.io_formats as io_formats
+from phinmod.builders import CurveInstance
 from phinmod.cli import run_checks
 from phinmod.errors import ValidationError
 from phinmod.exact_linalg import QMatrix, is_prime
-from phinmod.io_formats import _parse_entry, instance_from_json, load_instance
+from phinmod.graph_core import DualGraph
+from phinmod.io_formats import _parse_entry, dump_json, instance_from_json, load_instance
 from phinmod.weil_data import DEFAULT_POINT_BOUND
 
 from conftest import INSTANCE_DIR
-from oracles import is_prime_trial, read_by_field
+from oracles import is_prime_trial, matrix_to_strings, read_by_field
 
 
 def av_with_gram(rows) -> dict:
@@ -99,14 +102,14 @@ def test_integer_rows_skip_the_per_entry_reader(monkeypatch):
     assert calls == ["+2", "001", "-0", 1, "2", "1", "0", "1", "2"]
 
 
-def test_text_is_made_once_per_matrix_and_rows_are_fresh():
+def test_text_is_made_once_per_matrix_and_written_as_the_oracle_writes_it():
     m = QMatrix.from_rows([[0, -5], [1, 2]])
-    first, second = io_formats.matrix_to_strings(m), io_formats.matrix_to_strings(m)
-    assert first == second == [["0", "-5"], ["1", "2"]]
-    assert m.entry_strings == ("0", "-5", "1", "2")
-    first[0][0] = "changed"
-    assert io_formats.matrix_to_strings(m) == second
-    assert all(a is not b for a, b in zip(first, second))
+    inst = CurveInstance(DualGraph.build([("v0", 1)], [("e0", "v0", "v0")]), {"v0": m}, 5)
+    text = m.entry_strings
+    assert text == ("0", "-5", "1", "2")
+    written = [json.loads(dump_json(inst))["components"]["v0"]["entries"] for _ in range(2)]
+    assert written == [matrix_to_strings(m)] * 2 == [[["0", "-5"], ["1", "2"]]] * 2
+    assert m.entry_strings is text
 
 
 # -- the primality memo -------------------------------------------------------

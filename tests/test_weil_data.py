@@ -805,7 +805,7 @@ class TestBlockwiseCertificate:
     def test_fuzz_genus_2_sources(self, seed):
         sources = 0
         for inst in instance_stream(seed, 40):
-            for src in inst.components.values():
+            for _, src in inst.components:
                 if isinstance(src, QMatrix) and src.rows == 4:
                     verdict = blockwise_verdict(src, inst.p, inst.f)
                     assert verdict == whole_verdict(src, inst.p, inst.f)
